@@ -1,25 +1,21 @@
-// ext_gray — does health-scored routing + hedged delivery beat the binary
-// fault model under gray (slow-not-dead) failures?
+// ext_gray — does health-scored routing beat the binary fault model under
+// gray (slow-not-dead) failures?
 //
-// Sweeps gray severity x hedging policy at the Section 4.2 default size.
+// Sweeps gray severity x routing policy at the Section 4.2 default size.
 // Per (profile, repetition): solve IDDE-G fault-free, draw a seeded
 // DegradationPlan (slow ramps / metastable plateaus / flapping — every
 // server formally "up" the whole horizon, so the binary fault model sees
-// nothing), then replay the same strategy through the gray world four
-// ways:
+// nothing), then replay the same strategy through the gray world two ways:
 //
-//   binary          blind routing, no hedges — what the pre-gray pipeline
-//                   would do, since FaultPlan reports all-up
-//   hedged          speculative backup legs after the hedge deadline
-//   health          health-scored source selection (gray servers demoted)
-//   health+hedged   both; deadlines also shrink with the source's score
+//   binary   blind routing — what the pipeline without health scores does,
+//            since FaultPlan reports all-up
+//   health   health-scored source selection (gray servers demoted)
 //
 // Two gates run in-binary (CI runs --smoke and fails on exit != 0):
 //
-//  1. inert bit-identity: a null degradation pointer, a pointer to an
-//     inert plan, and a default (disabled) HedgeConfig all replay the
-//     plain pipeline float-for-float.
-//  2. p99 win: health+hedged holds a strictly lower p99 than the blind
+//  1. inert bit-identity: a null degradation pointer and a pointer to an
+//     inert plan replay the plain pipeline float-for-float.
+//  2. p99 win: health routing holds a strictly lower p99 than the blind
 //     binary replay on every profile (aggregated over repetitions — a
 //     single rep's p99-th flow can be untouched by the gray draw, in
 //     which case both replays produce the identical tail).
@@ -89,17 +85,14 @@ std::vector<GrayProfile> make_gray_profiles(bool smoke) {
           {"metastable-lossy", lossy}};
 }
 
-struct HedgePolicy {
+struct RoutingPolicy {
   const char* name;
-  bool enabled;
   bool health_aware;
 };
 
-constexpr HedgePolicy kPolicies[] = {
-    {"binary", false, false},
-    {"hedged", true, false},
-    {"health", false, true},
-    {"health+hedged", true, true},
+constexpr RoutingPolicy kPolicies[] = {
+    {"binary", false},
+    {"health", true},
 };
 
 /// Bitwise equality of the aggregate DES result plus each flow's
@@ -122,9 +115,7 @@ bool same_des_result(const des::FlowSimResult& a, const des::FlowSimResult& b) {
          a.max_duration_ms == b.max_duration_ms &&
          a.makespan_s == b.makespan_s && a.local_hits == b.local_hits &&
          a.cloud_fetches == b.cloud_fetches &&
-         a.retry_count == b.retry_count &&
-         a.hedge_launches == b.hedge_launches &&
-         a.hedge_wasted_mb == b.hedge_wasted_mb;
+         a.retry_count == b.retry_count && a.lost_mb == b.lost_mb;
 }
 
 }  // namespace
@@ -135,8 +126,8 @@ int main(int argc, char** argv) {
   std::size_t base_seed = 7500;
   std::string out = "BENCH_gray.json";
   util::CliParser cli(
-      "ext_gray: gray-severity x hedging-policy sweep — p99 latency of "
-      "blind vs health-aware vs hedged delivery under slow-server plans "
+      "ext_gray: gray-severity x routing-policy sweep — p99 latency of "
+      "blind vs health-aware delivery under slow-server plans "
       "the binary fault model cannot see, with in-binary inert "
       "bit-identity and p99-win gates");
   cli.add_flag("smoke", &smoke, "1-rep metastable profile only (CI)");
@@ -171,14 +162,12 @@ int main(int argc, char** argv) {
   bool p99_win = true;
   util::JsonArray json_profiles;
   for (const GrayProfile& profile : profiles) {
-    util::TextTable table({"policy", "mean (ms)", "p99 (ms)", "hedges",
-                           "hedge wins", "wasted MB", "losses", "cloud"});
+    util::TextTable table(
+        {"policy", "mean (ms)", "p99 (ms)", "lost MB", "losses", "cloud"});
     util::JsonArray json_policies;
     std::vector<util::RunningStats> mean_ms(std::size(kPolicies));
     std::vector<util::RunningStats> p99_ms(std::size(kPolicies));
-    std::vector<util::RunningStats> hedges(std::size(kPolicies));
-    std::vector<util::RunningStats> wins(std::size(kPolicies));
-    std::vector<util::RunningStats> wasted(std::size(kPolicies));
+    std::vector<util::RunningStats> lost(std::size(kPolicies));
     std::vector<util::RunningStats> losses(std::size(kPolicies));
     std::vector<util::RunningStats> cloud(std::size(kPolicies));
     std::size_t gray_servers = 0;
@@ -195,8 +184,8 @@ int main(int argc, char** argv) {
         if (!segments.empty()) ++gray_servers;
       }
 
-      // Gate 1 (first profile only): null plan, inert plan and default
-      // HedgeConfig all take the exact pre-gray code path.
+      // Gate 1 (first profile only): a null plan and an inert plan replay
+      // identically.
       if (&profile == &profiles.front()) {
         des::FlowSimOptions plain;
         plain.arrival_window_s = 10.0;
@@ -216,40 +205,33 @@ int main(int argc, char** argv) {
         des::FlowSimOptions options;
         options.arrival_window_s = 10.0;
         options.degradation = &plan;
-        options.hedge.enabled = kPolicies[p].enabled;
-        options.hedge.health_aware = kPolicies[p].health_aware;
+        options.health_aware = kPolicies[p].health_aware;
         util::Rng rng(seed ^ 0xde5ULL);  // same arrivals for every policy
         const des::FlowSimResult result =
             des::FlowLevelSimulator(instance, options).run(strategy, rng);
         mean_ms[p].add(result.mean_duration_ms);
         p99_ms[p].add(result.p99_duration_ms);
-        hedges[p].add(static_cast<double>(result.hedge_launches));
-        wins[p].add(static_cast<double>(result.hedge_wins));
-        wasted[p].add(result.hedge_wasted_mb);
+        lost[p].add(result.lost_mb);
         losses[p].add(static_cast<double>(result.loss_aborts));
         cloud[p].add(static_cast<double>(result.cloud_fetches));
       }
     }
-    // Gate 2: the full policy must beat the blind one on every profile.
-    if (!(p99_ms[3].mean() < p99_ms[0].mean())) p99_win = false;
+    // Gate 2: health routing must beat the blind one on every profile.
+    if (!(p99_ms[1].mean() < p99_ms[0].mean())) p99_win = false;
 
     for (std::size_t p = 0; p < std::size(kPolicies); ++p) {
       table.start_row()
           .add(kPolicies[p].name)
           .add(mean_ms[p].mean())
           .add(p99_ms[p].mean())
-          .add(hedges[p].mean())
-          .add(wins[p].mean())
-          .add(wasted[p].mean())
+          .add(lost[p].mean())
           .add(losses[p].mean())
           .add(cloud[p].mean());
       util::JsonObject entry;
       entry["name"] = std::string(kPolicies[p].name);
       entry["mean_duration_ms"] = mean_ms[p].mean();
       entry["p99_duration_ms"] = p99_ms[p].mean();
-      entry["hedge_launches"] = hedges[p].mean();
-      entry["hedge_wins"] = wins[p].mean();
-      entry["hedge_wasted_mb"] = wasted[p].mean();
+      entry["lost_mb"] = lost[p].mean();
       entry["loss_aborts"] = losses[p].mean();
       entry["cloud_fetches"] = cloud[p].mean();
       json_policies.emplace_back(std::move(entry));
@@ -277,7 +259,7 @@ int main(int argc, char** argv) {
     json_profiles.emplace_back(std::move(json_profile));
   }
 
-  std::printf("gates: inert bit-identity %s, health+hedged p99 win %s\n",
+  std::printf("gates: inert bit-identity %s, health p99 win %s\n",
               inert_identical ? "PASS" : "FAIL", p99_win ? "PASS" : "FAIL");
 
   if (!out.empty()) {
@@ -293,7 +275,7 @@ int main(int argc, char** argv) {
     doc["profiles"] = std::move(json_profiles);
     util::JsonObject gates;
     gates["inert_bit_identical"] = inert_identical;
-    gates["health_hedged_p99_win"] = p99_win;
+    gates["health_p99_win"] = p99_win;
     doc["gates"] = std::move(gates);
     doc["telemetry"] = obs::telemetry_json();
     std::ofstream file(out);

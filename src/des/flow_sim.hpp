@@ -2,33 +2,32 @@
 //
 // The paper's latency metric (Eq. 8/9) is analytic: every transfer gets the
 // full link bandwidth, so concurrent deliveries never contend. This module
-// replays the same deliveries as *fluid flows* over the edge network:
-// each non-local request becomes a flow from its chosen replica to the
-// user's serving server along the cheapest route; flows crossing a link
-// share its capacity max-min fairly; rates are recomputed at every flow
-// arrival/completion (a standard fluid DES).
+// replays the same deliveries as fluid flows over the edge network and
+// measures what contention, faults, overload and gray servers do to them
+// (DESIGN.md §18, "DES engine").
 //
-// Comparing the replayed completion times with the analytic L_avg
-// quantifies the contention error of the paper's model — and lets us check
-// that the approach ranking survives contention (bench/ext_contention).
+// One event loop replays every configuration. Each request attempt is a set
+// of *legs*: routed edge legs, water-filled max-min fairly over the links
+// they cross (rates are recomputed at every leg launch and landing), and at
+// most one uncontended cloud leg whose completion is fixed at launch. A
+// replicated request has one leg; a (n,k)-coded request has e edge legs
+// plus an optional cloud top-up. The request completes when its last leg
+// lands. Three decisions vary with the options, never the loop itself:
 //
-// With a fault::FaultPlan attached (FlowSimOptions::fault_plan) the replay
-// runs through the degraded world instead: sources are chosen by the
-// failover resolver against the epoch the request starts in, in-flight
-// flows through a dead server or link abort at the epoch boundary and
-// retry with capped exponential backoff (forced to the cloud past
-// max_retries/timeout_s), and the cloud leg stalls through brown-out
-// intervals. A null or inert plan takes the exact pre-fault code path —
-// results are bit-identical to a plan-less run.
+//   source selection  failover Eq. 8 against the epoch the attempt starts
+//                     in (health-weighted with health_aware), or the coded
+//                     collect-any-k resolver for run_coded;
+//   admission         open-loop arrivals, per-server slots and queues,
+//                     deadline-aware shedding, the retry budget and circuit
+//                     breakers — inert unless `qos` is active;
+//   gray effects      degradation-scaled leg rates, the stateless loss
+//                     lottery and health-tracker feeding — inert unless
+//                     `degradation` is active.
 //
-// With a qos::QosConfig attached (FlowSimOptions::qos) the replay becomes
-// overload-aware (DESIGN.md §12): arrivals are generated open-loop so
-// offered load can exceed capacity, every request passes a per-server
-// bounded admission queue with pluggable shedding, retries draw from a
-// global token-bucket budget, and per-source circuit breakers force
-// cloud-direct delivery while open. Composes with a fault plan (chaos
-// mode: faults + overload simultaneously). A null or inert config takes
-// the exact pre-QoS code path — bit-identical to a config-less run.
+// An attempt that loses a leg (dead server or link at an epoch boundary, a
+// gray loss, a checksum failure) aborts as a whole and retries with capped
+// exponential backoff, or goes cloud-direct past the caps. Null or inert
+// plans and configs replay bit-identically to a run without them.
 #pragma once
 
 #include <array>
@@ -48,39 +47,6 @@
 
 namespace idde::des {
 
-/// Hedged-delivery policy (the gray-failure engine, flow_sim_hedged.cpp).
-/// A routed edge leg that has not completed by its hedge deadline
-///
-///   deadline = start + max(min_deadline_s,
-///                          deadline_factor * expected_s
-///                              * (health_aware ? score(source) : 1))
-///
-/// launches one speculative backup leg (another replica, or the cloud)
-/// and the request takes the first genuine completion; the losers are
-/// cancelled with their transferred bytes charged to hedge_wasted_mb.
-/// A sick source (low health score) shortens its own deadline, so the
-/// sicker the server the sooner its legs are hedged.
-struct HedgeConfig {
-  bool enabled = false;  ///< launch speculative backup legs
-  /// Hedge deadline as a multiple of the leg's expected (uncontended,
-  /// health-blind) transfer time.
-  double deadline_factor = 8.0;
-  /// Deadline floor, so near-zero expected times cannot hedge instantly.
-  double min_deadline_s = 0.01;
-  /// Speculative backup legs per request.
-  std::size_t max_hedges = 1;
-  /// Route new legs through core::resolve_with_health (demote gray
-  /// servers) and scale hedge deadlines by the source's health score.
-  bool health_aware = false;
-  /// Tracker parameters used when health_aware is set.
-  core::HealthConfig health;
-
-  /// True when the hedged engine adds nothing over the plain replay.
-  [[nodiscard]] bool inert() const noexcept {
-    return !enabled && !health_aware;
-  }
-};
-
 struct FlowSimOptions {
   /// Scale factor on every edge-link capacity (1.0 = the instance's
   /// 2000-6000 MB/s links; < 1 stresses contention).
@@ -88,34 +54,33 @@ struct FlowSimOptions {
   /// Requests arrive over [0, window); 0 = everything at t = 0 (the
   /// worst-case burst).
   double arrival_window_s = 0.0;
-  /// The cloud leg is modelled uncontended at the instance's cloud speed
-  /// (the bottleneck the paper assumes); local hits complete instantly.
 
   /// Optional fault schedule (not owned; must outlive the simulator run).
   /// Null or inert = the fault-free replay, bit for bit.
   const fault::FaultPlan* fault_plan = nullptr;
-  /// First retry delay after an aborted flow; doubles per attempt.
+  /// First retry delay after an aborted attempt; doubles per attempt.
   double retry_backoff_s = 0.05;
   /// Cap on the exponential backoff.
   double retry_backoff_max_s = 2.0;
-  /// Aborted flows retry at most this many times, then go cloud-direct.
+  /// Aborted attempts retry at most this many times, then go cloud-direct.
   std::size_t max_retries = 8;
-  /// A request older than this is forced to the cloud on its next abort.
+  /// A request older than this is forced to the cloud on its next attempt.
   double timeout_s = 120.0;
 
   /// Optional overload-protection config (not owned; must outlive the run).
-  /// Null or inert = the pre-QoS replay, bit for bit.
+  /// Null or inert = the replay without admission control, bit for bit.
   const qos::QosConfig* qos = nullptr;
 
   /// Optional gray-failure schedule (not owned; must outlive the run):
   /// routed legs from a degraded server drain at rate / multiplier and may
-  /// be lost (integrity failure on completion). Null or inert = the
-  /// pre-gray replay, bit for bit. Composes with `fault_plan` (a server
-  /// can be slow and later crash); not yet composable with a non-inert
-  /// `qos` config or run_coded (enforced at construction).
+  /// be lost (integrity failure on landing). Null or inert = the replay
+  /// without gray effects, bit for bit.
   const fault::DegradationPlan* degradation = nullptr;
-  /// Hedged-delivery / health-aware routing policy (see HedgeConfig).
-  HedgeConfig hedge;
+  /// Route through core::resolve_with_health, fed by the legs this run
+  /// observes under the degradation plan (demotes gray servers).
+  bool health_aware = false;
+  /// Tracker parameters used when health_aware is set.
+  core::HealthConfig health;
 };
 
 /// What finally happened to one offered arrival.
@@ -140,14 +105,11 @@ struct FlowRecord {
   bool forced_cloud = false;  ///< hit the retry/timeout cap (or an empty
                               ///< retry budget / unmeetable retry deadline)
   core::FallbackTier tier = core::FallbackTier::kPrimary;
-  // QoS-mode diagnostics (defaults describe the pre-QoS replay).
+  // QoS-mode diagnostics (defaults describe the replay without QoS).
   FlowOutcome outcome = FlowOutcome::kServed;
   double queue_wait_s = 0.0;     ///< admission-queue wait before service
   bool deadline_missed = false;  ///< served, but after the SLO deadline
-  // Gray/hedge-mode diagnostics (defaults describe the unhedged replay).
-  bool hedged = false;        ///< at least one speculative leg was launched
-  bool hedge_won = false;     ///< a speculative leg delivered the request
-  std::size_t losses = 0;     ///< legs lost to gray integrity failures
+  std::size_t losses = 0;        ///< legs lost to gray integrity failures
 };
 
 /// SLO accounting of one run. For a run without an active QosConfig the
@@ -191,14 +153,11 @@ struct FlowSimResult {
   /// Overload/SLO accounting. Trivially consistent (offered == admitted,
   /// zero shed/rejected) for a run without an active QosConfig.
   QosStats qos;
-  // Gray/hedge accounting (all zero outside the hedged engine).
-  std::size_t hedge_launches = 0;   ///< speculative legs launched
-  std::size_t hedge_wins = 0;       ///< requests delivered by a hedge leg
-  std::size_t hedge_cancelled = 0;  ///< legs cancelled after losing a race
-  std::size_t loss_aborts = 0;      ///< legs lost to gray integrity failures
-  /// Exact bytes transferred by legs that did not deliver their request:
-  /// race losers' partial transfers plus lost legs' full sizes.
-  double hedge_wasted_mb = 0.0;
+  // Gray accounting (zero without an active degradation plan).
+  std::size_t loss_aborts = 0;  ///< legs lost to gray integrity failures
+  /// Exact bytes burned by lost legs: each transfers fully before its
+  /// integrity check fails.
+  double lost_mb = 0.0;
 };
 
 class FlowLevelSimulator {
@@ -206,28 +165,25 @@ class FlowLevelSimulator {
   explicit FlowLevelSimulator(const model::ProblemInstance& instance,
                               FlowSimOptions options = {});
 
-  /// Replays the strategy's deliveries. `rng` only drives arrival jitter
-  /// (unused when arrival_window_s == 0).
+  /// Replays the strategy's deliveries: one leg per request attempt.
+  /// `rng` drives arrival jitter (unused when arrival_window_s == 0) or the
+  /// open-loop arrival process.
   [[nodiscard]] FlowSimResult run(const core::Strategy& strategy,
                                   util::Rng& rng) const;
 
-  /// Replays a coded strategy (flow_sim_coded.cpp): each request's e edge
-  /// fragments become parallel fluid flows from their hosts and the k - e
-  /// cloud fragments one uncontended cloud leg; the request completes when
-  /// the last leg lands. An epoch that kills any leg aborts the whole
-  /// attempt, which retries through the existing backoff / forced-cloud
-  /// machinery. Works with or without a fault plan (the engine is the
-  /// fault-mode one either way). With options_.qos non-inert it composes
-  /// open-loop arrivals, deadline-aware shedding, the retry budget, and
-  /// per-server circuit breakers; slot-based admission queues are not
-  /// modelled for coded flows (service_slots must be 0). At k = 1 under a
-  /// non-inert plan (and no QoS), the result is bit-identical to run() on
-  /// the equivalent replication strategy — same rng draws, same events,
-  /// same floats.
+  /// Replays a coded strategy: each attempt's e edge fragments are
+  /// parallel routed legs and its k - e cloud fragments one cloud leg. A
+  /// lost leg aborts the whole attempt (partial fragment sets cannot
+  /// reconstruct the item). Slot-based admission has no faithful coded
+  /// meaning (an attempt spans several servers), so an active QoS config
+  /// must leave service_slots at 0. At k = 1 the result is bit-identical
+  /// to run() on the equivalent replication strategy.
   [[nodiscard]] FlowSimResult run_coded(const coding::CodedStrategy& strategy,
                                         util::Rng& rng) const;
 
  private:
+  class Replay;  // the event loop (flow_sim.cpp)
+
   const model::ProblemInstance* instance_;
   FlowSimOptions options_;
   // Link table: one entry per undirected edge, with capacity in MB/s.
@@ -237,27 +193,11 @@ class FlowLevelSimulator {
     double capacity_mbps;
   };
   std::vector<Link> links_;
-  /// link index by (min(a,b), max(a,b)); kNoLink when absent.
+  /// Dense (a, b) -> link index table, both orientations; kNoLink when the
+  /// servers are not adjacent.
+  std::vector<std::uint32_t> link_ids_;
+  static constexpr std::uint32_t kNoLink = static_cast<std::uint32_t>(-1);
   [[nodiscard]] std::size_t link_between(std::size_t a, std::size_t b) const;
-  static constexpr std::size_t kNoLink = static_cast<std::size_t>(-1);
-
-  [[nodiscard]] FlowSimResult run_fault_free(const core::Strategy& strategy,
-                                             util::Rng& rng) const;
-  [[nodiscard]] FlowSimResult run_with_faults(const core::Strategy& strategy,
-                                              util::Rng& rng) const;
-  /// The overload-aware engine (flow_sim_qos.cpp): admission + shedding +
-  /// retry budget + breakers, composed with an optional fault plan.
-  [[nodiscard]] FlowSimResult run_with_qos(const core::Strategy& strategy,
-                                           util::Rng& rng) const;
-  /// The gray-failure engine (flow_sim_hedged.cpp): degradation-scaled
-  /// fluid rates, per-leg loss lottery, health-aware source selection and
-  /// hedged backup legs, composed with an optional fault plan.
-  [[nodiscard]] FlowSimResult run_hedged(const core::Strategy& strategy,
-                                         util::Rng& rng) const;
-  /// `deadline_s` > 0 enables goodput/deadline accounting; `window_s` is
-  /// the offered-load period the rates are normalised by (0 = makespan).
-  static void finalize(FlowSimResult& result, double deadline_s = 0.0,
-                       double window_s = 0.0);
 };
 
 }  // namespace idde::des

@@ -15,10 +15,6 @@
 //   half-open  after the cooldown, up to half_open_probes concurrent trial
 //              deliveries are allowed. The first success closes the
 //              breaker (window reset); the first failure re-opens it.
-//              half_open_probe_cap bounds the *total* probes one half-open
-//              episode may launch: a flapping gray server whose probes are
-//              abandoned (e.g. a hedge won elsewhere) could otherwise hold
-//              the breaker half-open forever; at the cap it re-opens.
 //
 // Gray servers fail slow, not dead: with slow_ratio > 0 a completed
 // delivery whose observed time reaches slow_ratio × the expected time is
@@ -53,14 +49,6 @@ class CircuitBreaker {
     refresh(now_s);
     if (state_ == BreakerState::kClosed) return true;
     if (state_ == BreakerState::kOpen) return false;
-    if (config_.half_open_probe_cap > 0 &&
-        episode_probes_ >= config_.half_open_probe_cap) {
-      // Probe budget of this half-open episode exhausted without a
-      // verdict: stop letting the flapping server dribble probes and
-      // re-open for a full cooldown.
-      open(now_s);
-      return false;
-    }
     return probes_started_ < config_.half_open_probes;
   }
 
@@ -69,21 +57,7 @@ class CircuitBreaker {
   void on_attempt_started(double now_s) noexcept {
     if (config_.inert()) return;
     refresh(now_s);
-    if (state_ == BreakerState::kHalfOpen) {
-      ++probes_started_;
-      ++episode_probes_;
-    }
-  }
-
-  /// A routed probe was abandoned without a verdict (epoch abort, hedge
-  /// lost the race): frees its concurrency slot; the episode count keeps
-  /// charging it against half_open_probe_cap.
-  void on_probe_abandoned(double now_s) noexcept {
-    if (config_.inert()) return;
-    refresh(now_s);
-    if (state_ == BreakerState::kHalfOpen && probes_started_ > 0) {
-      --probes_started_;
-    }
+    if (state_ == BreakerState::kHalfOpen) ++probes_started_;
   }
 
   /// Outcome of a *completed* delivery with known expected/observed
@@ -143,7 +117,6 @@ class CircuitBreaker {
     if (state_ == BreakerState::kOpen && now_s >= open_until_) {
       state_ = BreakerState::kHalfOpen;
       probes_started_ = 0;
-      episode_probes_ = 0;
     }
   }
 
@@ -179,8 +152,7 @@ class CircuitBreaker {
   std::size_t failures_ = 0;
   BreakerState state_ = BreakerState::kClosed;
   double open_until_ = 0.0;
-  std::size_t probes_started_ = 0;   // live (unresolved) probes
-  std::size_t episode_probes_ = 0;   // total launched this half-open episode
+  std::size_t probes_started_ = 0;  // probes launched this half-open episode
   std::size_t times_opened_ = 0;
 };
 

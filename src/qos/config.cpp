@@ -66,7 +66,6 @@ Json qos_to_json(const QosConfig& config) {
   breaker["failure_threshold"] = config.breaker.failure_threshold;
   breaker["open_duration_s"] = config.breaker.open_duration_s;
   breaker["half_open_probes"] = config.breaker.half_open_probes;
-  breaker["half_open_probe_cap"] = config.breaker.half_open_probe_cap;
   breaker["slow_ratio"] = config.breaker.slow_ratio;
 
   return Json(JsonObject{
@@ -133,8 +132,6 @@ QosConfig qos_from_json(const Json& json) {
         b->number_or("open_duration_s", config.breaker.open_duration_s);
     config.breaker.half_open_probes =
         size_or(*b, "half_open_probes", config.breaker.half_open_probes);
-    config.breaker.half_open_probe_cap =
-        size_or(*b, "half_open_probe_cap", config.breaker.half_open_probe_cap);
     config.breaker.slow_ratio =
         b->number_or("slow_ratio", config.breaker.slow_ratio);
   }

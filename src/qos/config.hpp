@@ -119,11 +119,6 @@ struct BreakerConfig {
   double open_duration_s = 5.0;
   /// Concurrent trial deliveries allowed while half-open.
   std::size_t half_open_probes = 2;
-  /// Total probes a single half-open episode may launch before the breaker
-  /// gives up and re-opens. A flapping gray server alternately succeeds and
-  /// fails, so without this cap it can hold the breaker half-open forever.
-  /// 0 = unlimited (the pre-gray behaviour).
-  std::size_t half_open_probe_cap = 0;
   /// Sustained-latency trip: a *completed* delivery whose observed seconds
   /// reach slow_ratio × expected seconds counts as a failure outcome, so
   /// gray (slow-not-dead) servers trip the breaker too. 0 = disabled.

@@ -28,6 +28,8 @@
 #include "fault/fault_plan.hpp"
 #include "fault/injector.hpp"
 #include "model/instance_builder.hpp"
+#include "qos/config.hpp"
+#include "sim/overload.hpp"
 #include "sim/paper.hpp"
 #include "sim/scenario.hpp"
 #include "sim/sweep.hpp"
@@ -379,10 +381,14 @@ TEST(CodedResilience, InertPlanShortCircuitsToFaultFree) {
   EXPECT_EQ(report.epochs, 1u);
 }
 
-// The coded DES engine at k = 1 under a non-inert plan replays run()
-// bit-for-bit: same rng draws, same events, same floats.
+// The coded DES replay at k = 1 under a non-inert plan, with or without
+// admission control, replays run() bit-for-bit: same rng draws, same
+// events, same floats.
 TEST(CodedDes, K1BitIdenticalToFaultyReplay) {
-  for (std::uint64_t seed = 60; seed <= 62; ++seed) {
+  qos::QosConfig chaos =
+      sim::chaos_qos_config(4.0, qos::SheddingPolicy::kDeadlineAware, 0.1);
+  chaos.admission.service_slots = 0;  // slots have no coded meaning
+  for (std::uint64_t seed = 60; seed <= 65; ++seed) {
     const auto inst = model::make_instance(sized(10, 50, 4), seed);
     const auto strategy = solve(inst, seed);
     coding::CodedStrategy coded(strategy.allocation,
@@ -394,6 +400,7 @@ TEST(CodedDes, K1BitIdenticalToFaultyReplay) {
     des::FlowSimOptions options;
     options.arrival_window_s = 15.0;
     options.fault_plan = &plan;
+    if (seed > 62) options.qos = &chaos;
     const des::FlowLevelSimulator simulator(inst, options);
     util::Rng rng_a(seed);
     util::Rng rng_b(seed);
@@ -408,15 +415,20 @@ TEST(CodedDes, K1BitIdenticalToFaultyReplay) {
       EXPECT_EQ(got.flows[f].from_cloud, expected.flows[f].from_cloud);
       EXPECT_EQ(got.flows[f].local_hit, expected.flows[f].local_hit);
       EXPECT_EQ(got.flows[f].tier, expected.flows[f].tier);
+      EXPECT_EQ(got.flows[f].hops, expected.flows[f].hops);
     }
     EXPECT_EQ(got.mean_duration_ms, expected.mean_duration_ms);
     EXPECT_EQ(got.p99_duration_ms, expected.p99_duration_ms);
     EXPECT_EQ(got.makespan_s, expected.makespan_s);
+    EXPECT_EQ(got.rate_recomputations, expected.rate_recomputations);
     EXPECT_EQ(got.availability, expected.availability);
     EXPECT_EQ(got.retry_count, expected.retry_count);
     EXPECT_EQ(got.tier_counts, expected.tier_counts);
     EXPECT_EQ(got.local_hits, expected.local_hits);
     EXPECT_EQ(got.cloud_fetches, expected.cloud_fetches);
+    EXPECT_EQ(got.qos.shed, expected.qos.shed);
+    EXPECT_EQ(got.qos.retries_denied, expected.qos.retries_denied);
+    EXPECT_EQ(got.qos.breaker_opens, expected.qos.breaker_opens);
   }
 }
 

@@ -1,10 +1,11 @@
 // Gray-failure subsystem: DegradationPlan schedules (determinism, shape,
 // IO), HealthTracker scoring/hysteresis, the health-aware Eq. 8 resolver,
-// the hedged DES engine (flow_sim_hedged.cpp) with its exact hedge/loss
-// byte accounting, and the serve controller's gray event class with
+// gray effects in the DES (slowed legs, the loss lottery with exact lost-
+// byte accounting, health routing, composition with faults, admission
+// control and coding), and the serve controller's gray event class with
 // checkpoint/restore under an active plan. The zero-cost-when-disabled
-// contract — inert plan + inert hedge config replays bit-identically to
-// the pre-gray engine — is asserted field by field.
+// contract — an inert plan replays bit-identically to no plan — is
+// asserted field by field.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,12 +13,19 @@
 #include <cstdint>
 #include <vector>
 
+#include "coding/coded_planner.hpp"
+#include "coding/coded_profile.hpp"
 #include "core/health.hpp"
 #include "core/idde_g.hpp"
 #include "fault/fault_plan.hpp"
 #include "des/flow_sim.hpp"
 #include "fault/degradation.hpp"
+#include "model/instance.hpp"
 #include "model/instance_builder.hpp"
+#include "net/graph.hpp"
+#include "net/latency.hpp"
+#include "net/shortest_path.hpp"
+#include "qos/config.hpp"
 #include "serve/controller.hpp"
 #include "sim/paper.hpp"
 #include "util/json.hpp"
@@ -346,7 +354,7 @@ TEST(HealthResolver, DemotedSourceLosesTheArgmin) {
   FAIL() << "no edge-served request with a fallback replica found";
 }
 
-// --- hedged DES engine ---------------------------------------------------
+// --- gray effects in the DES --------------------------------------------
 
 void expect_same_result(const des::FlowSimResult& a,
                         const des::FlowSimResult& b) {
@@ -356,7 +364,7 @@ void expect_same_result(const des::FlowSimResult& a,
     EXPECT_EQ(a.flows[f].completion_s, b.flows[f].completion_s) << f;
     EXPECT_EQ(a.flows[f].retries, b.flows[f].retries) << f;
     EXPECT_EQ(a.flows[f].tier, b.flows[f].tier) << f;
-    EXPECT_EQ(a.flows[f].hedged, b.flows[f].hedged) << f;
+    EXPECT_EQ(a.flows[f].outcome, b.flows[f].outcome) << f;
     EXPECT_EQ(a.flows[f].losses, b.flows[f].losses) << f;
   }
   EXPECT_EQ(a.mean_duration_ms, b.mean_duration_ms);
@@ -365,13 +373,29 @@ void expect_same_result(const des::FlowSimResult& a,
   EXPECT_EQ(a.availability, b.availability);
   EXPECT_EQ(a.retry_count, b.retry_count);
   EXPECT_EQ(a.tier_counts, b.tier_counts);
-  EXPECT_EQ(a.hedge_launches, b.hedge_launches);
-  EXPECT_EQ(a.hedge_wins, b.hedge_wins);
-  EXPECT_EQ(a.hedge_wasted_mb, b.hedge_wasted_mb);
+  EXPECT_EQ(a.rate_recomputations, b.rate_recomputations);
+  EXPECT_EQ(a.lost_mb, b.lost_mb);
   EXPECT_EQ(a.loss_aborts, b.loss_aborts);
+  EXPECT_EQ(a.qos.shed, b.qos.shed);
+  EXPECT_EQ(a.qos.rejected, b.qos.rejected);
+  EXPECT_EQ(a.qos.breaker_opens, b.qos.breaker_opens);
+  EXPECT_EQ(a.qos.retries_denied, b.qos.retries_denied);
 }
 
-TEST(HedgedDes, InertGrayLayerReplaysBitIdentically) {
+/// Every server degraded by `multiplier` with leg-loss `loss` for the
+/// whole run.
+fault::DegradationPlan uniform_gray(const model::ProblemInstance& inst,
+                                    double multiplier, double loss,
+                                    std::uint64_t seed) {
+  fault::DegradationPlan plan;
+  for (std::size_t i = 0; i < inst.server_count(); ++i) {
+    plan.add_server_segment(i, {0.0, 300.0, multiplier, loss});
+  }
+  plan.set_loss_seed(seed);
+  return plan;
+}
+
+TEST(GrayDes, InertGrayLayerReplaysBitIdentically) {
   const auto inst = model::make_instance(small_params(), 21);
   const auto strategy = solve(inst, 21);
 
@@ -381,21 +405,21 @@ TEST(HedgedDes, InertGrayLayerReplaysBitIdentically) {
   const auto plain =
       des::FlowLevelSimulator(inst, plain_options).run(strategy, rng_plain);
 
-  // Inert plan attached, default (inert) hedge config: same engine
-  // dispatch, same floats.
+  // Inert plan attached, health routing requested: nothing to observe, so
+  // the same events and the same floats.
   const fault::DegradationPlan inert_plan;
   ASSERT_TRUE(inert_plan.inert());
   des::FlowSimOptions gray_options = plain_options;
   gray_options.degradation = &inert_plan;
+  gray_options.health_aware = true;
   util::Rng rng_gray(21);
   const auto gray =
       des::FlowLevelSimulator(inst, gray_options).run(strategy, rng_gray);
   expect_same_result(gray, plain);
-  EXPECT_EQ(gray.hedge_launches, 0u);
-  EXPECT_EQ(gray.hedge_wasted_mb, 0.0);
+  EXPECT_EQ(gray.lost_mb, 0.0);
 }
 
-TEST(HedgedDes, GrayPlanInflatesTheBlindReplay) {
+TEST(GrayDes, GrayPlanInflatesTheBlindReplay) {
   const auto inst = model::make_instance(small_params(), 22);
   const auto strategy = solve(inst, 22);
   const auto plan =
@@ -414,13 +438,12 @@ TEST(HedgedDes, GrayPlanInflatesTheBlindReplay) {
       des::FlowLevelSimulator(inst, options).run(strategy, rng_b);
 
   EXPECT_GT(degraded.mean_duration_ms, healthy.mean_duration_ms);
-  EXPECT_EQ(degraded.hedge_launches, 0u);  // hedging was off
   for (const auto& flow : degraded.flows) {
     EXPECT_GE(flow.completion_s, flow.arrival_s);
   }
 }
 
-TEST(HedgedDes, HealthAwareHedgingBeatsTheBlindReplayUnderHeavyGray) {
+TEST(GrayDes, HealthAwareRoutingBeatsTheBlindReplayUnderHeavyGray) {
   double blind_total = 0.0;
   double defended_total = 0.0;
   for (std::uint64_t seed = 31; seed <= 33; ++seed) {
@@ -438,8 +461,7 @@ TEST(HedgedDes, HealthAwareHedgingBeatsTheBlindReplayUnderHeavyGray) {
                        .run(strategy, rng_a)
                        .mean_duration_ms;
 
-    options.hedge.enabled = true;
-    options.hedge.health_aware = true;
+    options.health_aware = true;
     util::Rng rng_b(seed);
     defended_total += des::FlowLevelSimulator(inst, options)
                           .run(strategy, rng_b)
@@ -448,13 +470,10 @@ TEST(HedgedDes, HealthAwareHedgingBeatsTheBlindReplayUnderHeavyGray) {
   EXPECT_LT(defended_total, blind_total);
 }
 
-TEST(HedgedDes, HedgeAndLossAccountingIsExact) {
+TEST(GrayDes, LossAccountingIsExact) {
   const auto inst = model::make_instance(small_params(), 24);
   const auto strategy = solve(inst, 24);
-  // Every server mildly (2x) slow with real loss: gray primaries usually
-  // complete *before* their 1.5x-deadline hedges finish, so the loss
-  // lottery resolves (a cancelled leg never completes and can never count
-  // as lost), while the slowdown still launches plenty of hedge races.
+  // Every server mildly (2x) slow with real loss.
   fault::DegradationProfile profile = heavy_profile();
   profile.gray_fraction = 1.0;
   profile.peak_multiplier_min = 2.0;
@@ -466,56 +485,42 @@ TEST(HedgedDes, HedgeAndLossAccountingIsExact) {
   des::FlowSimOptions options;
   options.arrival_window_s = 15.0;
   options.degradation = &plan;
-  options.hedge.enabled = true;
-  options.hedge.deadline_factor = 1.5;  // aggressive: force real hedging
+  options.health_aware = true;
   util::Rng rng(24);
   const auto result =
       des::FlowLevelSimulator(inst, options).run(strategy, rng);
 
-  EXPECT_GT(result.hedge_launches, 0u);
-  EXPECT_LE(result.hedge_wins, result.hedge_launches);
-  std::size_t hedged_flows = 0;
-  std::size_t winner_flows = 0;
   std::size_t losses = 0;
+  double lost_mb = 0.0;
   for (const auto& flow : result.flows) {
     EXPECT_GE(flow.completion_s, flow.arrival_s);
-    hedged_flows += flow.hedged ? 1 : 0;
-    winner_flows += flow.hedge_won ? 1 : 0;
     losses += flow.losses;
-    if (flow.hedge_won) {
-      EXPECT_TRUE(flow.hedged);
-    }
+    // A lost leg transfers the whole item before its check fails.
+    lost_mb += static_cast<double>(flow.losses) * inst.data(flow.item).size_mb;
   }
-  EXPECT_LE(hedged_flows, result.hedge_launches);  // >= 1 launch per flow
-  EXPECT_EQ(winner_flows, result.hedge_wins);
   EXPECT_EQ(losses, result.loss_aborts);
   EXPECT_GT(result.loss_aborts, 0u);
-  // Race losers and lost legs burn real bytes.
-  if (result.hedge_cancelled + result.loss_aborts > 0) {
-    EXPECT_GT(result.hedge_wasted_mb, 0.0);
-  }
-  // Offered == served: the gray engine never sheds.
+  EXPECT_NEAR(result.lost_mb, lost_mb, 1e-9 * lost_mb);
+  // Without a fault plan every abort is a loss.
+  EXPECT_EQ(result.retry_count, result.loss_aborts);
+  // Offered == served: gray effects never shed.
   EXPECT_EQ(result.qos.offered, result.flows.size());
   EXPECT_EQ(result.qos.admitted, result.flows.size());
 
-  // Same seed, same options: the hedged engine is deterministic.
+  // Same seed, same options: the replay is deterministic.
   util::Rng rng2(24);
   const auto replay =
       des::FlowLevelSimulator(inst, options).run(strategy, rng2);
   expect_same_result(replay, result);
 }
 
-TEST(HedgedDes, PureLossPlanForcesRetriesButEveryFlowCompletes) {
+TEST(GrayDes, PureLossPlanForcesRetriesButEveryFlowCompletes) {
   const auto inst = model::make_instance(small_params(), 25);
   const auto strategy = solve(inst, 25);
 
   // Lossy but not slow: every edge leg plays a 0.5 lottery; retries (and
   // ultimately the cloud) must still serve 100%.
-  fault::DegradationPlan plan;
-  for (std::size_t i = 0; i < inst.server_count(); ++i) {
-    plan.add_server_segment(i, {0.0, 300.0, 1.0, 0.5});
-  }
-  plan.set_loss_seed(25);
+  const auto plan = uniform_gray(inst, 1.0, 0.5, 25);
 
   des::FlowSimOptions options;
   options.arrival_window_s = 15.0;
@@ -525,13 +530,13 @@ TEST(HedgedDes, PureLossPlanForcesRetriesButEveryFlowCompletes) {
       des::FlowLevelSimulator(inst, options).run(strategy, rng);
 
   EXPECT_GT(result.loss_aborts, 0u);
-  EXPECT_GT(result.hedge_wasted_mb, 0.0);  // lost legs transfer fully
+  EXPECT_GT(result.lost_mb, 0.0);  // lost legs transfer fully
   for (const auto& flow : result.flows) {
     EXPECT_GE(flow.completion_s, flow.arrival_s);
   }
 }
 
-TEST(HedgedDes, ComposesWithABinaryFaultPlan) {
+TEST(GrayDes, ComposesWithABinaryFaultPlan) {
   const auto inst = model::make_instance(small_params(), 26);
   const auto strategy = solve(inst, 26);
 
@@ -549,8 +554,7 @@ TEST(HedgedDes, ComposesWithABinaryFaultPlan) {
   options.arrival_window_s = 15.0;
   options.fault_plan = &fault_plan;
   options.degradation = &gray_plan;
-  options.hedge.enabled = true;
-  options.hedge.health_aware = true;
+  options.health_aware = true;
   util::Rng rng(26);
   const auto result =
       des::FlowLevelSimulator(inst, options).run(strategy, rng);
@@ -562,6 +566,165 @@ TEST(HedgedDes, ComposesWithABinaryFaultPlan) {
   const auto replay =
       des::FlowLevelSimulator(inst, options).run(strategy, rng2);
   expect_same_result(replay, result);
+}
+
+// Gray x admission control: slow legs complete (nothing aborts), but with
+// slow_ratio set every inflated completion is a breaker failure, so gray
+// servers are tripped out of the rotation.
+TEST(GrayDes, SlowServersTripBreakersUnderAdmissionControl) {
+  const auto inst = model::make_instance(small_params(), 27);
+  const auto strategy = solve(inst, 27);
+  const auto plan = uniform_gray(inst, 8.0, 0.0, 27);
+
+  qos::QosConfig qos;
+  qos.arrivals.process = qos::ArrivalProcess::kPoisson;
+  qos.arrivals.load_multiplier = 3.0;
+  qos.arrivals.window_s = 10.0;
+  qos.admission.policy = qos::SheddingPolicy::kDeadlineAware;
+  qos.admission.service_slots = 2;
+  qos.admission.queue_capacity = 4;
+  qos.admission.deadline_s = 2.0;
+  qos.admission.local_service_s_per_mb = 0.02;
+  qos.retry_budget.ratio = 0.1;
+  qos.breaker.enabled = true;
+  qos.breaker.window = 8;
+  qos.breaker.min_samples = 3;
+  qos.breaker.open_duration_s = 1.0;
+  qos.breaker.slow_ratio = 3.0;
+
+  des::FlowSimOptions options;
+  options.qos = &qos;
+  const auto replay = [&](const fault::DegradationPlan* gray) {
+    des::FlowSimOptions with = options;
+    with.degradation = gray;
+    util::Rng rng(27);
+    return des::FlowLevelSimulator(inst, with).run(strategy, rng);
+  };
+  const auto healthy = replay(nullptr);
+  const auto gray = replay(&plan);
+
+  EXPECT_GT(gray.qos.breaker_opens, healthy.qos.breaker_opens);
+  EXPECT_GT(gray.qos.breaker_opens, 0u);
+  for (const auto* result : {&healthy, &gray}) {
+    EXPECT_EQ(result->qos.offered, result->flows.size());
+    EXPECT_EQ(result->qos.admitted + result->qos.shed + result->qos.rejected,
+              result->qos.offered);
+  }
+  expect_same_result(replay(&plan), gray);
+}
+
+// Gray x coding: a slowed fragment host stretches the attempt (it completes
+// on its last leg), and a lost fragment invalidates the whole fragment set.
+TEST(GrayDes, ComposesWithCodedDelivery) {
+  const auto inst = model::make_instance(small_params(), 28);
+  const auto strategy = solve(inst, 28);
+  coding::CodedGreedyPlanner planner(inst);
+  const auto planned =
+      planner.plan(strategy.allocation, {inst.server_count(), 2});
+  coding::CodedStrategy coded(strategy.allocation,
+                              coding::CodedDeliveryProfile(planned.delivery));
+  coded.collaborative_delivery = strategy.collaborative_delivery;
+
+  des::FlowSimOptions options;
+  options.arrival_window_s = 15.0;
+  const auto replay = [&](const fault::DegradationPlan* gray) {
+    des::FlowSimOptions with = options;
+    with.degradation = gray;
+    util::Rng rng(28);
+    return des::FlowLevelSimulator(inst, with).run_coded(coded, rng);
+  };
+
+  const auto healthy = replay(nullptr);
+  const auto slow_plan = uniform_gray(inst, 4.0, 0.0, 28);
+  const auto slow = replay(&slow_plan);
+  EXPECT_GT(slow.mean_duration_ms, healthy.mean_duration_ms);
+  EXPECT_EQ(slow.loss_aborts, 0u);
+
+  const auto lossy_plan = uniform_gray(inst, 1.0, 0.4, 28);
+  const auto lossy = replay(&lossy_plan);
+  EXPECT_GT(lossy.loss_aborts, 0u);
+  // A lost fragment aborts its whole attempt; without faults nothing else
+  // does. Siblings lost in the same step all count, so an attempt may
+  // account for more than one loss.
+  EXPECT_LE(lossy.retry_count, lossy.loss_aborts);
+  std::size_t losses = 0;
+  double lost_mb = 0.0;
+  for (const auto& flow : lossy.flows) {
+    EXPECT_GE(flow.completion_s, flow.arrival_s);
+    EXPECT_EQ(flow.retries > 0, flow.losses > 0);
+    EXPECT_LE(flow.retries, flow.losses);
+    losses += flow.losses;
+    lost_mb += static_cast<double>(flow.losses) *
+               coded.delivery.item_fragment_mb(flow.item);
+  }
+  EXPECT_EQ(losses, lossy.loss_aborts);
+  EXPECT_NEAR(lossy.lost_mb, lost_mb, 1e-9 * lost_mb);
+  expect_same_result(replay(&lossy_plan), lossy);
+}
+
+// Two fragments over disjoint routes of equal capacity drain in the same
+// step. When both are lost, the attempt aborts once but both legs count:
+// per-flow losses, loss_aborts and lost_mb all see two fragments burned.
+TEST(GrayDes, SimultaneouslyLostFragmentsAreAllCounted) {
+  const auto base = model::make_instance(small_params(), 29);
+  // The same servers, users and requests on a path graph with equal link
+  // weights: servers 0 and 2 reach server 1 over one-hop routes of the
+  // same capacity.
+  const std::size_t n = base.server_count();
+  std::vector<net::Edge> edges;
+  for (std::size_t i = 0; i + 1 < n; ++i) edges.push_back({i, i + 1, 1e-3});
+  const net::Graph graph(n, edges);
+  const model::ProblemInstance inst(
+      base.servers(), base.users(), base.data_items(), base.requests(), graph,
+      net::DeliveryLatencyModel(net::CostMatrix(graph),
+                                base.latency().cloud_speed_mbps()),
+      base.radio_env());
+
+  // One user served by server 1; one item with fragments on 0 and 2 only.
+  std::size_t user = 0;
+  while (inst.requests().items_of(user).empty()) ++user;
+  const std::size_t item = inst.requests().items_of(user).front();
+  core::AllocationProfile allocation(inst.user_count(), radio::kUnallocated);
+  allocation[user] = radio::ChannelSlot{1, 0};
+  coding::CodedDeliveryProfile fragments(inst, {2, 2});
+  ASSERT_TRUE(fragments.can_place(0, item));
+  ASSERT_TRUE(fragments.can_place(2, item));
+  fragments.place(0, item);
+  fragments.place(2, item);
+  const coding::CodedStrategy coded(allocation, fragments);
+
+  // Every leg is lost (up to a 1e-9 lottery chance per leg).
+  const auto plan = uniform_gray(inst, 1.0, 1.0 - 1e-9, 29);
+  des::FlowSimOptions options;
+  options.degradation = &plan;
+  options.health_aware = true;
+  options.max_retries = 3;
+  util::Rng rng(29);
+  const auto result = des::FlowLevelSimulator(inst, options).run_coded(coded, rng);
+
+  const double fragment_mb = fragments.item_fragment_mb(item);
+  std::size_t routed = 0;
+  for (const auto& flow : result.flows) {
+    if (flow.user != user || flow.item != item) {
+      EXPECT_EQ(flow.losses, 0u);
+      continue;
+    }
+    ++routed;
+    // Every edge attempt loses both fragments; past the retry cap the
+    // request goes cloud-direct.
+    EXPECT_EQ(flow.retries, options.max_retries + 1);
+    EXPECT_EQ(flow.losses, 2 * flow.retries);
+    EXPECT_TRUE(flow.forced_cloud);
+  }
+  ASSERT_EQ(routed, 1u);
+  const std::size_t losses = 2 * (options.max_retries + 1);
+  EXPECT_EQ(result.loss_aborts, losses);
+  EXPECT_EQ(result.retry_count, options.max_retries + 1);
+  EXPECT_DOUBLE_EQ(result.lost_mb, static_cast<double>(losses) * fragment_mb);
+
+  util::Rng rng2(29);
+  expect_same_result(
+      des::FlowLevelSimulator(inst, options).run_coded(coded, rng2), result);
 }
 
 // --- serve controller ----------------------------------------------------

@@ -1,11 +1,11 @@
 // Gray determinism contract (mirrors test_fault_determinism.cpp): with an
-// active DegradationPlan and hedged, health-aware delivery, the full
-// pipeline — solve, draw the plan, replay through the hedged DES — must be
-// bit-identical across solver thread counts and across the batched SoA
-// engine toggle. The gray layer (plan generation, loss lottery, health
-// scores, hedge races) is single-threaded and seed-pure on top of an
-// engine that already guarantees an identical equilibrium. Runs under TSan
-// in CI next to the fault determinism suite.
+// active DegradationPlan and health-aware delivery, the full pipeline —
+// solve, draw the plan, replay through the DES — must be bit-identical
+// across solver thread counts and across the batched SoA engine toggle.
+// The gray layer (plan generation, loss lottery, health scores) is
+// single-threaded and seed-pure on top of an engine that already
+// guarantees an identical equilibrium. Runs under TSan in CI next to the
+// fault determinism suite.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -57,8 +57,6 @@ void expect_same_result(const des::FlowSimResult& a,
     EXPECT_EQ(a.flows[f].completion_s, b.flows[f].completion_s) << f;
     EXPECT_EQ(a.flows[f].retries, b.flows[f].retries) << f;
     EXPECT_EQ(a.flows[f].tier, b.flows[f].tier) << f;
-    EXPECT_EQ(a.flows[f].hedged, b.flows[f].hedged) << f;
-    EXPECT_EQ(a.flows[f].hedge_won, b.flows[f].hedge_won) << f;
     EXPECT_EQ(a.flows[f].losses, b.flows[f].losses) << f;
   }
   EXPECT_EQ(a.mean_duration_ms, b.mean_duration_ms);
@@ -67,11 +65,9 @@ void expect_same_result(const des::FlowSimResult& a,
   EXPECT_EQ(a.availability, b.availability);
   EXPECT_EQ(a.retry_count, b.retry_count);
   EXPECT_EQ(a.tier_counts, b.tier_counts);
-  EXPECT_EQ(a.hedge_launches, b.hedge_launches);
-  EXPECT_EQ(a.hedge_wins, b.hedge_wins);
-  EXPECT_EQ(a.hedge_cancelled, b.hedge_cancelled);
+  EXPECT_EQ(a.rate_recomputations, b.rate_recomputations);
   EXPECT_EQ(a.loss_aborts, b.loss_aborts);
-  EXPECT_EQ(a.hedge_wasted_mb, b.hedge_wasted_mb);
+  EXPECT_EQ(a.lost_mb, b.lost_mb);
 }
 
 TEST(GrayDeterminism, PlanIsBitIdenticalForSameSeed) {
@@ -88,10 +84,10 @@ TEST(GrayDeterminism, PlanIsBitIdenticalForSameSeed) {
   }
 }
 
-// The hedged replay under an active gray plan must not depend on how the
-// equilibrium was computed: 1 solver thread vs hardware threads, scalar vs
-// batched slot evaluation — four variants, one result.
-TEST(GrayDeterminism, HedgedPipelineIdenticalAcrossSolverVariants) {
+// The health-aware replay under an active gray plan must not depend on how
+// the equilibrium was computed: 1 solver thread vs hardware threads, scalar
+// vs batched slot evaluation — four variants, one result.
+TEST(GrayDeterminism, HealthAwarePipelineIdenticalAcrossSolverVariants) {
   for (std::uint64_t seed = 50; seed <= 52; ++seed) {
     const auto inst = model::make_instance(small_params(), seed);
     const auto plan =
@@ -101,11 +97,7 @@ TEST(GrayDeterminism, HedgedPipelineIdenticalAcrossSolverVariants) {
     des::FlowSimOptions options;
     options.arrival_window_s = 15.0;
     options.degradation = &plan;
-    options.hedge.enabled = true;
-    options.hedge.health_aware = true;
-    // Aggressive deadline so the run exercises real hedge races, not just
-    // the health-aware resolver.
-    options.hedge.deadline_factor = 2.0;
+    options.health_aware = true;
 
     const auto replay = [&](const core::Strategy& strategy) {
       util::Rng rng(seed);

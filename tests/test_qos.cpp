@@ -97,7 +97,6 @@ TEST(QosConfig, JsonRoundTripsEveryField) {
   config.breaker.failure_threshold = 0.7;
   config.breaker.open_duration_s = 3.5;
   config.breaker.half_open_probes = 1;
-  config.breaker.half_open_probe_cap = 6;
   config.breaker.slow_ratio = 4.0;
 
   const qos::QosConfig back = qos::qos_from_json(qos::qos_to_json(config));
@@ -121,8 +120,6 @@ TEST(QosConfig, JsonRoundTripsEveryField) {
   EXPECT_EQ(back.breaker.failure_threshold, config.breaker.failure_threshold);
   EXPECT_EQ(back.breaker.open_duration_s, config.breaker.open_duration_s);
   EXPECT_EQ(back.breaker.half_open_probes, config.breaker.half_open_probes);
-  EXPECT_EQ(back.breaker.half_open_probe_cap,
-            config.breaker.half_open_probe_cap);
   EXPECT_EQ(back.breaker.slow_ratio, config.breaker.slow_ratio);
   EXPECT_FALSE(back.inert());
 }
@@ -134,6 +131,11 @@ TEST(QosConfig, EmptyJsonYieldsDefaultsAndUnknownNamesThrow) {
                util::JsonError);
   EXPECT_THROW((void)qos::arrival_process_from_string("tsunami"),
                util::JsonError);
+  // Retired keys (the old half-open probe cap) are ignored on read.
+  const qos::QosConfig old = qos::qos_from_json(util::Json::parse(
+      R"({"breaker":{"enabled":true,"half_open_probes":3,"half_open_probe_cap":4}})"));
+  EXPECT_TRUE(old.breaker.enabled);
+  EXPECT_EQ(old.breaker.half_open_probes, 3u);
 }
 
 // ------------------------------------------------------- admission queue
@@ -282,56 +284,6 @@ TEST(CircuitBreaker, HalfOpenProbeLifecycle) {
   // The window was reset on close: old failures don't linger.
   breaker.record_failure(10.7);
   EXPECT_TRUE(breaker.allows(10.8));
-}
-
-// The flap sequence a gray server produces: every half-open probe routed
-// through it is abandoned without a verdict (an epoch abort, a hedge that
-// won elsewhere), so probes_started_ keeps returning to zero and an
-// uncapped breaker would sit half-open dribbling probes forever. The
-// episode cap converts the Nth verdict-less probe into a fresh open.
-TEST(CircuitBreaker, ProbeCapReopensAFlappingHalfOpen) {
-  qos::BreakerConfig config = breaker_config();
-  config.half_open_probe_cap = 3;
-  qos::CircuitBreaker breaker(config);
-  for (int i = 0; i < 4; ++i) breaker.record_failure(0.0);
-  ASSERT_EQ(breaker.state(0.0), qos::BreakerState::kOpen);
-
-  double now = 5.1;  // past the cooldown: half-open
-  for (std::size_t probe = 0; probe < 3; ++probe) {
-    ASSERT_TRUE(breaker.allows(now));
-    breaker.on_attempt_started(now);
-    breaker.on_probe_abandoned(now + 0.05);  // no verdict, slot freed
-    now += 0.1;
-  }
-  // Three probes launched and abandoned: the episode budget is spent, the
-  // next admission check re-opens instead of granting a fourth probe.
-  EXPECT_FALSE(breaker.allows(now));
-  EXPECT_EQ(breaker.state(now), qos::BreakerState::kOpen);
-  EXPECT_EQ(breaker.times_opened(), 2u);
-
-  // The next half-open episode starts with a fresh budget — and a probe
-  // that actually completes still closes the breaker.
-  now += config.open_duration_s + 0.1;
-  ASSERT_TRUE(breaker.allows(now));
-  breaker.on_attempt_started(now);
-  breaker.record_success(now + 0.1);
-  EXPECT_EQ(breaker.state(now + 0.1), qos::BreakerState::kClosed);
-}
-
-// An uncapped breaker (the pre-gray default) must keep the old behaviour:
-// verdict-less probes never re-open it.
-TEST(CircuitBreaker, UncappedHalfOpenToleratesAbandonedProbes) {
-  qos::CircuitBreaker breaker(breaker_config());  // half_open_probe_cap = 0
-  for (int i = 0; i < 4; ++i) breaker.record_failure(0.0);
-  double now = 5.1;
-  for (std::size_t probe = 0; probe < 20; ++probe) {
-    ASSERT_TRUE(breaker.allows(now));
-    breaker.on_attempt_started(now);
-    breaker.on_probe_abandoned(now + 0.05);
-    now += 0.1;
-  }
-  EXPECT_EQ(breaker.state(now), qos::BreakerState::kHalfOpen);
-  EXPECT_EQ(breaker.times_opened(), 1u);
 }
 
 // Sustained latency inflation trips the breaker through completed (not

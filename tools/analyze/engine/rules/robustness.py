@@ -21,12 +21,12 @@ that outlives the incident, so the absence of a bound must be loud:
   unhedged-wait     a wait-for-completion loop (a `while`/`do` condition
                     watching pending / in-flight / completed state) in the
                     DES or serve layer of a file that never references a
-                    hedge deadline, retry budget, or timeout. The gray-
-                    failure PR made unhedged waits a liveness bug: a leg
-                    stuck behind a slow-not-dead server parks the loop
-                    forever unless *something* in the file can preempt it
-                    (HedgeConfig deadline, retry budget, timeout, or an
-                    epoch abort). File-granular like unbounded-retry: the
+                    deadline, retry budget, or timeout. Gray failures
+                    make such waits a liveness bug: a leg stuck behind a
+                    slow-not-dead server parks the loop forever unless
+                    *something* in the file can preempt it
+                    (a deadline, retry budget, timeout, or an epoch
+                    abort). File-granular like unbounded-retry: the
                     escape hatch legitimately lives in a sibling function.
 """
 
@@ -45,7 +45,7 @@ RULES = {
         "justify it in the baseline"),
     "unhedged-wait": (
         "DES/serve wait-for-completion loop in a file that never "
-        "references a hedge deadline, retry budget, or timeout; give the "
+        "references a deadline, retry budget, or timeout; give the "
         "wait an escape hatch or justify it in the baseline"),
 }
 
@@ -80,11 +80,10 @@ WAIT_LOOP = re.compile(
     r"\b(?:while|do)\b\s*\([^)\n]*?"
     r"(?P<state>pending|in_flight|inflight|outstanding|unfinished"
     r"|completed|complete|remaining|in_progress|!\s*\w*done)\b")
-# Anything that can preempt a stuck wait, per the gray-failure PR
-# vocabulary. Matched against stripped code, so a comment claiming an
-# escape hatch does not count.
-HEDGE_MARKER = re.compile(
-    r"\bhedge\w*\b|\bHedgeConfig\b|\bdeadline\w*\b"
+# Anything that can preempt a stuck wait. Matched against stripped code,
+# so a comment claiming an escape hatch does not count.
+ESCAPE_HATCH = re.compile(
+    r"\bdeadline\w*\b"
     r"|\bRetryBudget\b|\btry_spend_retry\b|\bretry_budget\b"
     r"|\btimeout\w*\b|\bmax_retries\b|\bepoch_abort\w*\b",
     re.IGNORECASE)
@@ -133,7 +132,7 @@ def _scan_unhedged_wait(sf: SourceFile, cfg: Config, facts: dict):
     findings: list[Finding] = []
     if not cfg.in_scope(sf.rel, cfg.hedge_scope):
         return findings
-    if HEDGE_MARKER.search(sf.code):
+    if ESCAPE_HATCH.search(sf.code):
         return findings
 
     seen: set[tuple[int, str]] = set()
@@ -149,7 +148,7 @@ def _scan_unhedged_wait(sf: SourceFile, cfg: Config, facts: dict):
         else:
             findings.append(Finding(
                 sf.rel, line, "unhedged-wait", key,
-                f"loop waits on `{state}` with no hedge deadline, retry "
+                f"loop waits on `{state}` with no deadline, retry "
                 "budget, or timeout anywhere in this file: a slow-not-dead "
                 "server parks this wait forever — add an escape hatch "
                 "(or justify the exception in the baseline)"))

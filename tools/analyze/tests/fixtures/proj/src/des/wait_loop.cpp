@@ -1,5 +1,5 @@
-// Fixture: wait-for-completion loops in the DES scope with no hedge
-// deadline, retry budget, or timeout anywhere in the file —
+// Fixture: wait-for-completion loops in the DES scope with no deadline,
+// retry budget, or timeout anywhere in the file —
 // unhedged-wait fires on the pending-watch loop; the in-flight drain is
 // inline-suppressed and counts as suppressed, not found.
 #include <cstddef>
