@@ -48,10 +48,11 @@ void atomic_fold(std::atomic<double>& target, double v, Op op) noexcept {
 void Histogram::record(double value) noexcept {
   if (std::isnan(value)) return;
   buckets_[bucket_index(value)].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
   atomic_fold(sum_, value, [](double a, double b) { return a + b; });
   atomic_fold(min_, value, [](double a, double b) { return std::min(a, b); });
   atomic_fold(max_, value, [](double a, double b) { return std::max(a, b); });
+  // Published last: a snapshot that sees this count also sees the folds.
+  count_.fetch_add(1, std::memory_order_release);
 }
 
 std::size_t Histogram::bucket_index(double value) noexcept {
@@ -122,7 +123,7 @@ double Histogram::percentile(double p) const {
 
 HistogramSnapshot Histogram::snapshot() const {
   HistogramSnapshot snap;
-  snap.count = count_.load(std::memory_order_relaxed);
+  snap.count = count_.load(std::memory_order_acquire);
   if (snap.count == 0) return snap;
   snap.min = min_.load(std::memory_order_relaxed);
   snap.max = max_.load(std::memory_order_relaxed);
