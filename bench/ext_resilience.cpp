@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "figure_common.hpp"
-#include "core/delivery.hpp"
+#include "core/resolver.hpp"
 #include "core/metrics.hpp"
 #include "des/flow_sim.hpp"
 #include "fault/fault_plan.hpp"
@@ -46,6 +46,7 @@ std::size_t check_single_server_crashes(const model::ProblemInstance& instance,
                                         const core::Strategy& strategy) {
   std::size_t fallback_requests = 0;
   std::vector<std::size_t> hosts;
+  core::Eq8Resolver resolver(instance);
   for (std::size_t dead = 0; dead < instance.server_count(); ++dead) {
     std::vector<std::uint8_t> up(instance.server_count(), 1);
     up[dead] = 0;
@@ -59,8 +60,13 @@ std::size_t check_single_server_crashes(const model::ProblemInstance& instance,
           if (!strategy.collaborative_delivery && host != serving) continue;
           hosts.push_back(host);
         }
-        const core::FailoverDecision decision = core::resolve_with_failover(
-            instance, hosts, serving, instance.data(k).size_mb, up);
+        const double size = instance.data(k).size_mb;
+        const core::Eq8Resolution decision = resolver.resolve(
+            {.hosts = hosts,
+             .serving = serving,
+             .item_mb = size,
+             .fragment_mb = size,
+             .server_up = up});
         IDDE_ASSERT(decision.seconds >= 0.0 &&
                         decision.seconds < fault::kNeverChanges,
                     "request failed to resolve under a single-server crash");

@@ -5,9 +5,8 @@
 //             slots, in evaluations/second. The two paths are required to
 //             be bit-identical per slot; the run aborts on any mismatch.
 //   matrix    latency-matrix (APSP) builds: the production n-Dijkstra
-//             CostMatrix, naive Floyd–Warshall, and the cache-blocked
-//             Floyd–Warshall, on the instance graph and on a larger dense
-//             synthetic graph where blocking pays.
+//             CostMatrix and naive Floyd–Warshall, on the instance graph
+//             and on a larger dense synthetic graph.
 //   planner   heap allocations per GreedyDeliveryPlanner::plan() and
 //             RepairPlanner::replan(), counted by a TU-local operator
 //             new override. The first plan builds the planner's reusable
@@ -15,12 +14,11 @@
 //             (the returned DeliveryProfile), i.e. allocation-free per move.
 //
 // --smoke turns the report into a gate for CI: batched speedup below
-// --min-speedup, a warm plan allocating more than --max-warm-allocs, or a
-// blocked-vs-naive APSP mismatch fail the run. Results go to stdout and to
+// --min-speedup or a warm plan allocating more than --max-warm-allocs fail
+// the run. Results go to stdout and to
 // --out (default BENCH_kernels.json) for cross-PR tracking.
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -86,7 +84,7 @@ std::size_t count_allocs(Body&& body) {
   return g_alloc_count.load(std::memory_order_relaxed);
 }
 
-/// Random connected dense graph for the blocked-APSP comparison: a ring
+/// Random connected dense graph for the APSP timings: a ring
 /// (connectivity) plus `extra_per_node` random chords. Deterministic.
 net::Graph dense_graph(std::size_t nodes, std::size_t extra_per_node,
                        std::uint64_t seed) {
@@ -103,16 +101,6 @@ net::Graph dense_graph(std::size_t nodes, std::size_t extra_per_node,
     }
   }
   return net::Graph(nodes, edges);
-}
-
-double max_abs_diff(const std::vector<double>& a,
-                    const std::vector<double>& b) {
-  double worst = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (std::isinf(a[i]) && std::isinf(b[i])) continue;
-    worst = std::max(worst, std::abs(a[i] - b[i]));
-  }
-  return worst;
 }
 
 }  // namespace
@@ -262,33 +250,20 @@ int main(int argc, char** argv) {
     const auto dist = net::floyd_warshall(g);
     IDDE_ASSERT(dist.size() == g.node_count() * g.node_count(), "bad matrix");
   };
-  const auto build_blocked = [](const net::Graph& g) {
-    const auto dist = net::floyd_warshall_blocked(g);
-    IDDE_ASSERT(dist.size() == g.node_count() * g.node_count(), "bad matrix");
-  };
 
   const net::Graph& inst_graph = instance.graph();
   const double inst_dijkstra_ms = time_build(inst_graph, build_dijkstra);
   const double inst_floyd_ms = time_build(inst_graph, build_floyd);
-  const double inst_blocked_ms = time_build(inst_graph, build_blocked);
 
   const net::Graph dense = dense_graph(dense_nodes, 8, seed);
   const double dense_dijkstra_ms = time_build(dense, build_dijkstra);
   const double dense_floyd_ms = time_build(dense, build_floyd);
-  const double dense_blocked_ms = time_build(dense, build_blocked);
 
-  // Blocking re-associates path sums, so equality is to tolerance (the
-  // bit-exact production path is the Dijkstra build).
-  const double apsp_diff = max_abs_diff(
-      net::floyd_warshall(dense), net::floyd_warshall_blocked(dense));
-  std::printf("  matrix  instance n=%-4zu dijkstra %7.3f ms  floyd %7.3f ms  "
-              "blocked %7.3f ms\n",
-              inst_graph.node_count(), inst_dijkstra_ms, inst_floyd_ms,
-              inst_blocked_ms);
-  std::printf("  matrix  dense    n=%-4zu dijkstra %7.3f ms  floyd %7.3f ms  "
-              "blocked %7.3f ms\n",
-              dense_nodes, dense_dijkstra_ms, dense_floyd_ms, dense_blocked_ms);
-  std::printf("  matrix  blocked-vs-naive max |diff| %.3g\n\n", apsp_diff);
+  std::printf("  matrix  instance n=%-4zu dijkstra %7.3f ms  floyd %7.3f ms\n",
+              inst_graph.node_count(), inst_dijkstra_ms, inst_floyd_ms);
+  std::printf("  matrix  dense    n=%-4zu dijkstra %7.3f ms  floyd %7.3f "
+              "ms\n\n",
+              dense_nodes, dense_dijkstra_ms, dense_floyd_ms);
 
   // ---- planner: allocations per plan -----------------------------------
   core::GreedyDeliveryPlanner planner(instance);
@@ -337,11 +312,6 @@ int main(int argc, char** argv) {
                    repair_allocs_warm, max_warm_allocs);
       failed = true;
     }
-    if (!(apsp_diff < 1e-9)) {
-      std::fprintf(stderr, "GATE: blocked APSP diverged (max |diff| %.3g)\n",
-                   apsp_diff);
-      failed = true;
-    }
   }
 
   if (!out.empty()) {
@@ -365,12 +335,9 @@ int main(int argc, char** argv) {
     matrix["instance_nodes"] = inst_graph.node_count();
     matrix["instance_dijkstra_ms"] = inst_dijkstra_ms;
     matrix["instance_floyd_ms"] = inst_floyd_ms;
-    matrix["instance_floyd_blocked_ms"] = inst_blocked_ms;
     matrix["dense_nodes"] = dense_nodes;
     matrix["dense_dijkstra_ms"] = dense_dijkstra_ms;
     matrix["dense_floyd_ms"] = dense_floyd_ms;
-    matrix["dense_floyd_blocked_ms"] = dense_blocked_ms;
-    matrix["blocked_max_abs_diff"] = apsp_diff;
     doc["matrix"] = std::move(matrix);
     util::JsonObject alloc;
     alloc["plan_cold"] = plan_allocs_cold;

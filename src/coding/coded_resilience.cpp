@@ -1,114 +1,20 @@
 #include "coding/coded_resilience.hpp"
 
-#include <algorithm>
-#include <array>
-#include <vector>
-
 #include "coding/coded_planner.hpp"
-#include "coding/coded_resolver.hpp"
-#include "util/assert.hpp"
+#include "fault/resilience.hpp"
 
 namespace idde::coding {
 
 fault::ResilienceReport evaluate_coded_resilience(
     const model::ProblemInstance& instance, const CodedStrategy& strategy,
     const fault::FaultPlan& plan, fault::RepairPolicy policy) {
-  fault::ResilienceReport report;
-  report.fault_free_latency_ms = coded_average_latency_ms(
-      instance, strategy.allocation, strategy.delivery,
-      strategy.collaborative_delivery);
-  if (plan.inert()) {
-    // Zero-cost-when-disabled contract: identical numbers, no injector.
-    report.degraded_latency_ms = report.fault_free_latency_ms;
-    report.availability = 1.0;
-    report.tier_fraction = {1.0, 0.0, 0.0};
-    report.epochs = 1;
-    return report;
-  }
-
-  const double horizon = plan.horizon_s();
-  IDDE_EXPECTS(horizon > 0.0);
-  const bool corruption = plan.replica_corruption_prob() > 0.0;
-  const CodedRepairPlanner::ReplicaLost replica_lost =
-      corruption ? CodedRepairPlanner::ReplicaLost(
-                       [&plan](std::size_t i, std::size_t k) {
-                         return plan.replica_corrupted(i, k);
-                       })
-                 : CodedRepairPlanner::ReplicaLost{};
-  CodedRepairPlanner repairer(instance);
-  CodedResolver resolver(instance);
-  const auto& requests = instance.requests();
-  const std::size_t request_count = requests.total_requests();
-  IDDE_EXPECTS(request_count > 0);
-
-  double weighted_seconds = 0.0;
-  std::array<double, 3> tier_weight{};
-  std::vector<std::size_t> degraded_hosts;
-  std::vector<std::size_t> reference_hosts;
-
-  const fault::FaultInjector injector(instance, plan);
-  for (std::size_t e = 0; e < injector.epoch_count(); ++e) {
-    const fault::AvailabilitySnapshot& snap = injector.epoch(e);
-    const double weight = std::min(snap.end_s, horizon) - snap.start_s;
-    if (weight <= 0.0) continue;
-    ++report.epochs;
-
-    const CodedDeliveryProfile* sigma = &strategy.delivery;
-    CodedRepairResult healed{
-        CodedDeliveryProfile(instance, strategy.delivery.config()), 0, 0,
-        0.0};
-    const bool repair_active =
-        policy == fault::RepairPolicy::kGreedy && (!snap.all_up || corruption);
-    if (repair_active) {
-      healed = repairer.replan(strategy.allocation, strategy.delivery,
-                               snap.server_up, replica_lost,
-                               strategy.collaborative_delivery);
-      report.lost_placements += healed.lost_placements;
-      report.repair_placements += healed.repair_placements;
-      sigma = &healed.delivery;
-    }
-
-    for (std::size_t j = 0; j < instance.user_count(); ++j) {
-      const core::ChannelSlot slot = strategy.allocation[j];
-      const std::size_t serving =
-          slot.allocated() ? slot.server : core::ChannelSlot::kNone;
-      for (const std::size_t k : requests.items_of(j)) {
-        degraded_hosts.clear();
-        for (const std::size_t host : sigma->hosts(k)) {
-          if (!strategy.collaborative_delivery && host != serving) continue;
-          // Corrupt fragments are unreadable even on a live server; a
-          // repaired sigma already dropped them (replica_lost above).
-          if (!repair_active && corruption &&
-              plan.replica_corrupted(host, k)) {
-            continue;
-          }
-          degraded_hosts.push_back(host);
-        }
-        // The tier reference is always the *original* sigma in the
-        // fault-free world, even when a repair swapped fragments in.
-        reference_hosts.clear();
-        for (const std::size_t host : strategy.delivery.hosts(k)) {
-          if (!strategy.collaborative_delivery && host != serving) continue;
-          reference_hosts.push_back(host);
-        }
-        const CodedDecision decision = resolver.resolve(
-            degraded_hosts, serving, instance.data(k).size_mb,
-            strategy.delivery.item_fragment_mb(k),
-            strategy.delivery.config().k, snap.server_up, &snap.costs,
-            reference_hosts);
-        weighted_seconds += weight * decision.seconds;
-        tier_weight[static_cast<std::size_t>(decision.tier)] += weight;
-      }
-    }
-  }
-
-  const double total_mass = horizon * static_cast<double>(request_count);
-  report.degraded_latency_ms = weighted_seconds / total_mass * 1e3;
-  for (std::size_t t = 0; t < tier_weight.size(); ++t) {
-    report.tier_fraction[t] = tier_weight[t] / total_mass;
-  }
-  report.availability = report.tier_fraction[0];
-  return report;
+  const CodedDeliveryProfile& delivery = strategy.delivery;
+  return fault::walk_resilience<CodedRepairPlanner>(
+      instance, strategy, plan, policy,
+      coded_average_latency_ms(instance, strategy.allocation, delivery,
+                               strategy.collaborative_delivery),
+      delivery.config().k,
+      [&delivery](std::size_t item) { return delivery.item_fragment_mb(item); });
 }
 
 }  // namespace idde::coding

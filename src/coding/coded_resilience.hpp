@@ -1,11 +1,9 @@
-// Analytic resilience of a coded strategy: the coded mirror of
-// fault::evaluate_resilience. Every epoch of the fault plan resolves
-// every request through the coded Eq. 8 resolver over the surviving
-// fragments (optionally re-healed by the coded repair planner) and the
-// results are time-weighted over [0, horizon). Reuses
-// fault::ResilienceReport so replication and coded runs are directly
-// comparable; at k = 1 the numbers are bit-identical to
-// fault::evaluate_resilience on the equivalent replication strategy.
+// Analytic resilience of a coded strategy: fault::evaluate_resilience's
+// epoch walk (fault/resilience.hpp) with the strategy's k, fragment sizes
+// and the coded repair planner. Reuses fault::ResilienceReport so
+// replication and coded runs are directly comparable; at k = 1 the
+// numbers are bit-identical to fault::evaluate_resilience on the
+// equivalent replication strategy.
 #pragma once
 
 #include "coding/coded_evaluator.hpp"

@@ -7,7 +7,7 @@
 // surviving fragments, topping up from the cloud when fewer than k edge
 // fragments are reachable. k = 1 is a repetition code: fragments are
 // whole-item copies and every coded code path reduces bit-identically to
-// the replication stack (core::DeliveryProfile / resolve_with_failover).
+// the replication stack (core::DeliveryProfile, core::Eq8Resolver at k = 1).
 #pragma once
 
 #include <cstddef>

@@ -1,8 +1,5 @@
 #include "core/delivery.hpp"
 
-#include <algorithm>
-
-#include "obs/obs.hpp"
 #include "util/assert.hpp"
 
 namespace idde::core {
@@ -181,98 +178,6 @@ double DeliveryEvaluator::commit(std::size_t server, std::size_t item) {
 double DeliveryEvaluator::average_latency_seconds() const {
   if (request_user_.empty()) return 0.0;
   return total_latency_ / static_cast<double>(request_user_.size());
-}
-
-namespace {
-
-/// Fault-free Eq. 8 argmin over `hosts` with the cloud as the cap.
-/// Returns kCloudSource when the cloud (or nothing) wins. Ties break to
-/// the lowest host id, then to the edge over the cloud — the same order
-/// the degraded argmin uses, so tier classification is stable.
-std::size_t argmin_source(const model::ProblemInstance& instance,
-                          std::span<const std::size_t> hosts,
-                          std::size_t serving, double size_mb,
-                          std::span<const std::uint8_t> server_up,
-                          const net::CostMatrix* costs, double& best_seconds) {
-  const auto& latency = instance.latency();
-  std::size_t source = kCloudSource;
-  best_seconds = latency.cloud_transfer_seconds(size_mb);
-  for (const std::size_t host : hosts) {
-    if (!server_up.empty() && !server_up[host]) continue;
-    const double cost =
-        costs != nullptr ? costs->cost(host, serving)
-                         : latency.costs().cost(host, serving);
-    const double seconds = cost * size_mb;
-    if (seconds < best_seconds) {
-      best_seconds = seconds;
-      source = host;
-    }
-  }
-  return source;
-}
-
-/// Per-request resolution telemetry (Eq. 8 tiers + latency distribution).
-/// Shared by the fault layer and the DES replay, which both resolve
-/// through this function.
-void note_resolution(const FailoverDecision& decision) {
-  switch (decision.tier) {
-    case FallbackTier::kPrimary:
-      IDDE_OBS_COUNT("resolve.primary_total", 1);
-      break;
-    case FallbackTier::kReplica:
-      IDDE_OBS_COUNT("resolve.replica_total", 1);
-      break;
-    case FallbackTier::kCloud:
-      IDDE_OBS_COUNT("resolve.cloud_total", 1);
-      break;
-  }
-  IDDE_OBS_HISTOGRAM("resolve.latency_ms", decision.seconds * 1e3);
-}
-
-}  // namespace
-
-FailoverDecision resolve_with_failover(
-    const model::ProblemInstance& instance, std::span<const std::size_t> hosts,
-    std::size_t serving, double size_mb,
-    std::span<const std::uint8_t> server_up,
-    const net::CostMatrix* degraded_costs,
-    std::span<const std::size_t> fault_free_hosts) {
-  const std::span<const std::size_t> reference =
-      fault_free_hosts.empty() ? hosts : fault_free_hosts;
-  FailoverDecision decision;
-  const bool serving_dead = serving != ChannelSlot::kNone &&
-                            !server_up.empty() && !server_up[serving];
-  if (serving == ChannelSlot::kNone || serving_dead) {
-    // Cloud-only user (no radio channel) or the user's own server died:
-    // nothing can relay an edge replica, so the cloud serves directly.
-    decision.source = kCloudSource;
-    decision.seconds = instance.latency().cloud_transfer_seconds(size_mb);
-    double fault_free = 0.0;
-    const std::size_t fault_free_source =
-        serving == ChannelSlot::kNone
-            ? kCloudSource
-            : argmin_source(instance, reference, serving, size_mb, {}, nullptr,
-                            fault_free);
-    decision.tier = fault_free_source == kCloudSource ? FallbackTier::kPrimary
-                                                      : FallbackTier::kCloud;
-    note_resolution(decision);
-    return decision;
-  }
-
-  double fault_free_seconds = 0.0;
-  const std::size_t fault_free_source = argmin_source(
-      instance, reference, serving, size_mb, {}, nullptr, fault_free_seconds);
-  decision.source = argmin_source(instance, hosts, serving, size_mb, server_up,
-                                  degraded_costs, decision.seconds);
-  if (decision.source == fault_free_source) {
-    decision.tier = FallbackTier::kPrimary;
-  } else if (decision.source == kCloudSource) {
-    decision.tier = FallbackTier::kCloud;
-  } else {
-    decision.tier = FallbackTier::kReplica;
-  }
-  note_resolution(decision);
-  return decision;
 }
 
 double total_latency_seconds(const model::ProblemInstance& instance,

@@ -6,57 +6,12 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <span>
 #include <vector>
 
 #include "core/strategy.hpp"
 #include "model/instance.hpp"
-#include "net/shortest_path.hpp"
 
 namespace idde::core {
-
-/// Which tier of the degraded preference order actually served a request.
-/// kPrimary = the fault-free Eq. 8 argmin was still reachable; kReplica =
-/// a surviving replica other than the fault-free choice; kCloud = the
-/// request fell all the way through to the cloud even though the
-/// fault-free plan would have served it from the edge.
-enum class FallbackTier : std::uint8_t { kPrimary = 0, kReplica = 1, kCloud = 2 };
-
-inline constexpr std::size_t kFallbackTiers = 3;
-
-/// Sentinel "replica host" meaning the cloud serves the request.
-inline constexpr std::size_t kCloudSource = static_cast<std::size_t>(-1);
-
-/// Outcome of the degraded-mode resolver for one request.
-struct FailoverDecision {
-  std::size_t source = kCloudSource;  ///< serving host, or kCloudSource
-  FallbackTier tier = FallbackTier::kPrimary;
-  double seconds = 0.0;  ///< degraded delivery latency (Eq. 8 on survivors)
-};
-
-/// Degraded-mode Eq. 8: resolves the request of a user served by `serving`
-/// for an item of `size_mb` hosted on `hosts`, falling through the
-/// surviving-replica preference order and finally the cloud.
-///
-/// `server_up` masks dead servers (empty = everything up);
-/// `degraded_costs`, when non-null, replaces the fault-free cost matrix
-/// (routes over the degraded graph; unreachable pairs are infinite). With
-/// every server up and no degraded costs the decision reproduces the
-/// fault-free Eq. 8 argmin exactly and the tier is always kPrimary — the
-/// resolver is provably zero-cost relabelling when no fault is active.
-///
-/// `fault_free_hosts`, when non-empty, is the host set the *fault-free*
-/// reference argmin classifies tiers against. Callers that pre-filter
-/// `hosts` (e.g. dropping corrupt replicas, which the per-server mask
-/// cannot express) pass the unfiltered set here so a lost primary is
-/// still reported as a fallback rather than silently relabelled kPrimary.
-[[nodiscard]] FailoverDecision resolve_with_failover(
-    const model::ProblemInstance& instance, std::span<const std::size_t> hosts,
-    std::size_t serving, double size_mb,
-    std::span<const std::uint8_t> server_up = {},
-    const net::CostMatrix* degraded_costs = nullptr,
-    std::span<const std::size_t> fault_free_hosts = {});
 
 class DeliveryEvaluator {
  public:

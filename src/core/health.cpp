@@ -71,104 +71,4 @@ void HealthTracker::restore_state(std::vector<ServerHealth> state) {
   state_ = std::move(state);
 }
 
-namespace {
-
-/// Health-weighted Eq. 8 argmin: scan order, cloud cap and tie-breaks
-/// match delivery.cpp's argmin_source exactly; only the comparison key is
-/// divided by the host score. Division by the fresh-tracker score of 1.0
-/// is bit-exact, so no-evidence runs reproduce the unweighted argmin.
-std::size_t argmin_source_weighted(const model::ProblemInstance& instance,
-                                   std::span<const std::size_t> hosts,
-                                   std::size_t serving, double size_mb,
-                                   std::span<const std::uint8_t> server_up,
-                                   const net::CostMatrix* costs,
-                                   const HealthTracker* health,
-                                   double& best_raw_seconds) {
-  const auto& latency = instance.latency();
-  std::size_t source = kCloudSource;
-  best_raw_seconds = latency.cloud_transfer_seconds(size_mb);
-  double best_weighted = best_raw_seconds;  // cloud leg is never weighted
-  for (const std::size_t host : hosts) {
-    if (!server_up.empty() && !server_up[host]) continue;
-    const double cost =
-        costs != nullptr ? costs->cost(host, serving)
-                         : latency.costs().cost(host, serving);
-    const double seconds = cost * size_mb;
-    const double weighted =
-        health != nullptr ? seconds / health->score(host) : seconds;
-    if (weighted < best_weighted) {
-      best_weighted = weighted;
-      best_raw_seconds = seconds;
-      source = host;
-    }
-  }
-  return source;
-}
-
-void note_resolution(const FailoverDecision& decision) {
-  switch (decision.tier) {
-    case FallbackTier::kPrimary:
-      IDDE_OBS_COUNT("resolve.primary_total", 1);
-      break;
-    case FallbackTier::kReplica:
-      IDDE_OBS_COUNT("resolve.replica_total", 1);
-      break;
-    case FallbackTier::kCloud:
-      IDDE_OBS_COUNT("resolve.cloud_total", 1);
-      break;
-  }
-  IDDE_OBS_HISTOGRAM("resolve.latency_ms", decision.seconds * 1e3);
-}
-
-}  // namespace
-
-FailoverDecision resolve_with_health(
-    const model::ProblemInstance& instance, std::span<const std::size_t> hosts,
-    std::size_t serving, double size_mb, const HealthTracker* health,
-    std::span<const std::uint8_t> server_up,
-    const net::CostMatrix* degraded_costs,
-    std::span<const std::size_t> fault_free_hosts) {
-  const std::span<const std::size_t> reference =
-      fault_free_hosts.empty() ? hosts : fault_free_hosts;
-  FailoverDecision decision;
-  const bool serving_dead = serving != ChannelSlot::kNone &&
-                            !server_up.empty() && !server_up[serving];
-  if (serving == ChannelSlot::kNone || serving_dead) {
-    // Same cloud-direct short-circuit as resolve_with_failover: health
-    // cannot resurrect a dead or channel-less path.
-    decision.source = kCloudSource;
-    decision.seconds = instance.latency().cloud_transfer_seconds(size_mb);
-    double fault_free = 0.0;
-    const std::size_t fault_free_source =
-        serving == ChannelSlot::kNone
-            ? kCloudSource
-            : argmin_source_weighted(instance, reference, serving, size_mb, {},
-                                     nullptr, nullptr, fault_free);
-    decision.tier = fault_free_source == kCloudSource ? FallbackTier::kPrimary
-                                                      : FallbackTier::kCloud;
-    note_resolution(decision);
-    return decision;
-  }
-
-  // Tier reference stays the fault-free, health-blind argmin: a request
-  // steered off its primary by a bad health score is reported as kReplica
-  // (a health fallback), not relabelled kPrimary.
-  double fault_free_seconds = 0.0;
-  const std::size_t fault_free_source =
-      argmin_source_weighted(instance, reference, serving, size_mb, {}, nullptr,
-                             nullptr, fault_free_seconds);
-  decision.source =
-      argmin_source_weighted(instance, hosts, serving, size_mb, server_up,
-                             degraded_costs, health, decision.seconds);
-  if (decision.source == fault_free_source) {
-    decision.tier = FallbackTier::kPrimary;
-  } else if (decision.source == kCloudSource) {
-    decision.tier = FallbackTier::kCloud;
-  } else {
-    decision.tier = FallbackTier::kReplica;
-  }
-  note_resolution(decision);
-  return decision;
-}
-
 }  // namespace idde::core

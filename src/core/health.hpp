@@ -15,22 +15,17 @@
 // legs) and is only readmitted above `recover_score`, so a score hovering
 // at the threshold cannot flap the routing decision every leg.
 //
-// resolve_with_health() is the health-aware Eq. 8: identical scan order to
-// resolve_with_failover, but each edge candidate's seconds are divided by
-// its score — a gray server must beat healthy alternatives by its own
-// slowdown factor to win. With a fresh tracker every score is exactly 1.0
-// and the weighted argmin reduces to the plain one bit-identically (same
+// core::Eq8Resolver (core/resolver.hpp) is the health-aware Eq. 8 when
+// given a tracker: each edge leg's seconds are divided by its host's score,
+// so a gray server must beat healthy alternatives by its own slowdown
+// factor to win. With a fresh tracker every score is exactly 1.0 and the
+// weighted choice reduces to the plain one bit-identically (same
 // comparisons, same ties) — the zero-cost-when-disabled contract.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
-
-#include "core/delivery.hpp"
-#include "model/instance.hpp"
-#include "net/shortest_path.hpp"
 
 namespace idde::core {
 
@@ -90,19 +85,5 @@ class HealthTracker {
   HealthConfig config_;
   std::vector<ServerHealth> state_;
 };
-
-/// Health-aware degraded Eq. 8: same contract and scan order as
-/// resolve_with_failover, but edge candidates are priced at
-/// seconds / score(host), so gray servers are demoted before they are
-/// formally down. The returned `seconds` is the UNWEIGHTED latency of the
-/// chosen source (the score shapes the choice, not the physics). With a
-/// null or fresh tracker the decision is bit-identical to
-/// resolve_with_failover.
-[[nodiscard]] FailoverDecision resolve_with_health(
-    const model::ProblemInstance& instance, std::span<const std::size_t> hosts,
-    std::size_t serving, double size_mb, const HealthTracker* health,
-    std::span<const std::uint8_t> server_up = {},
-    const net::CostMatrix* degraded_costs = nullptr,
-    std::span<const std::size_t> fault_free_hosts = {});
 
 }  // namespace idde::core

@@ -17,7 +17,6 @@
 #include <queue>
 #include <span>
 
-#include "coding/coded_resolver.hpp"
 #include "des/fluid.hpp"
 #include "fault/injector.hpp"
 #include "net/shortest_path.hpp"
@@ -182,7 +181,8 @@ class FlowLevelSimulator::Replay {
         collaborative_(collaborative),
         replicas_(replicas),
         fragments_(fragments),
-        legs_per_attempt_(fragments != nullptr ? fragments->config().k : 1) {
+        legs_per_attempt_(fragments != nullptr ? fragments->config().k : 1),
+        resolver_(instance_) {
     IDDE_EXPECTS(allocation.size() == instance_.user_count());
     const FlowSimOptions& o = options_;
     if (o.fault_plan != nullptr && !o.fault_plan->inert()) {
@@ -220,7 +220,6 @@ class FlowLevelSimulator::Replay {
                        qos::CircuitBreaker(qos_->breaker));
       budget_.emplace(qos_->retry_budget);
     }
-    if (fragments != nullptr) resolver_.emplace(instance_);
     capacities_.reserve(sim.links_.size());
     for (const Link& link : sim.links_) {
       capacities_.push_back(link.capacity_mbps);
@@ -416,90 +415,66 @@ class FlowLevelSimulator::Replay {
   /// Optimistic service estimate: the fault-free Eq. 8 seconds (plus the
   /// local service time when admission makes local hits non-free). A lower
   /// bound on any real completion, so deadline-aware shedding only drops
-  /// requests that provably cannot make it.
+  /// requests that provably cannot make it. Uncounted: it is not a
+  /// delivery.
   double fault_free_seconds(std::size_t r) {
     collect_hosts(r);
-    const std::size_t serving = serving_of(r);
-    const double size = item_mb(r);
-    double best = instance_.latency().cloud_transfer_seconds(size);
-    if (fragments_ != nullptr) {
-      best = resolver_
-                 ->resolve(reference_, serving, size, leg_mb(r),
-                           legs_per_attempt_)
-                 .seconds;
-    } else if (serving != core::ChannelSlot::kNone) {
-      best = instance_.latency().best_delivery_seconds(reference_, serving,
-                                                       size);
-    }
+    double best = resolver_.estimate(request(r, reference_)).seconds;
     if (best <= 0.0 && slots_ > 0) {
-      best = size * qos_->admission.local_service_s_per_mb;
+      best = item_mb(r) * qos_->admission.local_service_s_per_mb;
     }
     return best;
   }
 
+  /// Eq. 8 request of `r` over `hosts` in the fault-free world.
+  [[nodiscard]] core::Eq8Request request(
+      std::size_t r, std::span<const std::size_t> hosts) const {
+    return {.hosts = hosts,
+            .serving = serving_of(r),
+            .item_mb = item_mb(r),
+            .fragment_mb = leg_mb(r),
+            .k = legs_per_attempt_};
+  }
+
   /// Source selection against the world at `now`: the epoch's live servers
-  /// and degraded routes, minus servers whose breaker is open.
+  /// and degraded routes, minus servers whose breaker is open, with gray
+  /// servers demoted by the health tracker when one is kept.
   void resolve(std::size_t r, double now) {
-    FlowRecord& record = result_.flows[r];
-    Attempt& attempt = attempts_[r];
-    const std::size_t serving = serving_of(r);
-    const double size = item_mb(r);
-    std::span<const std::uint8_t> server_up;
-    const net::CostMatrix* costs = nullptr;
+    core::Eq8Request req = request(r, {});
     if (injector_) {
       const fault::AvailabilitySnapshot& snap = injector_->snapshot_at(now);
-      server_up = snap.server_up;
-      costs = &snap.costs;
+      req.server_up = snap.server_up;
+      req.degraded_costs = &snap.costs;
     }
     if (breakers_on_) {
-      if (server_up.empty()) {
+      if (req.server_up.empty()) {
         up_buf_.assign(instance_.server_count(), 1);
       } else {
-        up_buf_.assign(server_up.begin(), server_up.end());
+        up_buf_.assign(req.server_up.begin(), req.server_up.end());
       }
       for (std::size_t i = 0; i < up_buf_.size(); ++i) {
         if (!breakers_[i].allows(now)) up_buf_[i] = 0;
       }
-      server_up = up_buf_;
+      req.server_up = up_buf_;
     }
     collect_hosts(r);
+    req.hosts = eligible_;
+    req.health = health_view_;
+    req.fault_free_hosts = reference_;
 
+    const core::Eq8Resolution resolution = resolver_.resolve(req);
+    result_.flows[r].tier = resolution.tier;
+    Attempt& attempt = attempts_[r];
+    attempt.expected_s = resolution.seconds;
+    attempt.cloud_s =
+        resolution.cloud_fragments > 0 ? resolution.cloud_seconds : -1.0;
+    attempt.sources = resolution.edge_fragments();
     std::size_t* ids = source_ids_.data() + r * legs_per_attempt_;
     double* seconds = source_s_.data() + r * legs_per_attempt_;
-    if (fragments_ == nullptr) {
-      const core::FailoverDecision decision = core::resolve_with_health(
-          instance_, eligible_, serving, size, health_view_, server_up, costs,
-          reference_);
-      record.tier = decision.tier;
-      attempt.expected_s = decision.seconds;
-      attempt.sources = 0;
-      attempt.cloud_s = -1.0;
-      if (decision.source == core::kCloudSource) {
-        attempt.cloud_s = decision.seconds;
-      } else {
-        ids[0] = decision.source;
-        seconds[0] = decision.seconds;
-        attempt.sources = 1;
-      }
-      return;
+    for (const core::EdgeLeg& leg : resolution.legs) {
+      *ids++ = leg.host;
+      *seconds++ = leg.seconds;
     }
-    const double fragment_mb = leg_mb(r);
-    const coding::CodedDecision decision =
-        resolver_->resolve(eligible_, serving, size, fragment_mb,
-                           legs_per_attempt_, server_up, costs, reference_);
-    record.tier = decision.tier;
-    attempt.expected_s = decision.seconds;
-    const std::span<const std::size_t> hosts = resolver_->selected_hosts();
-    const std::span<const double> host_seconds = resolver_->selected_seconds();
-    std::copy(hosts.begin(), hosts.end(), ids);
-    std::copy(host_seconds.begin(), host_seconds.end(), seconds);
-    attempt.sources = hosts.size();
-    attempt.cloud_s =
-        decision.cloud_fragments > 0
-            ? resolver_->cloud_topup_seconds(decision.cloud_fragments,
-                                             legs_per_attempt_, size,
-                                             fragment_mb)
-            : -1.0;
   }
 
   /// Launches the resolved attempt at `now`: routed legs join the fluid
@@ -891,7 +866,7 @@ class FlowLevelSimulator::Replay {
 
   core::HealthTracker health_;
   const core::HealthTracker* health_view_ = nullptr;
-  std::optional<coding::CodedResolver> resolver_;
+  core::Eq8Resolver resolver_;
 
   // Admission control (sized only when qos_ is active).
   std::size_t slots_ = 0;

@@ -14,9 +14,9 @@
 // plus an optional cloud top-up. The request completes when its last leg
 // lands. Three decisions vary with the options, never the loop itself:
 //
-//   source selection  failover Eq. 8 against the epoch the attempt starts
-//                     in (health-weighted with health_aware), or the coded
-//                     collect-any-k resolver for run_coded;
+//   source selection  core::Eq8Resolver against the epoch the attempt
+//                     starts in: k = 1 for run, the strategy's k for
+//                     run_coded, health-weighted with health_aware;
 //   admission         open-loop arrivals, per-server slots and queues,
 //                     deadline-aware shedding, the retry budget and circuit
 //                     breakers — inert unless `qos` is active;
@@ -36,8 +36,8 @@
 #include <vector>
 
 #include "coding/coded_profile.hpp"
-#include "core/delivery.hpp"
 #include "core/health.hpp"
+#include "core/resolver.hpp"
 #include "core/strategy.hpp"
 #include "fault/degradation.hpp"
 #include "fault/fault_plan.hpp"
@@ -76,8 +76,9 @@ struct FlowSimOptions {
   /// be lost (integrity failure on landing). Null or inert = the replay
   /// without gray effects, bit for bit.
   const fault::DegradationPlan* degradation = nullptr;
-  /// Route through core::resolve_with_health, fed by the legs this run
-  /// observes under the degradation plan (demotes gray servers).
+  /// Health-weight source selection (run and run_coded) with a tracker
+  /// fed by the legs this run observes under the degradation plan
+  /// (demotes gray servers).
   bool health_aware = false;
   /// Tracker parameters used when health_aware is set.
   core::HealthConfig health;

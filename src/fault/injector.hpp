@@ -86,10 +86,11 @@ struct ResilienceReport {
 };
 
 /// Evaluates a solved strategy against a fault plan: for every epoch,
-/// every request is resolved through core::resolve_with_failover over the
-/// epoch's surviving replicas (optionally re-healed by RepairPolicy) and
-/// the results are weighted by epoch length over [0, horizon). An inert
-/// plan short-circuits to the fault-free metrics exactly.
+/// every request is resolved through core::Eq8Resolver over the epoch's
+/// surviving replicas (optionally re-healed by RepairPolicy) and the
+/// results are weighted by epoch length over [0, horizon). An inert plan
+/// short-circuits to the fault-free metrics exactly (fault/resilience.hpp
+/// holds the walk, shared with coding::evaluate_coded_resilience).
 [[nodiscard]] ResilienceReport evaluate_resilience(
     const model::ProblemInstance& instance, const core::Strategy& strategy,
     const FaultPlan& plan, RepairPolicy policy = RepairPolicy::kNone);

@@ -109,66 +109,4 @@ std::vector<double> floyd_warshall(const Graph& graph) {
   return dist;
 }
 
-namespace {
-
-/// Relaxes the tile [i0,i1) x [j0,j1) through intermediates [k0,k1). The
-/// tile and the two k-facing panels are the only memory touched, which is
-/// what keeps the blocked sweep inside cache.
-void relax_tile(std::vector<double>& dist, std::size_t n, std::size_t i0,
-                std::size_t i1, std::size_t j0, std::size_t j1,
-                std::size_t k0, std::size_t k1) {
-  for (std::size_t k = k0; k < k1; ++k) {
-    const double* const row_k = dist.data() + k * n;
-    for (std::size_t i = i0; i < i1; ++i) {
-      const double dik = dist[i * n + k];
-      if (dik == kUnreachable) continue;
-      double* const row_i = dist.data() + i * n;
-      for (std::size_t j = j0; j < j1; ++j) {
-        const double through = dik + row_k[j];
-        if (through < row_i[j]) row_i[j] = through;
-      }
-    }
-  }
-}
-
-}  // namespace
-
-std::vector<double> floyd_warshall_blocked(const Graph& graph,
-                                           std::size_t block) {
-  IDDE_EXPECTS(block > 0);
-  const std::size_t n = graph.node_count();
-  std::vector<double> dist(n * n, kUnreachable);
-  for (std::size_t i = 0; i < n; ++i) {
-    dist[i * n + i] = 0.0;
-    for (const Neighbor& nb : graph.neighbors(i)) {
-      dist[i * n + nb.node] = std::min(dist[i * n + nb.node], nb.weight);
-    }
-  }
-  const std::size_t tiles = (n + block - 1) / block;
-  const auto lo = [&](std::size_t t) { return t * block; };
-  const auto hi = [&](std::size_t t) { return std::min(n, t * block + block); };
-  for (std::size_t kb = 0; kb < tiles; ++kb) {
-    const std::size_t k0 = lo(kb);
-    const std::size_t k1 = hi(kb);
-    // Phase 1: the pivot tile depends only on itself.
-    relax_tile(dist, n, k0, k1, k0, k1, k0, k1);
-    // Phase 2: the pivot row and column depend on the pivot tile.
-    for (std::size_t t = 0; t < tiles; ++t) {
-      if (t == kb) continue;
-      relax_tile(dist, n, k0, k1, lo(t), hi(t), k0, k1);  // pivot row
-      relax_tile(dist, n, lo(t), hi(t), k0, k1, k0, k1);  // pivot column
-    }
-    // Phase 3: every remaining tile reads its row/column panels from
-    // phase 2 — three tiles of working set per relax_tile call.
-    for (std::size_t ib = 0; ib < tiles; ++ib) {
-      if (ib == kb) continue;
-      for (std::size_t jb = 0; jb < tiles; ++jb) {
-        if (jb == kb) continue;
-        relax_tile(dist, n, lo(ib), hi(ib), lo(jb), hi(jb), k0, k1);
-      }
-    }
-  }
-  return dist;
-}
-
 }  // namespace idde::net

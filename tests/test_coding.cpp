@@ -1,5 +1,5 @@
 // src/coding/ contract tests. The load-bearing property throughout: at
-// k = 1 every coded component (profile, evaluator, planner, resolver,
+// k = 1 every coded component (profile, evaluator, planner,
 // repair, resilience, DES replay) is bit-identical to its replication
 // counterpart — same feasibility decisions, same floats, same tiers — so
 // the coded plane is a strict generalisation, not a parallel
@@ -18,12 +18,12 @@
 #include "coding/coded_planner.hpp"
 #include "coding/coded_profile.hpp"
 #include "coding/coded_resilience.hpp"
-#include "coding/coded_resolver.hpp"
 #include "coding/fragment.hpp"
 #include "core/delivery.hpp"
 #include "core/greedy_delivery.hpp"
 #include "core/idde_g.hpp"
 #include "core/repair_planner.hpp"
+#include "core/resolver.hpp"
 #include "des/flow_sim.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/injector.hpp"
@@ -242,43 +242,13 @@ TEST(CodedPlanner, K2SaturatesWithinCapsAndBeatsEmptySigma) {
                                                 empty));
 }
 
-// The coded resolver at k = 1 is core::resolve_with_failover: same
-// seconds (bitwise), same fallback tier, cloud iff cloud, under random
-// server-up masks.
-TEST(CodedResolver, K1MatchesResolveWithFailoverUnderRandomMasks) {
-  const auto inst = model::make_instance(sized(10, 40, 5), 21);
-  const auto strategy = solve(inst, 21);
-  coding::CodedResolver resolver(inst);
-  util::Rng rng(5);
-  std::vector<std::uint8_t> up(inst.server_count(), 1);
-  for (int round = 0; round < 50; ++round) {
-    for (auto& flag : up) flag = rng.index(4) > 0 ? 1 : 0;
-    for (std::size_t j = 0; j < inst.user_count(); ++j) {
-      const core::ChannelSlot slot = strategy.allocation[j];
-      const std::size_t serving =
-          slot.allocated() ? slot.server : core::ChannelSlot::kNone;
-      for (const std::size_t k : inst.requests().items_of(j)) {
-        const double size = inst.data(k).size_mb;
-        const auto hosts = strategy.delivery.hosts(k);
-        const core::FailoverDecision expected =
-            core::resolve_with_failover(inst, hosts, serving, size, up);
-        const coding::CodedDecision got =
-            resolver.resolve(hosts, serving, size, size, 1, up);
-        EXPECT_EQ(got.seconds, expected.seconds);
-        EXPECT_EQ(got.tier, expected.tier);
-        EXPECT_EQ(got.cloud_only(), expected.source == core::kCloudSource);
-      }
-    }
-  }
-}
-
 // For any k the coded Eq. 8 never exceeds the whole-item cloud fetch:
 // e = 0 (all-cloud) is always a candidate and the min is exact.
-TEST(CodedResolver, NeverExceedsWholeItemCloudFetch) {
+TEST(CodedEq8, NeverExceedsWholeItemCloudFetch) {
   const auto inst = model::make_instance(sized(10, 40, 5), 23);
   const auto strategy = solve(inst, 23);
   coding::CodedGreedyPlanner planner(inst);
-  coding::CodedResolver resolver(inst);
+  core::Eq8Resolver resolver(inst);
   util::Rng rng(3);
   std::vector<std::uint8_t> up(inst.server_count(), 1);
   for (const std::size_t k_of : {2u, 3u, 4u}) {
@@ -290,14 +260,17 @@ TEST(CodedResolver, NeverExceedsWholeItemCloudFetch) {
       const std::size_t serving =
           slot.allocated() ? slot.server : core::ChannelSlot::kNone;
       for (const std::size_t item : inst.requests().items_of(j)) {
-        const auto decision =
-            resolver.resolve_item(plan.delivery, item, serving, up);
-        const double cloud =
-            inst.latency().cloud_transfer_seconds(inst.data(item).size_mb);
-        EXPECT_LE(decision.seconds, cloud);
-        EXPECT_EQ(decision.edge_fragments + decision.cloud_fragments > 0,
-                  true);
-        EXPECT_LE(decision.edge_fragments, k_of);
+        const double size = inst.data(item).size_mb;
+        const core::Eq8Resolution decision = resolver.resolve(
+            {.hosts = plan.delivery.hosts(item),
+             .serving = serving,
+             .item_mb = size,
+             .fragment_mb = plan.delivery.item_fragment_mb(item),
+             .k = k_of,
+             .server_up = up});
+        EXPECT_LE(decision.seconds,
+                  inst.latency().cloud_transfer_seconds(size));
+        EXPECT_EQ(decision.edge_fragments() + decision.cloud_fragments, k_of);
       }
     }
   }

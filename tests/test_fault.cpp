@@ -5,13 +5,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
-#include "core/delivery.hpp"
 #include "core/greedy_delivery.hpp"
 #include "core/idde_g.hpp"
 #include "core/metrics.hpp"
 #include "core/repair_planner.hpp"
+#include "core/resolver.hpp"
 #include "des/flow_sim.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/injector.hpp"
@@ -40,6 +41,28 @@ Solved solved_instance(std::uint64_t seed) {
   util::Rng rng(seed);
   core::Strategy strategy = core::IddeG().solve(instance, rng);
   return Solved{std::move(instance), std::move(strategy)};
+}
+
+/// The degraded Eq. 8 decision of one replicated request (k = 1).
+struct Failover {
+  std::size_t source;
+  double seconds;
+  core::FallbackTier tier;
+};
+
+Failover failover(const model::ProblemInstance& inst,
+                  std::span<const std::size_t> hosts, std::size_t serving,
+                  double size_mb, std::span<const std::uint8_t> up = {},
+                  std::span<const std::size_t> reference = {}) {
+  core::Eq8Resolver resolver(inst);
+  const core::Eq8Resolution resolution =
+      resolver.resolve({.hosts = hosts,
+                        .serving = serving,
+                        .item_mb = size_mb,
+                        .fragment_mb = size_mb,
+                        .server_up = up,
+                        .fault_free_hosts = reference});
+  return {resolution.source(), resolution.seconds, resolution.tier};
 }
 
 fault::FaultProfile lively_profile() {
@@ -251,7 +274,7 @@ TEST(Failover, AllUpReproducesEq8AndPrimaryTier) {
         slot.allocated() ? slot.server : core::ChannelSlot::kNone;
     for (const std::size_t k : inst.requests().items_of(j)) {
       const double size = inst.data(k).size_mb;
-      const auto decision = core::resolve_with_failover(
+      const auto decision = failover(
           inst, s.strategy.delivery.hosts(k), serving, size);
       EXPECT_EQ(decision.tier, core::FallbackTier::kPrimary);
       const double expected =
@@ -275,7 +298,7 @@ TEST(Failover, DeadPrimaryFallsThroughTheTiers) {
       const double size = inst.data(k).size_mb;
       const auto hosts = s.strategy.delivery.hosts(k);
       const auto fault_free =
-          core::resolve_with_failover(inst, hosts, slot.server, size);
+          failover(inst, hosts, slot.server, size);
       if (fault_free.source == core::kCloudSource) continue;
 
       // Kill the fault-free source: the request must still resolve, at a
@@ -283,7 +306,7 @@ TEST(Failover, DeadPrimaryFallsThroughTheTiers) {
       std::vector<std::uint8_t> up(inst.server_count(), 1);
       up[fault_free.source] = 0;
       const auto degraded =
-          core::resolve_with_failover(inst, hosts, slot.server, size, up);
+          failover(inst, hosts, slot.server, size, up);
       if (slot.server == fault_free.source) {
         // The user's own server died: cloud-direct.
         EXPECT_EQ(degraded.source, core::kCloudSource);
@@ -297,7 +320,7 @@ TEST(Failover, DeadPrimaryFallsThroughTheTiers) {
       // Kill every server: only the cloud remains.
       std::vector<std::uint8_t> none(inst.server_count(), 0);
       const auto cloud_only =
-          core::resolve_with_failover(inst, hosts, slot.server, size, none);
+          failover(inst, hosts, slot.server, size, none);
       EXPECT_EQ(cloud_only.source, core::kCloudSource);
       EXPECT_DOUBLE_EQ(cloud_only.seconds,
                        inst.latency().cloud_transfer_seconds(size));
@@ -317,7 +340,7 @@ TEST(Failover, PreFilteredHostsClassifyAgainstReference) {
       const double size = inst.data(k).size_mb;
       const auto hosts = s.strategy.delivery.hosts(k);
       const auto fault_free =
-          core::resolve_with_failover(inst, hosts, slot.server, size);
+          failover(inst, hosts, slot.server, size);
       if (fault_free.source == core::kCloudSource) continue;
       // Drop the primary from the degraded set (a corrupt replica) while
       // passing the full set as the tier reference: the fallback must not
@@ -326,8 +349,8 @@ TEST(Failover, PreFilteredHostsClassifyAgainstReference) {
       for (const std::size_t host : hosts) {
         if (host != fault_free.source) filtered.push_back(host);
       }
-      const auto degraded = core::resolve_with_failover(
-          inst, filtered, slot.server, size, {}, nullptr, hosts);
+      const auto degraded = failover(
+          inst, filtered, slot.server, size, {}, hosts);
       EXPECT_NE(degraded.tier, core::FallbackTier::kPrimary);
       return;
     }
@@ -474,7 +497,7 @@ TEST(Resilience, SingleServerCrashNeverAbortsARun) {
       const std::size_t serving =
           slot.allocated() ? slot.server : core::ChannelSlot::kNone;
       for (const std::size_t k : inst.requests().items_of(j)) {
-        const auto decision = core::resolve_with_failover(
+        const auto decision = failover(
             inst, s.strategy.delivery.hosts(k), serving,
             inst.data(k).size_mb, up);
         EXPECT_GE(decision.seconds, 0.0);

@@ -17,6 +17,7 @@
 #include "coding/coded_profile.hpp"
 #include "core/health.hpp"
 #include "core/idde_g.hpp"
+#include "core/resolver.hpp"
 #include "fault/fault_plan.hpp"
 #include "des/flow_sim.hpp"
 #include "fault/degradation.hpp"
@@ -285,42 +286,12 @@ TEST(HealthTracker, StateRoundTripsThroughRestore) {
   }
 }
 
-// --- resolve_with_health -------------------------------------------------
-
-TEST(HealthResolver, FreshTrackerIsBitIdenticalToFailover) {
-  const auto inst = model::make_instance(small_params(), 11);
-  const auto strategy = solve(inst, 11);
-  const core::HealthTracker fresh(inst.server_count(), {});
-
-  std::vector<std::uint8_t> up(inst.server_count(), 1);
-  up[0] = 0;  // also exercise the masked path
-  for (std::size_t user = 0; user < inst.user_count(); ++user) {
-    const core::ChannelSlot slot = strategy.allocation[user];
-    const std::size_t serving =
-        slot.allocated() ? slot.server : core::ChannelSlot::kNone;
-    for (std::size_t item = 0; item < inst.data_count(); ++item) {
-      const auto hosts = strategy.delivery.hosts(item);
-      const double size = inst.data(item).size_mb;
-      for (const auto mask :
-           {std::span<const std::uint8_t>{}, std::span<const std::uint8_t>(up)}) {
-        const auto plain =
-            core::resolve_with_failover(inst, hosts, serving, size, mask);
-        for (const core::HealthTracker* tracker :
-             {static_cast<const core::HealthTracker*>(nullptr), &fresh}) {
-          const auto scored = core::resolve_with_health(inst, hosts, serving,
-                                                        size, tracker, mask);
-          EXPECT_EQ(scored.source, plain.source);
-          EXPECT_EQ(scored.tier, plain.tier);
-          EXPECT_EQ(scored.seconds, plain.seconds);
-        }
-      }
-    }
-  }
-}
+// --- health-weighted Eq. 8 ----------------------------------------------
 
 TEST(HealthResolver, DemotedSourceLosesTheArgmin) {
   const auto inst = model::make_instance(small_params(), 12);
   const auto strategy = solve(inst, 12);
+  core::Eq8Resolver resolver(inst);
 
   // Find a request whose fault-free argmin is an edge server with at
   // least one other live replica to fall back to.
@@ -332,22 +303,27 @@ TEST(HealthResolver, DemotedSourceLosesTheArgmin) {
       const auto hosts = strategy.delivery.hosts(item);
       if (hosts.size() < 2) continue;
       const double size = inst.data(item).size_mb;
-      const auto plain =
-          core::resolve_with_failover(inst, hosts, serving, size);
-      if (plain.source == core::kCloudSource) continue;
+      core::Eq8Request request{.hosts = hosts,
+                               .serving = serving,
+                               .item_mb = size,
+                               .fragment_mb = size};
+      const core::Eq8Resolution plain = resolver.resolve(request);
+      const std::size_t plain_source = plain.source();
+      const double plain_seconds = plain.seconds;
+      if (plain_source == core::kCloudSource) continue;
 
       // Crush the winner's health; the weighted argmin must move off it.
       core::HealthTracker tracker(inst.server_count(), {});
       for (int leg = 0; leg < 5; ++leg) {
-        tracker.record_leg(plain.source, 1.0, 1e6);
+        tracker.record_leg(plain_source, 1.0, 1e6);
       }
-      const auto scored =
-          core::resolve_with_health(inst, hosts, serving, size, &tracker);
-      EXPECT_NE(scored.source, plain.source);
+      request.health = &tracker;
+      const core::Eq8Resolution scored = resolver.resolve(request);
+      EXPECT_NE(scored.source(), plain_source);
       // The reported seconds are the chosen source's unweighted latency —
       // the score shapes the choice, never the physics — so steering away
       // from the fastest replica cannot *reduce* the reported latency.
-      EXPECT_GE(scored.seconds, plain.seconds);
+      EXPECT_GE(scored.seconds, plain_seconds);
       return;  // one witness is enough
     }
   }
@@ -725,6 +701,79 @@ TEST(GrayDes, SimultaneouslyLostFragmentsAreAllCounted) {
   util::Rng rng2(29);
   expect_same_result(
       des::FlowLevelSimulator(inst, options).run_coded(coded, rng2), result);
+}
+
+// Health-aware routing also steers coded delivery: on a path graph the
+// fragments of one item sit on servers 0 and 2 (one hop from the serving
+// server 1) and 3 (two hops). Blind, every request fetches from 0 and 2;
+// once server 0's 20x slowdown demotes it, later requests fetch from 2 and
+// 3 instead (a two-hop replica-tier attempt) and finish sooner.
+TEST(GrayDes, HealthAwareCodedDeliveryRoutesAroundADemotedFragmentHost) {
+  const auto base = model::make_instance(small_params(), 30);
+  const std::size_t n = base.server_count();
+  std::vector<net::Edge> edges;
+  for (std::size_t i = 0; i + 1 < n; ++i) edges.push_back({i, i + 1, 1e-4});
+  const net::Graph graph(n, edges);
+  const model::ProblemInstance inst(
+      base.servers(), base.users(), base.data_items(), base.requests(), graph,
+      net::DeliveryLatencyModel(net::CostMatrix(graph),
+                                base.latency().cloud_speed_mbps()),
+      base.radio_env());
+
+  // The most requested item, with every one of its requesters served by
+  // server 1; everyone else is cloud-only.
+  std::vector<std::size_t> demand(inst.data_count(), 0);
+  for (std::size_t j = 0; j < inst.user_count(); ++j) {
+    for (const std::size_t k : inst.requests().items_of(j)) ++demand[k];
+  }
+  const auto item = static_cast<std::size_t>(
+      std::max_element(demand.begin(), demand.end()) - demand.begin());
+  ASSERT_GE(demand[item], 4u);
+  core::AllocationProfile allocation(inst.user_count(), radio::kUnallocated);
+  for (std::size_t j = 0; j < inst.user_count(); ++j) {
+    const auto items = inst.requests().items_of(j);
+    if (std::find(items.begin(), items.end(), item) != items.end()) {
+      allocation[j] = radio::ChannelSlot{1, 0};
+    }
+  }
+  coding::CodedDeliveryProfile fragments(inst, {3, 2});
+  for (const std::size_t host : {0u, 2u, 3u}) {
+    ASSERT_TRUE(fragments.can_place(host, item));
+    fragments.place(host, item);
+  }
+  const coding::CodedStrategy coded(allocation, fragments);
+
+  fault::DegradationPlan plan;
+  plan.add_server_segment(0, {0.0, 300.0, 20.0, 0.0});
+  des::FlowSimOptions options;
+  options.arrival_window_s = 30.0;
+  options.degradation = &plan;
+  const auto replay = [&](bool health_aware) {
+    des::FlowSimOptions with = options;
+    with.health_aware = health_aware;
+    util::Rng rng(30);
+    return des::FlowLevelSimulator(inst, with).run_coded(coded, rng);
+  };
+  const auto blind = replay(false);
+  const auto aware = replay(true);
+
+  std::size_t rerouted = 0;
+  for (const auto* result : {&blind, &aware}) {
+    for (const auto& flow : result->flows) {
+      if (flow.item != item) continue;
+      EXPECT_FALSE(flow.from_cloud);
+      if (result == &blind) {
+        EXPECT_EQ(flow.hops, 1u);
+        EXPECT_EQ(flow.tier, core::FallbackTier::kPrimary);
+      } else if (flow.hops == 2) {
+        EXPECT_EQ(flow.tier, core::FallbackTier::kReplica);
+        ++rerouted;
+      }
+    }
+  }
+  EXPECT_GE(rerouted, demand[item] / 2);
+  EXPECT_LT(aware.mean_duration_ms, blind.mean_duration_ms);
+  expect_same_result(replay(true), aware);
 }
 
 // --- serve controller ----------------------------------------------------

@@ -76,38 +76,6 @@ TEST(CostMatrix, MatchesFloydWarshallOnRandomGraphs) {
   }
 }
 
-// The blocked sweep visits intermediates tile-by-tile, so a shortest path's
-// terms can associate differently than in the naive k-loop — last-ulp
-// differences are expected, exact equality is not. Tolerance covers both
-// operand orders; unreachable pairs must agree exactly (both infinite).
-TEST(FloydWarshallBlocked, MatchesNaiveWithinTolerance) {
-  Rng rng(37);
-  for (int trial = 0; trial < 8; ++trial) {
-    const std::size_t n = 5 + rng.index(60);
-    TopologyParams params{.density = 1.0 + rng.uniform() * 2.0,
-                          .min_speed_mbps = 2000,
-                          .max_speed_mbps = 6000};
-    const Graph g = generate_topology_graph(n, params, rng);
-    const auto naive = floyd_warshall(g);
-    // Block sizes straddling n exercise full tiles, ragged edge tiles, and
-    // the single-tile degenerate case.
-    for (const std::size_t block : {std::size_t{4}, std::size_t{16},
-                                    std::size_t{64}}) {
-      const auto blocked = floyd_warshall_blocked(g, block);
-      ASSERT_EQ(blocked.size(), naive.size());
-      for (std::size_t idx = 0; idx < naive.size(); ++idx) {
-        if (naive[idx] == kUnreachable) {
-          EXPECT_EQ(blocked[idx], kUnreachable) << "idx " << idx;
-        } else {
-          EXPECT_NEAR(blocked[idx], naive[idx],
-                      1e-9 * std::max(1.0, naive[idx]))
-              << "n " << n << " block " << block << " idx " << idx;
-        }
-      }
-    }
-  }
-}
-
 TEST(CostMatrix, SymmetricAndZeroDiagonal) {
   Rng rng(32);
   const Graph g = generate_topology_graph(15, {}, rng);

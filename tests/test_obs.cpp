@@ -8,12 +8,17 @@
 #include <string>
 #include <vector>
 
-#include "core/delivery.hpp"
+#include "coding/coded_planner.hpp"
+#include "coding/coded_profile.hpp"
 #include "core/game.hpp"
 #include "core/idde_g.hpp"
+#include "core/resolver.hpp"
 #include "des/flow_sim.hpp"
+#include "fault/fault_plan.hpp"
 #include "model/instance_builder.hpp"
 #include "obs/obs.hpp"
+#include "qos/config.hpp"
+#include "sim/overload.hpp"
 #include "sim/sweep.hpp"
 #include "util/random.hpp"
 #include "util/stats.hpp"
@@ -376,8 +381,10 @@ TEST_F(ObsTest, SweepAndDesProduceTraceAndTelemetryBlock) {
 #endif
 }
 
-// Eq. 8 tier counters under failover: a single-server crash forces some
-// resolutions off the primary tier, and every resolution is counted.
+// Eq. 8 tier counters: every resolution is counted exactly once — in an
+// analytic failover loop (a single-server crash forces some resolutions
+// off the primary tier) and in DES replays under deadline-aware QoS, where
+// the shedding estimate is not a delivery and stays uncounted.
 TEST_F(ObsTest, FailoverResolutionCountsTiers) {
   obs::set_enabled(true);
   const model::ProblemInstance instance =
@@ -385,7 +392,31 @@ TEST_F(ObsTest, FailoverResolutionCountsTiers) {
   util::Rng rng(9);
   const core::Strategy strategy = core::IddeG().solve(instance, rng);
 
+  // Every resolution since the last check is counted once per tier and
+  // once in the latency histogram.
+  const auto expect_counted = [](std::size_t resolutions) {
+#if IDDE_OBS
+    const util::Json scrape = obs::MetricsRegistry::global().scrape();
+    const auto tier = [&](const char* name) {
+      const util::Json* counter = scrape.at("counters").find(name);
+      return counter == nullptr ? std::int64_t{0} : counter->as_int();
+    };
+    EXPECT_EQ(tier("resolve.primary_total") + tier("resolve.replica_total") +
+                  tier("resolve.cloud_total"),
+              static_cast<std::int64_t>(resolutions));
+    const util::Json* latency =
+        scrape.at("histograms").find("resolve.latency_ms");
+    ASSERT_NE(latency, nullptr);
+    EXPECT_EQ(latency->at("count").as_int(),
+              static_cast<std::int64_t>(resolutions));
+#else
+    (void)resolutions;
+#endif
+    obs::reset_all();
+  };
+
   std::size_t resolutions = 0;
+  core::Eq8Resolver resolver(instance);
   std::vector<std::uint8_t> up(instance.server_count(), 1);
   up[0] = 0;
   std::vector<std::size_t> hosts;
@@ -399,27 +430,53 @@ TEST_F(ObsTest, FailoverResolutionCountsTiers) {
         if (!strategy.collaborative_delivery && host != serving) continue;
         hosts.push_back(host);
       }
-      (void)core::resolve_with_failover(instance, hosts, serving,
-                                        instance.data(k).size_mb, up);
+      const double size = instance.data(k).size_mb;
+      (void)resolver.resolve({.hosts = hosts,
+                              .serving = serving,
+                              .item_mb = size,
+                              .fragment_mb = size,
+                              .server_up = up});
       ++resolutions;
     }
   }
+  expect_counted(resolutions);
 
-#if IDDE_OBS
-  const util::Json scrape = obs::MetricsRegistry::global().scrape();
-  const auto tier = [&](const char* name) {
-    const util::Json* counter = scrape.at("counters").find(name);
-    return counter == nullptr ? std::int64_t{0} : counter->as_int();
+  // A replay resolves once per started attempt: every aborted attempt, and
+  // the last one unless the request went cloud-direct past the caps.
+  const auto replay_resolutions = [](const des::FlowSimResult& result) {
+    std::size_t count = 0;
+    for (const des::FlowRecord& flow : result.flows) {
+      if (flow.outcome != des::FlowOutcome::kServed) continue;
+      count += flow.retries + (flow.forced_cloud ? 0 : 1);
+    }
+    return count;
   };
-  EXPECT_EQ(tier("resolve.primary_total") + tier("resolve.replica_total") +
-                tier("resolve.cloud_total"),
-            static_cast<std::int64_t>(resolutions));
-  const util::Json* latency =
-      scrape.at("histograms").find("resolve.latency_ms");
-  ASSERT_NE(latency, nullptr);
-  EXPECT_EQ(latency->at("count").as_int(),
-            static_cast<std::int64_t>(resolutions));
-#endif
+  qos::QosConfig qos =
+      sim::chaos_qos_config(4.0, qos::SheddingPolicy::kDeadlineAware, 0.1);
+  qos.admission.service_slots = 0;  // slots have no coded meaning
+  const auto plan = fault::FaultPlan::generate(
+      instance, sim::chaos_fault_profile(), 9);
+  des::FlowSimOptions options;
+  options.link_capacity_scale = 0.05;
+  options.fault_plan = &plan;
+  options.qos = &qos;
+  const des::FlowLevelSimulator sim(instance, options);
+
+  util::Rng replicated_rng(9);
+  const des::FlowSimResult replicated = sim.run(strategy, replicated_rng);
+  EXPECT_GT(replicated.retry_count, 0u);
+  expect_counted(replay_resolutions(replicated));
+
+  coding::CodedGreedyPlanner planner(instance);
+  auto planned =
+      planner.plan(strategy.allocation, {instance.server_count(), 2});
+  coding::CodedStrategy coded(strategy.allocation,
+                              coding::CodedDeliveryProfile(planned.delivery));
+  coded.collaborative_delivery = strategy.collaborative_delivery;
+  util::Rng coded_rng(9);
+  const des::FlowSimResult coded_result = sim.run_coded(coded, coded_rng);
+  EXPECT_GT(coded_result.retry_count, 0u);
+  expect_counted(replay_resolutions(coded_result));
 }
 
 }  // namespace

@@ -22,11 +22,10 @@
 
 #include "coding/coded_planner.hpp"
 #include "coding/coded_resilience.hpp"
-#include "coding/coded_resolver.hpp"
 #include "coding/fragment.hpp"
-#include "core/delivery.hpp"
 #include "core/health.hpp"
 #include "core/idde_g.hpp"
+#include "core/resolver.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/injector.hpp"
 #include "model/instance_builder.hpp"
@@ -107,78 +106,19 @@ core::HealthTracker loaded_tracker(std::size_t servers, util::Rng& rng) {
   return tracker;
 }
 
-/// One resolution as the digest sees it: chosen hosts in leg order with
-/// their seconds, then the total seconds and the tier.
-struct Decision {
-  std::vector<std::size_t> hosts;
-  std::vector<double> leg_seconds;
-  double seconds = 0.0;
-  core::FallbackTier tier = core::FallbackTier::kPrimary;
-};
-
-void fold(Fnv& fnv, const Decision& decision) {
-  fnv.mix(std::uint64_t{decision.hosts.size()});
-  for (std::size_t i = 0; i < decision.hosts.size(); ++i) {
-    fnv.mix(std::uint64_t{decision.hosts[i]});
-    fnv.mix(decision.leg_seconds[i]);
+/// One resolution as the digest sees it: the chosen hosts in leg order
+/// with their seconds, then the total seconds and the tier.
+void fold(Fnv& fnv, const core::Eq8Resolution& resolution) {
+  fnv.mix(std::uint64_t{resolution.edge_fragments()});
+  for (const core::EdgeLeg& leg : resolution.legs) {
+    fnv.mix(std::uint64_t{leg.host});
+    fnv.mix(leg.seconds);
   }
-  fnv.mix(decision.seconds);
-  fnv.mix(static_cast<std::uint64_t>(decision.tier));
+  fnv.mix(resolution.seconds);
+  fnv.mix(static_cast<std::uint64_t>(resolution.tier));
 }
 
 enum class Tracker { kNone, kFresh, kLoaded };
-
-/// Everything one resolution call needs besides the resolver itself.
-struct Query {
-  const model::ProblemInstance* instance;
-  std::span<const std::size_t> hosts;
-  std::size_t serving;
-  double item_mb;
-  std::size_t k;
-  std::span<const std::uint8_t> server_up;
-  const net::CostMatrix* costs;
-  const core::HealthTracker* health;
-  std::span<const std::size_t> fault_free_hosts;
-};
-
-Decision resolve(const Query& q) {
-  Decision decision;
-  if (q.k == 1 && q.health == nullptr) {
-    const core::FailoverDecision d = core::resolve_with_failover(
-        *q.instance, q.hosts, q.serving, q.item_mb, q.server_up, q.costs,
-        q.fault_free_hosts);
-    if (d.source != core::kCloudSource) {
-      decision.hosts.push_back(d.source);
-      decision.leg_seconds.push_back(d.seconds);
-    }
-    decision.seconds = d.seconds;
-    decision.tier = d.tier;
-    return decision;
-  }
-  if (q.k == 1) {
-    const core::FailoverDecision d = core::resolve_with_health(
-        *q.instance, q.hosts, q.serving, q.item_mb, q.health, q.server_up,
-        q.costs, q.fault_free_hosts);
-    if (d.source != core::kCloudSource) {
-      decision.hosts.push_back(d.source);
-      decision.leg_seconds.push_back(d.seconds);
-    }
-    decision.seconds = d.seconds;
-    decision.tier = d.tier;
-    return decision;
-  }
-  coding::CodedResolver resolver(*q.instance);
-  const coding::CodedDecision d = resolver.resolve(
-      q.hosts, q.serving, q.item_mb, coding::fragment_size_mb(q.item_mb, q.k),
-      q.k, q.server_up, q.costs, q.fault_free_hosts);
-  const auto hosts = resolver.selected_hosts();
-  const auto seconds = resolver.selected_seconds();
-  decision.hosts.assign(hosts.begin(), hosts.end());
-  decision.leg_seconds.assign(seconds.begin(), seconds.end());
-  decision.seconds = d.seconds;
-  decision.tier = d.tier;
-  return decision;
-}
 
 /// Digest of every request of one seeded scenario, resolved under the
 /// four {mask} x {costs} worlds.
@@ -195,6 +135,7 @@ std::uint64_t resolver_digest(std::uint64_t seed, std::size_t k,
       : tracker_kind == Tracker::kFresh ? &fresh
                                         : &loaded;
 
+  core::Eq8Resolver resolver(inst);
   Fnv fnv;
   std::vector<std::uint8_t> up(inst.server_count(), 1);
   std::vector<std::size_t> kept;
@@ -206,8 +147,15 @@ std::uint64_t resolver_digest(std::uint64_t seed, std::size_t k,
             slot.allocated() ? slot.server : core::ChannelSlot::kNone;
         for (const std::size_t item : inst.requests().items_of(j)) {
           const auto hosts = s.strategy.delivery.hosts(item);
-          Query q{&inst, hosts,  serving, inst.data(item).size_mb, k, {},
-                  degraded ? &costs : nullptr, health, {}};
+          const double size = inst.data(item).size_mb;
+          core::Eq8Request request{
+              .hosts = hosts,
+              .serving = serving,
+              .item_mb = size,
+              .fragment_mb = coding::fragment_size_mb(size, k),
+              .k = k,
+              .degraded_costs = degraded ? &costs : nullptr,
+              .health = health};
           if (masked) {
             // A fresh random mask per request, and about one host in five
             // filtered out as corrupt against the full reference set.
@@ -216,11 +164,11 @@ std::uint64_t resolver_digest(std::uint64_t seed, std::size_t k,
             for (const std::size_t host : hosts) {
               if (rng.index(5) > 0) kept.push_back(host);
             }
-            q.hosts = kept;
-            q.server_up = up;
-            q.fault_free_hosts = hosts;
+            request.hosts = kept;
+            request.server_up = up;
+            request.fault_free_hosts = hosts;
           }
-          fold(fnv, resolve(q));
+          fold(fnv, resolver.resolve(request));
         }
       }
     }

@@ -59,7 +59,7 @@ class Config:
         "src/core/repair_planner.cpp",
         "src/coding/coded_evaluator.cpp",
         "src/coding/coded_planner.cpp",
-        "src/coding/coded_resolver.cpp",
+        "src/core/resolver.cpp",
     ])
 
     # Unit-safety vocabulary. A double/int64 parameter or double-returning

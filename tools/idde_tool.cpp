@@ -24,6 +24,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -131,16 +132,16 @@ int cmd_solve(int argc, const char* const* argv) {
     return 1;
   }
   util::Rng rng(static_cast<std::uint64_t>(seed));
-  const sim::RunRecord record = sim::run_approach(instance, *approach, rng);
+  // The written strategy is the one whose metrics are printed: IDDE-IP's
+  // budget is wall-clock, so a second solve could differ.
+  std::optional<core::Strategy> strategy;
+  const sim::RunRecord record =
+      sim::run_approach(instance, *approach, rng, false, &strategy);
   std::printf("%s: R_avg %.2f MB/s, L_avg %.2f ms, %.3f ms solve, %s\n",
               record.approach.c_str(), record.metrics.avg_rate_mbps,
               record.metrics.avg_latency_ms, record.solve_ms,
               record.strategy_valid ? "valid" : "INVALID");
-  // Re-solve to materialise the strategy for output (run_approach consumes
-  // it internally; determinism makes the two runs identical).
-  util::Rng rng2(static_cast<std::uint64_t>(seed));
-  write_file(out,
-             core::strategy_to_string(approach->solve(instance, rng2), 1));
+  write_file(out, core::strategy_to_string(*strategy, 1));
   std::printf("wrote %s\n", out.c_str());
 
   if (obs::enabled()) {

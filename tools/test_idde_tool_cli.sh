@@ -68,10 +68,23 @@ run 1 replay --instance "$WORK/garbage.json" && expect_error_line
 
 cd "$WORK" || exit 1
 run 0 gen --out "$WORK/instance.json" --seed 3 || true
-run 0 solve --instance "$WORK/instance.json" --approach IDDE-G \
-  --out "$WORK/strategy.json" --seed 3 || true
-run 0 eval --instance "$WORK/instance.json" --strategy "$WORK/strategy.json" \
-  || true
+# solve writes the strategy whose metrics it printed: eval of the written
+# file reports the same L_avg. IDDE-IP's budget is wall-clock, so a tight
+# one makes a second solve likely to differ.
+for approach in IDDE-G IDDE-IP; do
+  run 0 solve --instance "$WORK/instance.json" --approach "$approach" \
+    --ip-budget-ms 2 --out "$WORK/strategy-$approach.json" --seed 3 || true
+  solved=$(grep -o 'L_avg [0-9.]* ms' "$WORK/stdout")
+  run 0 eval --instance "$WORK/instance.json" \
+    --strategy "$WORK/strategy-$approach.json" || true
+  evaluated=$(grep -o 'L_avg [0-9.]* ms' "$WORK/stdout")
+  if [ -z "$solved" ] || [ "$solved" != "$evaluated" ]; then
+    echo "FAIL: $approach solve printed '$solved', eval of its output" \
+      "'$evaluated'" >&2
+    FAILURES=$((FAILURES + 1))
+  fi
+done
+cp "$WORK/strategy-IDDE-G.json" "$WORK/strategy.json"
 run 0 replay --instance "$WORK/instance.json" \
   --strategy "$WORK/strategy.json" --load 4 --policy deadline-aware \
   --chaos --seed 3 --out "$WORK/report.json" || true
