@@ -28,6 +28,28 @@ bool ranks_before(const EdgeLeg& a, const EdgeLeg& b) {
   return a.host < b.host;
 }
 
+/// k = 1: one argmin pass in host order, starting from the cloud. The
+/// strict preference keeps the lowest id on a tie, and the cloud on a tie
+/// with it (the cloud is never weighted). Host kCloudSource = the cloud
+/// wins.
+template <class RankOf>
+EdgeLeg argmin_leg(std::span<const std::size_t> hosts,
+                   std::span<const std::uint8_t> server_up,
+                   const net::CostMatrix& costs, const Eq8Request& request,
+                   double cloud_s, RankOf rank_of) {
+  EdgeLeg best{kCloudSource, cloud_s, cloud_s};
+  for (const std::size_t host : hosts) {
+    if (!server_up.empty() && !server_up[host]) continue;
+    const double leg_s =
+        costs.cost(host, request.serving) * request.fragment_mb;
+    const double rank = rank_of(host, leg_s);
+    if (better(rank, leg_s, best.rank, best.seconds)) {
+      best = EdgeLeg{host, leg_s, rank};
+    }
+  }
+  return best;
+}
+
 }  // namespace
 
 Eq8Resolver::Eq8Resolver(const model::ProblemInstance& instance)
@@ -54,36 +76,31 @@ std::size_t Eq8Resolver::select(const Eq8Request& request,
                                 std::vector<EdgeLeg>& legs,
                                 double& seconds) const {
   IDDE_EXPECTS(hosts.size() <= legs.size());
-  const auto leg = [&](std::size_t host) {
-    const double leg_s =
-        costs.cost(host, request.serving) * request.fragment_mb;
-    return EdgeLeg{host, leg_s,
-                   health != nullptr ? leg_s / health->score(host) : leg_s};
-  };
   seconds = topup_seconds(request, request.k);
   if (request.k == 1) {
-    // One argmin pass in host order: a strict preference keeps the lowest
-    // id on a tie, and the cloud on a tie with it (the cloud is never
-    // weighted).
-    double best_rank = seconds;
-    std::size_t e = 0;
-    for (const std::size_t host : hosts) {
-      if (!server_up.empty() && !server_up[host]) continue;
-      const EdgeLeg candidate = leg(host);
-      if (better(candidate.rank, candidate.seconds, best_rank, seconds)) {
-        best_rank = candidate.rank;
-        seconds = candidate.seconds;
-        legs[0] = candidate;
-        e = 1;
-      }
-    }
-    return e;
+    // Without a tracker the rank is the seconds; its own instantiation
+    // keeps the health branch out of the hot argmin loop.
+    const EdgeLeg best =
+        health == nullptr
+            ? argmin_leg(hosts, server_up, costs, request, seconds,
+                         [](std::size_t, double leg_s) { return leg_s; })
+            : argmin_leg(hosts, server_up, costs, request, seconds,
+                         [health](std::size_t host, double leg_s) {
+                           return leg_s / health->score(host);
+                         });
+    seconds = best.seconds;
+    if (best.host == kCloudSource) return 0;
+    legs[0] = best;
+    return 1;
   }
 
   std::size_t survivors = 0;
   for (const std::size_t host : hosts) {
     if (!server_up.empty() && !server_up[host]) continue;
-    legs[survivors++] = leg(host);
+    const double leg_s =
+        costs.cost(host, request.serving) * request.fragment_mb;
+    legs[survivors++] = EdgeLeg{
+        host, leg_s, health != nullptr ? leg_s / health->score(host) : leg_s};
   }
   const std::size_t max_e = std::min(survivors, request.k);
   const auto first = legs.begin();
@@ -111,18 +128,6 @@ Eq8Resolution Eq8Resolver::estimate(const Eq8Request& request) {
   IDDE_EXPECTS(request.k >= 1);
   const net::CostMatrix& fault_free_costs = instance_->latency().costs();
   const bool no_channel = request.serving == ChannelSlot::kNone;
-  // Tiers are classified against the fault-free, health-blind choice over
-  // the unfiltered hosts.
-  double reference_seconds = 0.0;
-  const std::size_t reference_e =
-      no_channel ? 0
-                 : select(request,
-                          request.fault_free_hosts.empty()
-                              ? request.hosts
-                              : request.fault_free_hosts,
-                          {}, fault_free_costs, nullptr, reference_,
-                          reference_seconds);
-
   Eq8Resolution out;
   std::size_t e = 0;
   if (no_channel ||
@@ -138,8 +143,23 @@ Eq8Resolution Eq8Resolver::estimate(const Eq8Request& request) {
   }
   out.legs = {legs_.data(), e};
   out.cloud_fragments = request.k - e;
-  out.cloud_seconds = topup_seconds(request, out.cloud_fragments);
+  // With no edge leg the top-up is the whole request.
+  out.cloud_seconds =
+      e == 0 ? out.seconds : topup_seconds(request, out.cloud_fragments);
 
+  // Tiers are classified against the fault-free, health-blind choice over
+  // the unfiltered hosts — in the fault-free world, the choice itself.
+  if (no_channel ||
+      (request.server_up.empty() && request.degraded_costs == nullptr &&
+       request.health == nullptr && request.fault_free_hosts.empty())) {
+    return out;
+  }
+  double reference_seconds = 0.0;
+  const std::size_t reference_e = select(
+      request,
+      request.fault_free_hosts.empty() ? request.hosts
+                                       : request.fault_free_hosts,
+      {}, fault_free_costs, nullptr, reference_, reference_seconds);
   if (e < reference_e) {
     out.tier = FallbackTier::kCloud;
   } else if (e > reference_e) {

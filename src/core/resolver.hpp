@@ -16,10 +16,12 @@
 //
 // Edge legs are ranked by seconds / score(host) when a HealthTracker is
 // given, so a gray server must beat healthy alternatives by its own
-// slowdown factor; the cloud top-up is never weighted, and the reported
-// seconds are always the unweighted latency of the chosen set. A fresh
-// tracker scores every host exactly 1.0, so it resolves bit-identically to
-// no tracker.
+// slowdown factor. A candidate set is priced at max(worst chosen rank,
+// top-up): the cloud top-up is never weighted, equal prices go to the
+// lower unweighted latency and then to the smallest e, and the reported
+// seconds are always the unweighted latency of the chosen set. Without a
+// tracker rank equals seconds; a fresh tracker scores every host exactly
+// 1.0, so it resolves bit-identically to no tracker.
 #pragma once
 
 #include <cstddef>

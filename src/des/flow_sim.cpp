@@ -460,7 +460,7 @@ class FlowLevelSimulator::Replay {
     collect_hosts(r);
     req.hosts = eligible_;
     req.health = health_view_;
-    req.fault_free_hosts = reference_;
+    if (filter_corrupt_) req.fault_free_hosts = reference_;
 
     const core::Eq8Resolution resolution = resolver_.resolve(req);
     result_.flows[r].tier = resolution.tier;
