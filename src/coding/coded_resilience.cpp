@@ -14,7 +14,9 @@ fault::ResilienceReport evaluate_coded_resilience(
       coded_average_latency_ms(instance, strategy.allocation, delivery,
                                strategy.collaborative_delivery),
       delivery.config().k,
-      [&delivery](std::size_t item) { return delivery.item_fragment_mb(item); });
+      [&delivery](std::size_t item) {
+        return delivery.item_fragment_mb(item);
+      });
 }
 
 }  // namespace idde::coding

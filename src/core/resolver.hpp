@@ -41,7 +41,11 @@ class HealthTracker;
 /// hosts serve the same fragment count; kCloud = faults pushed fragments
 /// the reference served from the edge onto the cloud; kReplica = anything
 /// else (other surviving hosts, or more edge fragments).
-enum class FallbackTier : std::uint8_t { kPrimary = 0, kReplica = 1, kCloud = 2 };
+enum class FallbackTier : std::uint8_t {
+  kPrimary = 0,
+  kReplica = 1,
+  kCloud = 2
+};
 
 inline constexpr std::size_t kFallbackTiers = 3;
 
