@@ -1,92 +1,181 @@
 #include "model/instance_io.hpp"
 
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "net/graph_gen.hpp"
+#include "obs/obs.hpp"
 #include "util/format.hpp"
 
 namespace idde::model {
 
 using util::Json;
-using util::JsonArray;
 using util::JsonObject;
+using util::JsonReader;
+using util::JsonWriter;
 
-Json instance_to_json(const ProblemInstance& instance) {
-  JsonArray servers;
-  for (const EdgeServer& s : instance.servers()) {
-    servers.push_back(Json(JsonObject{
-        {"x", Json(s.position.x)},
-        {"y", Json(s.position.y)},
-        {"radius_m", Json(s.coverage_radius_m)},
-        {"storage_mb", Json(s.storage_mb)},
-    }));
-  }
+namespace {
 
-  JsonArray users;
-  for (const User& u : instance.users()) {
-    users.push_back(Json(JsonObject{
-        {"x", Json(u.position.x)},
-        {"y", Json(u.position.y)},
-        {"power_w", Json(u.power_watts)},
-        {"max_rate_mbps", Json(u.max_rate_mbps)},
-    }));
-  }
+void number_member(JsonWriter& out, std::string_view key, double value) {
+  out.key(key);
+  out.number(value);
+}
 
-  JsonArray data;
+void numbers_member(JsonWriter& out, std::string_view key,
+                    const std::vector<double>& values) {
+  out.key(key);
+  out.begin_array();
+  for (const double v : values) out.number(v);
+  out.end_array();
+}
+
+/// Leaves `reader` in front of the container `bracket` opens; any other
+/// value is consumed and rejected like the DOM accessors reject it.
+void expect_container(JsonReader& reader, char bracket) {
+  if (reader.peek() == bracket) return;
+  (void)reader.value();
+  throw util::JsonError(bracket == '{' ? "not an object" : "not an array");
+}
+
+}  // namespace
+
+std::string instance_to_string(const ProblemInstance& instance, int indent) {
+  IDDE_OBS_SPAN("instance.write");
+  std::string text;
+  JsonWriter out(text, indent);
+  // Keys in sorted order, the layout of a JsonObject dump.
+  out.begin_object();
+  number_member(out, "cloud_speed_mbps", instance.latency().cloud_speed_mbps());
+
+  out.key("data");
+  out.begin_array();
   for (const DataItem& d : instance.data_items()) {
-    data.push_back(Json(JsonObject{{"size_mb", Json(d.size_mb)}}));
+    out.begin_object();
+    number_member(out, "size_mb", d.size_mb);
+    out.end_object();
   }
-
-  JsonArray requests;  // per user, the list of requested item ids
-  for (std::size_t j = 0; j < instance.user_count(); ++j) {
-    JsonArray items;
-    for (const std::size_t k : instance.requests().items_of(j)) {
-      items.emplace_back(k);
-    }
-    requests.push_back(Json(std::move(items)));
-  }
+  out.end_array();
 
   // Undirected edge list reconstructed from the adjacency (from < to keeps
   // each edge once; parallel edges are preserved pairwise).
-  JsonArray edges;
+  out.key("edges");
+  out.begin_array();
   for (std::size_t i = 0; i < instance.server_count(); ++i) {
     for (const net::Neighbor& nb : instance.graph().neighbors(i)) {
       if (i < nb.node) {
-        edges.push_back(Json(JsonObject{
-            {"from", Json(i)},
-            {"to", Json(nb.node)},
-            {"seconds_per_mb", Json(nb.weight)},
-        }));
+        out.begin_object();
+        number_member(out, "from", static_cast<double>(i));
+        number_member(out, "seconds_per_mb", nb.weight);
+        number_member(out, "to", static_cast<double>(nb.node));
+        out.end_object();
       }
     }
   }
+  out.end_array();
+
+  out.key("format");
+  out.string("idde-instance-v1");
 
   const auto& env = instance.radio_env();
-  JsonArray gains;  // row-major N x M
-  gains.reserve(env.gain.size());
-  for (const double g : env.gain) gains.emplace_back(g);
-  JsonArray bandwidth;
-  for (const double b : env.bandwidth) bandwidth.emplace_back(b);
+  out.key("radio");
+  out.begin_object();
+  numbers_member(out, "bandwidth_mbps", env.bandwidth);
+  number_member(out, "channels_per_server",
+                static_cast<double>(env.channels_per_server));
+  numbers_member(out, "gain", env.gain);  // row-major N x M
+  number_member(out, "noise_watts", env.noise_watts);
+  out.end_object();
 
-  return Json(JsonObject{
-      {"format", Json("idde-instance-v1")},
-      {"servers", Json(std::move(servers))},
-      {"users", Json(std::move(users))},
-      {"data", Json(std::move(data))},
-      {"requests", Json(std::move(requests))},
-      {"edges", Json(std::move(edges))},
-      {"cloud_speed_mbps", Json(instance.latency().cloud_speed_mbps())},
-      {"radio",
-       Json(JsonObject{
-           {"channels_per_server", Json(env.channels_per_server)},
-           {"noise_watts", Json(env.noise_watts)},
-           {"bandwidth_mbps", Json(std::move(bandwidth))},
-           {"gain", Json(std::move(gains))},
-       })},
-  });
+  out.key("requests");  // per user, the list of requested item ids
+  out.begin_array();
+  for (std::size_t j = 0; j < instance.user_count(); ++j) {
+    out.begin_array();
+    for (const std::size_t k : instance.requests().items_of(j)) {
+      out.number(static_cast<double>(k));
+    }
+    out.end_array();
+  }
+  out.end_array();
+
+  out.key("servers");
+  out.begin_array();
+  for (const EdgeServer& s : instance.servers()) {
+    out.begin_object();
+    number_member(out, "radius_m", s.coverage_radius_m);
+    number_member(out, "storage_mb", s.storage_mb);
+    number_member(out, "x", s.position.x);
+    number_member(out, "y", s.position.y);
+    out.end_object();
+  }
+  out.end_array();
+
+  out.key("users");
+  out.begin_array();
+  for (const User& u : instance.users()) {
+    out.begin_object();
+    number_member(out, "max_rate_mbps", u.max_rate_mbps);
+    number_member(out, "power_w", u.power_watts);
+    number_member(out, "x", u.position.x);
+    number_member(out, "y", u.position.y);
+    out.end_object();
+  }
+  out.end_array();
+  out.end_object();
+
+  IDDE_OBS_COUNT("instance.bytes_written_total", text.size());
+  return text;
 }
 
-ProblemInstance instance_from_json(const Json& json) {
+ProblemInstance instance_from_string(const std::string& text) {
+  IDDE_OBS_SPAN("instance.read");
+  IDDE_OBS_COUNT("instance.bytes_read_total", text.size());
+  // The walk streams radio.bandwidth_mbps and radio.gain into `env`,
+  // checking each entry as it is read. Every other member is small and is
+  // read as a DOM for the checks below.
+  JsonReader reader(text);
+  JsonObject members;        // the top level, radio aside
+  JsonObject radio_members;  // radio, the streamed arrays aside
+  radio::RadioEnvironment env;
+  bool has_radio = false;
+  bool has_bandwidth = false;
+  bool has_gain = false;
+  std::string key;
+  expect_container(reader, '{');
+  reader.begin_object();
+  while (reader.next_key(key)) {
+    if (key != "radio") {
+      members.emplace(std::move(key), reader.value());
+      continue;
+    }
+    has_radio = true;
+    expect_container(reader, '{');
+    reader.begin_object();
+    while (reader.next_key(key)) {
+      if (key == "bandwidth_mbps") {
+        has_bandwidth = true;
+        expect_container(reader, '[');
+        reader.begin_array();
+        while (reader.next_element()) {
+          env.bandwidth.push_back(
+              util::as_positive(reader.value(), "bandwidth_mbps entry"));
+        }
+      } else if (key == "gain") {
+        has_gain = true;
+        expect_container(reader, '[');
+        reader.begin_array();
+        while (reader.next_element()) {
+          env.gain.push_back(
+              util::as_finite(reader.value(), 0.0, "gain entry"));
+        }
+      } else {
+        radio_members.emplace(std::move(key), reader.value());
+      }
+    }
+  }
+  reader.finish();
+  const Json json(std::move(members));
+
   // Every shape and range constraint the downstream constructors assert
   // (RequestMatrix, net::Graph, ProblemInstance, the interference model)
   // is checked here first, so a hostile document fails with a JsonError
@@ -151,8 +240,8 @@ ProblemInstance instance_from_json(const Json& json) {
       net::CostMatrix(graph),
       util::as_positive(json.at("cloud_speed_mbps"), "cloud_speed_mbps"));
 
-  const Json& radio_json = json.at("radio");
-  radio::RadioEnvironment env;
+  if (!has_radio) throw util::JsonError("missing key 'radio'");
+  const Json radio_json(std::move(radio_members));
   env.server_count = servers.size();
   env.user_count = users.size();
   const std::int64_t channels = radio_json.at("channels_per_server").as_int();
@@ -164,17 +253,15 @@ ProblemInstance instance_from_json(const Json& json) {
   env.channels_per_server = static_cast<std::size_t>(channels);
   env.noise_watts =
       util::as_finite(radio_json.at("noise_watts"), 0.0, "noise_watts");
-  for (const Json& b : radio_json.at("bandwidth_mbps").as_array()) {
-    env.bandwidth.push_back(util::as_positive(b, "bandwidth_mbps entry"));
+  if (!has_bandwidth) {
+    throw util::JsonError("missing key 'bandwidth_mbps'");
   }
   if (env.bandwidth.size() != servers.size() * env.channels_per_server) {
     throw util::JsonError(util::format(
         "bandwidth_mbps has {} entries, want servers x channels = {}",
         env.bandwidth.size(), servers.size() * env.channels_per_server));
   }
-  for (const Json& g : radio_json.at("gain").as_array()) {
-    env.gain.push_back(util::as_finite(g, 0.0, "gain entry"));
-  }
+  if (!has_gain) throw util::JsonError("missing key 'gain'");
   if (env.gain.size() != servers.size() * users.size()) {
     throw util::JsonError(
         util::format("gain has {} entries, want servers x users = {}",
@@ -197,14 +284,6 @@ ProblemInstance instance_from_json(const Json& json) {
   return ProblemInstance(std::move(servers), std::move(users), std::move(data),
                          std::move(requests), std::move(graph),
                          std::move(latency), std::move(env));
-}
-
-std::string instance_to_string(const ProblemInstance& instance, int indent) {
-  return instance_to_json(instance).dump(indent);
-}
-
-ProblemInstance instance_from_string(const std::string& text) {
-  return instance_from_json(Json::parse(text));
 }
 
 }  // namespace idde::model

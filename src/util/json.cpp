@@ -2,7 +2,6 @@
 
 #include "util/format.hpp"
 
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -15,288 +14,357 @@ namespace {
   throw JsonError(util::format("JSON error at offset {}: {}", pos, what), pos);
 }
 
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
+[[noreturn]] void duplicate_key(std::string_view key, std::size_t key_pos) {
+  // Silently keeping either copy hides data from the producer.
+  fail(util::format("duplicate key '{}'", key), key_pos);
+}
 
-  Json parse_document() {
-    Json value = parse_value();
-    skip_whitespace();
-    if (pos_ != text_.size()) fail("trailing characters", pos_);
-    return value;
-  }
+}  // namespace
 
- private:
-  void skip_whitespace() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
+// --- JsonReader ------------------------------------------------------------
 
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end of input", pos_);
-    return text_[pos_];
-  }
-
-  char take() {
-    const char c = peek();
+void JsonReader::skip_whitespace() {
+  while (pos_ < text_.size() &&
+         (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
+          text_[pos_] == '\r')) {
     ++pos_;
-    return c;
   }
+}
 
-  void expect(char c) {
-    if (take() != c) fail(util::format("expected '{}'", c), pos_ - 1);
+char JsonReader::peek() {
+  skip_whitespace();
+  if (pos_ >= text_.size()) fail("unexpected end of input", pos_);
+  return text_[pos_];
+}
+
+char JsonReader::take() {
+  if (pos_ >= text_.size()) fail("unexpected end of input", pos_);
+  return text_[pos_++];
+}
+
+void JsonReader::expect(char c) {
+  if (take() != c) fail(util::format("expected '{}'", c), pos_ - 1);
+}
+
+bool JsonReader::consume_literal(std::string_view literal) {
+  if (text_.substr(pos_, literal.size()) != literal) return false;
+  pos_ += literal.size();
+  return true;
+}
+
+void JsonReader::finish() {
+  skip_whitespace();
+  if (pos_ != text_.size()) fail("trailing characters", pos_);
+}
+
+Json JsonReader::value() {
+  switch (peek()) {
+    case '{': return object_value();
+    case '[': return array_value();
+    case '"': return Json(string_value());
+    case 't':
+      if (!consume_literal("true")) fail("bad literal", pos_);
+      return Json(true);
+    case 'f':
+      if (!consume_literal("false")) fail("bad literal", pos_);
+      return Json(false);
+    case 'n':
+      if (!consume_literal("null")) fail("bad literal", pos_);
+      return Json(nullptr);
+    default: return Json(number_value());
   }
+}
 
-  bool consume_literal(std::string_view literal) {
-    if (text_.substr(pos_, literal.size()) != literal) return false;
-    pos_ += literal.size();
-    return true;
+// Bounds the nesting of containers, streamed or not: untrusted input like
+// "[[[[..." must fail with a JsonError, not exhaust the stack.
+void JsonReader::open(char bracket) {
+  skip_whitespace();
+  if (++depth_ > Json::kMaxParseDepth) fail("nesting too deep", pos_);
+  expect(bracket);
+}
+
+// Steps past one separator of an open container: true when an element or
+// member follows, false once `close` is consumed.
+bool JsonReader::more(bool& first, char close) {
+  skip_whitespace();
+  if (first) {
+    first = false;
+    if (peek() != close) return true;
+    ++pos_;
+  } else {
+    const char c = take();
+    if (c == ',') return true;
+    if (c != close) fail(util::format("expected ',' or '{}'", close), pos_ - 1);
   }
+  --depth_;
+  return false;
+}
 
-  Json parse_value() {
-    skip_whitespace();
-    switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
-      case '"': return Json(parse_string());
-      case 't':
-        if (!consume_literal("true")) fail("bad literal", pos_);
-        return Json(true);
-      case 'f':
-        if (!consume_literal("false")) fail("bad literal", pos_);
-        return Json(false);
-      case 'n':
-        if (!consume_literal("null")) fail("bad literal", pos_);
-        return Json(nullptr);
-      default: return parse_number();
+bool JsonReader::member(bool& first, std::string& key, std::size_t& key_pos) {
+  if (!more(first, '}')) return false;
+  skip_whitespace();
+  key_pos = pos_;
+  key = string_value();
+  skip_whitespace();
+  expect(':');
+  return true;
+}
+
+Json JsonReader::object_value() {
+  open('{');
+  JsonObject object;
+  bool first = true;
+  std::string key;
+  std::size_t key_pos = 0;
+  while (member(first, key, key_pos)) {
+    const auto hint = object.lower_bound(key);
+    if (hint != object.end() && hint->first == key) {
+      duplicate_key(key, key_pos);
     }
+    object.emplace_hint(hint, std::move(key), value());
   }
+  return Json(std::move(object));
+}
 
-  // Bounds recursion in parse_object/parse_array: untrusted input like
-  // "[[[[..." must fail with a JsonError, not exhaust the stack.
-  struct DepthGuard {
-    explicit DepthGuard(Parser& parser) : parser_(parser) {
-      if (++parser_.depth_ > Json::kMaxParseDepth) {
-        fail("nesting too deep", parser_.pos_);
-      }
-    }
-    ~DepthGuard() { --parser_.depth_; }
-    DepthGuard(const DepthGuard&) = delete;
-    DepthGuard& operator=(const DepthGuard&) = delete;
-    Parser& parser_;
-  };
+Json JsonReader::array_value() {
+  open('[');
+  JsonArray array;
+  bool first = true;
+  while (more(first, ']')) array.push_back(value());
+  return Json(std::move(array));
+}
 
-  Json parse_object() {
-    const DepthGuard guard(*this);
-    expect('{');
-    JsonObject object;
-    skip_whitespace();
-    if (peek() == '}') {
-      ++pos_;
-      return Json(std::move(object));
-    }
-    for (;;) {
-      skip_whitespace();
-      const std::size_t key_pos = pos_;
-      std::string key = parse_string();
-      skip_whitespace();
-      expect(':');
-      const auto [it, inserted] = object.emplace(std::move(key), parse_value());
-      if (!inserted) {
-        // Silently keeping either copy hides data from the producer.
-        fail(util::format("duplicate key '{}'", it->first), key_pos);
-      }
-      skip_whitespace();
-      const char c = take();
-      if (c == '}') return Json(std::move(object));
-      if (c != ',') fail("expected ',' or '}'", pos_ - 1);
-    }
+void JsonReader::begin_object() {
+  open('{');
+  frames_.emplace_back();
+}
+
+bool JsonReader::next_key(std::string& key) {
+  Frame& frame = frames_.back();
+  std::size_t key_pos = 0;
+  if (!member(frame.first, key, key_pos)) {
+    frames_.pop_back();
+    return false;
   }
+  if (!frame.keys.insert(key).second) duplicate_key(key, key_pos);
+  return true;
+}
 
-  Json parse_array() {
-    const DepthGuard guard(*this);
-    expect('[');
-    JsonArray array;
-    skip_whitespace();
-    if (peek() == ']') {
-      ++pos_;
-      return Json(std::move(array));
-    }
-    for (;;) {
-      array.push_back(parse_value());
-      skip_whitespace();
-      const char c = take();
-      if (c == ']') return Json(std::move(array));
-      if (c != ',') fail("expected ',' or ']'", pos_ - 1);
-    }
-  }
+void JsonReader::begin_array() {
+  open('[');
+  frames_.emplace_back();
+}
 
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    for (;;) {
-      const char c = take();
-      if (c == '"') return out;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      const char esc = take();
-      switch (esc) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'u': {
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = take();
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else fail("bad \\u escape", pos_ - 1);
-          }
-          // UTF-8 encode (BMP only; surrogate pairs rejected).
-          if (code >= 0xD800 && code <= 0xDFFF) fail("surrogates unsupported", pos_);
-          if (code < 0x80) {
-            out.push_back(static_cast<char>(code));
-          } else if (code < 0x800) {
-            out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+bool JsonReader::next_element() {
+  if (more(frames_.back().first, ']')) return true;
+  frames_.pop_back();
+  return false;
+}
+
+std::string JsonReader::string_value() {
+  expect('"');
+  std::string out;
+  for (;;) {
+    const char c = take();
+    if (c == '"') return out;
+    if (c != '\\') {
+      out.push_back(c);
+      continue;
+    }
+    const char esc = take();
+    switch (esc) {
+      case '"': out.push_back('"'); break;
+      case '\\': out.push_back('\\'); break;
+      case '/': out.push_back('/'); break;
+      case 'b': out.push_back('\b'); break;
+      case 'f': out.push_back('\f'); break;
+      case 'n': out.push_back('\n'); break;
+      case 'r': out.push_back('\r'); break;
+      case 't': out.push_back('\t'); break;
+      case 'u': {
+        unsigned code = 0;
+        for (int i = 0; i < 4; ++i) {
+          const char h = take();
+          code <<= 4;
+          if (h >= '0' && h <= '9') {
+            code |= static_cast<unsigned>(h - '0');
+          } else if (h >= 'a' && h <= 'f') {
+            code |= static_cast<unsigned>(h - 'a' + 10);
+          } else if (h >= 'A' && h <= 'F') {
+            code |= static_cast<unsigned>(h - 'A' + 10);
           } else {
-            out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-            out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+            fail("bad \\u escape", pos_ - 1);
           }
-          break;
         }
-        default: fail("bad escape", pos_ - 1);
+        // UTF-8 encode (BMP only; surrogate pairs rejected).
+        if (code >= 0xD800 && code <= 0xDFFF) {
+          fail("surrogates unsupported", pos_);
+        }
+        if (code < 0x80) {
+          out.push_back(static_cast<char>(code));
+        } else if (code < 0x800) {
+          out.push_back(static_cast<char>(0xC0 | (code >> 6)));
+          out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+        } else {
+          out.push_back(static_cast<char>(0xE0 | (code >> 12)));
+          out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+          out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+        }
+        break;
       }
+      default: fail("bad escape", pos_ - 1);
     }
   }
+}
 
-  Json parse_number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    double value = 0.0;
-    const auto result =
-        std::from_chars(text_.data() + start, text_.data() + pos_, value);
-    if (result.ec != std::errc{} || result.ptr != text_.data() + pos_) {
-      fail("bad number", start);
-    }
-    return Json(value);
+double JsonReader::number_value() {
+  const std::size_t start = pos_;
+  if (peek() == '-') ++pos_;
+  while (pos_ < text_.size() &&
+         ((text_[pos_] >= '0' && text_[pos_] <= '9') || text_[pos_] == '.' ||
+          text_[pos_] == 'e' || text_[pos_] == 'E' || text_[pos_] == '+' ||
+          text_[pos_] == '-')) {
+    ++pos_;
   }
+  double value = 0.0;
+  const auto result =
+      std::from_chars(text_.data() + start, text_.data() + pos_, value);
+  if (result.ec != std::errc{} || result.ptr != text_.data() + pos_) {
+    fail("bad number", start);
+  }
+  return value;
+}
 
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  std::size_t depth_ = 0;
-};
+// --- JsonWriter ------------------------------------------------------------
 
-void dump_string(const std::string& s, std::string& out) {
-  out.push_back('"');
+void JsonWriter::newline_indent(std::size_t depth) {
+  if (indent_ < 0) return;
+  out_.push_back('\n');
+  out_.append(static_cast<std::size_t>(indent_) * depth, ' ');
+}
+
+// The separator in front of an array element or an object member.
+void JsonWriter::separate() {
+  if (!first_.back()) out_.push_back(',');
+  first_.back() = false;
+  newline_indent(first_.size());
+}
+
+void JsonWriter::before_value() {
+  if (after_key_) {
+    after_key_ = false;
+  } else if (!first_.empty()) {
+    separate();
+  }
+}
+
+void JsonWriter::close(char bracket) {
+  const bool empty = first_.back();
+  first_.pop_back();
+  if (!empty) newline_indent(first_.size());
+  out_.push_back(bracket);
+}
+
+void JsonWriter::begin_object() {
+  before_value();
+  out_.push_back('{');
+  first_.push_back(true);
+}
+
+void JsonWriter::key(std::string_view key) {
+  separate();
+  write_string(key);
+  out_.push_back(':');
+  if (indent_ >= 0) out_.push_back(' ');
+  after_key_ = true;
+}
+
+void JsonWriter::end_object() { close('}'); }
+
+void JsonWriter::begin_array() {
+  before_value();
+  out_.push_back('[');
+  first_.push_back(true);
+}
+
+void JsonWriter::end_array() { close(']'); }
+
+void JsonWriter::null() {
+  before_value();
+  out_ += "null";
+}
+
+void JsonWriter::boolean(bool b) {
+  before_value();
+  out_ += b ? "true" : "false";
+}
+
+void JsonWriter::number(double d) {
+  before_value();
+  // 17 significant digits round-trip every double; to_chars with an
+  // explicit precision prints the same bytes as "%.17g".
+  char buf[32];
+  const std::to_chars_result result =
+      std::isfinite(d) && d == std::floor(d) && std::abs(d) < 1e15
+          ? std::to_chars(buf, buf + sizeof buf, static_cast<long long>(d))
+          : std::to_chars(buf, buf + sizeof buf, d,
+                          std::chars_format::general, 17);
+  out_.append(buf, result.ptr);
+}
+
+void JsonWriter::string(std::string_view s) {
+  before_value();
+  write_string(s);
+}
+
+void JsonWriter::write_string(std::string_view s) {
+  out_.push_back('"');
   for (const char c : s) {
     switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
+      case '"': out_ += "\\\""; break;
+      case '\\': out_ += "\\\\"; break;
+      case '\b': out_ += "\\b"; break;
+      case '\f': out_ += "\\f"; break;
+      case '\n': out_ += "\\n"; break;
+      case '\r': out_ += "\\r"; break;
+      case '\t': out_ += "\\t"; break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
           char buf[8];
           std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
+          out_ += buf;
         } else {
-          out.push_back(c);
+          out_.push_back(c);
         }
     }
   }
-  out.push_back('"');
+  out_.push_back('"');
 }
 
-void dump_number(double d, std::string& out) {
-  if (std::isfinite(d) && d == std::floor(d) && std::abs(d) < 1e15) {
-    out += std::to_string(static_cast<long long>(d));
-    return;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", d);
-  out += buf;
-}
-
-void dump_value(const Json& value, std::string& out, int indent, int depth);
-
-void newline_indent(std::string& out, int indent, int depth) {
-  if (indent < 0) return;
-  out.push_back('\n');
-  out.append(static_cast<std::size_t>(indent) * static_cast<std::size_t>(depth),
-             ' ');
-}
-
-void dump_value(const Json& value, std::string& out, int indent, int depth) {
-  if (value.is_null()) {
-    out += "null";
-  } else if (value.is_bool()) {
-    out += value.as_bool() ? "true" : "false";
-  } else if (value.is_number()) {
-    dump_number(value.as_number(), out);
-  } else if (value.is_string()) {
-    dump_string(value.as_string(), out);
-  } else if (value.is_array()) {
-    const auto& array = value.as_array();
-    if (array.empty()) {
-      out += "[]";
-      return;
-    }
-    out.push_back('[');
-    bool first = true;
-    for (const auto& element : array) {
-      if (!first) out.push_back(',');
-      first = false;
-      newline_indent(out, indent, depth + 1);
-      dump_value(element, out, indent, depth + 1);
-    }
-    newline_indent(out, indent, depth);
-    out.push_back(']');
+void JsonWriter::value(const Json& json) {
+  if (json.is_null()) {
+    null();
+  } else if (json.is_bool()) {
+    boolean(json.as_bool());
+  } else if (json.is_number()) {
+    number(json.as_number());
+  } else if (json.is_string()) {
+    string(json.as_string());
+  } else if (json.is_array()) {
+    begin_array();
+    for (const Json& element : json.as_array()) value(element);
+    end_array();
   } else {
-    const auto& object = value.as_object();
-    if (object.empty()) {
-      out += "{}";
-      return;
+    begin_object();
+    for (const auto& [name, member] : json.as_object()) {
+      key(name);
+      value(member);
     }
-    out.push_back('{');
-    bool first = true;
-    for (const auto& [key, element] : object) {
-      if (!first) out.push_back(',');
-      first = false;
-      newline_indent(out, indent, depth + 1);
-      dump_string(key, out);
-      out.push_back(':');
-      if (indent >= 0) out.push_back(' ');
-      dump_value(element, out, indent, depth + 1);
-    }
-    newline_indent(out, indent, depth);
-    out.push_back('}');
+    end_object();
   }
 }
 
-}  // namespace
+// --- Json --------------------------------------------------------------------
 
 bool Json::as_bool() const {
   if (!is_bool()) throw JsonError("not a bool");
@@ -381,13 +449,15 @@ std::string Json::string_or(std::string_view key, std::string fallback) const {
 
 std::string Json::dump(int indent) const {
   std::string out;
-  dump_value(*this, out, indent, 0);
+  JsonWriter(out, indent).value(*this);
   return out;
 }
 
 Json Json::parse(std::string_view text) {
-  Parser parser(text);
-  return parser.parse_document();
+  JsonReader reader(text);
+  Json value = reader.value();
+  reader.finish();
+  return value;
 }
 
 std::size_t as_index(const Json& value, std::size_t bound,

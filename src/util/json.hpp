@@ -1,6 +1,12 @@
 // Minimal JSON value, parser and writer, used for scenario configuration and
 // result files. Supports the full JSON grammar except for \u escapes beyond
 // the BMP surrogate handling (inputs here are machine-generated ASCII).
+//
+// One grammar and one formatter, each in two forms: JsonReader is a pull
+// reader and JsonWriter a streaming writer, so a document too large for a
+// DOM (the instance file's N x M gain matrix) can be read and written
+// element by element; Json::parse and Json::dump are the DOM forms built
+// on the same two classes.
 #pragma once
 
 #include <cstddef>
@@ -8,6 +14,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -86,17 +93,19 @@ class Json {
   [[nodiscard]] std::string string_or(std::string_view key,
                                       std::string fallback) const;
 
-  /// Serialises; indent < 0 emits compact one-line JSON.
+  /// Serialises; indent < 0 emits compact one-line JSON. A walk over
+  /// JsonWriter, so object keys come out in sorted order.
   [[nodiscard]] std::string dump(int indent = -1) const;
 
   /// Parses a complete JSON document. Throws JsonError carrying the byte
   /// offset of the first error (JsonError::offset()). Rejects duplicate
   /// object keys and nesting deeper than kMaxParseDepth — hostile inputs
   /// fail with a structured error instead of silently dropping data or
-  /// exhausting the stack.
+  /// exhausting the stack. JsonReader::value() plus the trailing-
+  /// characters check.
   static Json parse(std::string_view text);
 
-  /// Maximum container nesting accepted by parse().
+  /// Maximum container nesting accepted by parse() and JsonReader.
   static constexpr std::size_t kMaxParseDepth = 96;
 
   friend bool operator==(const Json&, const Json&) = default;
@@ -108,6 +117,109 @@ class Json {
   }
 
   Value value_;
+};
+
+/// Pull reader over one JSON document, with Json::parse's grammar, depth
+/// cap, duplicate-key rejection and byte-offset errors. A loader walks the
+/// containers it wants to stream and reads everything else with value():
+///
+///   reader.begin_object();
+///   while (reader.next_key(key)) { /* consume the member's value */ }
+///   reader.begin_array();
+///   while (reader.next_element()) { /* consume one element */ }
+///   reader.finish();
+///
+/// Each next_key() or next_element() that returns true leaves the reader
+/// in front of a value, which the caller consumes (value() or a nested
+/// walk) before the next call. A duplicate key throws as soon as it is
+/// read, before its value.
+class JsonReader {
+ public:
+  explicit JsonReader(std::string_view text) : text_(text) {}
+
+  /// Reads the next complete value into a DOM.
+  [[nodiscard]] Json value();
+
+  /// Consumes '{' and opens an object walk.
+  void begin_object();
+  /// Reads the next member's key and its ':'. Returns false, closing the
+  /// walk, once the object's '}' is consumed.
+  [[nodiscard]] bool next_key(std::string& key);
+
+  /// Consumes '[' and opens an array walk.
+  void begin_array();
+  /// Returns true when another element follows; false, closing the walk,
+  /// once the array's ']' is consumed.
+  [[nodiscard]] bool next_element();
+
+  /// The next non-whitespace character, not consumed. Throws at the end
+  /// of the input.
+  [[nodiscard]] char peek();
+
+  /// Throws unless only whitespace remains.
+  void finish();
+
+ private:
+  // One open container of the streaming walk.
+  struct Frame {
+    bool first = true;
+    std::set<std::string, std::less<>> keys;  // objects only
+  };
+
+  void skip_whitespace();
+  char take();
+  void expect(char c);
+  bool consume_literal(std::string_view literal);
+  void open(char bracket);
+  bool more(bool& first, char close);
+  bool member(bool& first, std::string& key, std::size_t& key_pos);
+  Json object_value();
+  Json array_value();
+  std::string string_value();
+  double number_value();
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
+  std::vector<Frame> frames_;
+};
+
+/// Streaming writer with Json::dump's layout: compact when indent < 0,
+/// else one member or element per line, indented `indent` spaces per
+/// level, with "key": value separated by one space. Empty containers are
+/// written "[]" and "{}". Keys come out in the order the caller writes
+/// them. Numbers that are integral with magnitude below 1e15 print as
+/// integers, all others with 17 significant digits (the bytes of
+/// printf("%.17g")).
+class JsonWriter {
+ public:
+  JsonWriter(std::string& out, int indent) : out_(out), indent_(indent) {}
+
+  void begin_object();
+  /// Writes a member key; the next value written is its value.
+  void key(std::string_view key);
+  void end_object();
+  void begin_array();
+  void end_array();
+
+  void null();
+  void boolean(bool b);
+  void number(double d);
+  void string(std::string_view s);
+  /// Writes a DOM value.
+  void value(const Json& json);
+
+ private:
+  void before_value();
+  void separate();
+  void newline_indent(std::size_t depth);
+  void close(char bracket);
+  void write_string(std::string_view s);
+
+  std::string& out_;
+  int indent_;
+  std::vector<bool> first_;  // per open container: nothing written yet
+  bool after_key_ = false;
 };
 
 /// Validated accessors for untrusted documents. Unlike raw as_int() +

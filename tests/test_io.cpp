@@ -2,6 +2,10 @@
 // (metrics identical), malformed input is rejected.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/idde_g.hpp"
 #include "core/metrics.hpp"
 #include "core/strategy_io.hpp"
@@ -10,6 +14,7 @@
 #include "model/instance_io.hpp"
 #include "model/validation.hpp"
 #include "sim/paper.hpp"
+#include "util/json.hpp"
 
 namespace {
 
@@ -88,6 +93,111 @@ TEST(InstanceIo, RejectsWrongFormatTag) {
 TEST(InstanceIo, MalformedJsonThrows) {
   EXPECT_THROW((void)model::instance_from_string("{not json"),
                util::JsonError);
+}
+
+/// The same document with its members in another order: radio first with
+/// its own members reversed, the rest reversed, format last.
+std::string reordered(const std::string& text) {
+  const util::Json doc = util::Json::parse(text);
+  std::string out;
+  util::JsonWriter writer(out, 2);
+  writer.begin_object();
+  writer.key("radio");
+  writer.begin_object();
+  const util::JsonObject& radio = doc.at("radio").as_object();
+  for (auto it = radio.rbegin(); it != radio.rend(); ++it) {
+    writer.key(it->first);
+    writer.value(it->second);
+  }
+  writer.end_object();
+  const util::JsonObject& top = doc.as_object();
+  for (auto it = top.rbegin(); it != top.rend(); ++it) {
+    if (it->first == "radio" || it->first == "format") continue;
+    writer.key(it->first);
+    writer.value(it->second);
+  }
+  writer.key("format");
+  writer.value(doc.at("format"));
+  writer.end_object();
+  return out;
+}
+
+TEST(InstanceIo, KeyOrderDoesNotMatter) {
+  const auto original = model::make_instance(small_params(), 10);
+  const std::string canonical = model::instance_to_string(original);
+  const std::string shuffled = reordered(canonical);
+  ASSERT_LT(shuffled.find("\"radio\""), shuffled.find("\"cloud_speed_mbps\""));
+  ASSERT_GT(shuffled.find("\"format\""), shuffled.find("\"users\""));
+  const auto copy = model::instance_from_string(shuffled);
+  EXPECT_EQ(model::instance_to_string(copy), canonical);
+  EXPECT_EQ(copy.radio_env().gain, original.radio_env().gain);
+}
+
+TEST(InstanceIo, DuplicateKeysThrow) {
+  const std::string text =
+      model::instance_to_string(model::make_instance(small_params(), 11));
+  const auto expect_duplicate = [](const std::string& doc,
+                                   const std::string& key) {
+    try {
+      (void)model::instance_from_string(doc);
+      ADD_FAILURE() << "duplicate '" << key << "' loaded";
+    } catch (const util::JsonError& error) {
+      EXPECT_NE(std::string(error.what()).find("duplicate key '" + key + "'"),
+                std::string::npos)
+          << error.what();
+    }
+  };
+  std::string gain = text;
+  gain.insert(gain.find("\"gain\":["), "\"gain\":[],");
+  expect_duplicate(gain, "gain");
+  std::string top = text;
+  top.insert(1, "\"users\":[],");
+  expect_duplicate(top, "users");
+  std::string radio = text;
+  radio.insert(1, "\"radio\":{},");
+  expect_duplicate(radio, "radio");
+}
+
+TEST(InstanceIo, TrailingCharactersThrow) {
+  const std::string text =
+      model::instance_to_string(model::make_instance(small_params(), 13));
+  EXPECT_NO_THROW((void)model::instance_from_string(text + " \n"));
+  EXPECT_THROW((void)model::instance_from_string(text + " x"),
+               util::JsonError);
+  EXPECT_THROW((void)model::instance_from_string(text + "{}"),
+               util::JsonError);
+}
+
+// A grammar error inside the streamed gain array is reported at the byte
+// Json::parse reports, so a user can find it in the file.
+TEST(InstanceIo, BadTokenInGainArrayReportsParseOffset) {
+  const std::string text =
+      model::instance_to_string(model::make_instance(small_params(), 12), 1);
+  const std::size_t open = text.find("\"gain\": [");
+  const std::size_t close = text.find(']', open);
+  ASSERT_NE(open, std::string::npos);
+  const std::size_t first = text.find_first_of("0123456789", open + 9);
+  const std::size_t comma = text.find(',', open + (close - open) / 2);
+  const std::vector<std::pair<std::size_t, char>> damage = {
+      {first + 2, 'x'}, {comma, ';'}, {close, '}'}, {first, '@'}};
+  for (const auto& [pos, byte] : damage) {
+    std::string corrupt = text;
+    corrupt[pos] = byte;
+    std::size_t parse_offset = util::JsonError::npos;
+    std::size_t load_offset = util::JsonError::npos;
+    try {
+      (void)util::Json::parse(corrupt);
+    } catch (const util::JsonError& error) {
+      parse_offset = error.offset();
+    }
+    try {
+      (void)model::instance_from_string(corrupt);
+    } catch (const util::JsonError& error) {
+      load_offset = error.offset();
+    }
+    EXPECT_EQ(parse_offset, pos) << "byte '" << byte << "'";
+    EXPECT_EQ(load_offset, parse_offset) << "byte '" << byte << "'";
+  }
 }
 
 TEST(StrategyIo, RoundTripPreservesEverything) {

@@ -107,9 +107,20 @@ TEST(IoFuzz, MutatedInstanceNeverCrashes) {
   const std::string text = model::instance_to_string(instance, -1);
   util::Rng rng(0xf022ULL);
   for (int i = 0; i < 3000; ++i) {
-    expect_structured(mutate(text, rng), [](const std::string& s) {
+    const std::string mutant = mutate(text, rng);
+    bool parses = true;
+    try {
+      (void)util::Json::parse(mutant);
+    } catch (const util::JsonError&) {
+      parses = false;
+    }
+    bool loaded = false;
+    expect_structured(mutant, [&loaded](const std::string& s) {
       (void)model::instance_from_string(s);
+      loaded = true;
     });
+    // The streaming loader enforces the grammar Json::parse does.
+    EXPECT_FALSE(loaded && !parses) << "mutant " << i;
   }
 }
 

@@ -16,6 +16,7 @@
 #include "des/flow_sim.hpp"
 #include "fault/fault_plan.hpp"
 #include "model/instance_builder.hpp"
+#include "model/instance_io.hpp"
 #include "obs/obs.hpp"
 #include "qos/config.hpp"
 #include "sim/overload.hpp"
@@ -305,6 +306,35 @@ TEST_F(ObsTest, GameResultsBitIdenticalWithTelemetryOn) {
   EXPECT_EQ(on.rounds, off.rounds);
   EXPECT_EQ(on.benefit_evaluations, off.benefit_evaluations);
   EXPECT_TRUE(on.allocation == off.allocation);
+}
+
+// Instance IO is observed by one span per direction and a byte counter
+// each; the written bytes and the loaded instance do not depend on it.
+TEST_F(ObsTest, InstanceIoSpansAndByteCountersLeaveBytesAlone) {
+  const model::ProblemInstance instance =
+      model::make_instance(small_params(), 21);
+  const std::string off = model::instance_to_string(instance, 1);
+  const std::string off_back =
+      model::instance_to_string(model::instance_from_string(off), 1);
+
+  obs::set_trace_enabled(true);
+  const std::string on = model::instance_to_string(instance, 1);
+  const std::string on_back =
+      model::instance_to_string(model::instance_from_string(on), 1);
+  EXPECT_EQ(on, off);
+  EXPECT_EQ(on_back, off_back);
+  EXPECT_EQ(on_back, on);
+#if IDDE_OBS
+  const util::Json counters = obs::MetricsRegistry::global().scrape().at(
+      "counters");
+  EXPECT_EQ(counters.at("instance.bytes_written_total").as_int(),
+            static_cast<std::int64_t>(2 * on.size()));
+  EXPECT_EQ(counters.at("instance.bytes_read_total").as_int(),
+            static_cast<std::int64_t>(on.size()));
+  const util::Json rollup = obs::Tracer::global().rollup_json();
+  EXPECT_EQ(rollup.at("instance.write").at("count").as_int(), 2);
+  EXPECT_EQ(rollup.at("instance.read").at("count").as_int(), 1);
+#endif
 }
 
 // End to end: a sweep cell and a DES replay under full telemetry produce a

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "util/json.hpp"
 
@@ -11,6 +13,8 @@ using idde::util::Json;
 using idde::util::JsonArray;
 using idde::util::JsonError;
 using idde::util::JsonObject;
+using idde::util::JsonReader;
+using idde::util::JsonWriter;
 
 TEST(JsonParse, Scalars) {
   EXPECT_TRUE(Json::parse("null").is_null());
@@ -189,6 +193,104 @@ TEST(JsonHardening, ValidatedAccessors) {
       JsonError);
   EXPECT_DOUBLE_EQ(as_positive(Json(2.5), "v"), 2.5);
   EXPECT_THROW((void)as_positive(Json(0.0), "v"), JsonError);
+}
+
+// --- the streaming forms: JsonReader and JsonWriter ---
+
+TEST(JsonReader, WalksObjectsAndArraysInDocumentOrder) {
+  JsonReader reader(R"( {"b": [1, 2.5, -3e2], "a": {"x": null}, "c": []} )");
+  std::vector<std::string> keys;
+  std::vector<double> numbers;
+  std::string key;
+  reader.begin_object();
+  while (reader.next_key(key)) {
+    keys.push_back(key);
+    if (key == "b") {
+      reader.begin_array();
+      while (reader.next_element()) {
+        numbers.push_back(reader.value().as_number());
+      }
+    } else {
+      (void)reader.value();
+    }
+  }
+  reader.finish();
+  EXPECT_EQ(keys, (std::vector<std::string>{"b", "a", "c"}));
+  EXPECT_EQ(numbers, (std::vector<double>{1.0, 2.5, -300.0}));
+}
+
+TEST(JsonReader, DuplicateKeyThrowsAtTheKey) {
+  const std::string text = R"({"a": 1, "a": [)";
+  JsonReader reader(text);
+  std::string key;
+  reader.begin_object();
+  ASSERT_TRUE(reader.next_key(key));
+  (void)reader.value();
+  try {
+    (void)reader.next_key(key);
+    FAIL() << "expected JsonError";
+  } catch (const JsonError& e) {
+    EXPECT_EQ(e.offset(), text.rfind("\"a\""));
+  }
+  // Json::parse reports the same byte, before reading the value.
+  try {
+    (void)Json::parse(text);
+    FAIL() << "expected JsonError";
+  } catch (const JsonError& e) {
+    EXPECT_EQ(e.offset(), text.rfind("\"a\""));
+  }
+}
+
+TEST(JsonReader, StreamedContainersCountTowardsTheDepthCap) {
+  const std::string deep(Json::kMaxParseDepth, '[');
+  JsonReader reader(deep);
+  reader.begin_array();
+  EXPECT_THROW((void)reader.value(), JsonError);
+}
+
+TEST(JsonReader, FinishRejectsTrailingCharacters) {
+  JsonReader reader("[1] 2");
+  (void)reader.value();
+  EXPECT_THROW(reader.finish(), JsonError);
+}
+
+TEST(JsonWriter, MatchesDumpLayout) {
+  const Json doc = Json::parse(
+      R"({"z": [1, [], {}], "a": {"k": "v\n", "n": null}, "t": true})");
+  for (const int indent : {-1, 0, 1, 3}) {
+    std::string out;
+    JsonWriter writer(out, indent);
+    writer.begin_object();
+    writer.key("a");
+    writer.begin_object();
+    writer.key("k");
+    writer.string("v\n");
+    writer.key("n");
+    writer.null();
+    writer.end_object();
+    writer.key("t");
+    writer.boolean(true);
+    writer.key("z");
+    writer.begin_array();
+    writer.number(1.0);
+    writer.begin_array();
+    writer.end_array();
+    writer.begin_object();
+    writer.end_object();
+    writer.end_array();
+    writer.end_object();
+    EXPECT_EQ(out, doc.dump(indent)) << "indent " << indent;
+  }
+}
+
+TEST(JsonWriter, NumbersPrintLikePrintf17g) {
+  const auto dumped = [](double d) { return Json(d).dump(); };
+  EXPECT_EQ(dumped(-0.0), "0");
+  EXPECT_EQ(dumped(999999999999999.0), "999999999999999");
+  EXPECT_EQ(dumped(1e15), "1000000000000000");
+  EXPECT_EQ(dumped(0.1), "0.10000000000000001");
+  EXPECT_EQ(dumped(1e-7), "9.9999999999999995e-08");
+  EXPECT_EQ(dumped(1e300), "1.0000000000000001e+300");
 }
 
 }  // namespace

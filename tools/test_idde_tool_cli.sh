@@ -68,6 +68,30 @@ run 1 replay --instance "$WORK/garbage.json" && expect_error_line
 
 cd "$WORK" || exit 1
 run 0 gen --out "$WORK/instance.json" --seed 3 || true
+
+# gen is deterministic: the same seed writes the same bytes.
+run 0 gen --out "$WORK/instance-again.json" --seed 3 || true
+cmp -s "$WORK/instance.json" "$WORK/instance-again.json" || {
+  echo "FAIL: two gen runs with seed 3 wrote different files" >&2
+  FAILURES=$((FAILURES + 1))
+}
+
+# One bad byte inside the streamed gain array is reported at that byte:
+# two bytes into the first gain value is a mantissa digit.
+gain_key=$(grep -b -o '"gain": \[' "$WORK/instance.json" | head -n 1 |
+  cut -d: -f1)
+first_digit=$(tail -c +"$((gain_key + 1))" "$WORK/instance.json" |
+  head -c 64 | grep -b -o '[0-9]' | head -n 1 | cut -d: -f1)
+bad_byte=$((gain_key + first_digit + 2))
+cp "$WORK/instance.json" "$WORK/bad-gain.json"
+printf 'x' | dd of="$WORK/bad-gain.json" bs=1 seek="$bad_byte" conv=notrunc \
+  status=none
+run 1 eval --instance "$WORK/bad-gain.json" && expect_error_line
+grep -q "invalid JSON at byte $bad_byte:" "$WORK/stderr" || {
+  echo "FAIL: a bad byte at $bad_byte in the gain array was reported as:" >&2
+  cat "$WORK/stderr" >&2
+  FAILURES=$((FAILURES + 1))
+}
 # solve writes the strategy whose metrics it printed: eval of the written
 # file reports the same L_avg. IDDE-IP's budget is wall-clock, so a tight
 # one makes a second solve likely to differ.
