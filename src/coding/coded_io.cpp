@@ -29,17 +29,17 @@ Json coded_strategy_to_json(const CodedStrategy& strategy) {
       }));
     }
   }
-  return Json(JsonObject{
-      {"format", Json("idde-coded-strategy-v1")},
-      {"approach", Json(strategy.approach_name)},
-      {"collaborative_delivery", Json(strategy.collaborative_delivery)},
-      {"coding", Json(JsonObject{
-                     {"n", Json(strategy.delivery.config().n)},
-                     {"k", Json(strategy.delivery.config().k)},
-                 })},
-      {"allocation", Json(std::move(allocation))},
-      {"placements", Json(std::move(placements))},
-  });
+  JsonObject document;
+  document.emplace("format", "idde-coded-strategy-v1");
+  document.emplace("approach", strategy.approach_name);
+  document.emplace("collaborative_delivery", strategy.collaborative_delivery);
+  document.emplace("coding", JsonObject{
+                                 {"n", Json(strategy.delivery.config().n)},
+                                 {"k", Json(strategy.delivery.config().k)},
+                             });
+  document.emplace("allocation", std::move(allocation));
+  document.emplace("placements", std::move(placements));
+  return Json(std::move(document));
 }
 
 CodedStrategy coded_strategy_from_json(const model::ProblemInstance& instance,

@@ -29,13 +29,13 @@ Json strategy_to_json(const Strategy& strategy) {
       }));
     }
   }
-  return Json(JsonObject{
-      {"format", Json("idde-strategy-v1")},
-      {"approach", Json(strategy.approach_name)},
-      {"collaborative_delivery", Json(strategy.collaborative_delivery)},
-      {"allocation", Json(std::move(allocation))},
-      {"placements", Json(std::move(placements))},
-  });
+  JsonObject document;
+  document.emplace("format", "idde-strategy-v1");
+  document.emplace("approach", strategy.approach_name);
+  document.emplace("collaborative_delivery", strategy.collaborative_delivery);
+  document.emplace("allocation", std::move(allocation));
+  document.emplace("placements", std::move(placements));
+  return Json(std::move(document));
 }
 
 Strategy strategy_from_json(const model::ProblemInstance& instance,

@@ -68,12 +68,12 @@ Json qos_to_json(const QosConfig& config) {
   breaker["half_open_probes"] = config.breaker.half_open_probes;
   breaker["slow_ratio"] = config.breaker.slow_ratio;
 
-  return Json(JsonObject{
-      {"arrivals", Json(std::move(arrivals))},
-      {"admission", Json(std::move(admission))},
-      {"retry_budget", Json(std::move(retry))},
-      {"breaker", Json(std::move(breaker))},
-  });
+  JsonObject document;
+  document.emplace("arrivals", std::move(arrivals));
+  document.emplace("admission", std::move(admission));
+  document.emplace("retry_budget", std::move(retry));
+  document.emplace("breaker", std::move(breaker));
+  return Json(std::move(document));
 }
 
 namespace {

@@ -19,7 +19,7 @@ Json params_to_json(const model::InstanceParams& p) {
   };
   JsonArray sizes;
   for (const double s : p.data_size_choices_mb) sizes.emplace_back(s);
-  return Json(JsonObject{
+  JsonObject document{
       {"server_count", Json(p.server_count)},
       {"user_count", Json(p.user_count)},
       {"data_count", Json(p.data_count)},
@@ -34,7 +34,6 @@ Json params_to_json(const model::InstanceParams& p) {
       {"shadowing_stddev_db", Json(p.shadowing_stddev_db)},
       {"min_max_rate_mbps", Json(p.min_max_rate_mbps)},
       {"max_max_rate_mbps", Json(p.max_max_rate_mbps)},
-      {"data_size_choices_mb", Json(std::move(sizes))},
       {"min_storage_mb", Json(p.min_storage_mb)},
       {"max_storage_mb", Json(p.max_storage_mb)},
       {"min_link_speed_mbps", Json(p.min_link_speed_mbps)},
@@ -43,8 +42,10 @@ Json params_to_json(const model::InstanceParams& p) {
       {"zipf_exponent", Json(p.zipf_exponent)},
       {"extra_request_prob", Json(p.extra_request_prob)},
       {"max_requests_per_user", Json(p.max_requests_per_user)},
-      {"eua", Json(std::move(eua))},
-  });
+  };
+  document.emplace("data_size_choices_mb", std::move(sizes));
+  document.emplace("eua", std::move(eua));
+  return Json(std::move(document));
 }
 
 model::InstanceParams params_from_json(const Json& json) {
