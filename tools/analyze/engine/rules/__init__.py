@@ -18,9 +18,10 @@ the catalog.
 
 from __future__ import annotations
 
-from . import concurrency, determinism, legacy, robustness, units
+from . import (concurrency, determinism, legacy, performance, robustness,
+               units)
 
-PACKS = (legacy, concurrency, determinism, robustness, units)
+PACKS = (legacy, concurrency, determinism, robustness, units, performance)
 
 ALL_RULES: dict[str, str] = {}
 for _pack in PACKS:
