@@ -14,19 +14,19 @@ Json strategy_to_json(const Strategy& strategy) {
     if (!slot.allocated()) {
       allocation.emplace_back(nullptr);
     } else {
-      allocation.push_back(Json(JsonObject{
+      allocation.emplace_back(JsonObject{
           {"server", Json(slot.server)},
           {"channel", Json(slot.channel)},
-      }));
+      });
     }
   }
   JsonArray placements;
   for (std::size_t k = 0; k < strategy.delivery.data_count(); ++k) {
     for (const std::size_t i : strategy.delivery.hosts(k)) {
-      placements.push_back(Json(JsonObject{
+      placements.emplace_back(JsonObject{
           {"server", Json(i)},
           {"item", Json(k)},
-      }));
+      });
     }
   }
   JsonObject document;

@@ -30,8 +30,9 @@ void numbers_member(JsonWriter& out, std::string_view key,
   out.end_array();
 }
 
-/// Leaves `reader` in front of the container `bracket` opens; any other
-/// value is consumed and rejected like the DOM accessors reject it.
+/// Throws, with the DOM accessors' message, unless the next value is the
+/// container `bracket` opens. The value is read first, so malformed text
+/// still fails with its byte offset ("this is not json" must name byte 0).
 void expect_container(JsonReader& reader, char bracket) {
   if (reader.peek() == bracket) return;
   (void)reader.value();

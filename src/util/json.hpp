@@ -93,8 +93,8 @@ class Json {
   [[nodiscard]] std::string string_or(std::string_view key,
                                       std::string fallback) const;
 
-  /// Serialises; indent < 0 emits compact one-line JSON. A walk over
-  /// JsonWriter, so object keys come out in sorted order.
+  /// Serialises; indent < 0 emits compact one-line JSON. Walks the DOM
+  /// through JsonWriter; object keys come out in sorted (std::map) order.
   [[nodiscard]] std::string dump(int indent = -1) const;
 
   /// Parses a complete JSON document. Throws JsonError carrying the byte
