@@ -30,13 +30,16 @@ void numbers_member(JsonWriter& out, std::string_view key,
   out.end_array();
 }
 
-/// Throws, with the DOM accessors' message, unless the next value is the
-/// container `bracket` opens. The value is read first, so malformed text
-/// still fails with its byte offset ("this is not json" must name byte 0).
-void expect_container(JsonReader& reader, char bracket) {
+constexpr const char* kFormatError =
+    "unknown instance format (want idde-instance-v1)";
+
+/// Throws `error` unless the next value is the container `bracket` opens.
+/// The value is read first, so malformed text still fails with its byte
+/// offset ("this is not json" must name byte 0).
+void expect_container(JsonReader& reader, char bracket, const char* error) {
   if (reader.peek() == bracket) return;
   (void)reader.value();
-  throw util::JsonError(bracket == '{' ? "not an object" : "not an array");
+  throw util::JsonError(error);
 }
 
 }  // namespace
@@ -142,7 +145,7 @@ ProblemInstance instance_from_string(const std::string& text) {
   bool has_bandwidth = false;
   bool has_gain = false;
   std::string key;
-  expect_container(reader, '{');
+  expect_container(reader, '{', kFormatError);
   reader.begin_object();
   while (reader.next_key(key)) {
     if (key != "radio") {
@@ -150,12 +153,12 @@ ProblemInstance instance_from_string(const std::string& text) {
       continue;
     }
     has_radio = true;
-    expect_container(reader, '{');
+    expect_container(reader, '{', "radio is not an object");
     reader.begin_object();
     while (reader.next_key(key)) {
       if (key == "bandwidth_mbps") {
         has_bandwidth = true;
-        expect_container(reader, '[');
+        expect_container(reader, '[', "bandwidth_mbps is not an array");
         reader.begin_array();
         while (reader.next_element()) {
           env.bandwidth.push_back(
@@ -163,7 +166,7 @@ ProblemInstance instance_from_string(const std::string& text) {
         }
       } else if (key == "gain") {
         has_gain = true;
-        expect_container(reader, '[');
+        expect_container(reader, '[', "gain is not an array");
         reader.begin_array();
         while (reader.next_element()) {
           env.gain.push_back(
@@ -182,7 +185,7 @@ ProblemInstance instance_from_string(const std::string& text) {
   // is checked here first, so a hostile document fails with a JsonError
   // instead of aborting the process or indexing out of bounds.
   if (json.string_or("format", "") != "idde-instance-v1") {
-    throw util::JsonError("unknown instance format (want idde-instance-v1)");
+    throw util::JsonError(kFormatError);
   }
 
   std::vector<EdgeServer> servers;
