@@ -25,6 +25,7 @@ idde_gbench(ablation_game_rules)
 
 # Engine microbenchmarks (BENCH_*.json trajectories).
 idde_bench(perf_game)
+target_link_libraries(perf_game PRIVATE idde_oracles)
 idde_bench(perf_kernels)
 
 # Extension benches (paper future work).
@@ -32,7 +33,6 @@ idde_bench(ext_mobility)
 target_link_libraries(ext_mobility PRIVATE idde_dynamic)
 idde_bench(theory_checks)
 idde_bench(ablation_propagation)
-idde_bench(ext_refinement)
 idde_bench(ext_contention)
 target_link_libraries(ext_contention PRIVATE idde_des)
 idde_bench(ext_resilience)

@@ -11,18 +11,18 @@
 // All three converge on potential-game instances; kAsyncSweep is the
 // fastest wall-clock and kBestImprovement matches Algorithm 1 literally.
 //
-// Engine: by default the game runs *incrementally*. One applied move
-// perturbs exactly two channel slots (the mover's old and new one — see
-// radio::MoveDelta), so a user's cached best response stays exact unless
-// the user covers the vacated or entered server, or is the mover itself.
-// The engine keeps a dirty set seeded from InterferenceField::last_move()
-// and ProblemInstance::covered_users(); clean users reuse their cached
-// BestResponse with zero SINR work. Dirty users can be re-evaluated in
-// parallel on a util::ThreadPool (the field is read-only between moves).
-// Both knobs are pure caching/scheduling layers: for every update rule and
-// any thread count the move sequence is bit-identical to the serial
-// full-scan engine (`incremental = false`), which is retained as the
-// oracle for tests and bench/perf_game.
+// Engine: one applied move perturbs exactly two channel slots (the mover's
+// old and new one — see radio::MoveDelta), so a user's cached best
+// response stays exact unless the user covers the vacated or entered
+// server, or is the mover itself. The engine keeps a dirty set seeded from
+// InterferenceField::last_move() and ProblemInstance::covered_users();
+// clean users reuse their cached BestResponse with zero SINR work. Dirty
+// users are priced through the batched SoA kernel (radio::BatchEvaluator,
+// bit-identical to per-slot field.benefit() calls) and can be re-evaluated
+// in parallel on a util::ThreadPool (the field is read-only between
+// moves). For every update rule and any thread count the move sequence is
+// bit-identical to the serial full-scan engine, which lives outside the
+// library as a test/bench oracle (tests/oracles/full_scan_game.hpp).
 #pragma once
 
 #include <cstddef>
@@ -43,8 +43,8 @@ enum class UpdateRule {
   /// two candidate slots cycles through them round-robin regardless of
   /// benefit, so the dynamics never converge and the potential does not
   /// descend. Exists to exercise convergence watchdogs
-  /// (serve::ServeController) end-to-end — never use it to solve.
-  /// Always runs on the serial full-scan engine.
+  /// (serve::ServeController) end-to-end — never use it to solve. It
+  /// reads no cached response, so every user stays dirty.
   kCycleProbe,
 };
 
@@ -66,25 +66,14 @@ struct GameOptions {
   /// many moves. Empirically users move 1-4 times before equilibrium, so
   /// the budget only engages on cycling instances.
   std::size_t max_moves_per_user = 32;
-  /// Dirty-set caching of best responses (see file comment). Disable to
-  /// get the original full-scan loop — the oracle the incremental path is
-  /// validated against.
-  bool incremental = true;
-  /// Evaluate each user's candidate slots through the batched SoA kernel
-  /// (radio::BatchEvaluator) instead of per-slot field.benefit() calls.
-  /// Pure data-layout change: the batched kernel is bit-identical to the
-  /// scalar path per slot (see batch_eval.hpp), so move sequences match
-  /// for every engine, rule, and thread count. Disable to get the scalar
-  /// per-slot oracle the batched kernel is validated against.
-  bool batched = true;
   /// The caller runs the game under a deliberate work budget (max_rounds
   /// sized per event, as the serve controller does): hitting the round cap
   /// is then the expected partial-repair outcome, not a solver anomaly, so
   /// the round-cap warning is suppressed.
   bool budgeted = false;
   /// Worker threads for re-evaluating the dirty set: 1 = serial (default),
-  /// 0 = hardware concurrency, n = exactly n workers. Only engages on the
-  /// incremental path; the move sequence is identical for every value.
+  /// 0 = hardware concurrency, n = exactly n workers. The move sequence is
+  /// identical for every value.
   /// Concurrency contract: workers share the field read-only (enforced by
   /// a version-counter assert around the fan-out) and write disjoint cache
   /// entries — see DESIGN.md §9; tests/test_concurrency_stress.cpp runs
@@ -103,8 +92,8 @@ struct GameResult {
   /// equilibrium).
   std::size_t frozen_users = 0;
   /// Benefit (Eq. 12) of each user at its final slot, 0 when unallocated.
-  /// On the incremental path these come from the engine's cache, so tests
-  /// can cross-check them against a from-scratch recomputation.
+  /// Warm entries come from the engine's cache, so tests can cross-check
+  /// them against a from-scratch recomputation.
   std::vector<double> final_benefits;
 };
 
@@ -126,21 +115,17 @@ class IddeUGame {
     double benefit = 0.0;
   };
 
-  /// Best candidate in delta_j over covering servers x channels. When
-  /// `batch` is non-null the candidates are priced through the batched
-  /// SoA kernel (one sweep, bit-identical values); otherwise per-slot
-  /// field.benefit() calls — same scan order and tie-breaking either way.
-  /// `evaluations` may be null when the caller does not track the count.
-  [[nodiscard]] BestResponse best_response(
-      const radio::InterferenceField& field, radio::BatchEvaluator* batch,
-      std::size_t user, std::size_t* evaluations) const;
+  /// The user's candidate servers: GameOptions::candidate_servers when
+  /// set, else its full coverage set V_j.
+  [[nodiscard]] const std::vector<std::size_t>& candidates(
+      std::size_t user) const;
 
-  /// The seed engine: re-evaluates every user each round. Oracle for the
-  /// incremental path; selected with GameOptions::incremental = false.
-  [[nodiscard]] GameResult run_full_scan(const AllocationProfile& start);
-
-  /// Dirty-set (+ optional thread fan-out) engine; same move sequences.
-  [[nodiscard]] GameResult run_incremental(const AllocationProfile& start);
+  /// Best candidate in delta_j over candidate servers x channels, priced
+  /// in one batched sweep; the scan runs server-major, channel-minor and
+  /// strict > keeps the first of equal benefits.
+  [[nodiscard]] BestResponse best_response(radio::BatchEvaluator& batch,
+                                           std::size_t user,
+                                           std::size_t* evaluations) const;
 
   const model::ProblemInstance* instance_;
   GameOptions options_;

@@ -105,22 +105,15 @@ DynamicSummary DynamicSimulation::run() {
   DynamicSummary summary;
   summary.total_resolves = 1;
 
-  // Change-tracked rebuilds by default; the full per-step rebuild stays
-  // available as the oracle (see DynamicParams::rebuild_oracle).
-  std::optional<WorldTracker> tracker;
-  if (!params_.rebuild_oracle) tracker.emplace(base, pathloss);
+  // Change-tracked rebuilds: bit-identical to rebuilding the instance
+  // from scratch each step (tests/test_dynamic.cpp pins the tracker
+  // against with_user_positions entry by entry).
+  WorldTracker tracker(base, pathloss);
 
   for (std::size_t step = 1; step <= params_.steps; ++step) {
     mobility.step(params_.step_seconds, walk_rng);
-    std::optional<model::ProblemInstance> rebuilt;
-    if (tracker.has_value()) {
-      tracker->update(mobility.positions());
-    } else {
-      rebuilt.emplace(
-          with_user_positions(base, mobility.positions(), pathloss));
-    }
-    const model::ProblemInstance& snapshot =
-        tracker.has_value() ? tracker->instance() : *rebuilt;
+    tracker.update(mobility.positions());
+    const model::ProblemInstance& snapshot = tracker.instance();
 
     StepRecord record;
     record.time_s = static_cast<double>(step) * params_.step_seconds;

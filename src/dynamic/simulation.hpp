@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "core/game.hpp"
@@ -39,11 +38,6 @@ struct DynamicParams {
   /// the meantime).
   bool churn_enabled = false;
   ChurnParams churn;
-  /// Rebuild the instance from scratch every step (`with_user_positions`)
-  /// instead of through the change-tracked WorldTracker. The tracker is
-  /// bit-identical by construction; the oracle path is retained for the
-  /// equivalence test in tests/test_dynamic.cpp and as a bisection tool.
-  bool rebuild_oracle = false;
 };
 
 struct StepRecord {

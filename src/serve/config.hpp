@@ -88,8 +88,9 @@ struct ServeConfig {
   std::size_t watchdog_cooldown_ticks = 8;
 
   /// Update rule for repair solves. kBestImprovement for production;
-  /// kCycleProbe exists so tests and the chaos bench can inject a cycling
-  /// rule and prove the watchdog contains it.
+  /// kCycleProbe lets a test inject a cycling rule and prove the watchdog
+  /// contains it (Serve.WatchdogContainsCyclingRepairRule; no bench sets
+  /// it).
   core::UpdateRule repair_rule = core::UpdateRule::kBestImprovement;
   /// Solver threads for repairs (see GameOptions::threads); the move
   /// sequence — and therefore the trajectory hash — is identical for

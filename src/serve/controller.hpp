@@ -26,10 +26,11 @@
 //     identically* — the trajectory hash after restore + k ticks equals
 //     the uninterrupted run's hash. Derived state (instance geometry,
 //     fault plan, server-up masks) is regenerated, never stored.
-//  4. Chaos validation lives in bench/ext_serve (BENCH_serve.json) and
-//     tests/test_serve.cpp: kill/restore at arbitrary event boundaries,
-//     injected cycling rule (core::UpdateRule::kCycleProbe), mass-failure
-//     recovery timing.
+//  4. Chaos validation: tests/test_serve.cpp kills and restores at
+//     arbitrary event boundaries and injects the cycling rule
+//     (core::UpdateRule::kCycleProbe, Serve.WatchdogContainsCyclingRepair-
+//     Rule); bench/ext_serve (BENCH_serve.json) times mass-failure
+//     recovery under starved budgets.
 //
 // Determinism contract: a trajectory is a pure function of
 // (ServeConfig, seed). All budgets are counts, never wall-clock.

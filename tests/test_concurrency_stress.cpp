@@ -22,6 +22,7 @@
 #include "core/game.hpp"
 #include "model/instance_builder.hpp"
 #include "obs/obs.hpp"
+#include "oracles/full_scan_game.hpp"
 #include "util/logging.hpp"
 #include "util/thread_pool.hpp"
 
@@ -49,10 +50,9 @@ InstanceParams shape(std::size_t n, std::size_t m, std::size_t k = 3) {
 }
 
 GameResult solve(const ProblemInstance& inst, UpdateRule rule,
-                 bool incremental, std::size_t threads) {
+                 std::size_t threads) {
   GameOptions options;
   options.rule = rule;
-  options.incremental = incremental;
   options.threads = threads;
   return IddeUGame(inst, options).run();
 }
@@ -165,8 +165,7 @@ TEST(GameStress, ConcurrentIncrementalSolvesAtHardwareThreads) {
   // 150 users keeps the initial all-dirty refresh above the engine's
   // serial-batch cutoff, so the pool fan-out path actually runs.
   const ProblemInstance inst = model::make_instance(shape(10, 150), 7);
-  const GameResult reference =
-      solve(inst, UpdateRule::kBestImprovement, true, 1);
+  const GameResult reference = solve(inst, UpdateRule::kBestImprovement, 1);
 
   constexpr std::size_t kSolvers = 4;
   std::vector<GameResult> results(kSolvers);
@@ -174,7 +173,7 @@ TEST(GameStress, ConcurrentIncrementalSolvesAtHardwareThreads) {
   solvers.reserve(kSolvers);
   for (std::size_t s = 0; s < kSolvers; ++s) {
     solvers.emplace_back([&, s] {
-      results[s] = solve(inst, UpdateRule::kBestImprovement, true, 0);
+      results[s] = solve(inst, UpdateRule::kBestImprovement, 0);
     });
   }
   for (auto& solver : solvers) solver.join();
@@ -192,11 +191,13 @@ TEST(GameStress, ThreadCountDeterminism) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     const ProblemInstance inst = model::make_instance(shape(10, 150), seed);
     for (const UpdateRule rule : kAllRules) {
-      const GameResult oracle = solve(inst, rule, false, 1);
-      const GameResult serial = solve(inst, rule, true, 1);
-      const GameResult wide = solve(inst, rule, true, 0);
-      expect_same_dynamics(oracle, serial);
-      expect_same_dynamics(oracle, wide);
+      GameOptions options;
+      options.rule = rule;
+      const GameResult full = oracle::full_scan_game(inst, options);
+      const GameResult serial = solve(inst, rule, 1);
+      const GameResult wide = solve(inst, rule, 0);
+      expect_same_dynamics(full, serial);
+      expect_same_dynamics(full, wide);
     }
   }
 }

@@ -8,9 +8,7 @@
 #include "core/game.hpp"
 #include "core/greedy_delivery.hpp"
 #include "core/metrics.hpp"
-#include "core/fairness.hpp"
 #include "core/idde_g.hpp"
-#include "core/refinement.hpp"
 #include "core/validation.hpp"
 #include "model/instance_builder.hpp"
 #include "solver/exhaustive.hpp"
@@ -346,75 +344,6 @@ TEST(Validation, RejectsBadChannel) {
   }
   core::Strategy s{alloc, DeliveryProfile(inst)};
   EXPECT_FALSE(core::validate_strategy(inst, s).empty());
-}
-
-}  // namespace
-
-namespace {
-
-using namespace idde;
-
-TEST(Fairness, JainIndexBasics) {
-  EXPECT_EQ(core::jain_index({}), 0.0);
-  const std::vector<double> even{5.0, 5.0, 5.0, 5.0};
-  EXPECT_NEAR(core::jain_index(even), 1.0, 1e-12);
-  const std::vector<double> one_hog{10.0, 0.0, 0.0, 0.0};
-  EXPECT_NEAR(core::jain_index(one_hog), 0.25, 1e-12);
-  const std::vector<double> zeros{0.0, 0.0};
-  EXPECT_EQ(core::jain_index(zeros), 0.0);
-}
-
-TEST(Fairness, ReportOnEquilibrium) {
-  const auto inst =
-      model::make_instance(tiny_params(10, 50, 3), 91);
-  const auto alloc = core::IddeUGame(inst).run().allocation;
-  const auto report = core::fairness_report(inst, alloc);
-  EXPECT_GT(report.jain, 0.3);
-  EXPECT_LE(report.jain, 1.0 + 1e-12);
-  EXPECT_GE(report.p10_rate_mbps, report.min_rate_mbps);
-  EXPECT_LE(report.starved_users, inst.user_count());
-}
-
-TEST(Refinement, NeverInvalidAndBoundedRateLoss) {
-  for (std::uint64_t seed = 50; seed < 54; ++seed) {
-    const auto inst = model::make_instance(tiny_params(10, 50, 4), seed);
-    util::Rng rng_a(seed);
-    util::Rng rng_b(seed);
-    const auto base = core::IddeG().solve(inst, rng_a);
-    core::RefinementOptions options;
-    options.epsilon_fraction = 0.1;
-    const auto refined = core::IddeGPlus(options).solve(inst, rng_b);
-    EXPECT_TRUE(core::validate_strategy(inst, refined).empty());
-    const auto mb = core::evaluate(inst, base);
-    const auto mr = core::evaluate(inst, refined);
-    // Latency must never get worse; the rate loss stays bounded (the
-    // per-user epsilon bound does not translate 1:1 to the average, so
-    // allow a loose 2x margin).
-    EXPECT_LE(mr.avg_latency_ms, mb.avg_latency_ms + 1e-6);
-    EXPECT_GE(mr.avg_rate_mbps, mb.avg_rate_mbps * (1.0 - 0.2));
-  }
-}
-
-TEST(Refinement, EpsilonZeroOnlyTakesFreeMoves) {
-  const auto inst = model::make_instance(tiny_params(10, 50, 4), 55);
-  util::Rng rng_a(55);
-  util::Rng rng_b(55);
-  const auto base = core::IddeG().solve(inst, rng_a);
-  core::RefinementOptions options;
-  options.epsilon_fraction = 0.0;
-  const auto refined = core::IddeGPlus(options).solve(inst, rng_b);
-  const auto mb = core::evaluate(inst, base);
-  const auto mr = core::evaluate(inst, refined);
-  EXPECT_GE(mr.avg_rate_mbps, mb.avg_rate_mbps * (1.0 - 1e-9));
-  EXPECT_LE(mr.avg_latency_ms, mb.avg_latency_ms + 1e-9);
-}
-
-TEST(Refinement, NameAndDiagnostics) {
-  const auto inst = model::make_instance(tiny_params(), 56);
-  util::Rng rng(56);
-  const auto s = core::IddeGPlus().solve(inst, rng);
-  EXPECT_EQ(s.approach_name, "IDDE-G+");
-  EXPECT_TRUE(s.collaborative_delivery);
 }
 
 }  // namespace

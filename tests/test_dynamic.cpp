@@ -151,29 +151,6 @@ TEST(World, TrackerSkipsUnchangedUsers) {
   EXPECT_EQ(tracker.update(positions), 0u);  // settled again
 }
 
-TEST(DynamicSimulation, TrackedRunMatchesRebuildOracleRun) {
-  dynamic::DynamicParams tracked;
-  tracked.base = small_params();
-  tracked.steps = 12;
-  tracked.resolve_period = 4;
-  tracked.churn_enabled = true;
-  tracked.churn.arrival_rate_hz = 1.0 / 20.0;
-  tracked.churn.mean_session_s = 20.0;
-  dynamic::DynamicParams oracle = tracked;
-  oracle.rebuild_oracle = true;
-  const auto a = dynamic::DynamicSimulation(tracked, 21).run();
-  const auto b = dynamic::DynamicSimulation(oracle, 21).run();
-  ASSERT_EQ(a.steps.size(), b.steps.size());
-  for (std::size_t i = 0; i < a.steps.size(); ++i) {
-    EXPECT_EQ(a.steps[i].rate_mbps, b.steps[i].rate_mbps);
-    EXPECT_EQ(a.steps[i].latency_ms, b.steps[i].latency_ms);
-    EXPECT_EQ(a.steps[i].handovers, b.steps[i].handovers);
-    EXPECT_EQ(a.steps[i].game_moves, b.steps[i].game_moves);
-  }
-  EXPECT_EQ(a.total_migration_mb, b.total_migration_mb);
-  EXPECT_EQ(a.total_handovers, b.total_handovers);
-}
-
 TEST(RandomWaypoint, RestoreStateResumesIdentically) {
   const geo::BoundingBox bounds = geo::BoundingBox::square(800.0);
   std::vector<geo::Point> start{{100, 100}, {400, 400}, {700, 100}};

@@ -1,14 +1,17 @@
 // Equivalence and property tests for the incremental, parallel
-// best-response engine. The dirty-set cache and the thread fan-out are
-// pure scheduling layers: for every update rule and thread count the game
-// must replay the seed full-scan engine's move sequence exactly, and the
-// cached benefits it carries must match a from-scratch recomputation.
+// best-response engine. The dirty-set cache, the batched kernel and the
+// thread fan-out are pure scheduling and data-layout layers: for every
+// update rule and thread count the game must replay the full-scan oracle's
+// move sequence exactly (oracle::full_scan_game, per-slot benefit calls),
+// and the cached benefits it carries must match a from-scratch
+// recomputation.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 
 #include "core/game.hpp"
 #include "model/instance_builder.hpp"
+#include "oracles/full_scan_game.hpp"
 #include "radio/interference.hpp"
 
 namespace {
@@ -35,12 +38,17 @@ InstanceParams shape(std::size_t n, std::size_t m, std::size_t k = 3) {
 }
 
 GameResult run_engine(const ProblemInstance& inst, UpdateRule rule,
-                      bool incremental, std::size_t threads) {
+                      std::size_t threads) {
   GameOptions options;
   options.rule = rule;
-  options.incremental = incremental;
   options.threads = threads;
   return IddeUGame(inst, options).run();
+}
+
+GameResult run_oracle(const ProblemInstance& inst, UpdateRule rule) {
+  GameOptions options;
+  options.rule = rule;
+  return oracle::full_scan_game(inst, options);
 }
 
 void expect_same_dynamics(const GameResult& expected, const GameResult& actual,
@@ -61,14 +69,14 @@ void expect_same_dynamics(const GameResult& expected, const GameResult& actual,
 }
 
 // 20 seeded instances x 3 rules: the incremental engine must replay the
-// full-scan engine's dynamics exactly (same move count, same rounds, same
+// full-scan oracle's dynamics exactly (same move count, same rounds, same
 // final allocation), while doing strictly less SINR work.
 TEST(IncrementalEngine, ReplaysFullScanDynamicsExactly) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     const ProblemInstance inst = model::make_instance(shape(8, 40), seed);
     for (const UpdateRule rule : kAllRules) {
-      const GameResult full = run_engine(inst, rule, false, 1);
-      const GameResult inc = run_engine(inst, rule, true, 1);
+      const GameResult full = run_oracle(inst, rule);
+      const GameResult inc = run_engine(inst, rule, 1);
       expect_same_dynamics(full, inc, seed, rule);
       EXPECT_LE(inc.benefit_evaluations, full.benefit_evaluations);
     }
@@ -76,52 +84,40 @@ TEST(IncrementalEngine, ReplaysFullScanDynamicsExactly) {
 }
 
 // The thread fan-out must not change the dynamics either (winner selection
-// stays a deterministic serial scan over the refreshed cache).
+// stays a deterministic serial scan over the refreshed cache). 150 users
+// keep the initial all-dirty refresh above the engine's serial cutoff, so
+// the pool really fans out.
 TEST(IncrementalEngine, ParallelReplaysFullScanDynamics) {
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    const ProblemInstance inst = model::make_instance(shape(10, 60), seed);
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const ProblemInstance inst = model::make_instance(shape(10, 150), seed);
     for (const UpdateRule rule : kAllRules) {
-      const GameResult full = run_engine(inst, rule, false, 1);
-      for (const std::size_t threads : {std::size_t{0}, std::size_t{3}}) {
-        const GameResult inc = run_engine(inst, rule, true, threads);
+      const GameResult full = run_oracle(inst, rule);
+      for (const std::size_t threads :
+           {std::size_t{1}, std::size_t{0}, std::size_t{3}}) {
+        const GameResult inc = run_engine(inst, rule, threads);
         expect_same_dynamics(full, inc, seed, rule);
       }
     }
   }
 }
 
-// Kernel swap invariance: with GameOptions::batched toggled off the engine
-// prices slots through per-slot InterferenceField calls (the scalar
-// oracle); with it on, through the BatchEvaluator SoA kernel. The kernels
-// are bit-identical by contract, so every rule at every thread count must
-// produce the same move sequence, round count, and final allocation —
-// and the same number of benefit evaluations, since dirty-set scheduling
-// is untouched by the kernel choice.
-TEST(IncrementalEngine, BatchedKernelReplaysScalarKernelDynamics) {
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    const ProblemInstance inst = model::make_instance(shape(10, 60), seed);
-    for (const UpdateRule rule : kAllRules) {
-      for (const std::size_t threads :
-           {std::size_t{1}, std::size_t{0}, std::size_t{3}}) {
-        GameOptions options;
-        options.rule = rule;
-        options.incremental = true;
-        options.threads = threads;
-        options.batched = false;
-        const GameResult scalar = IddeUGame(inst, options).run();
-        options.batched = true;
-        const GameResult batched = IddeUGame(inst, options).run();
-        expect_same_dynamics(scalar, batched, seed, rule);
-        // At matched thread counts the schedule is identical too, so the
-        // kernels must price the exact same set of slots. (Across thread
-        // counts kAsyncSweep legitimately evaluates more — the fan-out
-        // refreshes speculatively — which is why scalar and batched are
-        // paired per thread count here.)
-        EXPECT_EQ(scalar.benefit_evaluations, batched.benefit_evaluations)
-            << "seed " << seed << " rule " << static_cast<int>(rule)
-            << " threads " << threads;
-      }
-    }
+// The cycle probe moves without reading any cached response, so the
+// engine's run is the oracle's by construction: same moves, rounds, frozen
+// users, and final benefits recomputed from scratch bit for bit.
+TEST(IncrementalEngine, CycleProbeReplaysFullScan) {
+  const ProblemInstance inst = model::make_instance(shape(10, 60), 9);
+  GameOptions options;
+  options.rule = UpdateRule::kCycleProbe;
+  options.max_rounds = 200;
+  options.budgeted = true;
+  const GameResult full = oracle::full_scan_game(inst, options);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    options.threads = threads;
+    const GameResult probe = IddeUGame(inst, options).run();
+    expect_same_dynamics(full, probe, 9, options.rule);
+    EXPECT_GT(probe.frozen_users, 0u);
+    EXPECT_EQ(probe.benefit_evaluations, 0u);
+    EXPECT_EQ(probe.final_benefits, full.final_benefits);
   }
 }
 
@@ -131,10 +127,8 @@ TEST(IncrementalEngine, BatchedKernelReplaysScalarKernelDynamics) {
 // margin here is far larger).
 TEST(IncrementalEngine, SlashesBenefitEvaluations) {
   const ProblemInstance inst = model::make_instance(shape(20, 150, 5), 7);
-  const GameResult full =
-      run_engine(inst, UpdateRule::kBestImprovement, false, 1);
-  const GameResult inc =
-      run_engine(inst, UpdateRule::kBestImprovement, true, 1);
+  const GameResult full = run_oracle(inst, UpdateRule::kBestImprovement);
+  const GameResult inc = run_engine(inst, UpdateRule::kBestImprovement, 1);
   EXPECT_GE(full.benefit_evaluations, 3 * inc.benefit_evaluations);
 }
 
@@ -145,7 +139,7 @@ TEST(IncrementalEngine, ConvergedProfileIsNashEquilibrium) {
   for (std::uint64_t seed = 30; seed < 42; ++seed) {
     const ProblemInstance inst = model::make_instance(shape(7, 30), seed);
     for (const UpdateRule rule : kAllRules) {
-      const GameResult result = run_engine(inst, rule, true, 1);
+      const GameResult result = run_engine(inst, rule, 1);
       if (result.converged && result.frozen_users == 0) {
         EXPECT_TRUE(core::is_nash_equilibrium(inst, result.allocation))
             << "seed " << seed << " rule " << static_cast<int>(rule);
@@ -165,7 +159,7 @@ TEST(IncrementalEngine, CachedBenefitsMatchReferenceRecomputation) {
     const ProblemInstance inst = model::make_instance(shape(9, 45), seed);
     for (const std::size_t threads : {std::size_t{1}, std::size_t{0}}) {
       const GameResult result =
-          run_engine(inst, UpdateRule::kBestImprovement, true, threads);
+          run_engine(inst, UpdateRule::kBestImprovement, threads);
       ASSERT_EQ(result.final_benefits.size(), inst.user_count());
       for (std::size_t j = 0; j < inst.user_count(); ++j) {
         if (!result.allocation[j].allocated()) {
@@ -191,14 +185,10 @@ TEST(IncrementalEngine, WarmStartReplaysFullScan) {
   AllocationProfile start = warm.allocation;
   for (std::size_t j = 0; j < start.size(); j += 3) start[j] = core::kUnallocated;
   for (const UpdateRule rule : kAllRules) {
-    GameOptions full_options;
-    full_options.rule = rule;
-    full_options.incremental = false;
-    GameOptions inc_options;
-    inc_options.rule = rule;
-    inc_options.incremental = true;
-    const GameResult full = IddeUGame(inst, full_options).run_from(start);
-    const GameResult inc = IddeUGame(inst, inc_options).run_from(start);
+    GameOptions rule_options;
+    rule_options.rule = rule;
+    const GameResult full = oracle::full_scan_game(inst, rule_options, start);
+    const GameResult inc = IddeUGame(inst, rule_options).run_from(start);
     expect_same_dynamics(full, inc, 55, rule);
   }
 }
@@ -215,14 +205,11 @@ TEST(IncrementalEngine, CandidateRestrictionReplaysFullScan) {
     }
   }
   for (const UpdateRule rule : kAllRules) {
-    GameOptions full_options;
-    full_options.rule = rule;
-    full_options.incremental = false;
-    full_options.candidate_servers = &candidates;
-    GameOptions inc_options = full_options;
-    inc_options.incremental = true;
-    const GameResult full = IddeUGame(inst, full_options).run();
-    const GameResult inc = IddeUGame(inst, inc_options).run();
+    GameOptions options;
+    options.rule = rule;
+    options.candidate_servers = &candidates;
+    const GameResult full = oracle::full_scan_game(inst, options);
+    const GameResult inc = IddeUGame(inst, options).run();
     expect_same_dynamics(full, inc, 77, rule);
   }
 }
@@ -233,14 +220,11 @@ TEST(IncrementalEngine, MoveBudgetFreezesIdentically) {
   for (std::uint64_t seed = 200; seed < 206; ++seed) {
     const ProblemInstance inst = model::make_instance(shape(10, 60), seed);
     for (const UpdateRule rule : kAllRules) {
-      GameOptions full_options;
-      full_options.rule = rule;
-      full_options.incremental = false;
-      full_options.max_moves_per_user = 2;
-      GameOptions inc_options = full_options;
-      inc_options.incremental = true;
-      const GameResult full = IddeUGame(inst, full_options).run();
-      const GameResult inc = IddeUGame(inst, inc_options).run();
+      GameOptions options;
+      options.rule = rule;
+      options.max_moves_per_user = 2;
+      const GameResult full = oracle::full_scan_game(inst, options);
+      const GameResult inc = IddeUGame(inst, options).run();
       expect_same_dynamics(full, inc, seed, rule);
     }
   }

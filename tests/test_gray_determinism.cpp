@@ -1,7 +1,7 @@
 // Gray determinism contract (mirrors test_fault_determinism.cpp): with an
 // active DegradationPlan and health-aware delivery, the full pipeline —
 // solve, draw the plan, replay through the DES — must be bit-identical
-// across solver thread counts and across the batched SoA engine toggle.
+// across solver thread counts.
 // The gray layer (plan generation, loss lottery, health scores) is
 // single-threaded and seed-pure on top of an engine that already
 // guarantees an identical equilibrium. Runs under TSan in CI next to the
@@ -40,11 +40,9 @@ fault::DegradationProfile lively_profile() {
 }
 
 core::Strategy solve_variant(const model::ProblemInstance& inst,
-                             std::size_t threads, bool batched,
-                             std::uint64_t seed) {
+                             std::size_t threads, std::uint64_t seed) {
   core::IddeGOptions options;
   options.game.threads = threads;
-  options.game.batched = batched;
   util::Rng rng(seed);
   return core::IddeG(options).solve(inst, rng);
 }
@@ -85,8 +83,8 @@ TEST(GrayDeterminism, PlanIsBitIdenticalForSameSeed) {
 }
 
 // The health-aware replay under an active gray plan must not depend on how
-// the equilibrium was computed: 1 solver thread vs hardware threads, scalar
-// vs batched slot evaluation — four variants, one result.
+// the equilibrium was computed: 1, 3 and hardware solver threads — three
+// variants, one result.
 TEST(GrayDeterminism, HealthAwarePipelineIdenticalAcrossSolverVariants) {
   for (std::uint64_t seed = 50; seed <= 52; ++seed) {
     const auto inst = model::make_instance(small_params(), seed);
@@ -104,13 +102,9 @@ TEST(GrayDeterminism, HealthAwarePipelineIdenticalAcrossSolverVariants) {
       return des::FlowLevelSimulator(inst, options).run(strategy, rng);
     };
 
-    const auto reference = replay(solve_variant(inst, 1, false, seed));
-    expect_same_result(replay(solve_variant(inst, 0, false, seed)),
-                       reference);
-    expect_same_result(replay(solve_variant(inst, 1, true, seed)),
-                       reference);
-    expect_same_result(replay(solve_variant(inst, 0, true, seed)),
-                       reference);
+    const auto reference = replay(solve_variant(inst, 1, seed));
+    expect_same_result(replay(solve_variant(inst, 3, seed)), reference);
+    expect_same_result(replay(solve_variant(inst, 0, seed)), reference);
   }
 }
 

@@ -18,10 +18,11 @@ the catalog.
 
 from __future__ import annotations
 
-from . import (concurrency, determinism, legacy, performance, robustness,
-               units)
+from . import (concurrency, determinism, layering, legacy, performance,
+               robustness, units)
 
-PACKS = (legacy, concurrency, determinism, robustness, units, performance)
+PACKS = (legacy, concurrency, determinism, robustness, units, performance,
+         layering)
 
 ALL_RULES: dict[str, str] = {}
 for _pack in PACKS:

@@ -1,0 +1,26 @@
+// Fixture: oracle-in-production fires on an oracles/ include and on every
+// spelling of the idde::oracle namespace in library code. A commented-out
+// include, a string and this comment (oracle::full_scan_game) stay quiet.
+#include <vector>
+
+#include "oracles/full_scan_game.hpp"
+#include "tests/oracles/full_scan_game.hpp"  // lint: allow(oracle-in-production)
+// #include "oracles/full_scan_game.hpp"
+
+namespace idde::core {
+
+int solve_with_oracle() {
+  const auto a = idde::oracle::full_scan_game();
+  const auto b = oracle::full_scan_game();
+  const char* label = "oracle::full_scan_game";
+  (void)label;
+  return a + b;
+}
+
+}  // namespace idde::core
+
+namespace idde {
+namespace oracle {
+int helper();
+}  // namespace oracle
+}  // namespace idde
