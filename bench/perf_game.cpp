@@ -42,11 +42,9 @@ core::GameResult solve(const std::string& name,
                        const model::ProblemInstance& instance) {
   core::GameOptions options;
   if (name == "full") return oracle::full_scan_game(instance, options);
-  if (name == "parallel") {
-    options.threads = 0;  // hardware concurrency
-  } else {
-    IDDE_ASSERT(name == "incremental", "unknown engine config");
-  }
+  IDDE_ASSERT(name == "incremental" || name == "parallel",
+              "unknown engine config");
+  if (name == "parallel") options.threads = 0;  // hardware concurrency
   return core::IddeUGame(instance, options).run();
 }
 

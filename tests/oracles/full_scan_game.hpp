@@ -4,7 +4,8 @@
 // InterferenceField::benefit() calls — no dirty set, no batched kernel, no
 // thread pool. core::IddeUGame must replay its move sequence exactly for
 // every update rule, candidate restriction, move budget and thread count;
-// tests/test_game_incremental.cpp and bench/perf_game hold it to that.
+// tests/test_game_incremental.cpp, tests/test_concurrency_stress.cpp and
+// bench/perf_game hold it to that.
 #pragma once
 
 #include "core/game.hpp"
@@ -13,9 +14,10 @@
 
 namespace idde::oracle {
 
-/// Runs best-response dynamics from `start` under `options` (threads is
-/// ignored). The result carries the same fields as IddeUGame::run_from;
-/// final_benefits are recomputed from scratch for every allocated user.
+/// Runs best-response dynamics from `start` under `options` (serially and
+/// silently: `threads` and `budgeted` are ignored). The result carries the
+/// same fields as IddeUGame::run_from; final_benefits are recomputed from
+/// scratch for every allocated user.
 [[nodiscard]] core::GameResult full_scan_game(
     const model::ProblemInstance& instance, const core::GameOptions& options,
     const core::AllocationProfile& start);
