@@ -44,8 +44,6 @@ class Config:
     determinism_scope: list[str] = field(default_factory=lambda: ["src"])
     unit_scope: list[str] = field(default_factory=lambda: ["src"])
     retry_scope: list[str] = field(default_factory=lambda: ["src"])
-    # Shipped library code, which must not reach a test oracle.
-    production_scope: list[str] = field(default_factory=lambda: ["src"])
     # Wait-for-completion loops must carry an escape hatch (deadline,
     # retry budget, timeout) in the layers that replay or serve deliveries.
     hedge_scope: list[str] = field(

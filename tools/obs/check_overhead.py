@@ -10,10 +10,12 @@ in but runtime-disabled. The gate enforces two contracts from DESIGN.md
   1. Observation purity: per engine config, benefit_evaluations / moves /
      rounds are bit-identical across every run of both builds — the
      instrumentation may not perturb the solver.
-  2. Overhead: the candidate's median total solve_ms is within
-     --tolerance (default 3%) of the baseline's median. Medians over
-     interleaved runs absorb most CI wall-clock noise; pass several files
-     per side.
+  2. Overhead: the candidate's median total solve_ms over the
+     instrumented engine configs is within --tolerance (default 3%) of the
+     baseline's median. The `full` config is the uninstrumented test
+     oracle, compiled identically in both builds, so it is left out of the
+     sum. Medians over interleaved runs absorb most CI wall-clock noise;
+     pass several files per side.
 
 Usage:
   check_overhead.py --baseline off1.json off2.json ... \
@@ -58,8 +60,14 @@ def counts_by_config(run: dict) -> dict[str, tuple[int, int, int]]:
     }
 
 
+# Configs that run no instrumented code: their time is the same in both
+# builds and would only dilute the overhead ratio.
+UNINSTRUMENTED_CONFIGS = {"full"}
+
+
 def total_solve_ms(run: dict) -> float:
-    return sum(config["solve_ms"] for config in run["configs"])
+    return sum(config["solve_ms"] for config in run["configs"]
+               if config["name"] not in UNINSTRUMENTED_CONFIGS)
 
 
 def main() -> int:
