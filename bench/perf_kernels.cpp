@@ -1,4 +1,4 @@
-// perf_kernels — microbenchmark for the three hot kernels this layer owns:
+// perf_kernels — microbenchmark for the four hot kernels this layer owns:
 //
 //   eval      scalar per-slot InterferenceField::benefit() vs the batched
 //             SoA sweep (radio::BatchEvaluator) over every user's candidate
@@ -12,12 +12,24 @@
 //             new override. The first plan builds the planner's reusable
 //             scratch; warm plans must stay at the small per-plan constant
 //             (the returned DeliveryProfile), i.e. allocation-free per move.
+//   fluid     the DES's link-indexed max-min water-filling
+//             (des::detail::assign_max_min_rates) vs the full-scan oracle,
+//             in solves/second, on a metro-like shape (thousands of
+//             multi-hop legs) and a replay-chaos-like one (tens of legs).
+//             Rates must match the oracle bit for bit (the run aborts
+//             otherwise) and a warm solve must not allocate.
 //
 // --smoke turns the report into a gate for CI: batched speedup below
-// --min-speedup or a warm plan allocating more than --max-warm-allocs fail
-// the run. Results go to stdout and to
-// --out (default BENCH_kernels.json) for cross-PR tracking.
+// --min-speedup, a warm plan allocating more than --max-warm-allocs, a warm
+// water-filling solve allocating at all, or an indexed/oracle water-filling
+// ratio on the metro-like shape below kMinFluidSpeedup fail the run.
+// Telemetry is switched on after every timed section, so the report's
+// telemetry block carries the perf.* counters without costing the timings.
+// Results go to stdout and to --out (default BENCH_kernels.json) for
+// cross-PR tracking.
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -30,9 +42,11 @@
 #include "core/game.hpp"
 #include "core/greedy_delivery.hpp"
 #include "core/repair_planner.hpp"
+#include "des/fluid.hpp"
 #include "model/instance_builder.hpp"
 #include "net/shortest_path.hpp"
 #include "obs/obs.hpp"
+#include "oracles/scan_max_min.hpp"
 #include "radio/batch_eval.hpp"
 #include "sim/paper.hpp"
 #include "util/assert.hpp"
@@ -103,6 +117,95 @@ net::Graph dense_graph(std::size_t nodes, std::size_t extra_per_node,
   return net::Graph(nodes, edges);
 }
 
+/// A synthetic water-filling input: `legs` routes of 1..max_hops distinct
+/// links, in random order, over `links` links of random capacity (MB/s).
+struct FluidShape {
+  const char* name;
+  std::vector<des::detail::Leg> legs;
+  std::vector<double> capacities;
+};
+
+FluidShape fluid_shape(const char* name, std::size_t legs, std::size_t links,
+                       std::size_t max_hops, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> capacity(1.0, 100.0);
+  std::uniform_int_distribution<std::size_t> pick_link(0, links - 1);
+  std::uniform_int_distribution<std::size_t> pick_hops(1, max_hops);
+  FluidShape shape{name, {}, {}};
+  for (std::size_t l = 0; l < links; ++l) {
+    shape.capacities.push_back(capacity(rng));
+  }
+  for (std::size_t f = 0; f < legs; ++f) {
+    des::detail::Leg leg;
+    const std::size_t hops = pick_hops(rng);
+    while (leg.links.size() < hops) {
+      const std::size_t l = pick_link(rng);
+      if (std::find(leg.links.begin(), leg.links.end(), l) == leg.links.end()) {
+        leg.links.push_back(l);
+      }
+    }
+    shape.legs.push_back(std::move(leg));
+  }
+  return shape;
+}
+
+/// --smoke floor on the metro-like indexed/oracle ratio: well under the
+/// ~8-9x it measures, far above a regression back to the full scan.
+constexpr double kMinFluidSpeedup = 3.0;
+
+struct FluidTiming {
+  double indexed_solves_per_sec = 0.0;
+  double oracle_solves_per_sec = 0.0;
+  double speedup = 0.0;
+  std::size_t rounds = 0;       ///< freeze rounds of one solve
+  std::size_t warm_allocs = 0;  ///< heap allocations of a warm solve
+};
+
+/// Checks the indexed solve against the oracle bit for bit, counts a warm
+/// solve's allocations, then times `reps` solves of each in interleaved
+/// chunks (as the eval section does).
+FluidTiming time_fluid(FluidShape& shape, std::size_t reps) {
+  FluidTiming timing;
+  des::detail::FluidScratch scratch;
+  des::detail::FluidScratch oracle_scratch;
+  std::vector<des::detail::Leg> expected = shape.legs;
+  oracle::scan_max_min_rates(expected, shape.capacities, oracle_scratch);
+  timing.rounds = des::detail::assign_max_min_rates(shape.legs,
+                                                    shape.capacities, scratch);
+  for (std::size_t f = 0; f < shape.legs.size(); ++f) {
+    IDDE_ASSERT(std::bit_cast<std::uint64_t>(shape.legs[f].rate_mbps) ==
+                    std::bit_cast<std::uint64_t>(expected[f].rate_mbps),
+                "indexed water-filling diverged from the scan oracle");
+  }
+  timing.warm_allocs = count_allocs([&] {
+    (void)des::detail::assign_max_min_rates(shape.legs, shape.capacities,
+                                            scratch);
+  });
+
+  double indexed_ms = 0.0;
+  double oracle_ms = 0.0;
+  const std::size_t chunk = std::max<std::size_t>(1, reps / 10);
+  for (std::size_t done = 0; done < reps; done += chunk) {
+    const std::size_t n = std::min(chunk, reps - done);
+    const auto indexed_start = Clock::now();
+    for (std::size_t rep = 0; rep < n; ++rep) {
+      (void)des::detail::assign_max_min_rates(shape.legs, shape.capacities,
+                                              scratch);
+    }
+    indexed_ms += ms_since(indexed_start);
+    const auto oracle_start = Clock::now();
+    for (std::size_t rep = 0; rep < n; ++rep) {
+      oracle::scan_max_min_rates(expected, shape.capacities, oracle_scratch);
+    }
+    oracle_ms += ms_since(oracle_start);
+  }
+  const double solves = static_cast<double>(reps);
+  timing.indexed_solves_per_sec = solves / (indexed_ms * 1e-3);
+  timing.oracle_solves_per_sec = solves / (oracle_ms * 1e-3);
+  timing.speedup = timing.indexed_solves_per_sec / timing.oracle_solves_per_sec;
+  return timing;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -119,7 +222,7 @@ int main(int argc, char** argv) {
   std::string out = "BENCH_kernels.json";
   util::CliParser cli(
       "perf_kernels: batched-vs-scalar slot evaluation, latency-matrix "
-      "builds, and planner allocation counts");
+      "builds, planner allocation counts, and indexed-vs-scan water-filling");
   cli.add_size("servers", &servers, "edge servers N");
   cli.add_size("users", &users, "users M (Set #2 tops out at 350)");
   cli.add_size("data", &data, "data items K");
@@ -230,7 +333,6 @@ int main(int argc, char** argv) {
               batched_eps, batched_ms, eval_reps);
   std::printf("  eval    speedup %.2fx, bit-identical on %zu slots\n\n",
               eval_speedup, sweep_evals);
-  IDDE_OBS_COUNT("perf.eval_slots_checked", sweep_evals);
 
   // ---- matrix: latency-matrix (APSP) builds ----------------------------
   const auto time_build = [&](const net::Graph& graph, auto&& build) {
@@ -288,8 +390,40 @@ int main(int argc, char** argv) {
               plan_allocs_cold, plan_allocs_warm);
   std::printf("  planner replan() allocations: warm %zu\n\n",
               repair_allocs_warm);
+
+  // ---- fluid: link-indexed water-filling vs the scan oracle -------------
+  // Metro-like: a 500/8000 burst replay keeps thousands of legs in flight
+  // over the ~1500 links of a ~500-node graph. Replay-chaos-like: tens of
+  // legs per solve, solved ~10^5 times a run.
+  FluidShape fluid_shapes[] = {
+      fluid_shape("metro_like", 4000, 1500, 6, seed),
+      fluid_shape("chaos_like", 30, 250, 4, seed + 1)};
+  const std::size_t metro_reps = smoke ? 4 : 20;
+  const std::size_t fluid_shape_reps[] = {metro_reps, metro_reps * 500};
+  FluidTiming fluid[2];
+  for (std::size_t s = 0; s < 2; ++s) {
+    fluid[s] = time_fluid(fluid_shapes[s], fluid_shape_reps[s]);
+    std::printf("  fluid   %-10s %4zu legs / %4zu links: indexed %10.0f "
+                "solves/s, oracle %10.0f solves/s (%.1fx, %zu rounds, %zu "
+                "warm allocs)\n",
+                fluid_shapes[s].name, fluid_shapes[s].legs.size(),
+                fluid_shapes[s].capacities.size(),
+                fluid[s].indexed_solves_per_sec,
+                fluid[s].oracle_solves_per_sec, fluid[s].speedup,
+                fluid[s].rounds, fluid[s].warm_allocs);
+  }
+  std::printf("\n");
+
+  // Recording starts after the last timed section.
+  obs::set_enabled(true);
+  IDDE_OBS_COUNT("perf.eval_slots_checked", sweep_evals);
   IDDE_OBS_COUNT("perf.plan_allocs_warm", plan_allocs_warm);
   IDDE_OBS_COUNT("perf.replan_allocs_warm", repair_allocs_warm);
+  IDDE_OBS_COUNT("perf.fluid_legs_checked",
+                 fluid_shapes[0].legs.size() + fluid_shapes[1].legs.size());
+  IDDE_OBS_COUNT("perf.fluid_rounds", fluid[0].rounds + fluid[1].rounds);
+  IDDE_OBS_COUNT("perf.fluid_warm_allocs",
+                 fluid[0].warm_allocs + fluid[1].warm_allocs);
 
   // ---- gates / output ---------------------------------------------------
   bool failed = false;
@@ -310,6 +444,21 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "GATE: warm replan() made %zu allocations (budget %zu)\n",
                    repair_allocs_warm, max_warm_allocs);
+      failed = true;
+    }
+    for (std::size_t s = 0; s < 2; ++s) {
+      if (fluid[s].warm_allocs != 0) {
+        std::fprintf(stderr,
+                     "GATE: warm %s water-filling made %zu allocations\n",
+                     fluid_shapes[s].name, fluid[s].warm_allocs);
+        failed = true;
+      }
+    }
+    if (fluid[0].speedup < kMinFluidSpeedup) {
+      std::fprintf(stderr,
+                   "GATE: indexed water-filling speedup %.2fx below required "
+                   "%.2fx\n",
+                   fluid[0].speedup, kMinFluidSpeedup);
       failed = true;
     }
   }
@@ -344,6 +493,20 @@ int main(int argc, char** argv) {
     alloc["plan_warm"] = plan_allocs_warm;
     alloc["replan_warm"] = repair_allocs_warm;
     doc["planner_allocs"] = std::move(alloc);
+    util::JsonObject fluid_doc;
+    for (std::size_t s = 0; s < 2; ++s) {
+      util::JsonObject row;
+      row["legs"] = fluid_shapes[s].legs.size();
+      row["links"] = fluid_shapes[s].capacities.size();
+      row["solves"] = fluid_shape_reps[s];
+      row["rounds"] = fluid[s].rounds;
+      row["indexed_solves_per_sec"] = fluid[s].indexed_solves_per_sec;
+      row["oracle_solves_per_sec"] = fluid[s].oracle_solves_per_sec;
+      row["speedup"] = fluid[s].speedup;
+      row["warm_allocs"] = fluid[s].warm_allocs;
+      fluid_doc[fluid_shapes[s].name] = std::move(row);
+    }
+    doc["fluid"] = std::move(fluid_doc);
     doc["telemetry"] = obs::telemetry_json();
     std::ofstream file(out);
     if (!file) {

@@ -27,6 +27,7 @@ idde_gbench(ablation_game_rules)
 idde_bench(perf_game)
 target_link_libraries(perf_game PRIVATE idde_oracles)
 idde_bench(perf_kernels)
+target_link_libraries(perf_kernels PRIVATE idde_oracles)
 
 # Extension benches (paper future work).
 idde_bench(ext_mobility)

@@ -62,7 +62,9 @@ struct EventLater {
 
 /// `deadline_s` > 0 enables goodput/deadline accounting; `window_s` is the
 /// offered-load period the rates are normalised by (0 = makespan).
-void finalize(FlowSimResult& result, double deadline_s, double window_s) {
+/// `freeze_rounds` is the run's water-filling round total (telemetry only).
+void finalize(FlowSimResult& result, double deadline_s, double window_s,
+              std::size_t freeze_rounds) {
   std::vector<double> durations_ms;
   durations_ms.reserve(result.flows.size());
   std::array<std::vector<double>, core::kFallbackTiers> tier_durations_ms;
@@ -139,6 +141,7 @@ void finalize(FlowSimResult& result, double deadline_s, double window_s) {
   IDDE_OBS_COUNT("des.local_hits_total", result.local_hits);
   IDDE_OBS_COUNT("des.cloud_fetches_total", result.cloud_fetches);
   IDDE_OBS_COUNT("des.rate_recomputations_total", result.rate_recomputations);
+  IDDE_OBS_COUNT("des.fluid_freeze_rounds_total", freeze_rounds);
   IDDE_OBS_COUNT("des.loss_aborts_total", result.loss_aborts);
   IDDE_OBS_COUNT("qos.offered_total", result.qos.offered);
   IDDE_OBS_COUNT("qos.shed_total", result.qos.shed);
@@ -254,7 +257,8 @@ class FlowLevelSimulator::Replay {
       }
       if (active_.empty()) continue;  // the next event re-anchors `now`
 
-      detail::assign_max_min_rates(active_, capacities_, scratch_);
+      freeze_rounds_ +=
+          detail::assign_max_min_rates(active_, capacities_, scratch_);
       ++result_.rate_recomputations;
 
       double dt = std::numeric_limits<double>::infinity();
@@ -293,7 +297,7 @@ class FlowLevelSimulator::Replay {
       window_s = qos_->arrivals.inert() ? options_.arrival_window_s
                                         : qos_->arrivals.window_s;
     }
-    finalize(result_, deadline_s, window_s);
+    finalize(result_, deadline_s, window_s, freeze_rounds_);
     return std::move(result_);
   }
 
@@ -885,6 +889,7 @@ class FlowLevelSimulator::Replay {
   std::vector<Leg> active_;
   std::vector<double> capacities_;
   detail::FluidScratch scratch_;
+  std::size_t freeze_rounds_ = 0;
   std::vector<std::size_t> eligible_;
   std::vector<std::size_t> reference_;
   std::vector<std::uint8_t> up_buf_;

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <optional>
 
 #include "core/idde_g.hpp"
 #include "core/metrics.hpp"
+#include "core/resolver.hpp"
 #include "des/flow_sim.hpp"
 #include "fault/fault_plan.hpp"
 #include "model/instance_builder.hpp"
@@ -207,6 +210,129 @@ TEST(FlowSim, NonCollaborativeStrategiesNeverRoute) {
     EXPECT_TRUE(flow.local_hit || flow.from_cloud);
     EXPECT_EQ(flow.hops, 0u);
   }
+}
+
+/// `base` with every request dropped but user `user` asking for `item`.
+model::ProblemInstance lone_request(const model::ProblemInstance& base,
+                                    std::size_t user, std::size_t item) {
+  model::RequestMatrix requests(base.user_count(), base.data_count());
+  requests.add_request(user, item);
+  return model::ProblemInstance(base.servers(), base.users(),
+                                base.data_items(), std::move(requests),
+                                base.graph(), base.latency(), base.radio_env());
+}
+
+/// A routed record of a fault-free burst replay whose route has `hops`
+/// links (any count >= 2 when `multi_hop`), searched over seeds.
+struct RoutedPick {
+  Solved solved;
+  std::size_t user = 0;
+  std::size_t item = 0;
+};
+
+std::optional<RoutedPick> routed_request(bool multi_hop) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Solved s = solved_instance(seed);
+    util::Rng rng(seed);
+    const auto result = des::FlowLevelSimulator(s.instance).run(s.strategy,
+                                                                rng);
+    for (const des::FlowRecord& flow : result.flows) {
+      if (flow.local_hit || flow.from_cloud) continue;
+      if (multi_hop ? flow.hops >= 2 : flow.hops == 1) {
+        return RoutedPick{std::move(s), flow.user, flow.item};
+      }
+    }
+  }
+  return std::nullopt;
+}
+
+/// The resolver's uncontended Eq. 8 seconds for the lone request.
+double eq8_seconds(const model::ProblemInstance& instance,
+                   const core::Strategy& strategy, std::size_t user,
+                   std::size_t item) {
+  core::Eq8Resolver resolver(instance);
+  const double size = instance.data(item).size_mb;
+  const core::Eq8Resolution resolution =
+      resolver.estimate({.hosts = strategy.delivery.hosts(item),
+                         .serving = strategy.allocation[user].server,
+                         .item_mb = size,
+                         .fragment_mb = size});
+  EXPECT_NE(resolution.source(), core::kCloudSource);
+  return resolution.seconds;
+}
+
+TEST(FlowSim, LoneSingleHopRequestMatchesEq8) {
+  // One leg alone on one link gets the link's whole capacity, which is the
+  // resolver's per-MB edge cost inverted: the DES and Eq. 8 agree exactly.
+  const std::optional<RoutedPick> pick = routed_request(false);
+  ASSERT_TRUE(pick.has_value());
+  const model::ProblemInstance lone =
+      lone_request(pick->solved.instance, pick->user, pick->item);
+  util::Rng rng(1);
+  const auto result =
+      des::FlowLevelSimulator(lone).run(pick->solved.strategy, rng);
+  ASSERT_EQ(result.flows.size(), 1u);
+  const des::FlowRecord& flow = result.flows[0];
+  ASSERT_FALSE(flow.local_hit || flow.from_cloud);
+  ASSERT_EQ(flow.hops, 1u);
+  const double analytic =
+      eq8_seconds(lone, pick->solved.strategy, pick->user, pick->item);
+  EXPECT_LE(std::abs(flow.duration_s() - analytic), 1e-12 * analytic);
+}
+
+TEST(FlowSim, LoneMultiHopRequestNeverSlowerThanEq8) {
+  // A lone leg drains at its slowest link's capacity; Eq. 8 books the sum
+  // of every hop's time, so the DES can only be faster.
+  const std::optional<RoutedPick> pick = routed_request(true);
+  ASSERT_TRUE(pick.has_value());
+  const model::ProblemInstance lone =
+      lone_request(pick->solved.instance, pick->user, pick->item);
+  util::Rng rng(1);
+  const auto result =
+      des::FlowLevelSimulator(lone).run(pick->solved.strategy, rng);
+  ASSERT_EQ(result.flows.size(), 1u);
+  const des::FlowRecord& flow = result.flows[0];
+  ASSERT_FALSE(flow.local_hit || flow.from_cloud);
+  ASSERT_GE(flow.hops, 2u);
+  const double analytic =
+      eq8_seconds(lone, pick->solved.strategy, pick->user, pick->item);
+  EXPECT_GT(flow.duration_s(), 0.0);
+  EXPECT_LE(flow.duration_s(), analytic * (1.0 + 1e-12));
+}
+
+TEST(FlowSim, DoubledLinkCapacityHalvesEveryRoutedDuration) {
+  // Max-min shares scale with every capacity, so a burst replay over twice
+  // the capacity halves each routed transfer; local hits and cloud fetches
+  // never touch a link.
+  const auto s = solved_instance(11);
+  des::FlowSimOptions base;
+  base.link_capacity_scale = 0.2;
+  des::FlowSimOptions doubled = base;
+  doubled.link_capacity_scale = 0.4;
+  util::Rng rng_a(11);
+  util::Rng rng_b(11);
+  const auto a = des::FlowLevelSimulator(s.instance, base).run(s.strategy,
+                                                               rng_a);
+  const auto b =
+      des::FlowLevelSimulator(s.instance, doubled).run(s.strategy, rng_b);
+  ASSERT_EQ(a.flows.size(), b.flows.size());
+  std::size_t routed = 0;
+  for (std::size_t f = 0; f < a.flows.size(); ++f) {
+    const des::FlowRecord& x = a.flows[f];
+    const des::FlowRecord& y = b.flows[f];
+    ASSERT_EQ(x.local_hit, y.local_hit);
+    ASSERT_EQ(x.from_cloud, y.from_cloud);
+    EXPECT_EQ(x.arrival_s, y.arrival_s);
+    if (x.local_hit || x.from_cloud) {
+      EXPECT_EQ(x.duration_s(), y.duration_s()) << "record " << f;
+      continue;
+    }
+    ++routed;
+    EXPECT_LE(std::abs(y.duration_s() - 0.5 * x.duration_s()),
+              1e-12 * x.duration_s())
+        << "record " << f;
+  }
+  EXPECT_GT(routed, 0u);
 }
 
 }  // namespace

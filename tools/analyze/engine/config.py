@@ -60,6 +60,7 @@ class Config:
         "src/coding/coded_evaluator.cpp",
         "src/coding/coded_planner.cpp",
         "src/core/resolver.cpp",
+        "src/des/fluid.hpp",
     ])
 
     # Unit-safety vocabulary. A double/int64 parameter or double-returning
