@@ -1,4 +1,4 @@
-// perf_kernels — microbenchmark for the four hot kernels this layer owns:
+// perf_kernels — microbenchmark for the five hot kernels this layer owns:
 //
 //   eval      scalar per-slot InterferenceField::benefit() vs the batched
 //             SoA sweep (radio::BatchEvaluator) over every user's candidate
@@ -18,11 +18,18 @@
 //             multi-hop legs) and a replay-chaos-like one (tens of legs).
 //             Rates must match the oracle bit for bit (the run aborts
 //             otherwise) and a warm solve must not allocate.
+//   injector  fault::FaultInjector construction on city-size (125-server)
+//             chaos plans, in ms per injector, against the eager reference
+//             of a fresh CostMatrix(epoch.graph) per epoch. Every repaired
+//             epoch matrix must match the fresh one bit for bit (the run
+//             aborts otherwise); the report counts rows left untouched,
+//             repaired and built from scratch.
 //
 // --smoke turns the report into a gate for CI: batched speedup below
 // --min-speedup, a warm plan allocating more than --max-warm-allocs, a warm
-// water-filling solve allocating at all, or an indexed/oracle water-filling
-// ratio on the metro-like shape below kMinFluidSpeedup fail the run.
+// water-filling solve allocating at all, an indexed/oracle water-filling
+// ratio on the metro-like shape below kMinFluidSpeedup, or an eager/
+// injector build ratio below kMinInjectorSpeedup fail the run.
 // Telemetry is switched on after every timed section, so the report's
 // telemetry block carries the perf.* counters without costing the timings.
 // Results go to stdout and to --out (default BENCH_kernels.json) for
@@ -39,15 +46,22 @@
 #include <string>
 #include <vector>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include "core/game.hpp"
 #include "core/greedy_delivery.hpp"
 #include "core/repair_planner.hpp"
 #include "des/fluid.hpp"
+#include "fault/fault_plan.hpp"
+#include "fault/injector.hpp"
 #include "model/instance_builder.hpp"
 #include "net/shortest_path.hpp"
 #include "obs/obs.hpp"
 #include "oracles/scan_max_min.hpp"
 #include "radio/batch_eval.hpp"
+#include "sim/overload.hpp"
 #include "sim/paper.hpp"
 #include "util/assert.hpp"
 #include "util/cli.hpp"
@@ -206,6 +220,67 @@ FluidTiming time_fluid(FluidShape& shape, std::size_t reps) {
   return timing;
 }
 
+/// --smoke floor on the eager/injector build ratio: well under the ~4x it
+/// measures, far above a regression back to a fresh matrix per epoch.
+constexpr double kMinInjectorSpeedup = 2.0;
+
+struct InjectorTiming {
+  std::size_t epochs = 0;    ///< over all plans
+  double eager_ms = 0.0;     ///< per plan: CostMatrix(epoch.graph) per epoch
+  double injector_ms = 0.0;  ///< per plan: the FaultInjector constructor
+  double speedup = 0.0;
+};
+
+/// Checks every epoch matrix of each plan's injector against a fresh build
+/// bit for bit, then times `reps` rounds of both builds per plan,
+/// alternating. The eager reference keeps every epoch's matrix alive, as
+/// the injector does, and each timed build starts with the previous one
+/// freed, so both sides draw on the same warm heap.
+InjectorTiming time_injector(const model::ProblemInstance& city,
+                             const std::vector<fault::FaultPlan>& plans,
+                             std::size_t reps) {
+  InjectorTiming timing;
+  const std::size_t n = city.server_count();
+  std::vector<net::Graph> graphs;
+  std::vector<net::CostMatrix> eager;
+  for (const fault::FaultPlan& plan : plans) {
+    graphs.clear();
+    {
+      const fault::FaultInjector reference(city, plan);
+      for (std::size_t e = 0; e < reference.epoch_count(); ++e) {
+        const net::CostMatrix& repaired = reference.epoch(e).costs;
+        const net::CostMatrix fresh(reference.epoch(e).graph);
+        for (std::size_t a = 0; a < n; ++a) {
+          for (std::size_t b = 0; b < n; ++b) {
+            IDDE_ASSERT(std::bit_cast<std::uint64_t>(repaired.cost(a, b)) ==
+                            std::bit_cast<std::uint64_t>(fresh.cost(a, b)),
+                        "repaired epoch matrix diverged from a fresh build");
+          }
+        }
+        graphs.push_back(reference.epoch(e).graph);
+      }
+    }
+    timing.epochs += graphs.size();
+    eager.reserve(graphs.size());
+    for (std::size_t rep = 0; rep < reps; ++rep) {
+      {
+        const auto injector_start = Clock::now();
+        const fault::FaultInjector injector(city, plan);
+        timing.injector_ms += ms_since(injector_start);
+      }
+      const auto eager_start = Clock::now();
+      for (const net::Graph& graph : graphs) eager.emplace_back(graph);
+      timing.eager_ms += ms_since(eager_start);
+      eager.clear();
+    }
+  }
+  const double builds = static_cast<double>(reps * plans.size());
+  timing.eager_ms /= builds;
+  timing.injector_ms /= builds;
+  timing.speedup = timing.eager_ms / timing.injector_ms;
+  return timing;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -222,7 +297,8 @@ int main(int argc, char** argv) {
   std::string out = "BENCH_kernels.json";
   util::CliParser cli(
       "perf_kernels: batched-vs-scalar slot evaluation, latency-matrix "
-      "builds, planner allocation counts, and indexed-vs-scan water-filling");
+      "builds, planner allocation counts, indexed-vs-scan water-filling, and "
+      "fault-injector epoch builds");
   cli.add_size("servers", &servers, "edge servers N");
   cli.add_size("users", &users, "users M (Set #2 tops out at 350)");
   cli.add_size("data", &data, "data items K");
@@ -414,8 +490,52 @@ int main(int argc, char** argv) {
   }
   std::printf("\n");
 
+  // ---- injector: repaired epoch matrices vs a fresh build per epoch ----
+  // replay-chaos's shape: 125-server city instances, chaos plans of a few
+  // hundred epochs each.
+  model::InstanceParams city_params = sim::paper_default_params();
+  city_params.server_count = 125;
+  city_params.user_count = 816;
+  city_params.data_count = 12;
+  const model::ProblemInstance city = model::make_instance(city_params, seed);
+  std::vector<fault::FaultPlan> chaos_plans;
+  for (std::size_t p = 0; p < (smoke ? 4u : 16u); ++p) {
+    chaos_plans.push_back(fault::FaultPlan::generate(
+        city, sim::chaos_fault_profile(), seed + p));
+  }
+  const std::size_t injector_reps = smoke ? 1 : 3;
+#ifdef __GLIBC__
+  // Each plan's matrices are ~40 MB. A replay process reuses its freed
+  // heap for the next injector (the DES's own allocations sit above it);
+  // here the injector is the top of the heap, and glibc would hand its
+  // pages back to the OS after every build, so both sides would mostly
+  // time first-touch page faults. Keep freed memory in the process.
+  mallopt(M_TRIM_THRESHOLD, 1 << 30);
+#endif
+  const InjectorTiming injector =
+      time_injector(city, chaos_plans, injector_reps);
+
   // Recording starts after the last timed section.
   obs::set_enabled(true);
+  // Untimed: the injector's own counters split the rows by how they were
+  // made.
+  for (const fault::FaultPlan& plan : chaos_plans) {
+    (void)fault::FaultInjector(city, plan);
+  }
+  const auto counter = [](const char* name) -> std::size_t {
+    return obs::MetricsRegistry::global().counter(name).value();
+  };
+  const std::size_t rows_total = injector.epochs * city.server_count();
+  const std::size_t rows_repaired =
+      counter("fault.injector_rows_repaired_total");
+  const std::size_t rows_built = counter("fault.injector_rows_built_total");
+  const std::size_t rows_untouched = rows_total - rows_repaired - rows_built;
+  std::printf("  injector %zu chaos plans x %zu servers, %zu epochs: eager "
+              "%.2f ms, injector %.2f ms per plan (%.1fx); rows untouched "
+              "%zu, repaired %zu, built %zu\n\n",
+              chaos_plans.size(), city.server_count(), injector.epochs,
+              injector.eager_ms, injector.injector_ms, injector.speedup,
+              rows_untouched, rows_repaired, rows_built);
   IDDE_OBS_COUNT("perf.eval_slots_checked", sweep_evals);
   IDDE_OBS_COUNT("perf.plan_allocs_warm", plan_allocs_warm);
   IDDE_OBS_COUNT("perf.replan_allocs_warm", repair_allocs_warm);
@@ -424,6 +544,7 @@ int main(int argc, char** argv) {
   IDDE_OBS_COUNT("perf.fluid_rounds", fluid[0].rounds + fluid[1].rounds);
   IDDE_OBS_COUNT("perf.fluid_warm_allocs",
                  fluid[0].warm_allocs + fluid[1].warm_allocs);
+  IDDE_OBS_COUNT("perf.injector_epochs_checked", injector.epochs);
 
   // ---- gates / output ---------------------------------------------------
   bool failed = false;
@@ -459,6 +580,13 @@ int main(int argc, char** argv) {
                    "GATE: indexed water-filling speedup %.2fx below required "
                    "%.2fx\n",
                    fluid[0].speedup, kMinFluidSpeedup);
+      failed = true;
+    }
+    if (injector.speedup < kMinInjectorSpeedup) {
+      std::fprintf(stderr,
+                   "GATE: injector build speedup %.2fx below required "
+                   "%.2fx\n",
+                   injector.speedup, kMinInjectorSpeedup);
       failed = true;
     }
   }
@@ -507,6 +635,18 @@ int main(int argc, char** argv) {
       fluid_doc[fluid_shapes[s].name] = std::move(row);
     }
     doc["fluid"] = std::move(fluid_doc);
+    util::JsonObject injector_doc;
+    injector_doc["servers"] = city.server_count();
+    injector_doc["plans"] = chaos_plans.size();
+    injector_doc["epochs"] = injector.epochs;
+    injector_doc["reps"] = injector_reps;
+    injector_doc["eager_ms_per_plan"] = injector.eager_ms;
+    injector_doc["injector_ms_per_plan"] = injector.injector_ms;
+    injector_doc["speedup"] = injector.speedup;
+    injector_doc["rows_untouched"] = rows_untouched;
+    injector_doc["rows_repaired"] = rows_repaired;
+    injector_doc["rows_built"] = rows_built;
+    doc["injector"] = std::move(injector_doc);
     doc["telemetry"] = obs::telemetry_json();
     std::ofstream file(out);
     if (!file) {

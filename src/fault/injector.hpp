@@ -37,12 +37,20 @@ struct AvailabilitySnapshot {
 
 class FaultInjector {
  public:
-  /// Precomputes every epoch eagerly. Cost: one Dijkstra sweep per epoch
-  /// with at least one fault; all-up epochs share nothing but are cheap
-  /// (the fault-free matrix is rebuilt, not aliased, to keep the struct
-  /// self-contained).
+  /// Precomputes every epoch eagerly. Epoch 0's cost matrix is one
+  /// Dijkstra sweep; every later epoch copies its predecessor's matrix and
+  /// repairs each row against the edges that went off or came back on
+  /// (net::CostMatrix::repaired), bit-identical to a fresh sweep. Rows the
+  /// delta cannot reach cost O(|delta|). When the instance's weights fail
+  /// the repair precondition (net::absorption_free, say a zero-weight
+  /// edge), every epoch takes the fresh sweep. Each epoch owns its own
+  /// graph and matrix; nothing is aliased. The injector keeps a pointer
+  /// to `plan`, which must outlive it.
   FaultInjector(const model::ProblemInstance& instance,
                 const FaultPlan& plan);
+  /// A temporary plan would dangle.
+  FaultInjector(const model::ProblemInstance& instance, FaultPlan&& plan) =
+      delete;
 
   [[nodiscard]] std::size_t epoch_count() const noexcept {
     return epochs_.size();

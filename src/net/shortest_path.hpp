@@ -1,9 +1,11 @@
 // Shortest-path costs over the edge graph. Both a single-source Dijkstra and
 // an all-pairs solver are provided; the all-pairs matrix backs Eq. (8)'s
 // L_{k,o,i} lookups, which the greedy delivery phase evaluates millions of
-// times.
+// times. A matrix can also be repaired from its predecessor across an edge
+// delta (the fault injector's epoch-to-epoch step) with bit-identical rows.
 #pragma once
 
+#include <cstdint>
 #include <limits>
 #include <span>
 #include <utility>
@@ -33,6 +35,45 @@ struct DijkstraScratch {
 void dijkstra_into(const Graph& graph, std::size_t source,
                    std::span<double> dist, DijkstraScratch& scratch);
 
+/// The edges that differ between two graphs over the same nodes: `removed`
+/// are in the old graph only, `added` in the new graph only (a multiset
+/// difference, so parallel edges count separately).
+struct EdgeDelta {
+  std::span<const Edge> removed;
+  std::span<const Edge> added;
+};
+
+/// True when every weight w of `graph` is finite and absorption-free:
+/// fl(d + w) > d for any path cost d the graph can produce. This is the
+/// precondition of repair_row (DESIGN.md §10); checked as
+/// w_min > 0 and w_min > w_max * (n + 1) * 2^-50.
+[[nodiscard]] bool absorption_free(const Graph& graph);
+
+/// Reusable scratch for repair_row. `mark` is all-clear between calls; the
+/// other vectors are per-call working sets that keep their capacity.
+struct RepairScratch {
+  DijkstraScratch dijkstra;                              ///< the heap pass
+  std::vector<std::pair<double, std::size_t>> suspects;  ///< old-cost heap
+  std::vector<std::uint8_t> mark;     ///< per node: clear/suspect/lost
+  std::vector<std::size_t> touched;   ///< nodes whose mark is set
+};
+
+/// Repairs `dist`, the dijkstra_into row of `source` over the graph before
+/// `delta`, into the row over `after` (the graph after `delta`), in place.
+/// Removals first: endpoints of removed edges that were tight (the
+/// edge carried the node's cost) are checked in increasing old cost; a node
+/// whose cost no surviving neighbour reproduces is lost, and its tight
+/// children are checked in turn. Lost nodes restart from their cheapest
+/// neighbour, added edges seed the nodes they improve, and one heap pass
+/// relaxing with strict `<` settles the rest. Precondition: both graphs'
+/// weights are absorption-free (absorption_free()); the result is then
+/// bit-identical to dijkstra_into over `after`. A row with no tight removed
+/// edge and no improving added edge returns in O(|delta|). Returns true when
+/// the row needed repair: some node lost its cost or an added edge improved
+/// one.
+bool repair_row(const Graph& after, std::size_t source, const EdgeDelta& delta,
+                std::span<double> dist, RepairScratch& scratch);
+
 /// Dense all-pairs cost matrix (row-major, n*n). Runs n Dijkstras, which is
 /// O(n (m + n) log n) — cheaper than Floyd–Warshall for the sparse
 /// density*N-link topologies used here. The build writes each source's row
@@ -41,6 +82,16 @@ void dijkstra_into(const Graph& graph, std::size_t source,
 class CostMatrix {
  public:
   explicit CostMatrix(const Graph& graph);
+
+  /// The matrix over `after`, built by copying `before` (the matrix of the
+  /// graph before `delta`) and repairing every row with repair_row. Same
+  /// precondition and the same bit-identical result as CostMatrix(after).
+  /// Adds the number of rows repair_row changed to `rows_repaired`.
+  [[nodiscard]] static CostMatrix repaired(const CostMatrix& before,
+                                           const Graph& after,
+                                           const EdgeDelta& delta,
+                                           RepairScratch& scratch,
+                                           std::size_t& rows_repaired);
 
   /// Seconds-per-MB of the cheapest route from `from` to `to`.
   [[nodiscard]] double cost(std::size_t from, std::size_t to) const {

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "core/greedy_delivery.hpp"
@@ -17,6 +19,9 @@
 #include "fault/fault_plan.hpp"
 #include "fault/injector.hpp"
 #include "model/instance_builder.hpp"
+#include "net/shortest_path.hpp"
+#include "obs/obs.hpp"
+#include "sim/overload.hpp"
 #include "sim/paper.hpp"
 
 namespace {
@@ -263,6 +268,150 @@ TEST(FaultInjector, PlanEpochViewMatchesInjectorSlicing) {
     }
   }
   EXPECT_FALSE(plan.availability_changed_between(1.0, 0.5));  // to < from
+}
+
+// The injector keeps a pointer to its plan, so a temporary plan must not
+// bind.
+static_assert(!std::is_constructible_v<fault::FaultInjector,
+                                       const model::ProblemInstance&,
+                                       fault::FaultPlan&&>);
+static_assert(std::is_constructible_v<fault::FaultInjector,
+                                      const model::ProblemInstance&,
+                                      const fault::FaultPlan&>);
+
+/// Every epoch's repaired cost matrix equals a fresh build over the
+/// epoch's graph, bit for bit.
+void expect_fresh_costs(const fault::FaultInjector& injector) {
+  for (std::size_t e = 0; e < injector.epoch_count(); ++e) {
+    const fault::AvailabilitySnapshot& snap = injector.epoch(e);
+    const net::CostMatrix fresh(snap.graph);
+    const std::size_t n = fresh.size();
+    ASSERT_EQ(snap.costs.size(), n);
+    for (std::size_t a = 0; a < n; ++a) {
+      for (std::size_t b = 0; b < n; ++b) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(snap.costs.cost(a, b)),
+                  std::bit_cast<std::uint64_t>(fresh.cost(a, b)))
+            << "epoch " << e << " cost(" << a << ", " << b << ")";
+      }
+    }
+  }
+}
+
+model::InstanceParams city_params() {
+  model::InstanceParams p = sim::paper_default_params();
+  p.server_count = 125;
+  p.user_count = 200;
+  p.data_count = 4;
+  return p;
+}
+
+/// A global counter's value (always 0 in IDDE_OBS=0 builds).
+std::uint64_t counter_value(const char* name) {
+  return obs::MetricsRegistry::global().counter(name).value();
+}
+
+TEST(FaultInjector, RepairedEpochsMatchFreshMatricesOnChaosPlans) {
+  const auto inst = model::make_instance(city_params(), 17);
+  ASSERT_TRUE(net::absorption_free(inst.graph()));
+  std::size_t epochs = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const auto plan =
+        fault::FaultPlan::generate(inst, sim::chaos_fault_profile(), seed);
+    const fault::FaultInjector injector(inst, plan);
+    expect_fresh_costs(injector);
+    epochs += injector.epoch_count();
+  }
+  EXPECT_GT(epochs, 100u);
+}
+
+TEST(FaultInjector, RepairedEpochsMatchFreshMatricesWhenMostServersDie) {
+  // MTBF far below the horizon: nearly every server and link goes down at
+  // some point, often several at once.
+  fault::FaultProfile heavy;
+  heavy.horizon_s = 60.0;
+  heavy.server_mtbf_s = 4.0;
+  heavy.server_mttr_s = 6.0;
+  heavy.link_mtbf_s = 3.0;
+  heavy.link_mttr_s = 3.0;
+  const auto inst = model::make_instance(city_params(), 18);
+  const auto plan = fault::FaultPlan::generate(inst, heavy, 5);
+  std::size_t crashed = 0;
+  for (const auto& intervals : plan.server_downtime()) {
+    if (!intervals.empty()) ++crashed;
+  }
+  EXPECT_GT(crashed, inst.server_count() * 9 / 10);
+  expect_fresh_costs(fault::FaultInjector(inst, plan));
+}
+
+TEST(FaultInjector, ZeroWeightEdgeTakesTheFreshBuild) {
+  const auto base = model::make_instance(small_params(), 19);
+  std::vector<net::Edge> edges;
+  for (std::size_t a = 0; a < base.server_count(); ++a) {
+    for (const net::Neighbor& nb : base.graph().neighbors(a)) {
+      if (a < nb.node) edges.push_back(net::Edge{a, nb.node, nb.weight});
+    }
+  }
+  edges.front().weight = 0.0;
+  const model::ProblemInstance inst(
+      base.servers(), base.users(), base.data_items(), base.requests(),
+      net::Graph(base.server_count(), edges), base.latency(),
+      base.radio_env());
+  ASSERT_FALSE(net::absorption_free(inst.graph()));
+  const auto plan = fault::FaultPlan::generate(inst, lively_profile(), 23);
+
+  obs::set_enabled(true);
+  obs::reset_all();
+  const fault::FaultInjector injector(inst, plan);
+  const std::uint64_t built = counter_value("fault.injector_rows_built_total");
+  const std::uint64_t repaired =
+      counter_value("fault.injector_rows_repaired_total");
+  obs::set_enabled(false);
+  obs::reset_all();
+  ASSERT_GT(injector.epoch_count(), 1u);
+#if IDDE_OBS
+  EXPECT_EQ(built, injector.epoch_count() * inst.server_count());
+  EXPECT_EQ(repaired, 0u);
+#else
+  (void)built, (void)repaired;
+#endif
+  expect_fresh_costs(injector);
+}
+
+TEST(FaultInjector, TelemetryCountsEpochsAndRowsAndChangesNothing) {
+  const auto inst = model::make_instance(city_params(), 20);
+  const auto plan =
+      fault::FaultPlan::generate(inst, sim::chaos_fault_profile(), 9);
+  const fault::FaultInjector quiet(inst, plan);
+
+  obs::set_enabled(true);
+  obs::reset_all();
+  const fault::FaultInjector counted(inst, plan);
+  const std::uint64_t epochs = counter_value("fault.injector_epochs_total");
+  const std::uint64_t built = counter_value("fault.injector_rows_built_total");
+  const std::uint64_t repaired =
+      counter_value("fault.injector_rows_repaired_total");
+  obs::set_enabled(false);
+  obs::reset_all();
+
+  ASSERT_EQ(counted.epoch_count(), quiet.epoch_count());
+#if IDDE_OBS
+  EXPECT_EQ(epochs, counted.epoch_count());
+  EXPECT_EQ(built, inst.server_count());  // epoch 0 only
+  EXPECT_GT(repaired, 0u);
+  EXPECT_LT(repaired, (counted.epoch_count() - 1) * inst.server_count());
+#else
+  (void)epochs, (void)built, (void)repaired;
+#endif
+  for (std::size_t e = 0; e < counted.epoch_count(); ++e) {
+    const std::size_t n = inst.server_count();
+    for (std::size_t a = 0; a < n; ++a) {
+      for (std::size_t b = 0; b < n; ++b) {
+        ASSERT_EQ(
+            std::bit_cast<std::uint64_t>(counted.epoch(e).costs.cost(a, b)),
+            std::bit_cast<std::uint64_t>(quiet.epoch(e).costs.cost(a, b)));
+      }
+    }
+  }
 }
 
 TEST(Failover, AllUpReproducesEq8AndPrimaryTier) {

@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "net/graph.hpp"
 #include "net/graph_gen.hpp"
@@ -254,6 +257,210 @@ TEST(ShortestRoute, CostMatchesCostMatrixOnRandomGraphs) {
       }
     }
   }
+}
+
+// ---- repair_row: bit-identical to a fresh Dijkstra across any delta ------
+
+/// Repairs every source's `before` row across the delta and checks it
+/// against dijkstra_into over `after`, comparing bit patterns. Returns the
+/// number of rows repair_row reported as changed.
+std::size_t expect_repairs_exact(std::size_t n,
+                                 const std::vector<Edge>& before_edges,
+                                 const std::vector<Edge>& after_edges,
+                                 const std::vector<Edge>& removed,
+                                 const std::vector<Edge>& added,
+                                 RepairScratch& scratch) {
+  const Graph before(n, before_edges);
+  const Graph after(n, after_edges);
+  std::size_t changed = 0;
+  std::vector<double> row(n);
+  std::vector<double> fresh(n);
+  DijkstraScratch dijkstra;
+  for (std::size_t source = 0; source < n; ++source) {
+    dijkstra_into(before, source, row, dijkstra);
+    if (repair_row(after, source, {removed, added}, row, scratch)) ++changed;
+    dijkstra_into(after, source, fresh, dijkstra);
+    for (std::size_t v = 0; v < n; ++v) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(row[v]),
+                std::bit_cast<std::uint64_t>(fresh[v]))
+          << "n=" << n << " source=" << source << " node=" << v << ": "
+          << row[v] << " vs " << fresh[v];
+    }
+  }
+  return changed;
+}
+
+/// Splits `base` by two on/off masks into the before/after edge lists and
+/// the delta between them, all in base order.
+struct MaskedDelta {
+  std::vector<Edge> before, after, removed, added;
+};
+
+MaskedDelta masked_delta(const std::vector<Edge>& base,
+                         const std::vector<bool>& was_on,
+                         const std::vector<bool>& on) {
+  MaskedDelta d;
+  for (std::size_t b = 0; b < base.size(); ++b) {
+    if (was_on[b]) d.before.push_back(base[b]);
+    if (on[b]) d.after.push_back(base[b]);
+    if (was_on[b] && !on[b]) d.removed.push_back(base[b]);
+    if (!was_on[b] && on[b]) d.added.push_back(base[b]);
+  }
+  return d;
+}
+
+TEST(RepairRow, MatchesFreshDijkstraOnRandomDeltas) {
+  Rng rng(91);
+  RepairScratch scratch;  // one scratch across every size and call
+  std::size_t changed = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const std::size_t n = 5 + rng.index(146);
+    const TopologyParams params{.density = 1.0 + rng.uniform() * 2.0};
+    std::vector<Edge> base = generate_topology(n, params, rng);
+    // Half the trials use a few coarse weights, so equal-cost paths (and
+    // with them alternative supports) are everywhere.
+    if (trial % 2 == 1) {
+      for (Edge& e : base) {
+        e.weight = 0.25 * static_cast<double>(1 + rng.index(4));
+      }
+    }
+    // Parallel copies of some links, cheaper or dearer than the original.
+    for (std::size_t c = rng.index(4); c > 0; --c) {
+      Edge copy = base[rng.index(base.size())];
+      copy.weight *= rng.bernoulli(0.5) ? 0.5 : 2.0;
+      base.push_back(copy);
+    }
+    const double keep = 0.5 + rng.uniform() * 0.5;
+    const double flip = rng.uniform() * 0.3;
+    std::vector<bool> was_on(base.size());
+    std::vector<bool> on(base.size());
+    for (std::size_t b = 0; b < base.size(); ++b) {
+      was_on[b] = rng.bernoulli(keep);
+      on[b] = rng.bernoulli(flip) ? !was_on[b] : was_on[b];
+    }
+    const MaskedDelta d = masked_delta(base, was_on, on);
+    ASSERT_TRUE(absorption_free(Graph(n, base)));
+    changed += expect_repairs_exact(n, d.before, d.after, d.removed, d.added,
+                                    scratch);
+  }
+  EXPECT_GT(changed, 0u);  // the deltas really exercised the repair
+}
+
+TEST(RepairRow, EverySourceEdgeRemoved) {
+  Rng rng(92);
+  RepairScratch scratch;
+  const std::size_t n = 40;
+  const std::vector<Edge> base =
+      generate_topology(n, {.density = 2.0}, rng);
+  const std::size_t source = 7;
+  std::vector<bool> all(base.size(), true);
+  std::vector<bool> on(base.size(), true);
+  for (std::size_t b = 0; b < base.size(); ++b) {
+    if (base[b].from == source || base[b].to == source) on[b] = false;
+  }
+  const MaskedDelta cut = masked_delta(base, all, on);
+  ASSERT_FALSE(cut.removed.empty());
+  expect_repairs_exact(n, cut.before, cut.after, cut.removed, cut.added,
+                       scratch);
+  // And back: the isolated source rejoins.
+  const MaskedDelta back = masked_delta(base, on, all);
+  expect_repairs_exact(n, back.before, back.after, back.removed, back.added,
+                       scratch);
+
+  std::vector<double> row = dijkstra(Graph(n, cut.before), source);
+  EXPECT_TRUE(repair_row(Graph(n, cut.after), source,
+                         {cut.removed, cut.added}, row, scratch));
+  for (std::size_t v = 0; v < n; ++v) {
+    EXPECT_EQ(row[v], v == source ? 0.0 : kUnreachable);
+  }
+}
+
+TEST(RepairRow, BridgeCutThenReAdded) {
+  // Two 4-cliques joined by the bridge 3-4.
+  std::vector<Edge> base;
+  for (std::size_t half = 0; half < 2; ++half) {
+    for (std::size_t a = 0; a < 4; ++a) {
+      for (std::size_t b = a + 1; b < 4; ++b) {
+        const double weight = 0.5 + 0.25 * static_cast<double>(a);
+        base.push_back({half * 4 + a, half * 4 + b, weight});
+      }
+    }
+  }
+  const Edge bridge{3, 4, 1.0};
+  std::vector<Edge> cut = base;
+  base.push_back(bridge);
+  RepairScratch scratch;
+  EXPECT_GT(expect_repairs_exact(8, base, cut, {bridge}, {}, scratch), 0u);
+  EXPECT_GT(expect_repairs_exact(8, cut, base, {}, {bridge}, scratch), 0u);
+  std::vector<double> row = dijkstra(Graph(8, base), 0);
+  repair_row(Graph(8, cut), 0, {std::vector<Edge>{bridge}, {}}, row, scratch);
+  for (std::size_t v = 4; v < 8; ++v) EXPECT_EQ(row[v], kUnreachable);
+}
+
+TEST(RepairRow, ParallelEdges) {
+  // 0 =(1.0 | 2.0)= 1 - 2, plus a dear detour 0 - 2.
+  const Edge cheap{0, 1, 1.0};
+  const Edge dear{0, 1, 2.0};
+  const Edge tail{1, 2, 1.0};
+  const Edge detour{0, 2, 2.5};
+  RepairScratch scratch;
+  // The cheap copy goes: the dear one still connects, at a higher cost.
+  expect_repairs_exact(3, {cheap, dear, tail, detour}, {dear, tail, detour},
+                       {cheap}, {}, scratch);
+  // The dear copy goes: nothing moves.
+  EXPECT_EQ(expect_repairs_exact(3, {cheap, dear, tail, detour},
+                                 {cheap, tail, detour}, {dear}, {}, scratch),
+            0u);
+  // Both go at once, then both come back.
+  expect_repairs_exact(3, {cheap, dear, tail, detour}, {tail, detour},
+                       {cheap, dear}, {}, scratch);
+  expect_repairs_exact(3, {tail, detour}, {cheap, dear, tail, detour}, {},
+                       {cheap, dear}, scratch);
+  // Equal-weight twins: losing one leaves the other as support.
+  EXPECT_EQ(expect_repairs_exact(3, {cheap, cheap, tail}, {cheap, tail},
+                                 {cheap}, {}, scratch),
+            0u);
+}
+
+TEST(RepairRow, SameEndpointsRemovedAndAdded) {
+  const std::vector<Edge> ring{{0, 1, 1.0}, {1, 2, 1.0}, {2, 3, 1.0},
+                               {3, 0, 1.0}};
+  RepairScratch scratch;
+  for (const double weight : {0.5, 1.0, 1.5, 3.0}) {
+    const Edge swapped{1, 2, weight};
+    std::vector<Edge> after = {ring[0], ring[2], ring[3], swapped};
+    expect_repairs_exact(4, ring, after, {ring[1]}, {swapped}, scratch);
+    expect_repairs_exact(4, after, ring, {swapped}, {ring[1]}, scratch);
+  }
+}
+
+TEST(RepairRow, EmptyOrSlackDeltaChangesNothing) {
+  Rng rng(93);
+  const std::size_t n = 30;
+  const std::vector<Edge> edges = generate_topology(n, {.density = 2.0}, rng);
+  const Graph graph(n, edges);
+  RepairScratch scratch;
+  for (std::size_t source = 0; source < n; ++source) {
+    std::vector<double> row = dijkstra(graph, source);
+    const std::vector<double> copy = row;
+    EXPECT_FALSE(repair_row(graph, source, {}, row, scratch));
+    EXPECT_EQ(row, copy);
+  }
+  // A link dearer than any path between its ends is never tight, and
+  // adding it improves nothing.
+  const Edge slack{0, n - 1, 1e3};
+  std::vector<Edge> with = edges;
+  with.push_back(slack);
+  EXPECT_EQ(expect_repairs_exact(n, with, edges, {slack}, {}, scratch), 0u);
+  EXPECT_EQ(expect_repairs_exact(n, edges, with, {}, {slack}, scratch), 0u);
+}
+
+TEST(RepairRow, AbsorptionFreePrecondition) {
+  EXPECT_TRUE(absorption_free(Graph(3, {})));
+  EXPECT_TRUE(absorption_free(Graph(3, {{0, 1, 1.0}, {1, 2, 1e-9}})));
+  EXPECT_FALSE(absorption_free(Graph(3, {{0, 1, 1.0}, {1, 2, 0.0}})));
+  EXPECT_FALSE(absorption_free(Graph(3, {{0, 1, 1.0}, {1, 2, 1e-17}})));
+  EXPECT_FALSE(absorption_free(Graph(2, {{0, 1, kUnreachable}})));
 }
 
 }  // namespace

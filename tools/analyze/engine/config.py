@@ -61,6 +61,8 @@ class Config:
         "src/coding/coded_planner.cpp",
         "src/core/resolver.cpp",
         "src/des/fluid.hpp",
+        "src/net/shortest_path.cpp",
+        "src/fault/injector.cpp",
     ])
 
     # Unit-safety vocabulary. A double/int64 parameter or double-returning
