@@ -1,4 +1,5 @@
-// perf_kernels — microbenchmark for the five hot kernels this layer owns:
+// perf_kernels — microbenchmark for the five hot kernels this layer owns,
+// plus instance IO:
 //
 //   eval      scalar per-slot InterferenceField::benefit() vs the batched
 //             SoA sweep (radio::BatchEvaluator) over every user's candidate
@@ -24,12 +25,18 @@
 //             epoch matrix must match the fresh one bit for bit (the run
 //             aborts otherwise); the report counts rows left untouched,
 //             repaired and built from scratch.
+//   instance_io  InstanceBuilder::build, instance_to_string and
+//             instance_from_string at city (125/816) and metro-short
+//             (60/960) size, in ms, with the file's bytes per user and the
+//             stored gains per user of the sparse store. Every file must
+//             load back to an instance that writes the same bytes.
 //
 // --smoke turns the report into a gate for CI: batched speedup below
 // --min-speedup, a warm plan allocating more than --max-warm-allocs, a warm
 // water-filling solve allocating at all, an indexed/oracle water-filling
-// ratio on the metro-like shape below kMinFluidSpeedup, or an eager/
-// injector build ratio below kMinInjectorSpeedup fail the run.
+// ratio on the metro-like shape below kMinFluidSpeedup, an eager/injector
+// build ratio below kMinInjectorSpeedup, or a city instance file above
+// kMaxCityBytesPerUser fail the run.
 // Telemetry is switched on after every timed section, so the report's
 // telemetry block carries the perf.* counters without costing the timings.
 // Results go to stdout and to --out (default BENCH_kernels.json) for
@@ -57,12 +64,14 @@
 #include "fault/fault_plan.hpp"
 #include "fault/injector.hpp"
 #include "model/instance_builder.hpp"
+#include "model/instance_io.hpp"
 #include "net/shortest_path.hpp"
 #include "obs/obs.hpp"
 #include "oracles/scan_max_min.hpp"
 #include "radio/batch_eval.hpp"
 #include "sim/overload.hpp"
 #include "sim/paper.hpp"
+#include "sim/scenario.hpp"
 #include "util/assert.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
@@ -281,6 +290,55 @@ InjectorTiming time_injector(const model::ProblemInstance& city,
   return timing;
 }
 
+/// --smoke ceiling on the city instance file's bytes per user: the dense
+/// idde-instance-v1 file took ~3 KB (125 gains per user); the sparse v2
+/// file takes well under a third of that. Deterministic (fixed instance).
+constexpr double kMaxCityBytesPerUser = 1024.0;
+
+struct InstanceTiming {
+  const char* name = "";
+  std::size_t servers = 0;
+  std::size_t users = 0;
+  double build_ms = 0.0;  ///< per build
+  double write_ms = 0.0;  ///< per instance_to_string
+  double read_ms = 0.0;   ///< per instance_from_string
+  double bytes_per_user = 0.0;
+  double entries_per_user = 0.0;  ///< stored gains per user
+};
+
+/// Times `reps` build -> write -> read rounds of one instance and checks
+/// that the file loads back to an instance that writes the same bytes.
+InstanceTiming time_instance(const char* name,
+                             const model::InstanceParams& params,
+                             std::uint64_t seed, std::size_t reps) {
+  InstanceTiming timing;
+  timing.name = name;
+  timing.servers = params.server_count;
+  timing.users = params.user_count;
+  const model::InstanceBuilder builder(params);
+  for (std::size_t rep = 0; rep < reps; ++rep) {
+    const auto build_start = Clock::now();
+    const model::ProblemInstance built = builder.build(seed);
+    timing.build_ms += ms_since(build_start);
+    const auto write_start = Clock::now();
+    const std::string text = model::instance_to_string(built);
+    timing.write_ms += ms_since(write_start);
+    const auto read_start = Clock::now();
+    const model::ProblemInstance back = model::instance_from_string(text);
+    timing.read_ms += ms_since(read_start);
+    IDDE_ASSERT(model::instance_to_string(back) == text,
+                "instance file did not load back to the same bytes");
+    const auto users = static_cast<double>(built.user_count());
+    timing.bytes_per_user = static_cast<double>(text.size()) / users;
+    timing.entries_per_user =
+        static_cast<double>(built.radio_env().gain.size()) / users;
+  }
+  timing.build_ms /= static_cast<double>(reps);
+  timing.write_ms /= static_cast<double>(reps);
+  timing.read_ms /= static_cast<double>(reps);
+  return timing;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -298,7 +356,7 @@ int main(int argc, char** argv) {
   util::CliParser cli(
       "perf_kernels: batched-vs-scalar slot evaluation, latency-matrix "
       "builds, planner allocation counts, indexed-vs-scan water-filling, and "
-      "fault-injector epoch builds");
+      "fault-injector epoch builds, instance build/write/read");
   cli.add_size("servers", &servers, "edge servers N");
   cli.add_size("users", &users, "users M (Set #2 tops out at 350)");
   cli.add_size("data", &data, "data items K");
@@ -515,6 +573,25 @@ int main(int argc, char** argv) {
   const InjectorTiming injector =
       time_injector(city, chaos_plans, injector_reps);
 
+  // ---- instance: build, write and read of the sparse gain store --------
+  const std::size_t instance_reps = smoke ? 2 : 10;
+  const InstanceTiming instance_rows[] = {
+      time_instance("city", city_params, seed, instance_reps),
+      time_instance(
+          "metro_short",
+          sim::params_from_string(
+              R"({"server_count":60,"user_count":960,)"
+              R"("eua":{"area_side_m":1386,"server_count":60,)"
+              R"("user_count":960}})"),
+          seed, instance_reps)};
+  for (const InstanceTiming& row : instance_rows) {
+    std::printf("  instance %-11s %zu/%zu: build %7.2f ms, write %6.2f ms, "
+                "read %6.2f ms; %.0f bytes and %.1f gains per user\n",
+                row.name, row.servers, row.users, row.build_ms, row.write_ms,
+                row.read_ms, row.bytes_per_user, row.entries_per_user);
+  }
+  std::printf("\n");
+
   // Recording starts after the last timed section.
   obs::set_enabled(true);
   // Untimed: the injector's own counters split the rows by how they were
@@ -589,6 +666,13 @@ int main(int argc, char** argv) {
                    injector.speedup, kMinInjectorSpeedup);
       failed = true;
     }
+    if (instance_rows[0].bytes_per_user > kMaxCityBytesPerUser) {
+      std::fprintf(stderr,
+                   "GATE: city instance file takes %.0f bytes per user "
+                   "(ceiling %.0f)\n",
+                   instance_rows[0].bytes_per_user, kMaxCityBytesPerUser);
+      failed = true;
+    }
   }
 
   if (!out.empty()) {
@@ -647,6 +731,20 @@ int main(int argc, char** argv) {
     injector_doc["rows_repaired"] = rows_repaired;
     injector_doc["rows_built"] = rows_built;
     doc["injector"] = std::move(injector_doc);
+    util::JsonObject instance_doc;
+    for (const InstanceTiming& row : instance_rows) {
+      util::JsonObject entry;
+      entry["servers"] = row.servers;
+      entry["users"] = row.users;
+      entry["reps"] = instance_reps;
+      entry["build_ms"] = row.build_ms;
+      entry["write_ms"] = row.write_ms;
+      entry["read_ms"] = row.read_ms;
+      entry["bytes_per_user"] = row.bytes_per_user;
+      entry["gain_entries_per_user"] = row.entries_per_user;
+      instance_doc[row.name] = std::move(entry);
+    }
+    doc["instance_io"] = std::move(instance_doc);
     doc["telemetry"] = obs::telemetry_json();
     std::ofstream file(out);
     if (!file) {

@@ -1,5 +1,6 @@
 #include "coding/coded_io.hpp"
 
+#include "core/strategy_io.hpp"
 #include "util/format.hpp"
 
 namespace idde::coding {
@@ -61,24 +62,8 @@ CodedStrategy coded_strategy_from_json(const model::ProblemInstance& instance,
         config.k));
   }
 
-  const auto& allocation_json = json.at("allocation").as_array();
-  if (allocation_json.size() != instance.user_count()) {
-    throw util::JsonError(util::format("allocation has {} slots, want {}",
-                                       allocation_json.size(),
-                                       instance.user_count()));
-  }
-  core::AllocationProfile allocation(instance.user_count(), core::kUnallocated);
-  for (std::size_t j = 0; j < allocation_json.size(); ++j) {
-    const Json& slot = allocation_json[j];
-    if (slot.is_null()) continue;
-    allocation[j] = core::ChannelSlot{
-        util::as_index(slot.at("server"), instance.server_count(),
-                       "allocation server"),
-        util::as_index(slot.at("channel"),
-                       instance.radio_env().channels_per_server,
-                       "allocation channel"),
-    };
-  }
+  core::AllocationProfile allocation =
+      core::allocation_from_json(instance, json.at("allocation"));
 
   CodedDeliveryProfile delivery(instance, config);
   for (const Json& placement : json.at("placements").as_array()) {

@@ -15,7 +15,8 @@ namespace idde::coding {
 [[nodiscard]] util::Json coded_strategy_to_json(const CodedStrategy& strategy);
 
 /// Rebuilds a coded strategy against `instance`. Throws util::JsonError
-/// on malformed input, an invalid (n, k) shape (needs 1 <= k <= n), and
+/// on malformed input, an invalid (n, k) shape (needs 1 <= k <= n), an
+/// allocation outside its user's coverage (core::allocation_from_json), and
 /// placements that are duplicates, exceed the item's n fragments, or
 /// violate the fragment-size storage constraint (checked via can_place).
 [[nodiscard]] CodedStrategy coded_strategy_from_json(

@@ -1,5 +1,7 @@
 #include "core/strategy_io.hpp"
 
+#include <algorithm>
+
 #include "util/format.hpp"
 
 namespace idde::core {
@@ -38,21 +40,16 @@ Json strategy_to_json(const Strategy& strategy) {
   return Json(std::move(document));
 }
 
-Strategy strategy_from_json(const model::ProblemInstance& instance,
-                            const Json& json) {
-  if (json.string_or("format", "") != "idde-strategy-v1") {
-    throw util::JsonError("unknown strategy format (want idde-strategy-v1)");
-  }
-  const auto& allocation_json = json.at("allocation").as_array();
-  if (allocation_json.size() != instance.user_count()) {
+AllocationProfile allocation_from_json(const model::ProblemInstance& instance,
+                                       const Json& json) {
+  const auto& slots = json.as_array();
+  if (slots.size() != instance.user_count()) {
     throw util::JsonError(util::format("allocation has {} slots, want {}",
-                                       allocation_json.size(),
-                                       instance.user_count()));
+                                       slots.size(), instance.user_count()));
   }
-
   AllocationProfile allocation(instance.user_count(), kUnallocated);
-  for (std::size_t j = 0; j < allocation_json.size(); ++j) {
-    const Json& slot = allocation_json[j];
+  for (std::size_t j = 0; j < slots.size(); ++j) {
+    const Json& slot = slots[j];
     if (slot.is_null()) continue;
     allocation[j] = ChannelSlot{
         util::as_index(slot.at("server"), instance.server_count(),
@@ -61,7 +58,24 @@ Strategy strategy_from_json(const model::ProblemInstance& instance,
                        instance.radio_env().channels_per_server,
                        "allocation channel"),
     };
+    const auto& covering = instance.covering_servers(j);
+    if (!std::binary_search(covering.begin(), covering.end(),
+                            allocation[j].server)) {
+      throw util::JsonError(util::format(
+          "allocation of user {} is on server {}, which does not cover it",
+          j, allocation[j].server));
+    }
   }
+  return allocation;
+}
+
+Strategy strategy_from_json(const model::ProblemInstance& instance,
+                            const Json& json) {
+  if (json.string_or("format", "") != "idde-strategy-v1") {
+    throw util::JsonError("unknown strategy format (want idde-strategy-v1)");
+  }
+  AllocationProfile allocation =
+      allocation_from_json(instance, json.at("allocation"));
 
   DeliveryProfile delivery(instance);
   for (const Json& placement : json.at("placements").as_array()) {

@@ -13,10 +13,19 @@ namespace idde::core {
 
 [[nodiscard]] util::Json strategy_to_json(const Strategy& strategy);
 
+/// Reads an "allocation" array against `instance`: one slot per user, null
+/// for an unallocated one. Throws util::JsonError on a wrong length,
+/// out-of-range indices, and a slot whose server does not cover its user
+/// (Eq. 1): the interference model asserts Eq. 1, so such a slot must not
+/// reach an evaluation.
+[[nodiscard]] AllocationProfile allocation_from_json(
+    const model::ProblemInstance& instance, const util::Json& json);
+
 /// Rebuilds a strategy against `instance`. Throws util::JsonError on
-/// malformed input, out-of-range indices, and placements that violate the
-/// storage constraint of this instance (checked via can_place before
-/// applying) — bad documents never abort or load silently wrong.
+/// malformed input, out-of-range indices, allocations outside their user's
+/// coverage, and placements that violate the storage constraint of this
+/// instance (checked via can_place before applying) — bad documents never
+/// abort or load silently wrong.
 [[nodiscard]] Strategy strategy_from_json(
     const model::ProblemInstance& instance, const util::Json& json);
 

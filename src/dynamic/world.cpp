@@ -1,5 +1,7 @@
 #include "dynamic/world.hpp"
 
+#include <span>
+
 #include "util/assert.hpp"
 
 namespace idde::dynamic {
@@ -16,20 +18,22 @@ model::ProblemInstance with_user_positions(
   }
 
   radio::RadioEnvironment env = base.radio_env();
-  for (std::size_t i = 0; i < base.server_count(); ++i) {
-    const geo::Point& sp = base.server(i).position;
-    for (std::size_t j = 0; j < users.size(); ++j) {
-      env.gain[i * users.size() + j] =
-          pathloss.gain(geo::distance_m(sp, positions[j]));
-    }
-  }
   for (std::size_t j = 0; j < users.size(); ++j) {
     env.covering_servers[j].clear();
     for (std::size_t i = 0; i < base.server_count(); ++i) {
       if (geo::distance_m(base.server(i).position, positions[j]) <=
           base.server(i).coverage_radius_m) {
-        env.covering_servers[j].push_back(i);
+        env.covering_servers[j].push_back(i);  // lint: alloc-ok(oracle)
       }
+    }
+  }
+  env.index_reach();
+  for (std::size_t j = 0; j < users.size(); ++j) {
+    const std::span<const std::size_t> reach = env.reach(j);
+    const std::span<double> gains = env.gains(j);
+    for (std::size_t e = 0; e < reach.size(); ++e) {
+      gains[e] = pathloss.gain(
+          geo::distance_m(base.server(reach[e]).position, positions[j]));
     }
   }
 
@@ -45,6 +49,10 @@ WorldTracker::WorldTracker(const model::ProblemInstance& base,
       positions_(user_positions(base)),
       users_(base.users()),
       env_(base.radio_env()) {
+  moved_.reserve(users_.size());
+  offset_.reserve(users_.size() + 1);
+  servers_.reserve(env_.reach_server.size());
+  gains_.reserve(env_.gain.size());
   instance_.emplace(base.servers(), users_, base.data_items(),
                     base.requests(), base.graph(), base.latency(), env_);
 }
@@ -53,26 +61,53 @@ std::size_t WorldTracker::update(const std::vector<geo::Point>& positions) {
   IDDE_EXPECTS(positions.size() == base_->user_count());
   const std::size_t server_count = base_->server_count();
   const std::size_t user_count = positions.size();
-  std::size_t refreshed = 0;
+  moved_.clear();
   for (std::size_t j = 0; j < user_count; ++j) {
     if (positions[j] == positions_[j]) continue;
     positions_[j] = positions[j];
     users_[j].position = positions[j];
-    env_.covering_servers[j].clear();
+    std::vector<std::size_t>& covering = env_.covering_servers[j];
+    covering.clear();
     for (std::size_t i = 0; i < server_count; ++i) {
       const model::EdgeServer& s = base_->server(i);
-      const double dist = geo::distance_m(s.position, positions[j]);
-      env_.gain[i * user_count + j] = pathloss_.gain(dist);
-      if (dist <= s.coverage_radius_m) env_.covering_servers[j].push_back(i);
+      if (geo::distance_m(s.position, positions[j]) <= s.coverage_radius_m) {
+        covering.push_back(i);  // lint: alloc-ok(cleared, capacity kept)
+      }
     }
-    ++refreshed;
+    moved_.push_back(j);
   }
-  if (refreshed > 0) {
-    instance_.emplace(base_->servers(), users_, base_->data_items(),
-                      base_->requests(), base_->graph(), base_->latency(),
-                      env_);
+  if (moved_.empty()) return 0;
+
+  // Re-index the reach rows: a moved user gets a fresh reach(j) and path
+  // loss for it alone; every other row is copied as it stands.
+  offset_.clear();
+  offset_.push_back(0);
+  servers_.clear();
+  gains_.clear();
+  auto next = moved_.begin();
+  for (std::size_t t = 0; t < user_count; ++t) {
+    if (next != moved_.end() && *next == t) {
+      ++next;
+      const std::size_t first = servers_.size();
+      radio::append_reach(env_.neighbours, env_.covering_servers[t], servers_);
+      for (std::size_t e = first; e < servers_.size(); ++e) {
+        gains_.push_back(pathloss_.gain(geo::distance_m(
+            base_->server(servers_[e]).position, positions[t])));
+      }
+    } else {
+      const std::span<const std::size_t> reach = env_.reach(t);
+      const std::span<const double> gains = env_.gains(t);
+      servers_.insert(servers_.end(), reach.begin(), reach.end());
+      gains_.insert(gains_.end(), gains.begin(), gains.end());
+    }
+    offset_.push_back(servers_.size());
   }
-  return refreshed;
+  env_.reach_offset.swap(offset_);
+  env_.reach_server.swap(servers_);
+  env_.gain.swap(gains_);
+  instance_.emplace(base_->servers(), users_, base_->data_items(),
+                    base_->requests(), base_->graph(), base_->latency(), env_);
+  return moved_.size();
 }
 
 std::vector<geo::Point> user_positions(const model::ProblemInstance& instance) {

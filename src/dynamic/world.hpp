@@ -27,13 +27,14 @@ namespace idde::dynamic {
     const model::ProblemInstance& instance);
 
 /// Change-tracked instance rebuilds for time-stepped drivers. Keeps a
-/// working copy of the base environment and refreshes channel gains and
-/// coverage sets only for users whose position actually changed since the
-/// previous update (exact coordinate compare — a paused user costs
-/// nothing). Each per-user gain/coverage entry is a pure function of that
-/// user's position, so the tracked environment is bit-identical to a full
-/// `with_user_positions` rebuild, which stays available as the oracle
-/// (tests/test_dynamic.cpp asserts equivalence entry by entry).
+/// working copy of the base environment and refreshes coverage sets,
+/// reach(j) and channel gains (path loss for reach(j) only) just for users
+/// whose position actually changed since the previous update (exact
+/// coordinate compare — a paused user costs nothing). Server neighbour
+/// lists never change. Each per-user coverage/gain row is a pure function
+/// of that user's position, so the tracked environment is bit-identical to
+/// a full `with_user_positions` rebuild, which stays available as the
+/// oracle (tests/test_dynamic.cpp asserts equivalence entry by entry).
 class WorldTracker {
  public:
   WorldTracker(const model::ProblemInstance& base,
@@ -58,6 +59,12 @@ class WorldTracker {
   std::vector<model::User> users_;     ///< base users at tracked positions
   radio::RadioEnvironment env_;        ///< working copy, patched per user
   std::optional<model::ProblemInstance> instance_;
+  /// Per-update scratch: the users that moved, and the next reach index
+  /// (swapped with env_'s, so both keep their capacity).
+  std::vector<std::size_t> moved_;
+  std::vector<std::size_t> offset_;
+  std::vector<std::size_t> servers_;
+  std::vector<double> gains_;
 };
 
 }  // namespace idde::dynamic

@@ -6,6 +6,24 @@
 
 namespace idde::model {
 
+bool coverage_discs_meet(const EdgeServer& a, const EdgeServer& b) {
+  return geo::distance_m(a.position, b.position) <=
+         (a.coverage_radius_m + b.coverage_radius_m) * (1.0 + kDiscSlack);
+}
+
+std::vector<std::vector<ServerId>> coverage_neighbours(
+    const std::vector<EdgeServer>& servers) {
+  std::vector<std::vector<ServerId>> neighbours(servers.size());
+  for (ServerId o = 0; o < servers.size(); ++o) {
+    for (ServerId i = 0; i < servers.size(); ++i) {
+      if (i == o || coverage_discs_meet(servers[i], servers[o])) {
+        neighbours[o].push_back(i);
+      }
+    }
+  }
+  return neighbours;
+}
+
 ProblemInstance::ProblemInstance(std::vector<EdgeServer> servers,
                                  std::vector<User> users,
                                  std::vector<DataItem> data,

@@ -16,6 +16,22 @@
 
 namespace idde::model {
 
+/// Relative slack on the disc-meeting test, so floating-point ties in the
+/// triangle inequality cannot drop a pair of servers that co-cover a user.
+inline constexpr double kDiscSlack = 1e-9;
+
+/// True when the coverage discs of `a` and `b` meet: their distance is at
+/// most r_a + r_b (with kDiscSlack). Two servers covering a common user
+/// always meet, so nbr(o) = {i : discs of i and o meet} satisfies the
+/// radio environment's closure invariant.
+[[nodiscard]] bool coverage_discs_meet(const EdgeServer& a,
+                                       const EdgeServer& b);
+
+/// nbr(o) for every server, ascending, by an all-pairs scan (N^2 disc
+/// tests; the instance builder and the v1 reader both use it).
+[[nodiscard]] std::vector<std::vector<ServerId>> coverage_neighbours(
+    const std::vector<EdgeServer>& servers);
+
 class ProblemInstance {
  public:
   ProblemInstance(std::vector<EdgeServer> servers, std::vector<User> users,

@@ -1,8 +1,10 @@
 #include "model/instance_builder.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "geo/spatial_grid.hpp"
+#include "obs/obs.hpp"
 #include "radio/shadowing.hpp"
 #include "radio/units.hpp"
 #include "util/assert.hpp"
@@ -25,6 +27,7 @@ InstanceBuilder::InstanceBuilder(InstanceParams params)
 }
 
 ProblemInstance InstanceBuilder::build(std::uint64_t seed) const {
+  IDDE_OBS_SPAN("instance.build");
   util::Rng rng(seed);
 
   // Spatial layout: regenerate the master EUA-like scenario (fixed layout
@@ -118,18 +121,11 @@ ProblemInstance InstanceBuilder::build(std::uint64_t seed) const {
   env.user_count = params_.user_count;
   env.channels_per_server = params_.channels_per_server;
   env.noise_watts = radio::dbm_to_watts(params_.noise_dbm);
-  env.gain.resize(params_.server_count * params_.user_count);
   env.power.resize(params_.user_count);
   env.bandwidth.assign(params_.server_count * params_.channels_per_server,
                        params_.channel_bandwidth_mbps);
   for (std::size_t j = 0; j < params_.user_count; ++j) {
     env.power[j] = users[j].power_watts;
-  }
-  for (std::size_t i = 0; i < params_.server_count; ++i) {
-    for (std::size_t j = 0; j < params_.user_count; ++j) {
-      env.gain[i * params_.user_count + j] = pathloss.sample_gain(
-          geo::distance_m(servers[i].position, users[j].position), shadow_rng);
-    }
   }
 
   // Coverage sets via the spatial grid (radius query per user, using the
@@ -144,14 +140,49 @@ ProblemInstance InstanceBuilder::build(std::uint64_t seed) const {
                               std::max(50.0, max_radius / 2.0));
   env.covering_servers.resize(params_.user_count);
   for (std::size_t j = 0; j < params_.user_count; ++j) {
-    for (const std::size_t i :
-         grid.query_radius(users[j].position, max_radius)) {
-      if (geo::distance_m(servers[i].position, users[j].position) <=
-          servers[i].coverage_radius_m) {
-        env.covering_servers[j].push_back(i);
+    std::vector<std::size_t> near =
+        grid.query_radius(users[j].position, max_radius);
+    std::erase_if(near, [&](std::size_t i) {
+      return geo::distance_m(servers[i].position, users[j].position) >
+             servers[i].coverage_radius_m;
+    });
+    env.covering_servers[j] = std::move(near);
+  }
+
+  env.neighbours = coverage_neighbours(servers);
+
+  // Path loss only for the gains Eq. 2/12 can read: g_{i,j}, i in reach(j).
+  env.index_reach();
+  const auto distance = [&](std::size_t i, std::size_t j) {
+    return geo::distance_m(servers[i].position, users[j].position);
+  };
+  if (pathloss.sigma_db() == 0.0) {
+    for (std::size_t j = 0; j < params_.user_count; ++j) {
+      const std::span<const std::size_t> reach = env.reach(j);
+      const std::span<double> gains = env.gains(j);
+      for (std::size_t e = 0; e < reach.size(); ++e) {
+        gains[e] = pathloss.sample_gain(distance(reach[e], j), shadow_rng);
+      }
+    }
+  } else {
+    // Shadowing draws one number per (i, j) pair from fork(7) in server-
+    // major order; replaying that order and discarding the draws outside
+    // reach(j) keeps every stored gain on the draw it always had.
+    std::vector<std::size_t> next(env.reach_offset.begin(),
+                                  env.reach_offset.end() - 1);
+    for (std::size_t i = 0; i < params_.server_count; ++i) {
+      for (std::size_t j = 0; j < params_.user_count; ++j) {
+        if (next[j] < env.reach_offset[j + 1] &&
+            env.reach_server[next[j]] == i) {
+          env.gain[next[j]++] =
+              pathloss.sample_gain(distance(i, j), shadow_rng);
+        } else {
+          pathloss.skip_sample(shadow_rng);
+        }
       }
     }
   }
+  IDDE_OBS_COUNT("instance.gain_entries_total", env.gain.size());
 
   return ProblemInstance(std::move(servers), std::move(users), std::move(data),
                          std::move(requests), std::move(graph),

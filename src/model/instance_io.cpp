@@ -1,11 +1,13 @@
 #include "model/instance_io.hpp"
 
+#include <span>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include "net/graph_gen.hpp"
 #include "obs/obs.hpp"
+#include "util/error.hpp"
 #include "util/format.hpp"
 
 namespace idde::model {
@@ -30,8 +32,10 @@ void numbers_member(JsonWriter& out, std::string_view key,
   out.end_array();
 }
 
+constexpr const char* kFormatV1 = "idde-instance-v1";
+constexpr const char* kFormatV2 = "idde-instance-v2";
 constexpr const char* kFormatError =
-    "unknown instance format (want idde-instance-v1)";
+    "unknown instance format (want idde-instance-v2 or idde-instance-v1)";
 
 /// Throws `error` unless the next value is the container `bracket` opens.
 /// The value is read first, so malformed text still fails with its byte
@@ -40,6 +44,26 @@ void expect_container(JsonReader& reader, char bracket, const char* error) {
   if (reader.peek() == bracket) return;
   (void)reader.value();
   throw util::JsonError(error);
+}
+
+/// nbr(o) per server from a v2 document, each entry a server index. Order,
+/// duplicates and the closure invariant are left to
+/// RadioEnvironment::check(), which the ProblemInstance constructor runs.
+std::vector<std::vector<std::size_t>> read_neighbours(const Json& radio,
+                                                      std::size_t servers) {
+  const auto& lists = radio.at("neighbours").as_array();
+  if (lists.size() != servers) {
+    throw util::JsonError(util::format(
+        "neighbours has {} lists, want one per server = {}", lists.size(),
+        servers));
+  }
+  std::vector<std::vector<std::size_t>> neighbours(servers);
+  for (std::size_t o = 0; o < servers; ++o) {
+    for (const Json& entry : lists[o].as_array()) {
+      neighbours[o].push_back(util::as_index(entry, servers, "neighbour"));
+    }
+  }
+  return neighbours;
 }
 
 }  // namespace
@@ -79,7 +103,7 @@ std::string instance_to_string(const ProblemInstance& instance, int indent) {
   out.end_array();
 
   out.key("format");
-  out.string("idde-instance-v1");
+  out.string(kFormatV2);
 
   const auto& env = instance.radio_env();
   out.key("radio");
@@ -87,7 +111,22 @@ std::string instance_to_string(const ProblemInstance& instance, int indent) {
   numbers_member(out, "bandwidth_mbps", env.bandwidth);
   number_member(out, "channels_per_server",
                 static_cast<double>(env.channels_per_server));
-  numbers_member(out, "gain", env.gain);  // row-major N x M
+  out.key("gain");  // per user t, g_{i,t} for i in reach(t), in order
+  out.begin_array();
+  for (std::size_t t = 0; t < env.user_count; ++t) {
+    out.begin_array();
+    for (const double g : env.gains(t)) out.number(g);
+    out.end_array();
+  }
+  out.end_array();
+  out.key("neighbours");  // nbr(o) per server
+  out.begin_array();
+  for (const auto& nbr : env.neighbours) {
+    out.begin_array();
+    for (const std::size_t i : nbr) out.number(static_cast<double>(i));
+    out.end_array();
+  }
+  out.end_array();
   number_member(out, "noise_watts", env.noise_watts);
   out.end_object();
 
@@ -134,13 +173,17 @@ std::string instance_to_string(const ProblemInstance& instance, int indent) {
 ProblemInstance instance_from_string(const std::string& text) {
   IDDE_OBS_SPAN("instance.read");
   IDDE_OBS_COUNT("instance.bytes_read_total", text.size());
-  // The walk streams radio.bandwidth_mbps and radio.gain into `env`,
-  // checking each entry as it is read. Every other member is small and is
-  // read as a DOM for the checks below.
+  // The walk streams radio.bandwidth_mbps and radio.gain, checking each
+  // entry as it is read. Every other member is small and is read as a DOM
+  // for the checks below. A v2 gain array holds one row per user; a v1
+  // one is the flat row-major N x M matrix.
   JsonReader reader(text);
   JsonObject members;        // the top level, radio aside
   JsonObject radio_members;  // radio, the streamed arrays aside
   radio::RadioEnvironment env;
+  std::vector<double> gains;          // every gain value, in file order
+  std::vector<std::size_t> row_ends;  // v2: end of each user's row
+  std::size_t flat_gains = 0;         // v1: values outside any row
   bool has_radio = false;
   bool has_bandwidth = false;
   bool has_gain = false;
@@ -169,8 +212,16 @@ ProblemInstance instance_from_string(const std::string& text) {
         expect_container(reader, '[', "gain is not an array");
         reader.begin_array();
         while (reader.next_element()) {
-          env.gain.push_back(
-              util::as_finite(reader.value(), 0.0, "gain entry"));
+          if (reader.peek() != '[') {
+            gains.push_back(util::as_finite(reader.value(), 0.0, "gain entry"));
+            ++flat_gains;
+            continue;
+          }
+          reader.begin_array();
+          while (reader.next_element()) {
+            gains.push_back(util::as_finite(reader.value(), 0.0, "gain entry"));
+          }
+          row_ends.push_back(gains.size());
         }
       } else {
         radio_members.emplace(std::move(key), reader.value());
@@ -184,9 +235,11 @@ ProblemInstance instance_from_string(const std::string& text) {
   // (RequestMatrix, net::Graph, ProblemInstance, the interference model)
   // is checked here first, so a hostile document fails with a JsonError
   // instead of aborting the process or indexing out of bounds.
-  if (json.string_or("format", "") != "idde-instance-v1") {
+  const std::string format = json.string_or("format", "");
+  if (format != kFormatV1 && format != kFormatV2) {
     throw util::JsonError(kFormatError);
   }
+  const bool v1 = format == kFormatV1;
 
   std::vector<EdgeServer> servers;
   for (const Json& s : json.at("servers").as_array()) {
@@ -266,11 +319,6 @@ ProblemInstance instance_from_string(const std::string& text) {
         env.bandwidth.size(), servers.size() * env.channels_per_server));
   }
   if (!has_gain) throw util::JsonError("missing key 'gain'");
-  if (env.gain.size() != servers.size() * users.size()) {
-    throw util::JsonError(
-        util::format("gain has {} entries, want servers x users = {}",
-                     env.gain.size(), servers.size() * users.size()));
-  }
   env.power.reserve(users.size());
   for (const User& u : users) env.power.push_back(u.power_watts);
 
@@ -285,9 +333,57 @@ ProblemInstance instance_from_string(const std::string& text) {
     }
   }
 
-  return ProblemInstance(std::move(servers), std::move(users), std::move(data),
-                         std::move(requests), std::move(graph),
-                         std::move(latency), std::move(env));
+  if (v1) {
+    if (!row_ends.empty() || flat_gains != servers.size() * users.size()) {
+      throw util::JsonError(util::format(
+          "{} gain has {} entries, want servers x users = {}", kFormatV1,
+          gains.size(), servers.size() * users.size()));
+    }
+    // Sparsify to the gains the model can read.
+    env.neighbours = coverage_neighbours(servers);
+    env.index_reach();
+    for (std::size_t t = 0; t < users.size(); ++t) {
+      const std::span<const std::size_t> reach = env.reach(t);
+      const std::span<double> row = env.gains(t);
+      for (std::size_t e = 0; e < reach.size(); ++e) {
+        row[e] = gains[reach[e] * users.size() + t];
+      }
+    }
+  } else {
+    env.neighbours = read_neighbours(radio_json, servers.size());
+    env.index_reach();
+    if (flat_gains != 0) {
+      throw util::JsonError(util::format("{} gain must hold one array per user",
+                                         kFormatV2));
+    }
+    if (row_ends.size() != users.size()) {
+      throw util::JsonError(
+          util::format("gain has {} rows, want one per user = {}",
+                       row_ends.size(), users.size()));
+    }
+    for (std::size_t t = 0; t < users.size(); ++t) {
+      if (row_ends[t] != env.reach_offset[t + 1]) {
+        throw util::JsonError(util::format(
+            "gain row {} has {} entries, want |reach| = {}", t,
+            row_ends[t] - (t == 0 ? 0 : row_ends[t - 1]),
+            env.reach(t).size()));
+      }
+    }
+    env.gain = std::move(gains);
+  }
+  IDDE_OBS_COUNT("instance.gain_entries_total", env.gain.size());
+
+  // The constructor's checks (the neighbour lists and the closure
+  // invariant among them) surface as a JsonError: a hostile neighbour list
+  // must not reach the field.
+  try {
+    return ProblemInstance(std::move(servers), std::move(users),
+                           std::move(data), std::move(requests),
+                           std::move(graph), std::move(latency),
+                           std::move(env));
+  } catch (const util::ValidationError& error) {
+    throw util::JsonError(error.what());
+  }
 }
 
 }  // namespace idde::model

@@ -2,20 +2,72 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "util/error.hpp"
 
 namespace idde::radio {
 
+namespace {
+
+/// Calls op(i, g_{i,user}) for every i in nbr(server), ascending: the
+/// received-row columns a user on `server` contributes to. When `server`
+/// covers the user, nbr(server) is a subset of reach(user), so one merge
+/// walk finds every gain.
+template <typename Op>
+void for_each_neighbour_gain(const RadioEnvironment& env, std::size_t user,
+                             std::size_t server, Op&& op) {
+  const std::span<const std::size_t> reach = env.reach(user);
+  const std::span<const double> gains = env.gains(user);
+  std::size_t e = 0;
+  for (const std::size_t i : env.neighbours[server]) {
+    while (reach[e] < i) ++e;
+    op(i, gains[e]);
+  }
+}
+
+}  // namespace
+
+void append_reach(const std::vector<std::vector<std::size_t>>& neighbours,
+                  std::span<const std::size_t> covering,
+                  std::vector<std::size_t>& out) {
+  const std::size_t start = out.size();
+  for (const std::size_t o : covering) {
+    out.insert(out.end(), neighbours[o].begin(), neighbours[o].end());
+  }
+  if (covering.size() > 1) {
+    const auto first = out.begin() + static_cast<std::ptrdiff_t>(start);
+    std::sort(first, out.end());
+    out.erase(std::unique(first, out.end()), out.end());
+  }
+}
+
+void RadioEnvironment::index_reach() {
+  reach_offset.assign(1, 0);
+  reach_offset.reserve(user_count + 1);
+  reach_server.clear();
+  for (std::size_t t = 0; t < user_count; ++t) {
+    append_reach(neighbours, covering_servers[t], reach_server);
+    reach_offset.push_back(reach_server.size());
+  }
+  gain.assign(reach_server.size(), 0.0);
+}
+
 void RadioEnvironment::check() const {
-  util::validate(gain.size() == server_count * user_count,
-                 "radio environment: gain matrix shape mismatch");
   util::validate(power.size() == user_count,
                  "radio environment: power vector shape mismatch");
   util::validate(bandwidth.size() == server_count * channels_per_server,
                  "radio environment: bandwidth shape mismatch");
   util::validate(covering_servers.size() == user_count,
                  "radio environment: coverage shape mismatch");
+  util::validate(neighbours.size() == server_count,
+                 "radio environment: neighbour list shape mismatch");
+  util::validate(reach_offset.size() == user_count + 1 &&
+                     reach_offset.front() == 0 &&
+                     reach_offset.back() == reach_server.size(),
+                 "radio environment: reach index shape mismatch");
+  util::validate(gain.size() == reach_server.size(),
+                 "radio environment: gain shape mismatch");
   util::validate(channels_per_server > 0,
                  "radio environment: servers must expose channels");
   util::validate(noise_watts >= 0.0, "radio environment: negative noise power");
@@ -28,13 +80,45 @@ void RadioEnvironment::check() const {
   for (const double b : bandwidth) {
     util::validate(b > 0.0, "radio environment: non-positive bandwidth");
   }
-  for (const auto& servers : covering_servers) {
+  for (std::size_t o = 0; o < server_count; ++o) {
+    const auto& nbr = neighbours[o];
+    util::validate(std::adjacent_find(nbr.begin(), nbr.end(),
+                                      std::greater_equal<>()) == nbr.end(),
+                   "radio environment: neighbour lists must be strictly "
+                   "ascending");
+    util::validate(nbr.empty() || nbr.back() < server_count,
+                   "radio environment: neighbour out of range");
+    util::validate(std::binary_search(nbr.begin(), nbr.end(), o),
+                   "radio environment: a server must neighbour itself");
+  }
+  std::vector<std::size_t> expected;
+  for (std::size_t t = 0; t < user_count; ++t) {
+    const auto& servers = covering_servers[t];
     util::validate(std::is_sorted(servers.begin(), servers.end()),
                    "radio environment: coverage sets must be sorted");
     for (const std::size_t i : servers) {
       util::validate(i < server_count,
                      "radio environment: coverage server out of range");
     }
+    // Closure: every pair of servers covering a common user neighbour
+    // each other, so Eq. 2/12 never read a gain outside reach(t).
+    for (const std::size_t o : servers) {
+      for (const std::size_t i : servers) {
+        util::validate(std::binary_search(neighbours[o].begin(),
+                                          neighbours[o].end(), i),
+                       "radio environment: servers covering a common user "
+                       "must neighbour each other");
+      }
+    }
+    util::validate(reach_offset[t] <= reach_offset[t + 1],
+                   "radio environment: reach index must be non-decreasing");
+    expected.clear();
+    append_reach(neighbours, servers, expected);
+    const std::span<const std::size_t> row = reach(t);
+    util::validate(std::equal(row.begin(), row.end(), expected.begin(),
+                              expected.end()),
+                   "radio environment: stored gains must cover exactly the "
+                   "user's reach");
   }
 }
 
@@ -53,15 +137,18 @@ void InterferenceField::add_user(std::size_t user, ChannelSlot slot) {
   IDDE_EXPECTS(slot.server < env_->server_count);
   IDDE_EXPECTS(slot.channel < env_->channels_per_server);
   IDDE_ASSERT(!allocation_[user].allocated(), "user already allocated");
+  assert_covers(user, slot);
 
   allocation_[user] = slot;
   const double p = env_->power[user];
   power_sum_[chan_index(slot)] += p;
   ++users_on_[chan_index(slot)];
   double* recv_row = received_.data() + chan_index(slot) * env_->server_count;
-  for (std::size_t i = 0; i < env_->server_count; ++i) {
-    recv_row[i] += env_->gain_at(i, user) * p;
-  }
+  // Only the columns i in nbr(o) are ever read (closure invariant); each
+  // gets the same add as a full-row update would give it.
+  for_each_neighbour_gain(
+      *env_, user, slot.server,
+      [&](std::size_t i, double g) { recv_row[i] += g * p; });
   ++slot_version_[chan_index(slot)];
   last_move_ = MoveDelta{user, kUnallocated, slot, ++version_};
 }
@@ -73,14 +160,17 @@ void InterferenceField::remove_user(std::size_t user) {
   const double p = env_->power[user];
   power_sum_[chan_index(slot)] -= p;
   double* recv_row = received_.data() + chan_index(slot) * env_->server_count;
-  for (std::size_t i = 0; i < env_->server_count; ++i) {
-    recv_row[i] -= env_->gain_at(i, user) * p;
-  }
+  for_each_neighbour_gain(
+      *env_, user, slot.server,
+      [&](std::size_t i, double g) { recv_row[i] -= g * p; });
   IDDE_ASSERT(users_on_[chan_index(slot)] > 0, "channel count underflow");
   if (--users_on_[chan_index(slot)] == 0) {
-    // Zero the emptied channel exactly (see header note on residues).
+    // Zero the emptied channel exactly (see header note on residues); the
+    // columns outside nbr(o) are zero already.
     power_sum_[chan_index(slot)] = 0.0;
-    for (std::size_t i = 0; i < env_->server_count; ++i) recv_row[i] = 0.0;
+    for (const std::size_t i : env_->neighbours[slot.server]) {
+      recv_row[i] = 0.0;
+    }
   }
   allocation_[user] = kUnallocated;
   ++slot_version_[chan_index(slot)];
@@ -104,6 +194,14 @@ void InterferenceField::clear() {
   for (std::uint64_t& v : slot_version_) ++v;
   last_move_ = MoveDelta{ChannelSlot::kNone, kUnallocated, kUnallocated,
                          ++version_};
+}
+
+void InterferenceField::assert_covers(std::size_t user,
+                                      ChannelSlot slot) const {
+  const auto& covering = env_->covering_servers[user];
+  IDDE_ASSERT(std::binary_search(covering.begin(), covering.end(),
+                                 slot.server),
+              "slot server does not cover the user (Eq. 1)");
 }
 
 double InterferenceField::in_cell_power_excluding_watts(std::size_t user,
@@ -144,6 +242,7 @@ double InterferenceField::cross_cell_interference_watts(std::size_t user,
 double InterferenceField::sinr(std::size_t user, ChannelSlot slot) const {
   IDDE_EXPECTS(user < env_->user_count);
   IDDE_EXPECTS(slot.allocated());
+  assert_covers(user, slot);
   const double g = env_->gain_at(slot.server, user);
   const double signal = g * env_->power[user];
   const double in_cell = g * in_cell_power_excluding_watts(user, slot);
@@ -159,6 +258,7 @@ double InterferenceField::rate_mbps(std::size_t user, ChannelSlot slot) const {
 double InterferenceField::benefit(std::size_t user, ChannelSlot slot) const {
   IDDE_EXPECTS(user < env_->user_count);
   IDDE_EXPECTS(slot.allocated());
+  assert_covers(user, slot);
   const double g = env_->gain_at(slot.server, user);
   const double p = env_->power[user];
   const double signal = g * p;

@@ -12,12 +12,15 @@
 // The game evaluates a user's benefit at every candidate channel every
 // round, so evaluation must be cheap. The field maintains:
 //   power_sum[i][x]          = sum of p_t over users allocated to c_{i,x}
-//   received[o][x][i]        = sum_{t in U_{o,x}} g_{i,t} p_t
+//   received[o][x][i]        = sum_{t in U_{o,x}} g_{i,t} p_t,  i in nbr(o)
 // so evaluating one candidate costs O(|V_j|) and applying a move costs
-// O(N). A from-scratch reference implementation is provided for tests and
-// the ablation bench.
+// O(|nbr(o)|): only the columns Eq. 2/12 can read are kept up to date (see
+// RadioEnvironment for the neighbour lists and the closure invariant that
+// makes the skipped columns unreadable). A from-scratch reference
+// implementation is provided for tests and the ablation bench.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -29,11 +32,26 @@ namespace idde::radio {
 
 /// Static radio-layer description of an instance; all vectors indexed by
 /// server i in [0,N) and user j in [0,M).
+///
+/// Channel gains are stored sparsely, exactly where Eq. 2/12 can read them.
+/// nbr(o) lists every server whose coverage disc meets o's (o included);
+/// reach(t) is the union of nbr(o) over t's covering servers V_t, and user
+/// t stores g_{i,t} for i in reach(t) only. The closure invariant — for
+/// every user j and every pair i, o in V_j, i is in nbr(o) — together with
+/// Eq. 1 (every allocated slot covers its user) guarantees that every gain
+/// the interference model reads is stored; check() validates it.
 struct RadioEnvironment {
   std::size_t server_count = 0;
   std::size_t user_count = 0;
   std::size_t channels_per_server = 3;
-  /// Row-major N x M channel gains g_{i,j} (channel-independent, Sec. 2.2).
+  /// nbr(o) per server, ascending, always containing o.
+  std::vector<std::vector<std::size_t>> neighbours;
+  /// reach(t) in CSR form: user t's entries are [reach_offset[t],
+  /// reach_offset[t + 1]) of reach_server (ascending server ids) and gain.
+  std::vector<std::size_t> reach_offset;
+  std::vector<std::size_t> reach_server;
+  /// Channel gains g_{i,t} (channel-independent, Sec. 2.2), parallel to
+  /// reach_server.
   std::vector<double> gain;
   /// Per-user transmit power p_j, watts.
   std::vector<double> power;
@@ -44,19 +62,50 @@ struct RadioEnvironment {
   /// Noise floor w, watts.
   double noise_watts = 0.0;
 
+  /// reach(t): the servers whose gain to user t is stored, ascending.
+  [[nodiscard]] std::span<const std::size_t> reach(std::size_t user) const {
+    return {reach_server.data() + reach_offset[user],
+            reach_offset[user + 1] - reach_offset[user]};
+  }
+  /// User t's stored gains, parallel to reach(t).
+  [[nodiscard]] std::span<const double> gains(std::size_t user) const {
+    return {gain.data() + reach_offset[user],
+            reach_offset[user + 1] - reach_offset[user]};
+  }
+  [[nodiscard]] std::span<double> gains(std::size_t user) {
+    return {gain.data() + reach_offset[user],
+            reach_offset[user + 1] - reach_offset[user]};
+  }
+  /// g_{server,user}. The entry must be stored (server in reach(user));
+  /// a missing entry is a broken invariant, never a silent zero.
   [[nodiscard]] double gain_at(std::size_t server, std::size_t user) const {
-    return gain[server * user_count + user];
+    const std::span<const std::size_t> row = reach(user);
+    const auto it = std::lower_bound(row.begin(), row.end(), server);
+    IDDE_ASSERT(it != row.end() && *it == server,
+                "channel gain outside the user's reach is not stored");
+    return gains(user)[static_cast<std::size_t>(it - row.begin())];
   }
   [[nodiscard]] double bandwidth_mbps_at(std::size_t server,
                                     std::size_t channel) const {
     return bandwidth[server * channels_per_server + channel];
   }
-  /// Validates shapes and value ranges; throws util::ValidationError on
-  /// the first inconsistency (environments come from files and generator
-  /// parameters — bad input must surface as a structured CLI error, not an
-  /// abort; see src/util/error.hpp).
+  /// Derives reach_offset/reach_server from covering_servers and
+  /// neighbours and sizes gain to match (new entries zero); callers then
+  /// fill each user's gains(t) in reach(t) order.
+  void index_reach();
+  /// Validates shapes, value ranges, the neighbour lists, the reach index
+  /// and the closure invariant; throws util::ValidationError on the first
+  /// inconsistency (environments come from files and generator parameters
+  /// — bad input must surface as a structured CLI error, not an abort; see
+  /// src/util/error.hpp).
   void check() const;
 };
+
+/// Appends reach(t) = the union of neighbours[o] over o in `covering`,
+/// ascending and duplicate-free, to `out`.
+void append_reach(const std::vector<std::vector<std::size_t>>& neighbours,
+                  std::span<const std::size_t> covering,
+                  std::vector<std::size_t>& out);
 
 /// A user's channel assignment. `kUnallocated` encodes alpha_j = (0, 0).
 struct ChannelSlot {
@@ -97,7 +146,9 @@ class InterferenceField {
   /// The environment must outlive the field.
   explicit InterferenceField(const RadioEnvironment& env);
 
-  /// Places user j on (server, channel); j must currently be unallocated.
+  /// Places user j on (server, channel); j must currently be unallocated
+  /// and `server` must cover j (Eq. 1) — asserted, since only then are the
+  /// gains the move writes stored.
   void add_user(std::size_t user, ChannelSlot slot);
   /// Removes user j from its current channel; no-op when unallocated.
   void remove_user(std::size_t user);
@@ -112,7 +163,8 @@ class InterferenceField {
 
   /// SINR of user j as if allocated at `slot` (Eq. 2). The user's own
   /// current contribution is excluded wherever it is, so this evaluates
-  /// hypothetical moves without mutating state.
+  /// hypothetical moves without mutating state. `slot.server` must cover
+  /// j, like add_user.
   [[nodiscard]] double sinr(std::size_t user, ChannelSlot slot) const;
 
   /// Shannon rate (Eq. 3) at the hypothetical slot; MB/s, uncapped.
@@ -162,6 +214,10 @@ class InterferenceField {
   [[nodiscard]] double in_cell_power_excluding_watts(std::size_t user,
                                                ChannelSlot slot) const;
 
+  /// Asserts Eq. 1 for a slot the field is asked to write or price: the
+  /// slot's server covers the user, so every gain the call reads is stored.
+  void assert_covers(std::size_t user, ChannelSlot slot) const;
+
   [[nodiscard]] std::size_t chan_index(ChannelSlot slot) const {
     return slot.server * env_->channels_per_server + slot.channel;
   }
@@ -170,7 +226,8 @@ class InterferenceField {
   std::vector<ChannelSlot> allocation_;
   /// power_sum_[i * X + x] = sum of p_t over users on c_{i,x}.
   std::vector<double> power_sum_;
-  /// received_[(o * X + x) * N + i] = sum_{t in U_{o,x}} g_{i,t} p_t.
+  /// received_[(o * X + x) * N + i] = sum_{t in U_{o,x}} g_{i,t} p_t for
+  /// i in nbr(o); every other column stays 0 and is never read.
   std::vector<double> received_;
   /// Users currently on each channel. When a channel empties, its power
   /// and received-power rows are zeroed exactly: subtraction residues

@@ -32,6 +32,12 @@ class ShadowedPathLoss {
     return gain * std::pow(10.0, shadow_db / 10.0);
   }
 
+  /// Consumes the draw sample_gain would make, for a pair whose gain is
+  /// not kept, so the stream stays aligned with the pairs that are.
+  void skip_sample(util::Rng& rng) const {
+    if (sigma_db_ != 0.0) (void)rng.normal(0.0, sigma_db_);
+  }
+
   [[nodiscard]] const PathLossModel& base() const noexcept { return base_; }
   [[nodiscard]] double sigma_db() const noexcept { return sigma_db_; }
 

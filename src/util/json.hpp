@@ -4,7 +4,7 @@
 //
 // One grammar and one formatter, each in two forms: JsonReader is a pull
 // reader and JsonWriter a streaming writer, so a document too large for a
-// DOM (the instance file's N x M gain matrix) can be read and written
+// DOM (the instance file's channel gains) can be read and written
 // element by element; Json::parse and Json::dump are the DOM forms built
 // on the same two classes.
 #pragma once

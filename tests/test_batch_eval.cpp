@@ -20,6 +20,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <numeric>
 #include <span>
 #include <vector>
 
@@ -44,16 +45,16 @@ RadioEnvironment make_env(std::size_t servers, std::size_t users,
   env.user_count = users;
   env.channels_per_server = channels;
   env.noise_watts = 1e-13;
-  env.gain.resize(servers * users);
   env.power.resize(users);
   env.bandwidth.assign(servers * channels, 200.0);
   for (std::size_t j = 0; j < users; ++j) {
     env.power[j] = rng.uniform(1.0, 5.0);
   }
+  std::vector<double> dense(servers * users);  // row-major N x M
   for (std::size_t i = 0; i < servers; ++i) {
     for (std::size_t j = 0; j < users; ++j) {
       const double d = rng.uniform(50.0, 250.0);
-      env.gain[i * users + j] = std::pow(d, -3.0);
+      dense[i * users + j] = std::pow(d, -3.0);
     }
   }
   env.covering_servers.resize(users);
@@ -63,6 +64,16 @@ RadioEnvironment make_env(std::size_t servers, std::size_t users,
     }
     if (env.covering_servers[j].empty()) {
       env.covering_servers[j].push_back(rng.index(servers));
+    }
+  }
+  // Every server neighbours every other, so each user stores its whole
+  // dense column and the gains are the values drawn above.
+  env.neighbours.assign(servers, std::vector<std::size_t>(servers));
+  for (auto& nbr : env.neighbours) std::iota(nbr.begin(), nbr.end(), 0);
+  env.index_reach();
+  for (std::size_t j = 0; j < users; ++j) {
+    for (std::size_t i = 0; i < servers; ++i) {
+      env.gains(j)[i] = dense[i * users + j];
     }
   }
   env.check();

@@ -91,12 +91,14 @@ TEST(World, SnapshotPreservesStaticsAndUpdatesRadio) {
     EXPECT_DOUBLE_EQ(snap.user(j).power_watts, base.user(j).power_watts);
     EXPECT_EQ(snap.user(j).position, positions[j]);
   }
-  // Gains correspond to the new geometry.
-  for (std::size_t i = 0; i < snap.server_count(); ++i) {
-    for (std::size_t j = 0; j < snap.user_count(); ++j) {
+  // Every stored gain corresponds to the new geometry.
+  const radio::RadioEnvironment& env = snap.radio_env();
+  for (std::size_t j = 0; j < snap.user_count(); ++j) {
+    const auto reach = env.reach(j);
+    for (std::size_t e = 0; e < reach.size(); ++e) {
       const double expected = pathloss.gain(
-          geo::distance_m(snap.server(i).position, positions[j]));
-      EXPECT_DOUBLE_EQ(snap.radio_env().gain_at(i, j), expected);
+          geo::distance_m(snap.server(reach[e]).position, positions[j]));
+      EXPECT_DOUBLE_EQ(env.gains(j)[e], expected);
     }
   }
 }
@@ -124,16 +126,21 @@ TEST(World, TrackerMatchesRebuildOracleBitExactly) {
     tracker.update(mobility.positions());
     const auto oracle =
         dynamic::with_user_positions(base, mobility.positions(), pathloss);
-    const auto& tracked = tracker.instance();
+    const radio::RadioEnvironment& tracked = tracker.instance().radio_env();
+    const radio::RadioEnvironment& want = oracle.radio_env();
+    ASSERT_EQ(tracked.neighbours, want.neighbours) << "step " << step;
     for (std::size_t j = 0; j < base.user_count(); ++j) {
-      ASSERT_EQ(tracked.covering_servers(j), oracle.covering_servers(j))
+      ASSERT_EQ(tracked.covering_servers[j], want.covering_servers[j])
           << "coverage diverged for user " << j << " at step " << step;
-      for (std::size_t i = 0; i < base.server_count(); ++i) {
+      const auto reach = tracked.reach(j);
+      ASSERT_TRUE(std::ranges::equal(reach, want.reach(j)))
+          << "reach diverged for user " << j << " at step " << step;
+      for (std::size_t e = 0; e < reach.size(); ++e) {
         // Bit-exact, not approximate: the tracker must be a pure caching
         // layer over the full rebuild.
-        ASSERT_EQ(tracked.radio_env().gain_at(i, j),
-                  oracle.radio_env().gain_at(i, j))
-            << "gain diverged at (" << i << ", " << j << "), step " << step;
+        ASSERT_EQ(tracked.gains(j)[e], want.gains(j)[e])
+            << "gain diverged at (" << reach[e] << ", " << j << "), step "
+            << step;
       }
     }
   }

@@ -2,6 +2,8 @@
 // (metrics identical), malformed input is rejected.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -198,6 +200,60 @@ TEST(InstanceIo, BadTokenInGainArrayReportsParseOffset) {
     EXPECT_EQ(parse_offset, pos) << "byte '" << byte << "'";
     EXPECT_EQ(load_offset, parse_offset) << "byte '" << byte << "'";
   }
+}
+
+/// An idde-instance-v1 file (dense N x M gains) written by the last v1
+/// writer: make_instance(tiny, 7) at indent 1.
+std::string v1_fixture() {
+  std::ifstream in(IDDE_TEST_DATA_DIR "/tiny-instance-v1.json");
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+// The v1 file still loads, keeps only the gains the model can read, and
+// solves exactly like its v2 rewrite.
+TEST(InstanceIo, V1FixtureLoadsSparsifiedAndSolvesLikeItsV2Rewrite) {
+  const std::string v1_text = v1_fixture();
+  ASSERT_NE(v1_text.find("\"idde-instance-v1\""), std::string::npos)
+      << "missing tests/data/tiny-instance-v1.json";
+
+  const auto from_v1 = model::instance_from_string(v1_text);
+  model::InstanceParams tiny = sim::paper_default_params();
+  tiny.server_count = 5;
+  tiny.user_count = 12;
+  tiny.data_count = 3;
+  const auto built = model::make_instance(tiny, 7);
+  // The same neighbour lists, reach rows and gains the builder stores.
+  EXPECT_EQ(from_v1.radio_env().neighbours, built.radio_env().neighbours);
+  EXPECT_EQ(from_v1.radio_env().reach_server, built.radio_env().reach_server);
+  EXPECT_EQ(from_v1.radio_env().gain, built.radio_env().gain);
+  const std::string v2_text = model::instance_to_string(from_v1, 1);
+  EXPECT_EQ(v2_text, model::instance_to_string(built, 1));
+  EXPECT_LT(v2_text.size(), v1_text.size());
+
+  const auto from_v2 = model::instance_from_string(v2_text);
+  util::Rng rng_a(3);
+  util::Rng rng_b(3);
+  const auto sa = core::IddeG().solve(from_v1, rng_a);
+  const auto sb = core::IddeG().solve(from_v2, rng_b);
+  EXPECT_EQ(core::strategy_to_string(sa), core::strategy_to_string(sb));
+  const auto ma = core::evaluate(from_v1, sa);
+  const auto mb = core::evaluate(from_v2, sb);
+  EXPECT_EQ(ma.avg_rate_mbps, mb.avg_rate_mbps);
+  EXPECT_EQ(ma.avg_latency_ms, mb.avg_latency_ms);
+}
+
+TEST(InstanceIo, V1GainMatrixOfTheWrongShapeThrows) {
+  util::Json doc = util::Json::parse(v1_fixture());
+  util::JsonArray& gain = doc.as_object().at("radio").as_object().at("gain")
+                              .as_array();
+  gain.pop_back();
+  EXPECT_THROW((void)model::instance_from_string(doc.dump()),
+               util::JsonError);
+  gain.push_back(util::Json(util::JsonArray{}));  // a v2 row in a v1 matrix
+  EXPECT_THROW((void)model::instance_from_string(doc.dump()),
+               util::JsonError);
 }
 
 TEST(StrategyIo, RoundTripPreservesEverything) {

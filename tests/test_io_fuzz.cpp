@@ -9,6 +9,7 @@
 // under ASan/UBSan in the chaos-soak CI job).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -167,6 +168,7 @@ TEST(IoFuzz, HostileDocumentsAreRejectedStructurally) {
       R"({"format":"idde-strategy-v1","allocation":[],"placements":[{"server":1e300,"item":0}]})",
       // wrong shapes
       R"({"format":"idde-instance-v1","servers":[],"users":[],"data":[],"requests":[[0]],"edges":[],"cloud_speed_mbps":1,"radio":{"channels_per_server":1,"noise_watts":0,"bandwidth_mbps":[],"gain":[]}})",
+      R"({"format":"idde-instance-v2","servers":[],"users":[],"data":[],"requests":[[0]],"edges":[],"cloud_speed_mbps":1,"radio":{"channels_per_server":1,"noise_watts":0,"bandwidth_mbps":[],"gain":[],"neighbours":[]}})",
       // duplicate keys
       R"({"format":"idde-instance-v1","format":"idde-instance-v1"})",
       // nesting bomb
@@ -195,6 +197,159 @@ coding::CodedStrategy tiny_coded_strategy(
 // feasibility depends on both — a mutant that silently loads with a wrong
 // k would corrupt every latency downstream. Same contract as the other
 // loaders: round-trip or util::JsonError.
+/// Hand-broken idde-instance-v2 documents: every defect of the sparse gain
+/// store — rows that do not match reach(t), bad neighbour lists, non-finite
+/// gains, a closure violation — must surface as a JsonError.
+TEST(IoFuzz, HostileV2GainStoreIsRejectedStructurally) {
+  // A tiny instance with a user covered by two servers, so the closure
+  // can be broken.
+  const auto doubly_covered = [](const model::ProblemInstance& inst) {
+    for (std::size_t j = 0; j < inst.user_count(); ++j) {
+      if (inst.covering_servers(j).size() >= 2) return j;
+    }
+    return inst.user_count();
+  };
+  std::uint64_t seed = 10;
+  auto instance = model::make_instance(tiny_params(), seed);
+  while (doubly_covered(instance) == instance.user_count()) {
+    ASSERT_LT(seed, 60u) << "no tiny instance with a doubly covered user";
+    instance = model::make_instance(tiny_params(), ++seed);
+  }
+  const std::size_t shared = doubly_covered(instance);
+  const util::Json valid =
+      util::Json::parse(model::instance_to_string(instance));
+  const auto radio = [](util::Json& doc) -> util::JsonObject& {
+    return doc.as_object().at("radio").as_object();
+  };
+  const auto rows = [&](util::Json& doc) -> util::JsonArray& {
+    return radio(doc).at("gain").as_array();
+  };
+  const auto lists = [&](util::Json& doc) -> util::JsonArray& {
+    return radio(doc).at("neighbours").as_array();
+  };
+  std::vector<std::pair<std::string, std::string>> hostile;
+  {
+    util::Json doc = valid;
+    rows(doc)[shared].as_array().pop_back();
+    hostile.emplace_back("short row", doc.dump());
+  }
+  {
+    util::Json doc = valid;
+    rows(doc)[0].as_array().emplace_back(1e-9);
+    hostile.emplace_back("long row", doc.dump());
+  }
+  {
+    util::Json doc = valid;
+    rows(doc).pop_back();
+    hostile.emplace_back("missing row", doc.dump());
+  }
+  {
+    util::Json doc = valid;
+    lists(doc)[0].as_array().emplace_back(instance.server_count());
+    hostile.emplace_back("out-of-range neighbour", doc.dump());
+  }
+  const std::size_t o = instance.covering_servers(shared)[0];
+  const std::size_t i = instance.covering_servers(shared)[1];
+  {
+    util::Json doc = valid;
+    util::JsonArray& nbr = lists(doc)[o].as_array();
+    std::reverse(nbr.begin(), nbr.end());
+    hostile.emplace_back("unsorted neighbours", doc.dump());
+  }
+  {
+    util::Json doc = valid;
+    util::JsonArray& nbr = lists(doc)[o].as_array();
+    nbr.push_back(nbr.back());
+    hostile.emplace_back("duplicate neighbour", doc.dump());
+  }
+  {
+    util::Json doc = valid;
+    rows(doc)[shared].as_array()[0] = util::Json(12345.5);
+    std::string text = doc.dump();
+    text.replace(text.find("12345.5"), 7, "1e999");
+    hostile.emplace_back("non-finite gain", text);
+  }
+  {
+    // Drop i from nbr(o) and rewrite every row to the shrunken reach, so
+    // the rows match and only the closure is broken: o and i both cover
+    // user `shared` but no longer neighbour each other.
+    util::Json doc = valid;
+    const radio::RadioEnvironment& env = instance.radio_env();
+    std::vector<std::vector<std::size_t>> nbr = env.neighbours;
+    nbr[o].erase(std::find(nbr[o].begin(), nbr[o].end(), i));
+    util::JsonArray& nbr_json = lists(doc)[o].as_array();
+    nbr_json.clear();
+    for (const std::size_t s : nbr[o]) nbr_json.emplace_back(s);
+    for (std::size_t t = 0; t < instance.user_count(); ++t) {
+      std::vector<std::size_t> reach;
+      radio::append_reach(nbr, instance.covering_servers(t), reach);
+      util::JsonArray row;
+      for (const std::size_t s : reach) row.emplace_back(env.gain_at(s, t));
+      rows(doc)[t] = util::Json(std::move(row));
+    }
+    hostile.emplace_back("closure violation", doc.dump());
+  }
+  for (const auto& [name, text] : hostile) {
+    try {
+      (void)model::instance_from_string(text);
+      ADD_FAILURE() << name << " loaded";
+    } catch (const util::JsonError& error) {
+      if (name == "closure violation") {
+        EXPECT_NE(std::string(error.what()).find("neighbour each other"),
+                  std::string::npos)
+            << error.what();
+      }
+    }
+  }
+  // The untouched document still loads.
+  EXPECT_NO_THROW((void)model::instance_from_string(valid.dump()));
+}
+
+/// A slot on a server outside its user's coverage breaks Eq. 1. The
+/// interference model asserts Eq. 1, so both strategy loaders must reject
+/// such a document as a JsonError before any evaluation reads it.
+TEST(IoFuzz, OutOfCoverageAllocationIsRejected) {
+  const auto instance = model::make_instance(tiny_params(), 13);
+  std::size_t user = instance.user_count();
+  std::size_t server = 0;
+  for (std::size_t j = 0; j < instance.user_count(); ++j) {
+    const auto& covering = instance.covering_servers(j);
+    if (covering.size() < instance.server_count()) {
+      while (std::binary_search(covering.begin(), covering.end(), server)) {
+        ++server;
+      }
+      user = j;
+      break;
+    }
+  }
+  ASSERT_LT(user, instance.user_count()) << "every server covers every user";
+  const auto move_out = [&](const std::string& text) {
+    util::Json doc = util::Json::parse(text);
+    doc.as_object().at("allocation").as_array()[user] =
+        util::Json(util::JsonObject{{"server", util::Json(server)},
+                                    {"channel", util::Json(std::size_t{0})}});
+    return doc.dump();
+  };
+  const auto expect_rejected = [](const auto& load) {
+    try {
+      load();
+      ADD_FAILURE() << "an out-of-coverage allocation loaded";
+    } catch (const util::JsonError& error) {
+      EXPECT_NE(std::string(error.what()).find("does not cover"),
+                std::string::npos)
+          << error.what();
+    }
+  };
+  util::Rng solve_rng(13);
+  const std::string plain = move_out(
+      core::strategy_to_string(core::IddeG().solve(instance, solve_rng)));
+  expect_rejected([&] { (void)core::strategy_from_string(instance, plain); });
+  const std::string coded = move_out(
+      coding::coded_strategy_to_string(tiny_coded_strategy(instance, 13)));
+  expect_rejected(
+      [&] { (void)coding::coded_strategy_from_string(instance, coded); });
+}
+
 TEST(IoFuzz, MutatedCodedStrategyNeverCrashes) {
   const auto instance = model::make_instance(tiny_params(), 11);
   const auto coded = tiny_coded_strategy(instance, 11);

@@ -102,22 +102,22 @@ void expect_instance(const model::ProblemInstance& instance,
 
 TEST(IoGolden, TinyInstance) {
   expect_instance(model::make_instance(tiny_params(), 7),
-                  {0x227fb04c9bd26ade, 0x334182ddb21b73ce, 0xd68d9facc6bec23c});
+                  {0x9bf3edb31549c416, 0xac04f1688b13ee46, 0x4279f9e17320d794});
 }
 
 TEST(IoGolden, Set1Instance) {
   expect_instance(model::make_instance(set1_params(), 5),
-                  {0x9161788f407650c1, 0x79db0023a6ed75d9, 0x9be40de90ed91b3});
+                  {0x7d34247728f95e47, 0xbe857e2f4582b2fb, 0x8226f44a5213fabb});
 }
 
 TEST(IoGolden, CityInstance) {
   expect_instance(model::make_instance(city_params(), 1),
-                  {0xb2615d6368589da3, 0xe8327d8d0f21b01d, 0x3ed1f9974a2456e5});
+                  {0xca62508c674fbf32, 0x18ed8c9248450e4, 0xa92c8b8582990aa0});
 }
 
 TEST(IoGolden, MetroShortInstance) {
   expect_instance(model::make_instance(metro_short_params(), 1),
-                  {0x55e37a15982d15a1, 0x5bfec63ecdbd0821, 0x43574e3c4f5f9add});
+                  {0xa7a573232f065f16, 0x6e773d19fde44db0, 0x4841532a668f1a4a});
 }
 
 TEST(IoGolden, Strategy) {

@@ -5,10 +5,14 @@
 #include <algorithm>
 #include <set>
 
+#include "geo/point.hpp"
 #include "model/instance_builder.hpp"
 #include "model/request_matrix.hpp"
 #include "model/validation.hpp"
+#include "radio/shadowing.hpp"
+#include "sim/paper.hpp"
 #include "sim/scenario.hpp"
+#include "util/random.hpp"
 
 namespace {
 
@@ -259,5 +263,121 @@ TEST_P(InstanceGridTest, BuildsValidInstances) {
 INSTANTIATE_TEST_SUITE_P(PaperGrid, InstanceGridTest,
                          ::testing::Combine(::testing::Values(20, 35, 50),
                                             ::testing::Values(50, 200, 350)));
+
+// ---------------------------------------------------------------------------
+// The sparse gain store: the builder keeps g_{i,t} for i in reach(t) only,
+// and each kept value is the one a dense N x M build would have drawn.
+
+/// Dense reference gain of (i, j) at sigma = 0: plain path loss.
+double path_loss(const InstanceParams& p, const ProblemInstance& inst,
+                 std::size_t i, std::size_t j) {
+  return radio::PathLossModel(p.pathloss_eta, p.pathloss_exponent)
+      .gain(geo::distance_m(inst.server(i).position, inst.user(j).position));
+}
+
+/// The store's shape: nbr(o) holds o and exactly the servers whose
+/// coverage discs meet o's, and reach(j) holds V_j.
+void expect_sparse_shape(const ProblemInstance& inst) {
+  const radio::RadioEnvironment& env = inst.radio_env();
+  const auto& servers = inst.servers();
+  std::size_t wrong = 0;
+  for (std::size_t o = 0; o < servers.size(); ++o) {
+    const auto& nbr = env.neighbours[o];
+    for (std::size_t i = 0; i < servers.size(); ++i) {
+      const bool meet =
+          geo::distance_m(servers[i].position, servers[o].position) <=
+          (servers[i].coverage_radius_m + servers[o].coverage_radius_m) *
+              (1.0 + model::kDiscSlack);
+      if (std::binary_search(nbr.begin(), nbr.end(), i) != (i == o || meet)) {
+        ++wrong;
+      }
+    }
+  }
+  EXPECT_EQ(wrong, 0u) << "server pairs misfiled in nbr";
+  for (std::size_t j = 0; j < inst.user_count(); ++j) {
+    const auto reach = env.reach(j);
+    for (const std::size_t i : inst.covering_servers(j)) {
+      EXPECT_TRUE(std::binary_search(reach.begin(), reach.end(), i));
+    }
+  }
+  EXPECT_NO_THROW(env.check());
+}
+
+std::vector<std::pair<std::string, InstanceParams>> sparse_cases() {
+  std::vector<std::pair<std::string, InstanceParams>> cases;
+  for (const auto& set : {sim::paper_set1(), sim::paper_set2(),
+                          sim::paper_set3(), sim::paper_set4()}) {
+    for (const sim::SweepPoint& point : set) {
+      cases.emplace_back(point.label, point.params);
+    }
+  }
+  InstanceParams city = sim::paper_default_params();
+  city.server_count = 125;
+  city.user_count = 816;
+  city.data_count = 12;
+  cases.emplace_back("city", city);
+  cases.emplace_back(
+      "metro-short",
+      sim::params_from_string(
+          R"({"server_count":60,"user_count":960,)"
+          R"("eua":{"area_side_m":1386,"server_count":60,"user_count":960}})"));
+  return cases;
+}
+
+TEST(SparseGains, StoredEntriesEqualPathLossBitwise) {
+  for (const auto& [label, params] : sparse_cases()) {
+    SCOPED_TRACE(label);
+    const ProblemInstance inst = model::make_instance(params, 17);
+    expect_sparse_shape(inst);
+    const radio::RadioEnvironment& env = inst.radio_env();
+    std::size_t stored = 0;
+    for (std::size_t j = 0; j < inst.user_count(); ++j) {
+      const auto reach = env.reach(j);
+      for (std::size_t e = 0; e < reach.size(); ++e) {
+        ASSERT_EQ(env.gains(j)[e], path_loss(params, inst, reach[e], j))
+            << "gain (" << reach[e] << ", " << j << ")";
+        ASSERT_EQ(env.gain_at(reach[e], j), env.gains(j)[e]);
+      }
+      stored += reach.size();
+    }
+    EXPECT_LE(stored, inst.server_count() * inst.user_count());
+  }
+}
+
+TEST(SparseGains, ShadowedEntriesReplayTheDenseStream) {
+  InstanceParams p = sim::paper_default_params();
+  p.shadowing_stddev_db = 6.0;
+  const std::uint64_t seed = 23;
+  const ProblemInstance inst = model::make_instance(p, seed);
+  expect_sparse_shape(inst);
+  // The dense build drew one shadowing number per (i, j), server-major,
+  // from fork(7) of the instance seed; replay it and compare the kept pairs.
+  const radio::ShadowedPathLoss pathloss(
+      radio::PathLossModel(p.pathloss_eta, p.pathloss_exponent),
+      p.shadowing_stddev_db);
+  util::Rng stream = util::Rng(seed).fork(7);
+  const radio::RadioEnvironment& env = inst.radio_env();
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < inst.server_count(); ++i) {
+    for (std::size_t j = 0; j < inst.user_count(); ++j) {
+      const double dense = pathloss.sample_gain(
+          geo::distance_m(inst.server(i).position, inst.user(j).position),
+          stream);
+      const auto reach = env.reach(j);
+      if (!std::binary_search(reach.begin(), reach.end(), i)) continue;
+      ASSERT_EQ(env.gain_at(i, j), dense) << "gain (" << i << ", " << j << ")";
+      ++kept;
+    }
+  }
+  EXPECT_EQ(kept, env.gain.size());
+  // Shadowing acts: some kept gain differs from plain path loss.
+  bool shadowed = false;
+  for (std::size_t j = 0; j < inst.user_count() && !shadowed; ++j) {
+    for (const std::size_t i : env.reach(j)) {
+      shadowed = shadowed || env.gain_at(i, j) != path_loss(p, inst, i, j);
+    }
+  }
+  EXPECT_TRUE(shadowed);
+}
 
 }  // namespace

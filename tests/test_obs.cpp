@@ -337,6 +337,29 @@ TEST_F(ObsTest, InstanceIoSpansAndByteCountersLeaveBytesAlone) {
 #endif
 }
 
+// The builder's span and the gain-entry counter (on build and on read)
+// leave the instance bit-identical.
+TEST_F(ObsTest, InstanceBuildSpanAndGainCounterLeaveInstanceAlone) {
+  const std::string off =
+      model::instance_to_string(model::make_instance(small_params(), 22));
+
+  obs::set_trace_enabled(true);
+  const model::ProblemInstance instance =
+      model::make_instance(small_params(), 22);
+  const std::string on = model::instance_to_string(instance);
+  EXPECT_EQ(on, off);
+  const model::ProblemInstance back = model::instance_from_string(on);
+  EXPECT_EQ(back.radio_env().gain, instance.radio_env().gain);
+#if IDDE_OBS
+  const util::Json counters = obs::MetricsRegistry::global().scrape().at(
+      "counters");
+  EXPECT_EQ(counters.at("instance.gain_entries_total").as_int(),
+            static_cast<std::int64_t>(2 * instance.radio_env().gain.size()));
+  const util::Json rollup = obs::Tracer::global().rollup_json();
+  EXPECT_EQ(rollup.at("instance.build").at("count").as_int(), 1);
+#endif
+}
+
 // End to end: a sweep cell and a DES replay under full telemetry produce a
 // schema-valid trace and a telemetry block with quantiles for the phases
 // named in the acceptance criteria.

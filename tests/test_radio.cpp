@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <string>
 
 #include "radio/interference.hpp"
 #include "radio/pathloss.hpp"
@@ -60,17 +62,17 @@ RadioEnvironment make_env(std::size_t servers, std::size_t users,
   env.user_count = users;
   env.channels_per_server = channels;
   env.noise_watts = default_noise_watts();
-  env.gain.resize(servers * users);
   env.power.resize(users);
   env.bandwidth.assign(servers * channels, 200.0);
   for (std::size_t j = 0; j < users; ++j) {
     env.power[j] = rng.uniform(1.0, 5.0);
   }
+  std::vector<double> dense(servers * users);  // row-major N x M
   for (std::size_t i = 0; i < servers; ++i) {
     for (std::size_t j = 0; j < users; ++j) {
       // Distances 50..250 m under eta=1, loss=3.
       const double d = rng.uniform(50.0, 250.0);
-      env.gain[i * users + j] = std::pow(d, -3.0);
+      dense[i * users + j] = std::pow(d, -3.0);
     }
   }
   env.covering_servers.resize(users);
@@ -80,6 +82,16 @@ RadioEnvironment make_env(std::size_t servers, std::size_t users,
     }
     if (env.covering_servers[j].empty()) {
       env.covering_servers[j].push_back(rng.index(servers));
+    }
+  }
+  // Every server neighbours every other, so each user stores its whole
+  // dense column and the gains are the values drawn above.
+  env.neighbours.assign(servers, std::vector<std::size_t>(servers));
+  for (auto& nbr : env.neighbours) std::iota(nbr.begin(), nbr.end(), 0);
+  env.index_reach();
+  for (std::size_t j = 0; j < users; ++j) {
+    for (std::size_t i = 0; i < servers; ++i) {
+      env.gains(j)[i] = dense[i * users + j];
     }
   }
   env.check();
@@ -128,6 +140,65 @@ TEST(RadioEnvironment, CheckThrowsValidationErrorOnBadInput) {
   bad = good;
   bad.covering_servers[2].push_back(99);  // server index out of range
   EXPECT_THROW(bad.check(), idde::util::ValidationError);
+
+  bad = good;
+  bad.neighbours[1].erase(bad.neighbours[1].begin() + 1);  // omits itself
+  EXPECT_THROW(bad.check(), idde::util::ValidationError);
+
+  bad = good;
+  std::swap(bad.neighbours[0][0], bad.neighbours[0][1]);  // unsorted
+  EXPECT_THROW(bad.check(), idde::util::ValidationError);
+
+  bad = good;
+  bad.reach_server[0] = 2;  // reach row no longer the union of nbr lists
+  EXPECT_THROW(bad.check(), idde::util::ValidationError);
+}
+
+// The closure invariant: servers covering a common user must neighbour
+// each other, or Eq. 2/12 would read a gain the store does not hold.
+TEST(RadioEnvironment, CheckRejectsClosureViolation) {
+  Rng rng(8);
+  RadioEnvironment env = make_env(3, 4, 2, rng, 1.0);  // all cover all
+  EXPECT_NO_THROW(env.check());
+  // Server 1 stays in reach(t) through nbr(1), so the reach rows still
+  // match; only the closure is broken.
+  env.neighbours[0].erase(env.neighbours[0].begin() + 1);
+  try {
+    env.check();
+    ADD_FAILURE() << "closure violation accepted";
+  } catch (const idde::util::ValidationError& error) {
+    EXPECT_NE(std::string(error.what()).find("neighbour each other"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(RadioEnvironment, GainOutsideReachIsNotReadAsZero) {
+  Rng rng(9);
+  RadioEnvironment env = make_env(3, 2, 2, rng, 1.0);
+  // Shrink every list to the server itself and cover each user by one.
+  for (std::size_t o = 0; o < 3; ++o) env.neighbours[o] = {o};
+  env.covering_servers = {{0}, {2}};
+  env.index_reach();
+  env.check();
+  EXPECT_EQ(env.reach(0).size(), 1u);
+  EXPECT_DEATH((void)env.gain_at(1, 0), "outside the user's reach");
+}
+
+TEST(InterferenceField, AssertsOnOutOfCoverageSlot) {
+  Rng rng(10);
+  RadioEnvironment env = make_env(3, 2, 2, rng, 1.0);
+  env.covering_servers = {{0, 1}, {2}};
+  env.index_reach();  // nbr lists stay full, so every gain is stored
+  std::fill(env.gain.begin(), env.gain.end(), 1e-6);
+  env.check();
+  InterferenceField field(env);
+  const ChannelSlot outside{2, 0};  // server 2 does not cover user 0
+  EXPECT_DEATH(field.add_user(0, outside), "does not cover the user");
+  EXPECT_DEATH((void)field.sinr(0, outside), "does not cover the user");
+  EXPECT_DEATH((void)field.benefit(0, outside), "does not cover the user");
+  field.add_user(0, ChannelSlot{1, 0});
+  EXPECT_GT(field.benefit(0, ChannelSlot{1, 0}), 0.0);
 }
 
 TEST(InterferenceField, SingleUserSeesOnlyNoise) {

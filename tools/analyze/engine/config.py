@@ -63,6 +63,8 @@ class Config:
         "src/des/fluid.hpp",
         "src/net/shortest_path.cpp",
         "src/fault/injector.cpp",
+        "src/model/instance_builder.cpp",
+        "src/dynamic/world.cpp",
     ])
 
     # Unit-safety vocabulary. A double/int64 parameter or double-returning

@@ -58,7 +58,7 @@ grep -q 'invalid JSON at byte' "$WORK/stderr" || {
   FAILURES=$((FAILURES + 1))
 }
 
-printf '{"format":"idde-instance-v1","servers":[],"users":[],"data":[],"requests":[[0]],"edges":[],"cloud_speed_mbps":1,"radio":{"channels_per_server":1,"noise_watts":0,"bandwidth_mbps":[],"gain":[]}}' \
+printf '{"format":"idde-instance-v2","servers":[],"users":[],"data":[],"requests":[[0]],"edges":[],"cloud_speed_mbps":1,"radio":{"channels_per_server":1,"noise_watts":0,"bandwidth_mbps":[],"gain":[],"neighbours":[]}}' \
   >"$WORK/bad-shape.json"
 run 1 eval --instance "$WORK/bad-shape.json" && expect_error_line
 
@@ -76,8 +76,13 @@ cmp -s "$WORK/instance.json" "$WORK/instance-again.json" || {
   FAILURES=$((FAILURES + 1))
 }
 
-# One bad byte inside the streamed gain array is reported at that byte:
-# two bytes into the first gain value is a mantissa digit.
+# One bad byte inside the streamed gain rows is reported at that byte:
+# two bytes into the first value of the first non-empty row (the file is
+# idde-instance-v2, one row of gains per user) is a mantissa digit.
+grep -q '"format": "idde-instance-v2"' "$WORK/instance.json" || {
+  echo "FAIL: gen did not write an idde-instance-v2 file" >&2
+  FAILURES=$((FAILURES + 1))
+}
 gain_key=$(grep -b -o '"gain": \[' "$WORK/instance.json" | head -n 1 |
   cut -d: -f1)
 first_digit=$(tail -c +"$((gain_key + 1))" "$WORK/instance.json" |
@@ -109,6 +114,31 @@ for approach in IDDE-G IDDE-IP; do
   fi
 done
 cp "$WORK/strategy-IDDE-G.json" "$WORK/strategy.json"
+
+# A hand-edited strategy that moves the first allocated user onto a server
+# outside its coverage (Eq. 1) fails with one structured error line, never
+# an abort. Every server is tried in turn: the covering ones still load.
+servers=$(grep -c '"radius_m"' "$WORK/instance.json")
+rejected=0
+for ((k = 0; k < servers; ++k)); do
+  sed "0,/\"server\": [0-9]*/s//\"server\": $k/" "$WORK/strategy.json" \
+    >"$WORK/moved.json"
+  "$TOOL" eval --instance "$WORK/instance.json" \
+    --strategy "$WORK/moved.json" >"$WORK/stdout" 2>"$WORK/stderr"
+  status=$?
+  if [ "$status" -eq 1 ] && grep -q 'does not cover' "$WORK/stderr"; then
+    expect_error_line
+    rejected=$((rejected + 1))
+  elif [ "$status" -ne 0 ] && ! grep -q '^violation: ' "$WORK/stderr"; then
+    echo "FAIL: eval of the strategy moved to server $k exited $status:" >&2
+    cat "$WORK/stderr" >&2
+    FAILURES=$((FAILURES + 1))
+  fi
+done
+[ "$rejected" -gt 0 ] || {
+  echo "FAIL: no server outside the first user's coverage was rejected" >&2
+  FAILURES=$((FAILURES + 1))
+}
 run 0 replay --instance "$WORK/instance.json" \
   --strategy "$WORK/strategy.json" --load 4 --policy deadline-aware \
   --chaos --seed 3 --out "$WORK/report.json" || true
