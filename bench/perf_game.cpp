@@ -7,7 +7,11 @@
 //   incremental  core::IddeUGame serial: dirty-set caching, batched kernel,
 //   parallel     core::IddeUGame with a ThreadPool fan-out of the dirty set.
 // All three are required to produce bit-identical move sequences; the run
-// aborts if they diverge. Results (evaluation counts, rounds, wall time,
+// aborts if they diverge. Telemetry is switched on after the last timed
+// config and one untimed incremental solve of the first instance follows,
+// so the report's telemetry block carries the game.* counters without
+// costing the timings (--telemetry records the timed solves as well).
+// Results (evaluation counts, rounds, wall time, solve time per round,
 // derived ratios) go to stdout and to a machine-readable JSON trajectory
 // (--out, default BENCH_game.json) for cross-PR tracking.
 #include <cstdio>
@@ -122,6 +126,12 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Recording starts after the last timed config and covers the solve only.
+  const model::ProblemInstance untimed =
+      model::make_instance(params, base_seed);
+  obs::set_enabled(true);
+  (void)solve("incremental", untimed);
+
   const ConfigTotals& full = totals[0];
   const ConfigTotals& incremental = totals[1];
   const ConfigTotals& parallel = totals[2];
@@ -132,11 +142,16 @@ int main(int argc, char** argv) {
   const double speedup_incremental = ratio(full.solve_ms, incremental.solve_ms);
   const double speedup_parallel = ratio(full.solve_ms, parallel.solve_ms);
 
-  std::printf("\n%-12s %14s %8s %8s %10s\n", "config", "evals", "moves",
-              "rounds", "ms");
+  const auto round_us = [&](const ConfigTotals& t) {
+    return ratio(1000.0 * t.solve_ms, static_cast<double>(t.rounds));
+  };
+
+  std::printf("\n%-12s %14s %8s %8s %10s %10s\n", "config", "evals", "moves",
+              "rounds", "ms", "us/round");
   for (const ConfigTotals& t : totals) {
-    std::printf("%-12s %14zu %8zu %8zu %10.2f\n", t.name.c_str(),
-                t.benefit_evaluations, t.moves, t.rounds, t.solve_ms);
+    std::printf("%-12s %14zu %8zu %8zu %10.2f %10.3f\n", t.name.c_str(),
+                t.benefit_evaluations, t.moves, t.rounds, t.solve_ms,
+                round_us(t));
   }
   std::printf(
       "\nincremental does %.1fx fewer benefit evaluations than the seed "
@@ -152,6 +167,7 @@ int main(int argc, char** argv) {
       entry["moves"] = t.moves;
       entry["rounds"] = t.rounds;
       entry["solve_ms"] = t.solve_ms;
+      entry["round_us"] = round_us(t);
       configs.emplace_back(std::move(entry));
     }
     util::JsonObject doc;

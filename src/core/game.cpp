@@ -1,7 +1,9 @@
 #include "core/game.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 
@@ -80,13 +82,61 @@ GameResult IddeUGame::run_from(const AllocationProfile& start) {
   const auto movable = [&](std::size_t j) {
     return moves_of[j] < options_.max_moves_per_user;
   };
+
+  // Winner selection without an O(M) scan. gain[j] is the improvement user
+  // j submits, cached[j].benefit - current[j], or -inf when j is frozen or
+  // has no allocated best response. Users are grouped into fixed blocks of
+  // kGainBlock; each block keeps its best entry (largest gain, lowest index
+  // among equal gains), and only blocks with a rewritten entry are
+  // re-scanned before the next selection. A strict > scan over the block
+  // bests in ascending order then returns exactly the full scan's winner:
+  // the largest gain, and the lowest index among equal gains.
+  constexpr std::size_t kGainBlock = 64;
+  constexpr double kNoGain = -std::numeric_limits<double>::infinity();
+  const std::size_t block_count = (user_count + kGainBlock - 1) / kGainBlock;
+  std::vector<double> gain(user_count, kNoGain);
+  std::vector<double> block_gain(block_count, kNoGain);
+  std::vector<std::size_t> block_user(block_count, ChannelSlot::kNone);
+  std::vector<char> block_stale(block_count, 0);
+  std::vector<std::size_t> stale_blocks;
+  stale_blocks.reserve(block_count);
+  const auto set_gain = [&](std::size_t j, double value) {
+    gain[j] = value;
+    const std::size_t b = j / kGainBlock;
+    if (block_stale[b] == 0) {
+      block_stale[b] = 1;
+      stale_blocks.push_back(b);
+    }
+  };
+  const auto rescan_stale_blocks = [&] {
+    for (const std::size_t b : stale_blocks) {
+      const std::size_t end = std::min(user_count, (b + 1) * kGainBlock);
+      double best = kNoGain;
+      std::size_t best_user = ChannelSlot::kNone;
+      for (std::size_t j = b * kGainBlock; j < end; ++j) {
+        if (gain[j] > best) {
+          best = gain[j];
+          best_user = j;
+        }
+      }
+      block_gain[b] = best;
+      block_user[b] = best_user;
+      block_stale[b] = 0;
+    }
+    stale_blocks.clear();
+  };
+
   const auto record_move = [&](std::size_t j) {
-    if (++moves_of[j] == options_.max_moves_per_user) ++result.frozen_users;
+    if (++moves_of[j] == options_.max_moves_per_user) {
+      ++result.frozen_users;
+      set_gain(j, kNoGain);
+    }
   };
 
   std::unique_ptr<util::ThreadPool> pool;
   if (options_.threads != 1 && user_count > 1) {
-    pool = std::make_unique<util::ThreadPool>(options_.threads);
+    pool = std::make_unique<util::ThreadPool>(  // lint: alloc-ok(per run)
+        options_.threads);
   }
 
   // Batched evaluators are per-thread scratch (SoA accumulators), never
@@ -107,11 +157,30 @@ GameResult IddeUGame::run_from(const AllocationProfile& start) {
   // have invalidated either value — it covers the vacated or entered
   // server (so some candidate shares a channel index with a perturbed
   // slot) or it is the mover itself. Everyone starts dirty.
+  //
+  // A user joins `pending` when its dirty flag goes from 0 to 1, so a
+  // refresh drains the users dirtied since the last one instead of
+  // scanning all M. queued[j] marks membership and keeps each user in the
+  // list at most once: kAsyncSweep clears dirty flags lazily, mid-sweep,
+  // and a user re-dirtied after that must not be listed twice (two lanes
+  // of the fan-out would then write the same cache entry).
   std::vector<BestResponse> cached(user_count);
   std::vector<double> current(user_count, 0.0);
   std::vector<char> dirty(user_count, 1);
+  std::vector<char> queued(user_count, 1);
+  std::vector<std::size_t> pending;
+  pending.reserve(user_count);
+  for (std::size_t j = 0; j < user_count; ++j) pending.push_back(j);
   std::vector<std::size_t> dirty_list;
   dirty_list.reserve(user_count);
+  const auto mark_dirty = [&](std::size_t u) {
+    if (dirty[u] != 0) return;
+    dirty[u] = 1;
+    if (queued[u] == 0) {
+      queued[u] = 1;
+      pending.push_back(u);
+    }
+  };
 
   const auto evaluate_user = [&](radio::BatchEvaluator& eval, std::size_t j,
                                  std::size_t* evaluations) {
@@ -136,11 +205,18 @@ GameResult IddeUGame::run_from(const AllocationProfile& start) {
   // any future violation of that contract into a hard failure instead of
   // a silent race — and each worker writes only cached[j] / current[j]
   // for its own j, so entries are disjoint by construction.
+  //
+  // Draining `pending` yields every dirty movable user: a movable user is
+  // dirty only after mark_dirty queued it, and a dirty user dropped here
+  // is frozen for good. Users that kAsyncSweep already re-evaluated are
+  // clean again and are skipped.
   const auto refresh_dirty = [&] {
     dirty_list.clear();
-    for (std::size_t j = 0; j < user_count; ++j) {
+    for (const std::size_t j : pending) {
+      queued[j] = 0;
       if (dirty[j] != 0 && movable(j)) dirty_list.push_back(j);
     }
+    pending.clear();
     IDDE_OBS_HISTOGRAM("game.dirty_set_size", dirty_list.size());
     if (pool != nullptr && dirty_list.size() >= kMinParallelBatch) {
       // Backlog sampled before dispatch: non-zero only when the pool is
@@ -164,7 +240,11 @@ GameResult IddeUGame::run_from(const AllocationProfile& start) {
         evaluate_user(batch, j, &result.benefit_evaluations);
       }
     }
-    for (const std::size_t j : dirty_list) dirty[j] = 0;
+    for (const std::size_t j : dirty_list) {
+      dirty[j] = 0;
+      set_gain(j, cached[j].slot.allocated() ? cached[j].benefit - current[j]
+                                             : kNoGain);
+    }
   };
 
   // Dirty-set invariant: the applied move perturbed exactly the two slots
@@ -174,15 +254,15 @@ GameResult IddeUGame::run_from(const AllocationProfile& start) {
   const auto apply_move = [&](std::size_t j, ChannelSlot slot) {
     field.move_user(j, slot);
     const radio::MoveDelta& delta = field.last_move();
-    dirty[delta.user] = 1;
+    mark_dirty(delta.user);
     if (delta.from.allocated()) {
       for (const std::size_t u : instance_->covered_users(delta.from.server)) {
-        dirty[u] = 1;
+        mark_dirty(u);
       }
     }
     if (delta.to.allocated()) {
       for (const std::size_t u : instance_->covered_users(delta.to.server)) {
-        dirty[u] = 1;
+        mark_dirty(u);
       }
     }
     record_move(j);
@@ -196,17 +276,16 @@ GameResult IddeUGame::run_from(const AllocationProfile& start) {
     switch (options_.rule) {
       case UpdateRule::kBestImprovement: {
         refresh_dirty();
+        rescan_stale_blocks();
         // Every movable user submits its cached candidate; the largest
-        // gain wins and strict > keeps the lowest index among equal gains.
+        // gain wins and strict > over the ascending block bests keeps the
+        // lowest index among equal gains.
         std::size_t winner = ChannelSlot::kNone;
         double winner_gain = eps;
-        for (std::size_t j = 0; j < user_count; ++j) {
-          if (!movable(j)) continue;
-          if (!cached[j].slot.allocated()) continue;
-          const double gain = cached[j].benefit - current[j];
-          if (gain > winner_gain) {
-            winner_gain = gain;
-            winner = j;
+        for (std::size_t b = 0; b < block_count; ++b) {
+          if (block_gain[b] > winner_gain) {
+            winner_gain = block_gain[b];
+            winner = block_user[b];
           }
         }
         if (winner != ChannelSlot::kNone) {
@@ -217,12 +296,17 @@ GameResult IddeUGame::run_from(const AllocationProfile& start) {
       }
       case UpdateRule::kFirstImprovement: {
         refresh_dirty();
-        for (std::size_t j = 0; j < user_count && !moved; ++j) {
-          if (!movable(j)) continue;
-          if (!cached[j].slot.allocated()) continue;
-          if (cached[j].benefit - current[j] > eps) {
-            apply_move(j, cached[j].slot);
-            moved = true;
+        rescan_stale_blocks();
+        // The lowest-indexed improving user sits in the leftmost block
+        // whose best gain clears epsilon.
+        for (std::size_t b = 0; b < block_count && !moved; ++b) {
+          if (!(block_gain[b] > eps)) continue;
+          const std::size_t end = std::min(user_count, (b + 1) * kGainBlock);
+          for (std::size_t j = b * kGainBlock; j < end && !moved; ++j) {
+            if (gain[j] > eps) {
+              apply_move(j, cached[j].slot);
+              moved = true;
+            }
           }
         }
         break;

@@ -20,9 +20,18 @@
 // users are priced through the batched SoA kernel (radio::BatchEvaluator,
 // bit-identical to per-slot field.benefit() calls) and can be re-evaluated
 // in parallel on a util::ThreadPool (the field is read-only between
-// moves). For every update rule and any thread count the move sequence is
-// bit-identical to the serial full-scan engine, which lives outside the
-// library as a test/bench oracle (tests/oracles/full_scan_game.hpp).
+// moves).
+//
+// A round costs O(dirty), not O(M): users enter a pending list when they
+// turn dirty, and the refresh drains it. Each user's submitted gain sits
+// in a contiguous array grouped into blocks of 64 whose best entries
+// (largest gain, lowest index among equals) are re-scanned only when an
+// entry changed; a strict > scan over the block bests in ascending order
+// then picks the largest gain and, among equal gains, the lowest index —
+// the full scan's winner. For every update rule and any thread count the
+// move sequence is bit-identical to the serial full-scan engine, which
+// lives outside the library as a test/bench oracle
+// (tests/oracles/full_scan_game.hpp).
 #pragma once
 
 #include <cstddef>

@@ -1,7 +1,10 @@
 #include "model/instance.hpp"
 
 #include <algorithm>
+#include <cmath>
 
+#include "geo/spatial_grid.hpp"
+#include "util/assert.hpp"
 #include "util/error.hpp"
 
 namespace idde::model {
@@ -22,6 +25,47 @@ std::vector<std::vector<ServerId>> coverage_neighbours(
     }
   }
   return neighbours;
+}
+
+std::vector<std::vector<ServerId>> coverage_sets(
+    const std::vector<EdgeServer>& servers, const std::vector<User>& users) {
+  std::vector<std::vector<ServerId>> covering(users.size());
+  if (servers.empty()) return covering;
+  std::vector<geo::Point> positions;
+  positions.reserve(servers.size());
+  geo::BoundingBox bounds{servers.front().position, servers.front().position};
+  double max_radius = 0.0;
+  for (const EdgeServer& s : servers) {
+    IDDE_EXPECTS(std::isfinite(s.coverage_radius_m) &&
+                 s.coverage_radius_m >= 0.0);
+    positions.push_back(s.position);
+    bounds.min = {std::min(bounds.min.x, s.position.x),
+                  std::min(bounds.min.y, s.position.y)};
+    bounds.max = {std::max(bounds.max.x, s.position.x),
+                  std::max(bounds.max.y, s.position.y)};
+    max_radius = std::max(max_radius, s.coverage_radius_m);
+  }
+  // Cells of half the largest radius (at least 50 m), coarsened so that a
+  // far-flung file cannot ask for more than kMaxCells per axis.
+  constexpr double kMaxCells = 256.0;
+  const double extent = std::max(bounds.width(), bounds.height());
+  IDDE_EXPECTS(std::isfinite(extent));
+  const geo::SpatialGrid grid(
+      positions, bounds,
+      std::max({50.0, max_radius / 2.0, extent / kMaxCells}));
+  // The grid tests squared distances; the slack keeps a user that
+  // distance_m puts exactly on the largest disc's rim among the candidates.
+  const double candidate_radius = max_radius * (1.0 + kDiscSlack);
+  for (std::size_t j = 0; j < users.size(); ++j) {
+    std::vector<std::size_t> near =
+        grid.query_radius(users[j].position, candidate_radius);
+    std::erase_if(near, [&](std::size_t i) {
+      return !(geo::distance_m(servers[i].position, users[j].position) <=
+               servers[i].coverage_radius_m);
+    });
+    covering[j] = std::move(near);
+  }
+  return covering;
 }
 
 ProblemInstance::ProblemInstance(std::vector<EdgeServer> servers,

@@ -32,6 +32,15 @@ inline constexpr double kDiscSlack = 1e-9;
 [[nodiscard]] std::vector<std::vector<ServerId>> coverage_neighbours(
     const std::vector<EdgeServer>& servers);
 
+/// V_j for every user: the servers i with distance_m(i, j) <= r_i,
+/// ascending. A geo::SpatialGrid over the server positions narrows each
+/// user's candidates to the discs of the largest radius, so the cost is
+/// O(M * local servers) rather than N * M distance tests; the instance
+/// builder and the reader both use it. Positions and radii must be finite
+/// and radii >= 0 (the reader rejects anything else first).
+[[nodiscard]] std::vector<std::vector<ServerId>> coverage_sets(
+    const std::vector<EdgeServer>& servers, const std::vector<User>& users);
+
 class ProblemInstance {
  public:
   ProblemInstance(std::vector<EdgeServer> servers, std::vector<User> users,

@@ -1,9 +1,7 @@
 #include "model/instance_builder.hpp"
 
-#include <algorithm>
 #include <span>
 
-#include "geo/spatial_grid.hpp"
 #include "obs/obs.hpp"
 #include "radio/shadowing.hpp"
 #include "radio/units.hpp"
@@ -128,26 +126,7 @@ ProblemInstance InstanceBuilder::build(std::uint64_t seed) const {
     env.power[j] = users[j].power_watts;
   }
 
-  // Coverage sets via the spatial grid (radius query per user, using the
-  // maximum radius then filtering by each server's own radius).
-  const double max_radius = *std::max_element(layout.coverage_radii_m.begin(),
-                                              layout.coverage_radii_m.end());
-  std::vector<geo::Point> server_positions(params_.server_count);
-  for (std::size_t i = 0; i < params_.server_count; ++i) {
-    server_positions[i] = servers[i].position;
-  }
-  const geo::SpatialGrid grid(server_positions, layout.bounds,
-                              std::max(50.0, max_radius / 2.0));
-  env.covering_servers.resize(params_.user_count);
-  for (std::size_t j = 0; j < params_.user_count; ++j) {
-    std::vector<std::size_t> near =
-        grid.query_radius(users[j].position, max_radius);
-    std::erase_if(near, [&](std::size_t i) {
-      return geo::distance_m(servers[i].position, users[j].position) >
-             servers[i].coverage_radius_m;
-    });
-    env.covering_servers[j] = std::move(near);
-  }
+  env.covering_servers = coverage_sets(servers, users);
 
   env.neighbours = coverage_neighbours(servers);
 

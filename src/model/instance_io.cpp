@@ -37,6 +37,21 @@ constexpr const char* kFormatV2 = "idde-instance-v2";
 constexpr const char* kFormatError =
     "unknown instance format (want idde-instance-v2 or idde-instance-v1)";
 
+/// Positions are metres in a local frame; anything farther out than this
+/// is a hostile document, and bounding it keeps coverage-grid extents
+/// finite.
+constexpr double kMaxCoordinateM = 1e12;
+
+/// A position coordinate: finite and within kMaxCoordinateM of the origin.
+double coordinate(const Json& value, std::string_view what) {
+  const double metres = util::as_finite(value, -kMaxCoordinateM, what);
+  if (metres > kMaxCoordinateM) {
+    throw util::JsonError(
+        util::format("{} {} is beyond {} m", what, metres, kMaxCoordinateM));
+  }
+  return metres;
+}
+
 /// Throws `error` unless the next value is the container `bracket` opens.
 /// The value is read first, so malformed text still fails with its byte
 /// offset ("this is not json" must name byte 0).
@@ -244,8 +259,10 @@ ProblemInstance instance_from_string(const std::string& text) {
   std::vector<EdgeServer> servers;
   for (const Json& s : json.at("servers").as_array()) {
     servers.push_back(EdgeServer{
-        .position = {s.at("x").as_number(), s.at("y").as_number()},
-        .coverage_radius_m = s.at("radius_m").as_number(),
+        .position = {coordinate(s.at("x"), "server x"),
+                     coordinate(s.at("y"), "server y")},
+        .coverage_radius_m =
+            util::as_finite(s.at("radius_m"), 0.0, "server radius_m"),
         .storage_mb = util::as_finite(s.at("storage_mb"), 0.0,
                                       "server storage_mb"),
     });
@@ -254,7 +271,8 @@ ProblemInstance instance_from_string(const std::string& text) {
   std::vector<User> users;
   for (const Json& u : json.at("users").as_array()) {
     users.push_back(User{
-        .position = {u.at("x").as_number(), u.at("y").as_number()},
+        .position = {coordinate(u.at("x"), "user x"),
+                     coordinate(u.at("y"), "user y")},
         .power_watts = util::as_positive(u.at("power_w"), "user power_w"),
         .max_rate_mbps = u.at("max_rate_mbps").as_number(),
     });
@@ -323,15 +341,7 @@ ProblemInstance instance_from_string(const std::string& text) {
   for (const User& u : users) env.power.push_back(u.power_watts);
 
   // Coverage is geometric; recompute rather than store.
-  env.covering_servers.resize(users.size());
-  for (std::size_t j = 0; j < users.size(); ++j) {
-    for (std::size_t i = 0; i < servers.size(); ++i) {
-      if (geo::distance_m(servers[i].position, users[j].position) <=
-          servers[i].coverage_radius_m) {
-        env.covering_servers[j].push_back(i);
-      }
-    }
-  }
+  env.covering_servers = coverage_sets(servers, users);
 
   if (v1) {
     if (!row_ends.empty() || flat_gains != servers.size() * users.size()) {

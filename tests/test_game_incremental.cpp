@@ -7,12 +7,17 @@
 // recomputation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "core/game.hpp"
 #include "model/instance_builder.hpp"
+#include "model/instance_io.hpp"
 #include "oracles/full_scan_game.hpp"
 #include "radio/interference.hpp"
+#include "util/json.hpp"
 
 namespace {
 
@@ -227,6 +232,185 @@ TEST(IncrementalEngine, MoveBudgetFreezesIdentically) {
       const GameResult inc = IddeUGame(inst, options).run();
       expect_same_dynamics(full, inc, seed, rule);
     }
+  }
+}
+
+// --- multi-block shapes ----------------------------------------------------
+//
+// The engine selects winners from per-block maxima over fixed blocks of 64
+// users. Shapes just under, at and just over one block (63, 64, 65) and
+// shapes spanning many blocks (300, 1000) must replay the oracle under
+// every rule and thread count, from cold and warm starts, under a
+// candidate restriction and under a move budget.
+
+constexpr std::size_t kBlockShapes[] = {63, 64, 65, 300, 1000};
+
+/// An instance with `m` users; the EUA user pool grows with m so the
+/// 1000-user shape fits, and 100 servers cover most of those users.
+ProblemInstance block_instance(std::size_t m) {
+  InstanceParams p = shape(m < 300 ? 10 : m < 1000 ? 30 : 100, m);
+  p.eua.user_count = std::max(p.eua.user_count, m);
+  return model::make_instance(p, 500 + m);
+}
+
+/// Replays `start` under `options` in the oracle once and in the engine at
+/// threads 1 and 3 (the 3-lane pool fans out every refresh of >= 64 dirty
+/// users); returns the oracle's result.
+GameResult expect_engine_replays(const ProblemInstance& inst,
+                                 GameOptions options,
+                                 const AllocationProfile& start) {
+  const GameResult full = oracle::full_scan_game(inst, options, start);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    options.threads = threads;
+    const GameResult inc = IddeUGame(inst, options).run_from(start);
+    SCOPED_TRACE(::testing::Message() << "users " << inst.user_count()
+                                      << " threads " << threads);
+    expect_same_dynamics(full, inc, inst.user_count(), options.rule);
+  }
+  return full;
+}
+
+TEST(IncrementalEngine, MultiBlockShapesReplayFullScan) {
+  for (const std::size_t m : kBlockShapes) {
+    const ProblemInstance inst = block_instance(m);
+    const AllocationProfile cold(m, core::kUnallocated);
+    for (const UpdateRule rule : kAllRules) {
+      GameOptions options;
+      options.rule = rule;
+      (void)expect_engine_replays(inst, options, cold);
+    }
+  }
+}
+
+TEST(IncrementalEngine, MultiBlockWarmStartReplaysFullScan) {
+  for (const std::size_t m : kBlockShapes) {
+    const ProblemInstance inst = block_instance(m);
+    AllocationProfile start = IddeUGame(inst).run().allocation;
+    for (std::size_t j = 0; j < start.size(); j += 3) {
+      start[j] = core::kUnallocated;
+    }
+    for (const UpdateRule rule : kAllRules) {
+      GameOptions options;
+      options.rule = rule;
+      (void)expect_engine_replays(inst, options, start);
+    }
+  }
+}
+
+TEST(IncrementalEngine, MultiBlockCandidateRestrictionReplaysFullScan) {
+  for (const std::size_t m : kBlockShapes) {
+    const ProblemInstance inst = block_instance(m);
+    std::vector<std::vector<std::size_t>> candidates(m);
+    for (std::size_t j = 0; j < m; ++j) {
+      const auto& covering = inst.covering_servers(j);
+      for (std::size_t c = 0; c < covering.size(); c += 2) {
+        candidates[j].push_back(covering[c]);
+      }
+    }
+    const AllocationProfile cold(m, core::kUnallocated);
+    for (const UpdateRule rule : kAllRules) {
+      GameOptions options;
+      options.rule = rule;
+      options.candidate_servers = &candidates;
+      (void)expect_engine_replays(inst, options, cold);
+    }
+  }
+}
+
+// Freezing a user must drop its entry to -inf and push its block's best
+// gain down: a frozen block best left in place would win the next round
+// and the engine would move a user the oracle has frozen.
+TEST(IncrementalEngine, MultiBlockMoveBudgetReplaysFullScan) {
+  std::size_t frozen = 0;
+  for (const std::size_t m : kBlockShapes) {
+    const ProblemInstance inst = block_instance(m);
+    const AllocationProfile cold(m, core::kUnallocated);
+    for (const UpdateRule rule : kAllRules) {
+      GameOptions options;
+      options.rule = rule;
+      options.max_moves_per_user = 2;
+      frozen += expect_engine_replays(inst, options, cold).frozen_users;
+    }
+  }
+  EXPECT_GT(frozen, 0u);
+}
+
+/// Two isolated servers far apart, one channel each, and `m` users of
+/// which only `a` (near server 0) and `b` (near server 1) are covered.
+/// Both see the same gain, power and noise, so their first moves gain
+/// bit-equal benefits.
+ProblemInstance twin_instance(std::size_t m, std::size_t a, std::size_t b) {
+  util::JsonObject doc;
+  doc["format"] = std::string("idde-instance-v1");
+  doc["cloud_speed_mbps"] = 600.0;
+  util::JsonArray servers;
+  for (const double x : {0.0, 10000.0}) {
+    util::JsonObject server;
+    server["x"] = x;
+    server["y"] = 0.0;
+    server["radius_m"] = 100.0;
+    server["storage_mb"] = 100.0;
+    servers.emplace_back(std::move(server));
+  }
+  doc["servers"] = std::move(servers);
+  util::JsonArray users;
+  util::JsonArray requests;
+  for (std::size_t j = 0; j < m; ++j) {
+    util::JsonObject user;
+    user["x"] = j == a ? 50.0 : j == b ? 10050.0 : 5000.0;
+    user["y"] = j == a || j == b ? 0.0 : 5000.0;
+    user["power_w"] = 1.0;
+    user["max_rate_mbps"] = 200.0;
+    users.emplace_back(std::move(user));
+    requests.emplace_back(util::JsonArray{util::Json(0.0)});
+  }
+  doc["users"] = std::move(users);
+  doc["requests"] = std::move(requests);
+  util::JsonObject item;
+  item["size_mb"] = 60.0;
+  doc["data"] = util::JsonArray{util::Json(std::move(item))};
+  util::JsonObject edge;
+  edge["from"] = 0.0;
+  edge["to"] = 1.0;
+  edge["seconds_per_mb"] = 0.001;
+  doc["edges"] = util::JsonArray{util::Json(std::move(edge))};
+  util::JsonObject radio;
+  radio["channels_per_server"] = 1.0;
+  radio["noise_watts"] = 1e-20;
+  radio["bandwidth_mbps"] =
+      util::JsonArray{util::Json(200.0), util::Json(200.0)};
+  util::JsonArray gains;
+  for (std::size_t e = 0; e < 2 * m; ++e) gains.emplace_back(1e-6);
+  radio["gain"] = std::move(gains);
+  doc["radio"] = std::move(radio);
+  return model::instance_from_string(util::Json(std::move(doc)).dump());
+}
+
+// Equal gains in different blocks: the lower index wins the round, as in
+// the full scan's strict > over users in index order.
+TEST(IncrementalEngine, EqualGainsAcrossBlocksPickLowerIndex) {
+  constexpr std::size_t kUsers = 200;
+  constexpr std::size_t kLow = 10;    // block 0
+  constexpr std::size_t kHigh = 150;  // block 2
+  const ProblemInstance inst = twin_instance(kUsers, kLow, kHigh);
+  const GameResult both = IddeUGame(inst).run();
+  ASSERT_TRUE(both.allocation[kLow].allocated());
+  ASSERT_TRUE(both.allocation[kHigh].allocated());
+  ASSERT_EQ(both.final_benefits[kLow], both.final_benefits[kHigh]);
+  EXPECT_EQ(both.moves, 2u);
+
+  for (const UpdateRule rule :
+       {UpdateRule::kBestImprovement, UpdateRule::kFirstImprovement}) {
+    GameOptions options;
+    options.rule = rule;
+    options.max_rounds = 1;
+    options.budgeted = true;
+    const GameResult first = IddeUGame(inst, options).run();
+    EXPECT_EQ(first.moves, 1u);
+    EXPECT_TRUE(first.allocation[kLow].allocated());
+    EXPECT_FALSE(first.allocation[kHigh].allocated());
+    expect_same_dynamics(oracle::full_scan_game(inst, options), first, 0,
+                         rule);
   }
 }
 

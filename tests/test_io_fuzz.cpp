@@ -181,6 +181,28 @@ TEST(IoFuzz, HostileDocumentsAreRejectedStructurally) {
   }
 }
 
+// Coverage is recomputed from positions and radii on load, so those must
+// be finite, radii non-negative and coordinates within the reader's
+// bound; anything else is rejected before the coverage grid sees it.
+TEST(IoFuzz, OutOfRangeGeometryIsRejectedStructurally) {
+  const auto instance = model::make_instance(tiny_params(), 10);
+  const util::Json valid =
+      util::Json::parse(model::instance_to_string(instance));
+  const auto with = [&](const char* list, const char* key, double value) {
+    util::Json doc = valid;
+    doc.as_object().at(list).as_array()[0].as_object().at(key) =
+        util::Json(value);
+    return doc.dump();
+  };
+  EXPECT_NO_THROW((void)model::instance_from_string(valid.dump()));
+  for (const std::string& text :
+       {with("servers", "x", 1e300), with("servers", "y", -1e13),
+        with("users", "x", -1e300), with("users", "y", 2e12),
+        with("servers", "radius_m", -1.0)}) {
+    EXPECT_THROW((void)model::instance_from_string(text), util::JsonError);
+  }
+}
+
 coding::CodedStrategy tiny_coded_strategy(
     const model::ProblemInstance& instance, std::uint64_t seed) {
   util::Rng solve_rng(seed);

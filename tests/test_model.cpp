@@ -146,6 +146,56 @@ TEST(InstanceBuilder, CoverageSetsSortedAndGeometricallyCorrect) {
   }
 }
 
+// coverage_sets narrows candidates with a spatial grid; it must agree with
+// the N x M definition (distance_m <= r_i) for users outside the servers'
+// bounding box, zero radii, points exactly on a disc boundary, and a
+// far-flung server that coarsens the grid to its cell cap.
+TEST(CoverageSets, MatchBruteForceDefinition) {
+  util::Rng rng(17);
+  std::vector<model::EdgeServer> servers;
+  for (std::size_t i = 0; i < 40; ++i) {
+    servers.push_back(model::EdgeServer{
+        .position = {rng.uniform(0.0, 3000.0), rng.uniform(0.0, 3000.0)},
+        .coverage_radius_m = i == 0 ? 0.0 : rng.uniform(50.0, 250.0),
+    });
+  }
+  servers.push_back(model::EdgeServer{.position = {1000.0, 1000.0},
+                                      .coverage_radius_m = 300.0});
+  std::vector<model::User> users;
+  for (std::size_t j = 0; j < 400; ++j) {
+    users.push_back(model::User{
+        .position = {rng.uniform(-2000.0, 5000.0),
+                     rng.uniform(-2000.0, 5000.0)}});
+  }
+  users.push_back(model::User{.position = servers[0].position});
+  users.push_back(model::User{.position = {1300.0, 1000.0}});
+  const auto brute_force = [&] {
+    std::vector<std::vector<model::ServerId>> covering(users.size());
+    for (std::size_t j = 0; j < users.size(); ++j) {
+      for (std::size_t i = 0; i < servers.size(); ++i) {
+        if (geo::distance_m(servers[i].position, users[j].position) <=
+            servers[i].coverage_radius_m) {
+          covering[j].push_back(i);
+        }
+      }
+    }
+    return covering;
+  };
+  const auto expected = brute_force();
+  EXPECT_EQ(model::coverage_sets(servers, users), expected);
+  // The zero-radius server covers a user on its own position, and the
+  // 300 m server (index 40) one exactly 300 m away.
+  const auto& on_centre = expected[users.size() - 2];
+  EXPECT_TRUE(std::binary_search(on_centre.begin(), on_centre.end(), 0u));
+  EXPECT_TRUE(std::binary_search(expected.back().begin(),
+                                 expected.back().end(), 40u));
+
+  servers.push_back(model::EdgeServer{.position = {1e9, -1e9},
+                                      .coverage_radius_m = 100.0});
+  users.push_back(model::User{.position = {1e9 + 60.0, -1e9}});
+  EXPECT_EQ(model::coverage_sets(servers, users), brute_force());
+}
+
 TEST(InstanceBuilder, CoveredUsersIsInverseOfCoveringServers) {
   const ProblemInstance inst = model::make_instance(small_params(), 6);
   for (std::size_t i = 0; i < inst.server_count(); ++i) {

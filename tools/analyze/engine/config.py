@@ -55,6 +55,7 @@ class Config:
         "src/radio/interference.cpp",
         "src/radio/batch_eval.cpp",
         "src/radio/batch_eval.hpp",
+        "src/core/game.cpp",
         "src/core/greedy_delivery.cpp",
         "src/core/repair_planner.cpp",
         "src/coding/coded_evaluator.cpp",
