@@ -19,12 +19,15 @@
 //             multi-hop legs) and a replay-chaos-like one (tens of legs).
 //             Rates must match the oracle bit for bit (the run aborts
 //             otherwise) and a warm solve must not allocate.
-//   injector  fault::FaultInjector construction on city-size (125-server)
-//             chaos plans, in ms per injector, against the eager reference
-//             of a fresh CostMatrix(epoch.graph) per epoch. Every repaired
-//             epoch matrix must match the fresh one bit for bit (the run
-//             aborts otherwise); the report counts rows left untouched,
-//             repaired and built from scratch.
+//   injector  fault::FaultInjector construction plus a forward walk over
+//             every epoch of city-size (125-server) chaos plans, in ms per
+//             plan, against the eager reference of a fresh
+//             CostMatrix(epoch.graph) per epoch, all kept alive. Every
+//             repaired epoch matrix must match the fresh one bit for bit
+//             (the run aborts otherwise); the report counts rows left
+//             untouched, repaired and built from scratch, the matrix bytes
+//             each side retains, and the allocations of warm steps (after
+//             the first repair), which must be none.
 //   instance_io  InstanceBuilder::build, instance_to_string and
 //             instance_from_string at city (125/816) and metro-short
 //             (60/960) size, in ms, with the file's bytes per user and the
@@ -35,8 +38,8 @@
 // --min-speedup, a warm plan allocating more than --max-warm-allocs, a warm
 // water-filling solve allocating at all, an indexed/oracle water-filling
 // ratio on the metro-like shape below kMinFluidSpeedup, an eager/injector
-// build ratio below kMinInjectorSpeedup, or a city instance file above
-// kMaxCityBytesPerUser fail the run.
+// walk ratio below kMinInjectorSpeedup, a warm injector step allocating at
+// all, or a city instance file above kMaxCityBytesPerUser fail the run.
 // Telemetry is switched on after every timed section, so the report's
 // telemetry block carries the perf.* counters without costing the timings.
 // Results go to stdout and to --out (default BENCH_kernels.json) for
@@ -229,52 +232,74 @@ FluidTiming time_fluid(FluidShape& shape, std::size_t reps) {
   return timing;
 }
 
-/// --smoke floor on the eager/injector build ratio: well under the ~4x it
+/// --smoke floor on the eager/injector walk ratio: well under the ~9x it
 /// measures, far above a regression back to a fresh matrix per epoch.
 constexpr double kMinInjectorSpeedup = 2.0;
 
 struct InjectorTiming {
   std::size_t epochs = 0;    ///< over all plans
   double eager_ms = 0.0;     ///< per plan: CostMatrix(epoch.graph) per epoch
-  double injector_ms = 0.0;  ///< per plan: the FaultInjector constructor
+  double injector_ms = 0.0;  ///< per plan: construction + a full forward walk
   double speedup = 0.0;
+  /// Heap allocations of the steps after epoch 1 (whose repair sizes the
+  /// repair scratch), over all plans.
+  std::size_t warm_step_allocs = 0;
+  std::size_t cursor_matrix_bytes = 0;  ///< the one matrix the cursor holds
+  std::size_t eager_matrix_bytes = 0;   ///< every epoch's, largest plan
 };
 
-/// Checks every epoch matrix of each plan's injector against a fresh build
-/// bit for bit, then times `reps` rounds of both builds per plan,
-/// alternating. The eager reference keeps every epoch's matrix alive, as
-/// the injector does, and each timed build starts with the previous one
+/// Walks each plan's injector forward over every epoch and checks each
+/// epoch's matrix against a fresh build bit for bit, then times `reps`
+/// rounds of both sides per plan, alternating: the injector's construction
+/// plus a full forward walk, and the eager reference of a fresh matrix per
+/// epoch, all kept alive. Each timed round starts with the previous one
 /// freed, so both sides draw on the same warm heap.
 InjectorTiming time_injector(const model::ProblemInstance& city,
                              const std::vector<fault::FaultPlan>& plans,
                              std::size_t reps) {
   InjectorTiming timing;
   const std::size_t n = city.server_count();
+  const std::size_t matrix_bytes = n * n * sizeof(double);
+  timing.cursor_matrix_bytes = matrix_bytes;
   std::vector<net::Graph> graphs;
   std::vector<net::CostMatrix> eager;
   for (const fault::FaultPlan& plan : plans) {
     graphs.clear();
     {
-      const fault::FaultInjector reference(city, plan);
+      fault::FaultInjector reference(city, plan);
       for (std::size_t e = 0; e < reference.epoch_count(); ++e) {
-        const net::CostMatrix& repaired = reference.epoch(e).costs;
-        const net::CostMatrix fresh(reference.epoch(e).graph);
+        const fault::AvailabilitySnapshot& snap = reference.epoch(e);
+        const net::CostMatrix fresh(snap.graph);
         for (std::size_t a = 0; a < n; ++a) {
           for (std::size_t b = 0; b < n; ++b) {
-            IDDE_ASSERT(std::bit_cast<std::uint64_t>(repaired.cost(a, b)) ==
+            IDDE_ASSERT(std::bit_cast<std::uint64_t>(snap.costs.cost(a, b)) ==
                             std::bit_cast<std::uint64_t>(fresh.cost(a, b)),
                         "repaired epoch matrix diverged from a fresh build");
           }
         }
-        graphs.push_back(reference.epoch(e).graph);
+        graphs.push_back(snap.graph);
       }
     }
+    {
+      fault::FaultInjector walked(city, plan);
+      (void)walked.epoch(1);
+      timing.warm_step_allocs += count_allocs([&] {
+        for (std::size_t e = 2; e < walked.epoch_count(); ++e) {
+          (void)walked.epoch(e);
+        }
+      });
+    }
     timing.epochs += graphs.size();
+    timing.eager_matrix_bytes =
+        std::max(timing.eager_matrix_bytes, graphs.size() * matrix_bytes);
     eager.reserve(graphs.size());
     for (std::size_t rep = 0; rep < reps; ++rep) {
       {
         const auto injector_start = Clock::now();
-        const fault::FaultInjector injector(city, plan);
+        fault::FaultInjector injector(city, plan);
+        for (std::size_t e = 0; e < injector.epoch_count(); ++e) {
+          (void)injector.epoch(e);
+        }
         timing.injector_ms += ms_since(injector_start);
       }
       const auto eager_start = Clock::now();
@@ -563,11 +588,10 @@ int main(int argc, char** argv) {
   }
   const std::size_t injector_reps = smoke ? 1 : 3;
 #ifdef __GLIBC__
-  // Each plan's matrices are ~40 MB. A replay process reuses its freed
-  // heap for the next injector (the DES's own allocations sit above it);
-  // here the injector is the top of the heap, and glibc would hand its
-  // pages back to the OS after every build, so both sides would mostly
-  // time first-touch page faults. Keep freed memory in the process.
+  // The eager reference keeps ~40 MB of matrices per plan at the top of
+  // the heap; glibc would hand those pages back to the OS after every
+  // round, so it would mostly time first-touch page faults. Keep freed
+  // memory in the process.
   mallopt(M_TRIM_THRESHOLD, 1 << 30);
 #endif
   const InjectorTiming injector =
@@ -597,7 +621,10 @@ int main(int argc, char** argv) {
   // Untimed: the injector's own counters split the rows by how they were
   // made.
   for (const fault::FaultPlan& plan : chaos_plans) {
-    (void)fault::FaultInjector(city, plan);
+    fault::FaultInjector walked(city, plan);
+    for (std::size_t e = 0; e < walked.epoch_count(); ++e) {
+      (void)walked.epoch(e);
+    }
   }
   const auto counter = [](const char* name) -> std::size_t {
     return obs::MetricsRegistry::global().counter(name).value();
@@ -608,11 +635,15 @@ int main(int argc, char** argv) {
   const std::size_t rows_built = counter("fault.injector_rows_built_total");
   const std::size_t rows_untouched = rows_total - rows_repaired - rows_built;
   std::printf("  injector %zu chaos plans x %zu servers, %zu epochs: eager "
-              "%.2f ms, injector %.2f ms per plan (%.1fx); rows untouched "
-              "%zu, repaired %zu, built %zu\n\n",
+              "%.2f ms, injector walk %.2f ms per plan (%.1fx); rows "
+              "untouched %zu, repaired %zu, built %zu; %zu warm-step "
+              "allocations; matrix bytes retained: injector %zu, eager "
+              "%zu\n\n",
               chaos_plans.size(), city.server_count(), injector.epochs,
               injector.eager_ms, injector.injector_ms, injector.speedup,
-              rows_untouched, rows_repaired, rows_built);
+              rows_untouched, rows_repaired, rows_built,
+              injector.warm_step_allocs, injector.cursor_matrix_bytes,
+              injector.eager_matrix_bytes);
   IDDE_OBS_COUNT("perf.eval_slots_checked", sweep_evals);
   IDDE_OBS_COUNT("perf.plan_allocs_warm", plan_allocs_warm);
   IDDE_OBS_COUNT("perf.replan_allocs_warm", repair_allocs_warm);
@@ -664,6 +695,11 @@ int main(int argc, char** argv) {
                    "GATE: injector build speedup %.2fx below required "
                    "%.2fx\n",
                    injector.speedup, kMinInjectorSpeedup);
+      failed = true;
+    }
+    if (injector.warm_step_allocs != 0) {
+      std::fprintf(stderr, "GATE: warm injector steps made %zu allocations\n",
+                   injector.warm_step_allocs);
       failed = true;
     }
     if (instance_rows[0].bytes_per_user > kMaxCityBytesPerUser) {
@@ -730,6 +766,11 @@ int main(int argc, char** argv) {
     injector_doc["rows_untouched"] = rows_untouched;
     injector_doc["rows_repaired"] = rows_repaired;
     injector_doc["rows_built"] = rows_built;
+    injector_doc["warm_step_allocs"] = injector.warm_step_allocs;
+    util::JsonObject retained;
+    retained["injector"] = injector.cursor_matrix_bytes;
+    retained["eager"] = injector.eager_matrix_bytes;
+    injector_doc["retained_matrix_bytes"] = std::move(retained);
     doc["injector"] = std::move(injector_doc);
     util::JsonObject instance_doc;
     for (const InstanceTiming& row : instance_rows) {

@@ -1,90 +1,83 @@
 #include "fault/injector.hpp"
 
-#include <utility>
-
 #include "core/metrics.hpp"
 #include "core/repair_planner.hpp"
 #include "fault/resilience.hpp"
 #include "obs/obs.hpp"
+#include "util/assert.hpp"
 
 namespace idde::fault {
 
 FaultInjector::FaultInjector(const model::ProblemInstance& instance,
                              const FaultPlan& plan)
-    : plan_(&plan), starts_(plan.epoch_starts()) {
+    : plan_(&plan),
+      starts_(plan.epoch_starts()),
+      repairable_(net::absorption_free(instance.graph())),
+      // The base graph's storage has room for every epoch's subgraph.
+      live_{.server_up = {}, .graph = instance.graph(), .costs = {}} {
   const net::Graph& base = instance.graph();
   const std::size_t n = instance.server_count();
-  // Base edges once, in adjacency order (parallel edges kept): an epoch is
-  // an on/off bit per base edge, and its graph lists the on edges in this
-  // order.
-  std::vector<net::Edge> base_edges;
-  base_edges.reserve(base.edge_count());
+  base_edges_.reserve(base.edge_count());
   for (std::size_t a = 0; a < n; ++a) {
     for (const net::Neighbor& nb : base.neighbors(a)) {
-      if (a < nb.node) base_edges.push_back(net::Edge{a, nb.node, nb.weight});
+      if (a < nb.node) base_edges_.push_back(net::Edge{a, nb.node, nb.weight});
     }
   }
-  // Every epoch graph is a subgraph of the base, so the base's weights
-  // decide the repair precondition for all of them.
-  const bool repairable = net::absorption_free(base);
+  live_.server_up.resize(n);
+  on_.assign(base_edges_.size(), 0);
+  was_on_.assign(base_edges_.size(), 0);
+  edges_.reserve(base_edges_.size());
+  removed_.reserve(base_edges_.size());
+  added_.reserve(base_edges_.size());
+  load(0);
+}
 
-  std::vector<std::uint8_t> on(base_edges.size(), 0);
-  std::vector<std::uint8_t> was_on(base_edges.size(), 0);
-  std::vector<net::Edge> edges;
-  std::vector<net::Edge> removed;
-  std::vector<net::Edge> added;
-  edges.reserve(base_edges.size());
-  removed.reserve(base_edges.size());
-  added.reserve(base_edges.size());
-  net::RepairScratch scratch;
-  std::size_t rows_repaired = 0;
-  std::size_t rows_built = 0;
-  epochs_.reserve(starts_.size());
-  for (std::size_t e = 0; e < starts_.size(); ++e) {
-    const double start = starts_[e];
-    const double end =
-        e + 1 < starts_.size() ? starts_[e + 1] : kNeverChanges;
-    // Sample availability just inside the epoch: intervals are half-open,
-    // so the state at `start` itself is the epoch's state throughout.
-    std::vector<std::uint8_t> up(n, 1);
-    bool all_servers_up = true;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!plan.server_up(i, start)) {
-        up[i] = 0;
-        all_servers_up = false;
-      }
-    }
-    // A crashed server is just its incident edges going off.
-    edges.clear();
-    removed.clear();
-    added.clear();
-    for (std::size_t b = 0; b < base_edges.size(); ++b) {
-      const net::Edge& edge = base_edges[b];
-      on[b] = up[edge.from] && up[edge.to] &&
-              plan.link_up(edge.from, edge.to, start);
-      if (on[b]) edges.push_back(edge);
-      if (on[b] && !was_on[b]) added.push_back(edge);
-      if (!on[b] && was_on[b]) removed.push_back(edge);
-    }
-    const bool all_up = all_servers_up && edges.size() == base_edges.size();
-    net::Graph graph(n, edges);
-    // Epoch 0, and every epoch of a graph the repair cannot take, is built
-    // from scratch.
-    const bool repair = e > 0 && repairable;
-    net::CostMatrix costs =
-        repair ? net::CostMatrix::repaired(epochs_.back().costs, graph,
-                                           {removed, added}, scratch,
-                                           rows_repaired)
-               : net::CostMatrix(graph);
-    if (!repair) rows_built += n;
-    epochs_.push_back(AvailabilitySnapshot{start, end, std::move(up), all_up,
-                                           std::move(graph),
-                                           std::move(costs)});
-    on.swap(was_on);
+const AvailabilitySnapshot& FaultInjector::epoch(std::size_t e) {
+  IDDE_EXPECTS(e >= current_ && e < starts_.size());
+  while (current_ < e) load(++current_);
+  return live_;
+}
+
+void FaultInjector::load(std::size_t e) {
+  const FaultPlan& plan = *plan_;
+  const double start = starts_[e];
+  live_.start_s = start;
+  live_.end_s = e + 1 < starts_.size() ? starts_[e + 1] : kNeverChanges;
+  // Sample availability just inside the epoch: intervals are half-open,
+  // so the state at `start` itself is the epoch's state throughout.
+  std::vector<std::uint8_t>& up = live_.server_up;
+  bool all_servers_up = true;
+  for (std::size_t i = 0; i < up.size(); ++i) {
+    up[i] = plan.server_up(i, start) ? 1 : 0;
+    all_servers_up = all_servers_up && up[i] != 0;
   }
-  IDDE_OBS_COUNT("fault.injector_epochs_total", epochs_.size());
+  // A crashed server is just its incident edges going off.
+  edges_.clear();
+  removed_.clear();
+  added_.clear();
+  for (std::size_t b = 0; b < base_edges_.size(); ++b) {
+    const net::Edge& edge = base_edges_[b];
+    on_[b] = up[edge.from] && up[edge.to] &&
+             plan.link_up(edge.from, edge.to, start);
+    if (on_[b]) edges_.push_back(edge);
+    if (on_[b] && !was_on_[b]) added_.push_back(edge);
+    if (!on_[b] && was_on_[b]) removed_.push_back(edge);
+  }
+  live_.all_up = all_servers_up && edges_.size() == base_edges_.size();
+  live_.graph.assign(edges_);
+  // Epoch 0, and every epoch of a graph the repair cannot take, is built
+  // from scratch.
+  std::size_t rows_repaired = 0;
+  if (e > 0 && repairable_) {
+    live_.costs.repair(live_.graph, {removed_, added_}, scratch_,
+                       rows_repaired);
+  } else {
+    live_.costs.rebuild(live_.graph, scratch_.dijkstra);
+    IDDE_OBS_COUNT("fault.injector_rows_built_total", up.size());
+  }
+  on_.swap(was_on_);
+  IDDE_OBS_COUNT("fault.injector_epochs_total", 1);
   IDDE_OBS_COUNT("fault.injector_rows_repaired_total", rows_repaired);
-  IDDE_OBS_COUNT("fault.injector_rows_built_total", rows_built);
 }
 
 std::size_t FaultInjector::epoch_index(double t) const {

@@ -1,15 +1,17 @@
 // FaultInjector: the bridge from a FaultPlan (pure schedule data) to the
 // degraded worlds the rest of the stack evaluates against. The injector
 // slices [0, horizon) into epochs at the plan's edge-availability change
-// times and precomputes, per epoch, the surviving-server mask, the
-// degraded graph (an edge survives iff both endpoints and the link are
-// up) and its all-pairs cost matrix. Consumers — the analytic resilience
-// evaluator below and des::FlowLevelSimulator — index epochs by time and
-// never touch the plan's interval lists on the hot path.
+// times and is a forward-only cursor over them: it keeps one live epoch,
+// the surviving-server mask, the degraded graph (an edge survives iff both
+// endpoints and the link are up) and its all-pairs cost matrix, and steps
+// it forward epoch by epoch as consumers ask for later times. Consumers —
+// the analytic resilience walk below and des::FlowLevelSimulator — each own
+// their injector, query it at non-decreasing times and never touch the
+// plan's interval lists on the hot path.
 //
-// Everything here is immutable after construction (the injector is built
-// once, then only read), so the fault layer adds no locks and stays
-// outside the lock hierarchy entirely — see DESIGN.md §10.
+// An injector is a per-consumer cursor: it is never shared across threads,
+// so the fault layer adds no locks and stays outside the lock hierarchy
+// entirely — see DESIGN.md §10.
 #pragma once
 
 #include <array>
@@ -37,15 +39,8 @@ struct AvailabilitySnapshot {
 
 class FaultInjector {
  public:
-  /// Precomputes every epoch eagerly. Epoch 0's cost matrix is one
-  /// Dijkstra sweep; every later epoch copies its predecessor's matrix and
-  /// repairs each row against the edges that went off or came back on
-  /// (net::CostMatrix::repaired), bit-identical to a fresh sweep. Rows the
-  /// delta cannot reach cost O(|delta|). When the instance's weights fail
-  /// the repair precondition (net::absorption_free, say a zero-weight
-  /// edge), every epoch takes the fresh sweep. Each epoch owns its own
-  /// graph and matrix; nothing is aliased. The injector keeps a pointer
-  /// to `plan`, which must outlive it.
+  /// Builds epoch 0: its cost matrix is one Dijkstra sweep. The injector
+  /// keeps a pointer to `plan`, which must outlive it.
   FaultInjector(const model::ProblemInstance& instance,
                 const FaultPlan& plan);
   /// A temporary plan would dangle.
@@ -53,24 +48,49 @@ class FaultInjector {
       delete;
 
   [[nodiscard]] std::size_t epoch_count() const noexcept {
-    return epochs_.size();
+    return starts_.size();
   }
-  [[nodiscard]] const AvailabilitySnapshot& epoch(std::size_t e) const {
-    return epochs_[e];
-  }
+  /// Advances the live epoch to `e` and returns it. Each step repairs the
+  /// one cost matrix in place against the edges that went off or came back
+  /// on (net::CostMatrix::repair), bit-identical to a fresh sweep; rows the
+  /// delta cannot reach cost O(|delta|). When the instance's weights fail
+  /// the repair precondition (net::absorption_free, say a zero-weight
+  /// edge), every step takes the fresh sweep. The returned snapshot is
+  /// overwritten by the next step. Expects the live epoch <= e <
+  /// epoch_count(): the cursor never goes back.
+  const AvailabilitySnapshot& epoch(std::size_t e);
 
   /// Index of the epoch containing time `t` (t >= 0).
   [[nodiscard]] std::size_t epoch_index(double t) const;
-  [[nodiscard]] const AvailabilitySnapshot& snapshot_at(double t) const {
-    return epochs_[epoch_index(t)];
+  /// The epoch containing `t`, advanced to as epoch() does.
+  const AvailabilitySnapshot& snapshot_at(double t) {
+    return epoch(epoch_index(t));
   }
 
   [[nodiscard]] const FaultPlan& plan() const noexcept { return *plan_; }
 
  private:
+  /// Builds epoch `e` from the live one (or from nothing, for e = 0).
+  void load(std::size_t e);
+
   const FaultPlan* plan_;
-  std::vector<AvailabilitySnapshot> epochs_;
   std::vector<double> starts_;  ///< sorted epoch start times
+  /// Base edges in adjacency order (parallel edges kept): an epoch is an
+  /// on/off bit per base edge, and its graph lists the on edges in this
+  /// order.
+  std::vector<net::Edge> base_edges_;
+  /// Every epoch graph is a subgraph of the base, so the base's weights
+  /// decide the repair precondition for all of them.
+  bool repairable_ = false;
+  std::size_t current_ = 0;  ///< index of the live epoch
+  AvailabilitySnapshot live_;
+  // Per-step working sets; each keeps its capacity across steps.
+  std::vector<std::uint8_t> on_;
+  std::vector<std::uint8_t> was_on_;
+  std::vector<net::Edge> edges_;
+  std::vector<net::Edge> removed_;
+  std::vector<net::Edge> added_;
+  net::RepairScratch scratch_;
 };
 
 /// What to do with sigma when servers die.

@@ -104,7 +104,7 @@ template <class Planner, class Strategy, class FragmentMb>
     }
   };
 
-  const FaultInjector injector(instance, plan);
+  FaultInjector injector(instance, plan);
   for (std::size_t e = 0; e < injector.epoch_count(); ++e) {
     const AvailabilitySnapshot& snap = injector.epoch(e);
     const double weight = std::min(snap.end_s, horizon) - snap.start_s;

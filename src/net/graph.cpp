@@ -8,24 +8,32 @@ namespace idde::net {
 
 Graph::Graph(std::size_t node_count, const std::vector<Edge>& edges)
     : node_count_(node_count) {
-  std::vector<std::size_t> degree(node_count_ + 1, 0);
+  assign(edges);
+}
+
+void Graph::assign(std::span<const Edge> edges) {
+  // offsets_[i + 1] counts node i's degree, then the prefix sums turn
+  // offsets_[i] into node i's first slot. Placing each edge advances its
+  // endpoints' slots, which leaves offsets_[i] at node i + 1's first slot;
+  // shifting right by one restores the starts.
+  offsets_.assign(node_count_ + 1, 0);
   for (const Edge& e : edges) {
     IDDE_EXPECTS(e.from < node_count_ && e.to < node_count_);
     IDDE_EXPECTS(e.from != e.to);
     IDDE_EXPECTS(e.weight >= 0.0);
-    ++degree[e.from + 1];
-    ++degree[e.to + 1];
+    ++offsets_[e.from + 1];
+    ++offsets_[e.to + 1];
   }
-  offsets_ = degree;
   for (std::size_t i = 1; i < offsets_.size(); ++i) {
     offsets_[i] += offsets_[i - 1];
   }
   adjacency_.resize(edges.size() * 2);
-  std::vector<std::size_t> cursor(offsets_.begin(), offsets_.end() - 1);
   for (const Edge& e : edges) {
-    adjacency_[cursor[e.from]++] = Neighbor{e.to, e.weight};
-    adjacency_[cursor[e.to]++] = Neighbor{e.from, e.weight};
+    adjacency_[offsets_[e.from]++] = Neighbor{e.to, e.weight};
+    adjacency_[offsets_[e.to]++] = Neighbor{e.from, e.weight};
   }
+  for (std::size_t i = node_count_; i > 0; --i) offsets_[i] = offsets_[i - 1];
+  offsets_[0] = 0;
 }
 
 std::span<const Neighbor> Graph::neighbors(std::size_t node) const {

@@ -26,6 +26,12 @@ class Graph {
   /// resolved by the shortest-path layer (the cheaper one wins naturally).
   Graph(std::size_t node_count, const std::vector<Edge>& edges);
 
+  /// Replaces the edge set in place (same nodes), with the adjacency order
+  /// the constructor gives `edges`. Reuses the storage's capacity, so a
+  /// graph rebuilt from at most as many edges as it once held allocates
+  /// nothing.
+  void assign(std::span<const Edge> edges);
+
   [[nodiscard]] std::size_t node_count() const noexcept { return node_count_; }
   [[nodiscard]] std::size_t edge_count() const noexcept {
     return adjacency_.size() / 2;

@@ -44,28 +44,30 @@ void dijkstra_into(const Graph& graph, std::size_t source,
   }
 }
 
-CostMatrix::CostMatrix(const Graph& graph) : n_(graph.node_count()) {
-  costs_.resize(n_ * n_, kUnreachable);
+CostMatrix::CostMatrix(const Graph& graph) {
   DijkstraScratch scratch;
+  rebuild(graph, scratch);
+}
+
+void CostMatrix::rebuild(const Graph& graph, DijkstraScratch& scratch) {
+  n_ = graph.node_count();
+  costs_.resize(n_ * n_);
   const std::span<double> all(costs_);
   for (std::size_t source = 0; source < n_; ++source) {
     dijkstra_into(graph, source, all.subspan(source * n_, n_), scratch);
   }
 }
 
-CostMatrix CostMatrix::repaired(const CostMatrix& before, const Graph& after,
-                                const EdgeDelta& delta, RepairScratch& scratch,
-                                std::size_t& rows_repaired) {
-  IDDE_EXPECTS(before.n_ == after.node_count());
-  CostMatrix matrix = before;
-  const std::span<double> all(matrix.costs_);
-  for (std::size_t source = 0; source < matrix.n_; ++source) {
-    if (repair_row(after, source, delta,
-                   all.subspan(source * matrix.n_, matrix.n_), scratch)) {
+void CostMatrix::repair(const Graph& after, const EdgeDelta& delta,
+                        RepairScratch& scratch, std::size_t& rows_repaired) {
+  IDDE_EXPECTS(n_ == after.node_count());
+  const std::span<double> all(costs_);
+  for (std::size_t source = 0; source < n_; ++source) {
+    if (repair_row(after, source, delta, all.subspan(source * n_, n_),
+                   scratch)) {
       ++rows_repaired;
     }
   }
-  return matrix;
 }
 
 bool absorption_free(const Graph& graph) {

@@ -1,8 +1,8 @@
 // Shortest-path costs over the edge graph. Both a single-source Dijkstra and
 // an all-pairs solver are provided; the all-pairs matrix backs Eq. (8)'s
 // L_{k,o,i} lookups, which the greedy delivery phase evaluates millions of
-// times. A matrix can also be repaired from its predecessor across an edge
-// delta (the fault injector's epoch-to-epoch step) with bit-identical rows.
+// times. A matrix can also be repaired in place across an edge delta (the
+// fault injector's epoch-to-epoch step) with bit-identical rows.
 #pragma once
 
 #include <cstdint>
@@ -81,17 +81,22 @@ bool repair_row(const Graph& after, std::size_t source, const EdgeDelta& delta,
 /// bit-identical costs to the naive row-copy build.
 class CostMatrix {
  public:
+  /// An empty 0x0 matrix, to be filled by rebuild().
+  CostMatrix() = default;
   explicit CostMatrix(const Graph& graph);
 
-  /// The matrix over `after`, built by copying `before` (the matrix of the
-  /// graph before `delta`) and repairing every row with repair_row. Same
-  /// precondition and the same bit-identical result as CostMatrix(after).
-  /// Adds the number of rows repair_row changed to `rows_repaired`.
-  [[nodiscard]] static CostMatrix repaired(const CostMatrix& before,
-                                           const Graph& after,
-                                           const EdgeDelta& delta,
-                                           RepairScratch& scratch,
-                                           std::size_t& rows_repaired);
+  /// Recomputes every row over `graph` in place, bit-identical to
+  /// CostMatrix(graph). Allocates nothing once the matrix and `scratch`
+  /// have held a graph of this size.
+  void rebuild(const Graph& graph, DijkstraScratch& scratch);
+
+  /// Turns this matrix, the one of the graph before `delta`, into the
+  /// matrix over `after` (the graph after `delta`) by repairing every row
+  /// in place with repair_row. Same precondition and the same bit-identical
+  /// result as CostMatrix(after). Adds the number of rows repair_row
+  /// changed to `rows_repaired`.
+  void repair(const Graph& after, const EdgeDelta& delta,
+              RepairScratch& scratch, std::size_t& rows_repaired);
 
   /// Seconds-per-MB of the cheapest route from `from` to `to`.
   [[nodiscard]] double cost(std::size_t from, std::size_t to) const {
@@ -100,7 +105,7 @@ class CostMatrix {
   [[nodiscard]] std::size_t size() const noexcept { return n_; }
 
  private:
-  std::size_t n_;
+  std::size_t n_ = 0;
   std::vector<double> costs_;
 };
 

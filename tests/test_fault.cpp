@@ -204,14 +204,15 @@ TEST(FaultPlan, EdgeChangeTimesAndNextChange) {
 TEST(FaultInjector, EpochsAreContiguousAndAgreeWithPlan) {
   const auto inst = model::make_instance(small_params(), 6);
   const auto plan = fault::FaultPlan::generate(inst, lively_profile(), 21);
-  const fault::FaultInjector injector(inst, plan);
+  fault::FaultInjector injector(inst, plan);
+  const std::vector<double> starts = plan.epoch_starts();
   ASSERT_GE(injector.epoch_count(), 1u);
   EXPECT_DOUBLE_EQ(injector.epoch(0).start_s, 0.0);
   for (std::size_t e = 0; e < injector.epoch_count(); ++e) {
     const auto& snap = injector.epoch(e);
     EXPECT_LT(snap.start_s, snap.end_s);
     if (e + 1 < injector.epoch_count()) {
-      EXPECT_DOUBLE_EQ(snap.end_s, injector.epoch(e + 1).start_s);
+      EXPECT_DOUBLE_EQ(snap.end_s, starts[e + 1]);
     } else {
       EXPECT_EQ(snap.end_s, fault::kNeverChanges);
     }
@@ -234,11 +235,11 @@ TEST(FaultInjector, EpochsAreContiguousAndAgreeWithPlan) {
 // The plan's shared epoch view (epoch_starts / epoch_index_at /
 // availability_changed_between) is the single source of truth the
 // injector and serve::ServeController both slice on — it must agree with
-// the injector's materialised epochs everywhere.
+// the injector's epochs everywhere.
 TEST(FaultInjector, PlanEpochViewMatchesInjectorSlicing) {
   const auto inst = model::make_instance(small_params(), 6);
   const auto plan = fault::FaultPlan::generate(inst, lively_profile(), 21);
-  const fault::FaultInjector injector(inst, plan);
+  fault::FaultInjector injector(inst, plan);
 
   const std::vector<double> starts = plan.epoch_starts();
   ASSERT_EQ(starts.size(), injector.epoch_count());
@@ -279,9 +280,9 @@ static_assert(std::is_constructible_v<fault::FaultInjector,
                                       const model::ProblemInstance&,
                                       const fault::FaultPlan&>);
 
-/// Every epoch's repaired cost matrix equals a fresh build over the
-/// epoch's graph, bit for bit.
-void expect_fresh_costs(const fault::FaultInjector& injector) {
+/// Walking forward, every epoch's repaired cost matrix equals a fresh build
+/// over the epoch's graph, bit for bit.
+void expect_fresh_costs(fault::FaultInjector& injector) {
   for (std::size_t e = 0; e < injector.epoch_count(); ++e) {
     const fault::AvailabilitySnapshot& snap = injector.epoch(e);
     const net::CostMatrix fresh(snap.graph);
@@ -317,7 +318,7 @@ TEST(FaultInjector, RepairedEpochsMatchFreshMatricesOnChaosPlans) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     const auto plan =
         fault::FaultPlan::generate(inst, sim::chaos_fault_profile(), seed);
-    const fault::FaultInjector injector(inst, plan);
+    fault::FaultInjector injector(inst, plan);
     expect_fresh_costs(injector);
     epochs += injector.epoch_count();
   }
@@ -340,7 +341,8 @@ TEST(FaultInjector, RepairedEpochsMatchFreshMatricesWhenMostServersDie) {
     if (!intervals.empty()) ++crashed;
   }
   EXPECT_GT(crashed, inst.server_count() * 9 / 10);
-  expect_fresh_costs(fault::FaultInjector(inst, plan));
+  fault::FaultInjector injector(inst, plan);
+  expect_fresh_costs(injector);
 }
 
 TEST(FaultInjector, ZeroWeightEdgeTakesTheFreshBuild) {
@@ -361,7 +363,8 @@ TEST(FaultInjector, ZeroWeightEdgeTakesTheFreshBuild) {
 
   obs::set_enabled(true);
   obs::reset_all();
-  const fault::FaultInjector injector(inst, plan);
+  fault::FaultInjector injector(inst, plan);
+  expect_fresh_costs(injector);
   const std::uint64_t built = counter_value("fault.injector_rows_built_total");
   const std::uint64_t repaired =
       counter_value("fault.injector_rows_repaired_total");
@@ -374,26 +377,40 @@ TEST(FaultInjector, ZeroWeightEdgeTakesTheFreshBuild) {
 #else
   (void)built, (void)repaired;
 #endif
-  expect_fresh_costs(injector);
 }
 
 TEST(FaultInjector, TelemetryCountsEpochsAndRowsAndChangesNothing) {
   const auto inst = model::make_instance(city_params(), 20);
   const auto plan =
       fault::FaultPlan::generate(inst, sim::chaos_fault_profile(), 9);
-  const fault::FaultInjector quiet(inst, plan);
+  fault::FaultInjector quiet(inst, plan);
 
   obs::set_enabled(true);
   obs::reset_all();
-  const fault::FaultInjector counted(inst, plan);
+  fault::FaultInjector counted(inst, plan);
+  obs::set_enabled(false);
+  ASSERT_EQ(counted.epoch_count(), quiet.epoch_count());
+  // The two cursors step in lockstep; only `counted` steps with recording
+  // on.
+  const std::size_t n = inst.server_count();
+  for (std::size_t e = 0; e < counted.epoch_count(); ++e) {
+    obs::set_enabled(true);
+    const fault::AvailabilitySnapshot& loud = counted.epoch(e);
+    obs::set_enabled(false);
+    const fault::AvailabilitySnapshot& silent = quiet.epoch(e);
+    for (std::size_t a = 0; a < n; ++a) {
+      for (std::size_t b = 0; b < n; ++b) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(loud.costs.cost(a, b)),
+                  std::bit_cast<std::uint64_t>(silent.costs.cost(a, b)));
+      }
+    }
+  }
   const std::uint64_t epochs = counter_value("fault.injector_epochs_total");
   const std::uint64_t built = counter_value("fault.injector_rows_built_total");
   const std::uint64_t repaired =
       counter_value("fault.injector_rows_repaired_total");
-  obs::set_enabled(false);
   obs::reset_all();
 
-  ASSERT_EQ(counted.epoch_count(), quiet.epoch_count());
 #if IDDE_OBS
   EXPECT_EQ(epochs, counted.epoch_count());
   EXPECT_EQ(built, inst.server_count());  // epoch 0 only
@@ -402,16 +419,99 @@ TEST(FaultInjector, TelemetryCountsEpochsAndRowsAndChangesNothing) {
 #else
   (void)epochs, (void)built, (void)repaired;
 #endif
-  for (std::size_t e = 0; e < counted.epoch_count(); ++e) {
-    const std::size_t n = inst.server_count();
-    for (std::size_t a = 0; a < n; ++a) {
-      for (std::size_t b = 0; b < n; ++b) {
-        ASSERT_EQ(
-            std::bit_cast<std::uint64_t>(counted.epoch(e).costs.cost(a, b)),
-            std::bit_cast<std::uint64_t>(quiet.epoch(e).costs.cost(a, b)));
-      }
+}
+
+/// Every field of two snapshots, the matrix bit for bit.
+void expect_same_snapshot(const fault::AvailabilitySnapshot& a,
+                          const fault::AvailabilitySnapshot& b) {
+  EXPECT_EQ(a.start_s, b.start_s);
+  EXPECT_EQ(a.end_s, b.end_s);
+  EXPECT_EQ(a.server_up, b.server_up);
+  EXPECT_EQ(a.all_up, b.all_up);
+  const std::size_t n = a.graph.node_count();
+  ASSERT_EQ(b.graph.node_count(), n);
+  for (std::size_t node = 0; node < n; ++node) {
+    const auto an = a.graph.neighbors(node);
+    const auto bn = b.graph.neighbors(node);
+    ASSERT_EQ(an.size(), bn.size()) << "node " << node;
+    for (std::size_t k = 0; k < an.size(); ++k) {
+      EXPECT_EQ(an[k].node, bn[k].node);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(an[k].weight),
+                std::bit_cast<std::uint64_t>(bn[k].weight));
     }
   }
+  ASSERT_EQ(a.costs.size(), n);
+  ASSERT_EQ(b.costs.size(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(a.costs.cost(i, j)),
+                std::bit_cast<std::uint64_t>(b.costs.cost(i, j)))
+          << "cost(" << i << ", " << j << ")";
+    }
+  }
+}
+
+TEST(FaultInjector, JumpingAheadMatchesSteppingThroughEveryEpoch) {
+  const auto inst = model::make_instance(city_params(), 21);
+  const auto plan =
+      fault::FaultPlan::generate(inst, sim::chaos_fault_profile(), 3);
+  fault::FaultInjector jumper(inst, plan);
+  fault::FaultInjector stepper(inst, plan);
+  const std::size_t last = jumper.epoch_count() - 1;
+  const std::size_t k = last / 2;
+  ASSERT_GT(k, 1u);
+  ASSERT_LT(k, last);
+  expect_same_snapshot(jumper.epoch(0), stepper.epoch(0));
+  for (std::size_t e = 1; e <= k; ++e) (void)stepper.epoch(e);
+  expect_same_snapshot(jumper.epoch(k), stepper.epoch(k));
+  // snapshot_at agrees with epoch(): the final epoch by time.
+  for (std::size_t e = k + 1; e <= last; ++e) (void)stepper.epoch(e);
+  expect_same_snapshot(jumper.snapshot_at(plan.horizon_s() + 1.0),
+                       stepper.epoch(last));
+  EXPECT_EQ(jumper.epoch(last).start_s, plan.epoch_starts().back());
+}
+
+TEST(FaultInjectorDeathTest, BackwardsQueryDies) {
+  const auto inst = model::make_instance(small_params(), 6);
+  const auto plan = fault::FaultPlan::generate(inst, lively_profile(), 21);
+  fault::FaultInjector injector(inst, plan);
+  ASSERT_GT(injector.epoch_count(), 2u);
+  (void)injector.epoch(2);
+  EXPECT_DEATH((void)injector.epoch(1), "precondition violated");
+  EXPECT_DEATH((void)injector.snapshot_at(0.0), "precondition violated");
+  EXPECT_DEATH((void)injector.epoch(injector.epoch_count()),
+               "precondition violated");
+}
+
+TEST(FaultInjector, CountersReportOneFreshBuildAndNoExtraSteps) {
+  const auto inst = model::make_instance(city_params(), 22);
+  ASSERT_TRUE(net::absorption_free(inst.graph()));
+  const auto plan =
+      fault::FaultPlan::generate(inst, sim::chaos_fault_profile(), 5);
+  obs::set_enabled(true);
+  obs::reset_all();
+  fault::FaultInjector injector(inst, plan);
+  const std::size_t count = injector.epoch_count();
+  ASSERT_GT(count, 4u);
+  // Queries that skip epochs, repeat one and stop short of the last.
+  (void)injector.epoch(0);
+  (void)injector.epoch(1);
+  (void)injector.epoch(1);
+  (void)injector.epoch(count / 2);
+  const std::uint64_t halfway = counter_value("fault.injector_epochs_total");
+  (void)injector.epoch(count - 2);
+  (void)injector.epoch(count - 1);
+  const std::uint64_t epochs = counter_value("fault.injector_epochs_total");
+  const std::uint64_t built = counter_value("fault.injector_rows_built_total");
+  obs::set_enabled(false);
+  obs::reset_all();
+#if IDDE_OBS
+  EXPECT_EQ(halfway, count / 2 + 1);  // epochs past the query: not built
+  EXPECT_EQ(epochs, count);
+  EXPECT_EQ(built, inst.server_count());
+#else
+  (void)halfway, (void)epochs, (void)built;
+#endif
 }
 
 TEST(Failover, AllUpReproducesEq8AndPrimaryTier) {

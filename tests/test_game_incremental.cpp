@@ -188,7 +188,8 @@ TEST(IncrementalEngine, WarmStartReplaysFullScan) {
   const GameResult warm = IddeUGame(inst, options).run();
   // Perturb: drop every third user back to unallocated.
   AllocationProfile start = warm.allocation;
-  for (std::size_t j = 0; j < start.size(); j += 3) start[j] = core::kUnallocated;
+  for (std::size_t j = 0; j < start.size(); j += 3)
+    start[j] = core::kUnallocated;
   for (const UpdateRule rule : kAllRules) {
     GameOptions rule_options;
     rule_options.rule = rule;
