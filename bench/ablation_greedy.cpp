@@ -7,6 +7,7 @@
 #include "core/game.hpp"
 #include "core/greedy_delivery.hpp"
 #include "model/instance_builder.hpp"
+#include "oracles/naive_greedy.hpp"
 
 namespace {
 
@@ -49,10 +50,10 @@ void BM_GreedyLazy(benchmark::State& state) {
 void BM_GreedyNaive(benchmark::State& state) {
   const auto prepared = prepare(static_cast<std::size_t>(state.range(0)),
                                 static_cast<std::size_t>(state.range(1)));
-  core::GreedyDeliveryPlanner planner(prepared.instance);
   std::size_t evaluations = 0;
   for (auto _ : state) {
-    const auto result = planner.plan_naive(prepared.allocation);
+    const auto result =
+        oracle::naive_greedy_plan(prepared.instance, prepared.allocation);
     evaluations = result.gain_evaluations;
     benchmark::DoNotOptimize(result.placements);
   }

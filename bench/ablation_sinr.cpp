@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include "model/instance_builder.hpp"
+#include "oracles/radio_reference.hpp"
 #include "radio/interference.hpp"
 
 namespace {
@@ -58,7 +59,7 @@ void BM_SinrReference(benchmark::State& state) {
     for (std::size_t j = 0; j < env.user_count; ++j) {
       for (const std::size_t i : env.covering_servers[j]) {
         for (std::size_t x = 0; x < env.channels_per_server; ++x) {
-          sum += radio::sinr_reference(env, alloc, j, {i, x});
+          sum += oracle::sinr_reference(env, alloc, j, {i, x});
         }
       }
     }

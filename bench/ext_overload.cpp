@@ -31,7 +31,6 @@
 
 #include "dynamic/churn.hpp"
 #include "dynamic/mobility.hpp"
-#include "dynamic/world.hpp"
 #include "model/instance_builder.hpp"
 #include "obs/obs.hpp"
 #include "sim/overload.hpp"
@@ -96,8 +95,9 @@ int run_soak(std::size_t seeds, std::uint64_t base_seed) {
     for (std::size_t step = 0; step <= s % 4; ++step) {
       mobility.step(1.0, walk_rng);
     }
-    const model::ProblemInstance drifted = dynamic::with_user_positions(
-        instance, mobility.positions(),
+    model::ProblemInstance drifted = instance;
+    drifted.set_user_positions(
+        mobility.positions(),
         radio::PathLossModel(params.pathloss_eta, params.pathloss_exponent));
     util::Rng churn_rng(seed ^ 0xc1124ULL);
     dynamic::ChurnParams churn_params;

@@ -70,6 +70,7 @@
 #include "model/instance_io.hpp"
 #include "net/shortest_path.hpp"
 #include "obs/obs.hpp"
+#include "oracles/floyd_warshall.hpp"
 #include "oracles/scan_max_min.hpp"
 #include "radio/batch_eval.hpp"
 #include "sim/overload.hpp"
@@ -508,7 +509,7 @@ int main(int argc, char** argv) {
     IDDE_ASSERT(matrix.size() == g.node_count(), "bad matrix");
   };
   const auto build_floyd = [](const net::Graph& g) {
-    const auto dist = net::floyd_warshall(g);
+    const auto dist = oracle::floyd_warshall(g);
     IDDE_ASSERT(dist.size() == g.node_count() * g.node_count(), "bad matrix");
   };
 

@@ -20,7 +20,9 @@ idde_bench(fig5_data)
 idde_bench(fig6_density)
 idde_bench(fig7_time)
 idde_gbench(ablation_greedy)
+target_link_libraries(ablation_greedy PRIVATE idde_oracles)
 idde_gbench(ablation_sinr)
+target_link_libraries(ablation_sinr PRIVATE idde_oracles)
 idde_gbench(ablation_game_rules)
 
 # Engine microbenchmarks (BENCH_*.json trajectories).

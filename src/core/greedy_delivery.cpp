@@ -109,38 +109,4 @@ GreedyDeliveryResult GreedyDeliveryPlanner::plan(
   return result;
 }
 
-GreedyDeliveryResult GreedyDeliveryPlanner::plan_naive(
-    const AllocationProfile& allocation) {
-  const model::ProblemInstance& instance = *instance_;
-  GreedyDeliveryResult result{DeliveryProfile(instance), 0, 0};
-  DeliveryEvaluator& evaluator = evaluator_for(allocation);
-
-  for (;;) {
-    double best_ratio = 0.0;
-    std::size_t best_server = 0;
-    std::size_t best_item = 0;
-    bool found = false;
-    for (std::size_t i = 0; i < instance.server_count(); ++i) {
-      for (std::size_t k = 0; k < instance.data_count(); ++k) {
-        if (!result.delivery.can_place(i, k)) continue;
-        const double gain = evaluator.gain_seconds(i, k);
-        ++result.gain_evaluations;
-        if (gain <= kMinGain) continue;
-        const double ratio = gain / instance.data(k).size_mb;
-        if (!found || ratio > best_ratio) {
-          best_ratio = ratio;
-          best_server = i;
-          best_item = k;
-          found = true;
-        }
-      }
-    }
-    if (!found) break;
-    evaluator.commit(best_server, best_item);
-    result.delivery.place(best_server, best_item);
-    ++result.placements;
-  }
-  return result;
-}
-
 }  // namespace idde::core

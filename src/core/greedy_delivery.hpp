@@ -2,14 +2,13 @@
 // sigma_{i,k} with the highest latency-reduction-per-MB ratio (Eq. 17) until
 // nothing feasible improves.
 //
-// Two planners are provided:
-//  - plan(): lazy greedy. Because the committed min in Eq. 8 makes the gain
-//    of every candidate monotonically non-increasing as sigma grows
-//    (submodularity, the property behind Theorem 6), stale heap keys are
-//    valid upper bounds: re-evaluate only the popped top and either commit
-//    it (still the best) or push it back with its refreshed ratio.
-//  - plan_naive(): re-scores all N*K candidates per step; the oracle for
-//    tests and the ablation bench.
+// plan() is a lazy greedy. Because the committed min in Eq. 8 makes the
+// gain of every candidate monotonically non-increasing as sigma grows
+// (submodularity, the property behind Theorem 6), stale heap keys are valid
+// upper bounds: re-evaluate only the popped top and either commit it (still
+// the best) or push it back with its refreshed ratio. The naive greedy that
+// re-scores all N*K candidates per step is the oracle in
+// tests/oracles/naive_greedy.hpp.
 #pragma once
 
 #include <cstddef>
@@ -38,9 +37,6 @@ class GreedyDeliveryPlanner {
   explicit GreedyDeliveryPlanner(const model::ProblemInstance& instance);
 
   [[nodiscard]] GreedyDeliveryResult plan(const AllocationProfile& allocation);
-
-  [[nodiscard]] GreedyDeliveryResult plan_naive(
-      const AllocationProfile& allocation);
 
  private:
   /// Heap entry: ratio key (possibly stale upper bound) plus the candidate.

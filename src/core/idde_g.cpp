@@ -16,9 +16,7 @@ Strategy IddeG::solve(const model::ProblemInstance& instance,
 
   // Phase 2: ratio-greedy delivery on the equilibrium allocation.
   GreedyDeliveryPlanner planner(instance);
-  GreedyDeliveryResult delivery_result =
-      options_.lazy_greedy ? planner.plan(game_result.allocation)
-                           : planner.plan_naive(game_result.allocation);
+  GreedyDeliveryResult delivery_result = planner.plan(game_result.allocation);
 
   Strategy strategy{std::move(game_result.allocation),
                     std::move(delivery_result.delivery)};

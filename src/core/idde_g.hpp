@@ -11,9 +11,6 @@ namespace idde::core {
 
 struct IddeGOptions {
   GameOptions game;
-  /// Use the lazy-greedy planner (default); false = naive rescans, exposed
-  /// for the ablation bench.
-  bool lazy_greedy = true;
 };
 
 class IddeG final : public Approach {

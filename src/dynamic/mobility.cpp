@@ -7,6 +7,15 @@
 
 namespace idde::dynamic {
 
+std::vector<geo::Point> user_positions(const model::ProblemInstance& instance) {
+  std::vector<geo::Point> positions;
+  positions.reserve(instance.user_count());
+  for (const model::User& user : instance.users()) {
+    positions.push_back(user.position);
+  }
+  return positions;
+}
+
 RandomWaypointModel::RandomWaypointModel(
     std::vector<geo::Point> initial_positions, geo::BoundingBox bounds,
     MobilityParams params, util::Rng& rng)

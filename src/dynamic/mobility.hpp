@@ -9,9 +9,14 @@
 
 #include "geo/bbox.hpp"
 #include "geo/point.hpp"
+#include "model/instance.hpp"
 #include "util/random.hpp"
 
 namespace idde::dynamic {
+
+/// Initial user positions of an instance (the walk's starting points).
+[[nodiscard]] std::vector<geo::Point> user_positions(
+    const model::ProblemInstance& instance);
 
 struct MobilityParams {
   double min_speed_mps = 0.5;  ///< slow pedestrian

@@ -6,25 +6,11 @@
 #include "core/greedy_delivery.hpp"
 #include "core/idde_g.hpp"
 #include "core/metrics.hpp"
-#include "dynamic/world.hpp"
 #include "util/assert.hpp"
 
 namespace idde::dynamic {
 
 namespace {
-
-/// Copies a delivery profile's placements onto a profile bound to another
-/// (shape-identical) instance snapshot.
-core::DeliveryProfile rebind(const model::ProblemInstance& instance,
-                             const core::DeliveryProfile& source) {
-  core::DeliveryProfile out(instance);
-  for (std::size_t k = 0; k < instance.data_count(); ++k) {
-    for (const std::size_t i : source.hosts(k)) {
-      out.place(i, k);
-    }
-  }
-  return out;
-}
 
 /// R_avg over the online users only (offline users neither transmit nor
 /// count toward the average).
@@ -77,8 +63,9 @@ DynamicSimulation::DynamicSimulation(DynamicParams params, std::uint64_t seed)
 }
 
 DynamicSummary DynamicSimulation::run() {
-  const model::ProblemInstance base =
-      model::make_instance(params_.base, seed_);
+  // The one live world: users move inside it, and everything else stays
+  // as built. Solvers and profiles see it only between updates.
+  model::ProblemInstance world = model::make_instance(params_.base, seed_);
   const radio::PathLossModel pathloss(params_.base.pathloss_eta,
                                       params_.base.pathloss_exponent);
   const geo::BoundingBox bounds =
@@ -88,32 +75,25 @@ DynamicSummary DynamicSimulation::run() {
   util::Rng walk_rng = rng.fork(1);
   util::Rng solve_rng = rng.fork(2);
 
-  RandomWaypointModel mobility(user_positions(base), bounds,
+  RandomWaypointModel mobility(user_positions(world), bounds,
                                params_.mobility, walk_rng);
   util::Rng churn_rng = rng.fork(3);
-  ChurnProcess churn(base.user_count(),
+  ChurnProcess churn(world.user_count(),
                      params_.churn_enabled ? params_.churn : ChurnParams{},
                      churn_rng);
 
-  // t = 0: initial solve on the base instance.
+  // t = 0: initial solve on the world as built.
   core::IddeG solver;
-  core::Strategy standing = solver.solve(base, solve_rng);
-  core::AllocationProfile allocation = standing.allocation;
-  // Placement data is carried as host lists; rebind per snapshot.
-  core::DeliveryProfile placements = rebind(base, standing.delivery);
+  core::Strategy standing = solver.solve(world, solve_rng);
+  core::AllocationProfile allocation = std::move(standing.allocation);
+  core::DeliveryProfile placements = std::move(standing.delivery);
 
   DynamicSummary summary;
   summary.total_resolves = 1;
 
-  // Change-tracked rebuilds: bit-identical to rebuilding the instance
-  // from scratch each step (tests/test_dynamic.cpp pins the tracker
-  // against with_user_positions entry by entry).
-  WorldTracker tracker(base, pathloss);
-
   for (std::size_t step = 1; step <= params_.steps; ++step) {
     mobility.step(params_.step_seconds, walk_rng);
-    tracker.update(mobility.positions());
-    const model::ProblemInstance& snapshot = tracker.instance();
+    world.set_user_positions(mobility.positions(), pathloss);
 
     StepRecord record;
     record.time_s = static_cast<double>(step) * params_.step_seconds;
@@ -128,12 +108,12 @@ DynamicSummary DynamicSimulation::run() {
       }
     }
     record.online_users = params_.churn_enabled ? churn.online_count()
-                                                : base.user_count();
+                                                : world.user_count();
 
     // Drop users who walked out of their serving server's coverage.
     for (std::size_t j = 0; j < allocation.size(); ++j) {
       if (!allocation[j].allocated()) continue;
-      const auto& covering = snapshot.covering_servers(j);
+      const auto& covering = world.covering_servers(j);
       if (!std::binary_search(covering.begin(), covering.end(),
                               allocation[j].server)) {
         allocation[j] = core::kUnallocated;
@@ -149,17 +129,17 @@ DynamicSummary DynamicSimulation::run() {
 
       core::GameOptions game_options;
       game_options.max_rounds =
-          std::max<std::size_t>(1000, snapshot.user_count() * 200);
+          std::max<std::size_t>(1000, world.user_count() * 200);
       // Offline users must not be (re)allocated: give them no candidates.
       std::vector<std::vector<std::size_t>> candidates;
       if (params_.churn_enabled) {
-        candidates.resize(snapshot.user_count());
-        for (std::size_t j = 0; j < snapshot.user_count(); ++j) {
-          if (churn.online(j)) candidates[j] = snapshot.covering_servers(j);
+        candidates.resize(world.user_count());
+        for (std::size_t j = 0; j < world.user_count(); ++j) {
+          if (churn.online(j)) candidates[j] = world.covering_servers(j);
         }
         game_options.candidate_servers = &candidates;
       }
-      core::IddeUGame game(snapshot, game_options);
+      core::IddeUGame game(world, game_options);
       const core::AllocationProfile before = allocation;
       core::GameResult result =
           params_.warm_start
@@ -178,25 +158,23 @@ DynamicSummary DynamicSimulation::run() {
       allocation = std::move(result.allocation);
 
       // Re-plan delivery and pay the migration.
-      core::GreedyDeliveryPlanner planner(snapshot);
+      core::GreedyDeliveryPlanner planner(world);
       core::DeliveryProfile next = planner.plan(allocation).delivery;
-      const core::DeliveryProfile previous = rebind(snapshot, placements);
       const MigrationPlan migration =
-          plan_migration(snapshot, previous, next);
+          plan_migration(world, placements, next);
       record.migration_mb = migration.total_mb;
       summary.total_migration_mb += migration.total_mb;
       placements = std::move(next);
     }
 
-    const core::DeliveryProfile bound = rebind(snapshot, placements);
     if (params_.churn_enabled) {
-      record.rate_mbps = masked_rate(snapshot, allocation, churn.mask());
+      record.rate_mbps = masked_rate(world, allocation, churn.mask());
       record.latency_ms =
-          masked_latency_ms(snapshot, allocation, churn.mask(), bound);
+          masked_latency_ms(world, allocation, churn.mask(), placements);
     } else {
-      record.rate_mbps = core::average_data_rate_mbps(snapshot, allocation);
+      record.rate_mbps = core::average_data_rate_mbps(world, allocation);
       record.latency_ms =
-          core::average_latency_ms(snapshot, allocation, bound);
+          core::average_latency_ms(world, allocation, placements);
     }
     summary.steps.push_back(record);
   }

@@ -43,11 +43,11 @@ std::size_t SpatialGrid::cell_of(const Point& p) const noexcept {
   return cell_index(cx, cy);
 }
 
-std::vector<std::size_t> SpatialGrid::query_radius(const Point& center,
-                                                   double radius_m) const {
+void SpatialGrid::query_radius(const Point& center, double radius_m,
+                               std::vector<std::size_t>& out) const {
   IDDE_EXPECTS(radius_m >= 0.0);
-  std::vector<std::size_t> result;
-  if (points_.empty()) return result;
+  out.clear();
+  if (points_.empty()) return;
 
   const Point clamped = bounds_.clamp(center);
   const auto span = static_cast<std::ptrdiff_t>(radius_m / cell_size_) + 1;
@@ -65,12 +65,11 @@ std::vector<std::size_t> SpatialGrid::query_radius(const Point& center,
                                        static_cast<std::size_t>(cy));
       for (std::size_t s = cell_start_[c]; s < cell_start_[c + 1]; ++s) {
         const std::size_t i = cell_items_[s];
-        if (squared_distance_m2(points_[i], center) <= r2) result.push_back(i);
+        if (squared_distance_m2(points_[i], center) <= r2) out.push_back(i);
       }
     }
   }
-  std::sort(result.begin(), result.end());
-  return result;
+  std::sort(out.begin(), out.end());
 }
 
 std::size_t SpatialGrid::nearest(const Point& center) const {
@@ -80,9 +79,10 @@ std::size_t SpatialGrid::nearest(const Point& center) const {
   std::size_t best = npos;
   double best_d2 = std::numeric_limits<double>::infinity();
   const std::size_t max_ring = std::max(cells_x_, cells_y_);
+  std::vector<std::size_t> candidates;
   for (std::size_t ring = 0; ring <= max_ring; ++ring) {
     const double reach = static_cast<double>(ring) * cell_size_;
-    const auto candidates = query_radius(center, reach + cell_size_);
+    query_radius(center, reach + cell_size_, candidates);
     for (const std::size_t i : candidates) {
       const double d2 = squared_distance_m2(points_[i], center);
       if (d2 < best_d2) {

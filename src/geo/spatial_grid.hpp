@@ -18,9 +18,11 @@ class SpatialGrid {
   SpatialGrid(const std::vector<Point>& points, BoundingBox bounds,
               double cell_size_m);
 
-  /// Indices of all points within `radius_m` metres of `center` (inclusive).
-  [[nodiscard]] std::vector<std::size_t> query_radius(const Point& center,
-                                                      double radius_m) const;
+  /// Overwrites `out` with the indices of all points within `radius_m`
+  /// metres of `center` (inclusive), ascending. `out` keeps its capacity,
+  /// so a caller that reuses it allocates nothing once it is large enough.
+  void query_radius(const Point& center, double radius_m,
+                    std::vector<std::size_t>& out) const;
 
   /// Index of the nearest point to `center`; npos when the grid is empty.
   [[nodiscard]] std::size_t nearest(const Point& center) const;

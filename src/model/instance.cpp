@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "geo/spatial_grid.hpp"
 #include "util/assert.hpp"
@@ -20,17 +21,21 @@ std::vector<std::vector<ServerId>> coverage_neighbours(
   for (ServerId o = 0; o < servers.size(); ++o) {
     for (ServerId i = 0; i < servers.size(); ++i) {
       if (i == o || coverage_discs_meet(servers[i], servers[o])) {
-        neighbours[o].push_back(i);
+        neighbours[o].push_back(i);  // lint: alloc-ok(once per build)
       }
     }
   }
   return neighbours;
 }
 
-std::vector<std::vector<ServerId>> coverage_sets(
-    const std::vector<EdgeServer>& servers, const std::vector<User>& users) {
-  std::vector<std::vector<ServerId>> covering(users.size());
-  if (servers.empty()) return covering;
+void coverage_sets(const std::vector<EdgeServer>& servers,
+                   const std::vector<User>& users,
+                   std::vector<std::vector<ServerId>>& covering) {
+  covering.resize(users.size());
+  if (servers.empty()) {
+    for (std::vector<ServerId>& row : covering) row.clear();
+    return;
+  }
   std::vector<geo::Point> positions;
   positions.reserve(servers.size());
   geo::BoundingBox bounds{servers.front().position, servers.front().position};
@@ -57,15 +62,15 @@ std::vector<std::vector<ServerId>> coverage_sets(
   // distance_m puts exactly on the largest disc's rim among the candidates.
   const double candidate_radius = max_radius * (1.0 + kDiscSlack);
   for (std::size_t j = 0; j < users.size(); ++j) {
-    std::vector<std::size_t> near =
-        grid.query_radius(users[j].position, candidate_radius);
-    std::erase_if(near, [&](std::size_t i) {
-      return !(geo::distance_m(servers[i].position, users[j].position) <=
+    const geo::Point& at = users[j].position;
+    IDDE_EXPECTS(std::isfinite(at.x) && std::isfinite(at.y));
+    std::vector<ServerId>& row = covering[j];
+    grid.query_radius(at, candidate_radius, row);
+    std::erase_if(row, [&](std::size_t i) {
+      return !(geo::distance_m(servers[i].position, at) <=
                servers[i].coverage_radius_m);
     });
-    covering[j] = std::move(near);
   }
-  return covering;
 }
 
 ProblemInstance::ProblemInstance(std::vector<EdgeServer> servers,
@@ -98,12 +103,7 @@ ProblemInstance::ProblemInstance(std::vector<EdgeServer> servers,
                  "instance: radio environment user count mismatch");
   radio_env_.check();
 
-  covered_users_.resize(servers_.size());
-  for (UserId j = 0; j < users_.size(); ++j) {
-    for (const ServerId i : radio_env_.covering_servers[j]) {
-      covered_users_[i].push_back(j);
-    }
-  }
+  index_covered_users();
   for (const EdgeServer& s : servers_) {
     util::validate(s.storage_mb >= 0.0, "instance: negative server storage");
     total_storage_mb_ += s.storage_mb;
@@ -111,6 +111,36 @@ ProblemInstance::ProblemInstance(std::vector<EdgeServer> servers,
   for (const DataItem& d : data_) {
     util::validate(d.size_mb > 0.0, "instance: non-positive data size");
     max_data_size_mb_ = std::max(max_data_size_mb_, d.size_mb);
+  }
+}
+
+void ProblemInstance::set_user_positions(
+    const std::vector<geo::Point>& positions,
+    const radio::PathLossModel& pathloss) {
+  IDDE_EXPECTS(positions.size() == users_.size());
+  for (UserId j = 0; j < users_.size(); ++j) {
+    users_[j].position = positions[j];
+  }
+  coverage_sets(servers_, users_, radio_env_.covering_servers);
+  radio_env_.index_reach();
+  for (UserId j = 0; j < users_.size(); ++j) {
+    const std::span<const ServerId> reach = radio_env_.reach(j);
+    const std::span<double> gains = radio_env_.gains(j);
+    for (std::size_t e = 0; e < reach.size(); ++e) {
+      gains[e] = pathloss.gain(
+          geo::distance_m(servers_[reach[e]].position, positions[j]));
+    }
+  }
+  index_covered_users();
+}
+
+void ProblemInstance::index_covered_users() {
+  covered_users_.resize(servers_.size());
+  for (std::vector<UserId>& row : covered_users_) row.clear();
+  for (UserId j = 0; j < users_.size(); ++j) {
+    for (const ServerId i : radio_env_.covering_servers[j]) {
+      covered_users_[i].push_back(j);  // lint: alloc-ok(capacity kept)
+    }
   }
 }
 

@@ -1,8 +1,10 @@
 // ProblemInstance: one fully materialised IDDE problem — servers, users,
 // data catalogue, requests, the radio environment and the delivery-latency
-// model. Instances are immutable once built; every solver consumes them
-// through const references, so repetitions can share an instance across
-// threads safely.
+// model. An instance has one mutator, set_user_positions, which only its
+// owner calls and only between solves (mobility moves users; everything
+// else is fixed at build time). Every solver consumes instances through
+// const references, so a solve never mutates one and repetitions can share
+// an instance across threads safely.
 #pragma once
 
 #include <memory>
@@ -13,6 +15,7 @@
 #include "net/graph.hpp"
 #include "net/latency.hpp"
 #include "radio/interference.hpp"
+#include "radio/pathloss.hpp"
 
 namespace idde::model {
 
@@ -32,14 +35,16 @@ inline constexpr double kDiscSlack = 1e-9;
 [[nodiscard]] std::vector<std::vector<ServerId>> coverage_neighbours(
     const std::vector<EdgeServer>& servers);
 
-/// V_j for every user: the servers i with distance_m(i, j) <= r_i,
-/// ascending. A geo::SpatialGrid over the server positions narrows each
-/// user's candidates to the discs of the largest radius, so the cost is
-/// O(M * local servers) rather than N * M distance tests; the instance
-/// builder and the reader both use it. Positions and radii must be finite
-/// and radii >= 0 (the reader rejects anything else first).
-[[nodiscard]] std::vector<std::vector<ServerId>> coverage_sets(
-    const std::vector<EdgeServer>& servers, const std::vector<User>& users);
+/// Overwrites `covering` with V_j for every user: the servers i with
+/// distance_m(i, j) <= r_i, ascending. A geo::SpatialGrid over the server
+/// positions narrows each user's candidates to the discs of the largest
+/// radius, so the cost is O(M * local servers) rather than N * M distance
+/// tests. Every row keeps its capacity. The instance builder, the reader
+/// and ProblemInstance::set_user_positions all use it. Positions and radii
+/// must be finite and radii >= 0 (the reader rejects anything else first).
+void coverage_sets(const std::vector<EdgeServer>& servers,
+                   const std::vector<User>& users,
+                   std::vector<std::vector<ServerId>>& covering);
 
 class ProblemInstance {
  public:
@@ -94,6 +99,22 @@ class ProblemInstance {
     return covered_users_[i];
   }
 
+  /// Moves user j to `positions[j]` and re-derives everything that depends
+  /// on user positions, in place: V_j (coverage_sets), reach(j), the gains
+  /// g_{i,j} = pathloss.gain(distance) for i in reach(j), and U_i. The
+  /// gains are unshadowed, the arithmetic of the builder's sigma = 0
+  /// branch. Every buffer keeps its capacity, so a steady-state update
+  /// allocates nothing per user. `positions.size()` must equal
+  /// user_count() and every position must be finite. The closure
+  /// invariant then holds at any positions provided nbr(o) lists every
+  /// server whose disc meets o's, as coverage_neighbours derives it for
+  /// the builder, the v1 reader and every file the writer produces. Only
+  /// the instance's owner calls this, between solves: solvers and profiles
+  /// hold const references and pointers that must not see the world
+  /// change under them.
+  void set_user_positions(const std::vector<geo::Point>& positions,
+                          const radio::PathLossModel& pathloss);
+
   /// Total reserved storage sum_i A_i (MB).
   [[nodiscard]] double total_storage_mb() const noexcept {
     return total_storage_mb_;
@@ -104,6 +125,9 @@ class ProblemInstance {
   }
 
  private:
+  /// Rebuilds U_i from the coverage sets, reusing each row's capacity.
+  void index_covered_users();
+
   std::vector<EdgeServer> servers_;
   std::vector<User> users_;
   std::vector<DataItem> data_;

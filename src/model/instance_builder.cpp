@@ -126,7 +126,7 @@ ProblemInstance InstanceBuilder::build(std::uint64_t seed) const {
     env.power[j] = users[j].power_watts;
   }
 
-  env.covering_servers = coverage_sets(servers, users);
+  coverage_sets(servers, users, env.covering_servers);
 
   env.neighbours = coverage_neighbours(servers);
 

@@ -341,7 +341,7 @@ ProblemInstance instance_from_string(const std::string& text) {
   for (const User& u : users) env.power.push_back(u.power_watts);
 
   // Coverage is geometric; recompute rather than store.
-  env.covering_servers = coverage_sets(servers, users);
+  coverage_sets(servers, users, env.covering_servers);
 
   if (v1) {
     if (!row_ends.empty() || flat_gains != servers.size() * users.size()) {

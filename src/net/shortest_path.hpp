@@ -109,10 +109,6 @@ class CostMatrix {
   std::vector<double> costs_;
 };
 
-/// Floyd–Warshall reference implementation (O(n^3)); used by tests as an
-/// oracle against the Dijkstra-based CostMatrix.
-[[nodiscard]] std::vector<double> floyd_warshall(const Graph& graph);
-
 /// An explicit route: the node sequence of a cheapest path.
 struct Route {
   double cost = kUnreachable;       ///< seconds-per-MB along the path

@@ -270,52 +270,4 @@ double InterferenceField::benefit(std::size_t user, ChannelSlot slot) const {
   return signal / (in_cell + cross);
 }
 
-double sinr_reference(const RadioEnvironment& env,
-                      std::span<const ChannelSlot> allocation,
-                      std::size_t user, ChannelSlot slot) {
-  IDDE_EXPECTS(allocation.size() == env.user_count);
-  IDDE_EXPECTS(slot.allocated());
-  const double g = env.gain_at(slot.server, user);
-  double in_cell = 0.0;
-  double cross = 0.0;
-  const auto& covering = env.covering_servers[user];
-  for (std::size_t t = 0; t < env.user_count; ++t) {
-    if (t == user) continue;
-    const ChannelSlot ts = allocation[t];
-    if (!ts.allocated() || ts.channel != slot.channel) continue;
-    if (ts.server == slot.server) {
-      in_cell += env.power[t];
-    } else if (std::binary_search(covering.begin(), covering.end(),
-                                  ts.server)) {
-      cross += env.gain_at(slot.server, t) * env.power[t];
-    }
-  }
-  return g * env.power[user] / (g * in_cell + cross + env.noise_watts);
-}
-
-double benefit_reference(const RadioEnvironment& env,
-                         std::span<const ChannelSlot> allocation,
-                         std::size_t user, ChannelSlot slot) {
-  IDDE_EXPECTS(allocation.size() == env.user_count);
-  IDDE_EXPECTS(slot.allocated());
-  const double g = env.gain_at(slot.server, user);
-  // Eq. (12): the in-cell sum includes u_j's own power and there is no
-  // noise term (cf. benefit() on the incremental field).
-  double in_cell = env.power[user];
-  double cross = 0.0;
-  const auto& covering = env.covering_servers[user];
-  for (std::size_t t = 0; t < env.user_count; ++t) {
-    if (t == user) continue;
-    const ChannelSlot ts = allocation[t];
-    if (!ts.allocated() || ts.channel != slot.channel) continue;
-    if (ts.server == slot.server) {
-      in_cell += env.power[t];
-    } else if (std::binary_search(covering.begin(), covering.end(),
-                                  ts.server)) {
-      cross += env.gain_at(slot.server, t) * env.power[t];
-    }
-  }
-  return g * env.power[user] / (g * in_cell + cross);
-}
-
 }  // namespace idde::radio

@@ -16,8 +16,8 @@
 // so evaluating one candidate costs O(|V_j|) and applying a move costs
 // O(|nbr(o)|): only the columns Eq. 2/12 can read are kept up to date (see
 // RadioEnvironment for the neighbour lists and the closure invariant that
-// makes the skipped columns unreadable). A from-scratch reference
-// implementation is provided for tests and the ablation bench.
+// makes the skipped columns unreadable). The from-scratch references live
+// in tests/oracles/radio_reference.hpp.
 #pragma once
 
 #include <algorithm>
@@ -239,18 +239,5 @@ class InterferenceField {
   std::vector<std::uint64_t> slot_version_;
   MoveDelta last_move_;
 };
-
-/// From-scratch SINR evaluation used as a test oracle and ablation baseline:
-/// O(M + sum |V_j|) per call instead of O(|V_j|).
-[[nodiscard]] double sinr_reference(const RadioEnvironment& env,
-                                    std::span<const ChannelSlot> allocation,
-                                    std::size_t user, ChannelSlot slot);
-
-/// From-scratch game-benefit (Eq. 12) evaluation, derived the same way as
-/// sinr_reference: full power sum (own power included), no noise term. Test
-/// oracle for InterferenceField::benefit and the game's cached responses.
-[[nodiscard]] double benefit_reference(const RadioEnvironment& env,
-                                       std::span<const ChannelSlot> allocation,
-                                       std::size_t user, ChannelSlot slot);
 
 }  // namespace idde::radio

@@ -133,20 +133,19 @@ util::Json doubles_to_json(const std::vector<double>& values) {
 ServeController::ServeController(ServeConfig config, std::uint64_t seed)
     : config_(std::move(config)),
       seed_(seed),
-      base_(model::make_instance(config_.base, seed)),
+      instance_(model::make_instance(config_.base, seed)),
       pathloss_(config_.base.pathloss_eta, config_.base.pathloss_exponent),
-      plan_(make_plan(base_, config_, seed)),
-      gray_plan_(fault::DegradationPlan::generate(base_, config_.degradation,
-                                                  seed ^ kGraySeedSalt)),
-      health_(base_.server_count(), config_.health),
-      tracker_(base_, pathloss_),
+      plan_(make_plan(instance_, config_, seed)),
+      gray_plan_(fault::DegradationPlan::generate(
+          instance_, config_.degradation, seed ^ kGraySeedSalt)),
+      health_(instance_.server_count(), config_.health),
       walk_rng_(util::Rng(seed ^ kServeSeedSalt).fork(kWalkStream)),
       churn_rng_(util::Rng(seed ^ kServeSeedSalt).fork(kChurnStream)),
       solve_rng_(util::Rng(seed ^ kServeSeedSalt).fork(kSolveStream)),
-      mobility_(dynamic::user_positions(base_),
+      mobility_(dynamic::user_positions(instance_),
                 geo::BoundingBox::square(config_.base.eua.area_side_m),
                 config_.mobility, walk_rng_),
-      churn_(base_.user_count(),
+      churn_(instance_.user_count(),
              config_.churn_enabled ? config_.churn : dynamic::ChurnParams{},
              churn_rng_),
       retry_(config_.retry),
@@ -157,9 +156,9 @@ ServeController::ServeController(ServeConfig config, std::uint64_t seed)
   IDDE_EXPECTS(config_.backlog_capacity > 0);
   IDDE_EXPECTS(config_.watchdog_strike_limit > 0);
 
-  plan_.server_up_mask(base_.server_count(), 0.0, up_mask_);
+  plan_.server_up_mask(instance_.server_count(), 0.0, up_mask_);
   prev_up_mask_ = up_mask_;
-  gray_mask_.assign(base_.server_count(), 0);
+  gray_mask_.assign(instance_.server_count(), 0);
 
   // Initial solve at t = 0, always with the production rule — an injected
   // chaos rule (kCycleProbe) applies to *repairs*, which is what the
@@ -168,14 +167,14 @@ ServeController::ServeController(ServeConfig config, std::uint64_t seed)
   options.game.threads = config_.solver_threads;
   std::vector<std::vector<std::size_t>> candidates;
   if (config_.churn_enabled) {
-    candidates.resize(base_.user_count());
-    for (std::size_t j = 0; j < base_.user_count(); ++j) {
-      if (churn_.online(j)) candidates[j] = base_.covering_servers(j);
+    candidates.resize(instance_.user_count());
+    for (std::size_t j = 0; j < instance_.user_count(); ++j) {
+      if (churn_.online(j)) candidates[j] = instance_.covering_servers(j);
     }
     options.game.candidate_servers = &candidates;
   }
   core::Strategy strategy =
-      core::IddeG(options).solve(tracker_.instance(), solve_rng_);
+      core::IddeG(options).solve(instance_, solve_rng_);
   allocation_ = std::move(strategy.allocation);
   extract_sigma(strategy.delivery);
   lkg_allocation_ = allocation_;
@@ -192,7 +191,7 @@ TickReport ServeController::tick() {
   IDDE_OBS_SPAN("serve.tick");
 
   mobility_.step(config_.tick_seconds, walk_rng_);
-  tracker_.update(mobility_.positions());
+  instance_.set_user_positions(mobility_.positions(), pathloss_);
   derive_events(t);
   report.events = events_.size();
   status_.events_total += events_.size();
@@ -242,7 +241,7 @@ void ServeController::derive_events(double t) {
   // boundaries, so the mask only needs rebuilding when a boundary falls
   // inside this tick — the same epoch view fault::FaultInjector slices on.
   if (plan_.availability_changed_between(t - config_.tick_seconds, t)) {
-    plan_.server_up_mask(base_.server_count(), t, up_mask_);
+    plan_.server_up_mask(instance_.server_count(), t, up_mask_);
   }
   for (std::size_t i = 0; i < up_mask_.size(); ++i) {
     if (prev_up_mask_[i] != 0 && up_mask_[i] == 0) {
@@ -281,7 +280,7 @@ void ServeController::derive_events(double t) {
   }
   // Stranded movers: still allocated to a live server they no longer
   // reach. (Users on dead servers are covered by kServerDown.)
-  const model::ProblemInstance& inst = tracker_.instance();
+  const model::ProblemInstance& inst = instance_;
   for (std::size_t j = 0; j < allocation_.size(); ++j) {
     if (!allocation_[j].allocated()) continue;
     const std::size_t server = allocation_[j].server;
@@ -375,7 +374,7 @@ void ServeController::dispatch_repairs(const Event& event,
 }
 
 void ServeController::build_candidates() {
-  const model::ProblemInstance& inst = tracker_.instance();
+  const model::ProblemInstance& inst = instance_;
   candidates_.resize(inst.user_count());
   for (std::size_t j = 0; j < candidates_.size(); ++j) {
     candidates_[j].clear();
@@ -387,7 +386,7 @@ void ServeController::build_candidates() {
 }
 
 bool ServeController::run_equilibrium_repair(TickReport& report) {
-  const model::ProblemInstance& inst = tracker_.instance();
+  const model::ProblemInstance& inst = instance_;
   build_candidates();
   core::GameOptions options;
   options.rule = config_.repair_rule;
@@ -445,7 +444,7 @@ bool ServeController::run_equilibrium_repair(TickReport& report) {
 }
 
 bool ServeController::run_sigma_repair(TickReport& report) {
-  const model::ProblemInstance& inst = tracker_.instance();
+  const model::ProblemInstance& inst = instance_;
   const core::DeliveryProfile sigma = materialize_sigma();
   core::RepairPlanner planner(inst);
   const std::size_t budget = config_.repair_placements_per_event;
@@ -533,7 +532,7 @@ void ServeController::trip_breaker() {
 
 void ServeController::restore_lkg() {
   ++status_.lkg_restores;
-  const model::ProblemInstance& inst = tracker_.instance();
+  const model::ProblemInstance& inst = instance_;
   allocation_ = lkg_allocation_;
   // The LKG was recorded against a possibly different world — sanitise:
   // offline users, dead servers and out-of-reach slots drop to cloud.
@@ -571,14 +570,14 @@ void ServeController::maybe_update_lkg() {
 void ServeController::extract_sigma(const core::DeliveryProfile& delivery) {
   sigma_server_.clear();
   sigma_item_.clear();
-  for (std::size_t k = 0; k < base_.data_count(); ++k) {
+  for (std::size_t k = 0; k < instance_.data_count(); ++k) {
     for (const std::size_t host : delivery.hosts(k)) {
       sigma_server_.push_back(host);
       sigma_item_.push_back(k);
     }
   }
-  sigma_free_mb_.resize(base_.server_count());
-  for (std::size_t i = 0; i < base_.server_count(); ++i) {
+  sigma_free_mb_.resize(instance_.server_count());
+  for (std::size_t i = 0; i < instance_.server_count(); ++i) {
     sigma_free_mb_[i] = delivery.free_mb(i);
   }
 }
@@ -589,7 +588,7 @@ core::DeliveryProfile ServeController::materialize_sigma() const {
   for (std::size_t idx = 0; idx < sigma_server_.size(); ++idx) {
     pairs.emplace_back(sigma_server_[idx], sigma_item_[idx]);
   }
-  return core::DeliveryProfile::restore(tracker_.instance(), pairs,
+  return core::DeliveryProfile::restore(instance_, pairs,
                                         sigma_free_mb_);
 }
 
@@ -636,9 +635,9 @@ void ServeController::fold_tick_hash() {
 std::uint64_t ServeController::guard_hash() const {
   std::uint64_t hash = kFnvOffsetBasis;
   hash = fnv1a_fold(hash, seed_);
-  hash = fnv1a_fold(hash, base_.user_count());
-  hash = fnv1a_fold(hash, base_.server_count());
-  hash = fnv1a_fold(hash, base_.data_count());
+  hash = fnv1a_fold(hash, instance_.user_count());
+  hash = fnv1a_fold(hash, instance_.server_count());
+  hash = fnv1a_fold(hash, instance_.data_count());
   hash = fnv1a_fold(hash, std::bit_cast<std::uint64_t>(config_.tick_seconds));
   hash = fnv1a_fold(hash, static_cast<std::uint64_t>(config_.repair_rule));
   hash = fnv1a_fold(hash, config_.repair_rounds_per_event);
@@ -742,9 +741,9 @@ std::string ServeController::checkpoint(int indent) const {
   util::JsonArray health_ewma;
   util::JsonArray health_legs;
   util::JsonArray health_losses;
-  std::string demoted_mask(base_.server_count(), '0');
-  std::string gray_mask(base_.server_count(), '0');
-  for (std::size_t i = 0; i < base_.server_count(); ++i) {
+  std::string demoted_mask(instance_.server_count(), '0');
+  std::string gray_mask(instance_.server_count(), '0');
+  for (std::size_t i = 0; i < instance_.server_count(); ++i) {
     const core::ServerHealth& h = health_.state()[i];
     health_ewma.push_back(double_to_bits(h.ewma_inflation));
     health_legs.emplace_back(u64_to_hex(h.legs));
@@ -837,21 +836,21 @@ void ServeController::validate_sigma(
   // ledger, in replay order) so a valid checkpoint never trips internal
   // asserts and a hostile one fails structurally here.
   std::vector<std::int64_t> free_kb;
-  free_kb.reserve(base_.server_count());
-  for (const model::EdgeServer& server : base_.servers()) {
+  free_kb.reserve(instance_.server_count());
+  for (const model::EdgeServer& server : instance_.servers()) {
     free_kb.push_back(core::mb_to_kb(server.storage_mb));
   }
   std::vector<std::uint8_t> placed(
-      base_.server_count() * base_.data_count(), 0);
+      instance_.server_count() * instance_.data_count(), 0);
   for (std::size_t idx = 0; idx < servers.size(); ++idx) {
     const std::size_t server = servers[idx];
     const std::size_t item = items[idx];
-    std::uint8_t& flag = placed[server * base_.data_count() + item];
+    std::uint8_t& flag = placed[server * instance_.data_count() + item];
     if (flag != 0) {
       throw util::JsonError(util::format(
           "checkpoint: duplicate sigma placement ({}, {})", server, item));
     }
-    const std::int64_t size_kb = core::mb_to_kb(base_.data(item).size_mb);
+    const std::int64_t size_kb = core::mb_to_kb(instance_.data(item).size_mb);
     if (size_kb > free_kb[server]) {
       throw util::JsonError(util::format(
           "checkpoint: sigma placement ({}, {}) exceeds server storage",
@@ -869,9 +868,9 @@ void ServeController::restore(std::string_view checkpoint_text) {
     throw util::JsonError(
         "checkpoint: config/seed mismatch (guard hash differs)");
   }
-  const std::size_t user_count = base_.user_count();
-  const std::size_t server_count = base_.server_count();
-  const std::size_t channels = base_.radio_env().channels_per_server;
+  const std::size_t user_count = instance_.user_count();
+  const std::size_t server_count = instance_.server_count();
+  const std::size_t channels = instance_.radio_env().channels_per_server;
 
   tick_ = hex_to_u64(payload.at("tick").as_string(), "checkpoint tick");
   trajectory_hash_ =
@@ -893,11 +892,29 @@ void ServeController::restore(std::string_view checkpoint_text) {
   }
   std::vector<geo::Point> positions(user_count);
   std::vector<dynamic::RandomWaypointModel::WalkState> walks(user_count);
+  // A non-finite position would reach the coverage grid's cell index, and
+  // a zero or negative speed would stall the walk: reject both here.
+  const auto finite = [](const geo::Point& p) {
+    return std::isfinite(p.x) && std::isfinite(p.y);
+  };
   for (std::size_t j = 0; j < user_count; ++j) {
     positions[j] = geo::Point{flat_positions[j * 2], flat_positions[j * 2 + 1]};
     walks[j].waypoint = geo::Point{flat_walks[j * 4], flat_walks[j * 4 + 1]};
     walks[j].speed_mps = flat_walks[j * 4 + 2];
     walks[j].pause_left_s = flat_walks[j * 4 + 3];
+    if (!finite(positions[j]) || !finite(walks[j].waypoint)) {
+      throw util::JsonError(util::format(
+          "checkpoint: non-finite position or waypoint for user {}", j));
+    }
+    if (!std::isfinite(walks[j].speed_mps) || !(walks[j].speed_mps > 0.0)) {
+      throw util::JsonError(util::format(
+          "checkpoint: walk speed must be finite and > 0 for user {}", j));
+    }
+    if (!std::isfinite(walks[j].pause_left_s) ||
+        !(walks[j].pause_left_s >= 0.0)) {
+      throw util::JsonError(util::format(
+          "checkpoint: walk pause must be finite and >= 0 for user {}", j));
+    }
   }
   const double distance =
       bits_to_double(mobility.at("distance"), "checkpoint distance");
@@ -905,7 +922,7 @@ void ServeController::restore(std::string_view checkpoint_text) {
     throw util::JsonError("checkpoint: negative walk distance");
   }
   mobility_.restore_state(std::move(positions), std::move(walks), distance);
-  tracker_.update(mobility_.positions());
+  instance_.set_user_positions(mobility_.positions(), pathloss_);
 
   const std::string& mask_text = payload.at("churn_mask").as_string();
   if (mask_text.size() != user_count) {
@@ -994,7 +1011,8 @@ void ServeController::restore(std::string_view checkpoint_text) {
   sigma_server_ = indices_from_json(payload.at("sigma_server"), server_count,
                                     "checkpoint sigma server");
   sigma_item_ = indices_from_json(payload.at("sigma_item"),
-                                  base_.data_count(), "checkpoint sigma item");
+                                  instance_.data_count(),
+                                  "checkpoint sigma item");
   validate_sigma(sigma_server_, sigma_item_);
   sigma_free_mb_ = doubles_from_json(payload.at("sigma_free_mb"),
                                      "checkpoint sigma free_mb");
@@ -1005,7 +1023,7 @@ void ServeController::restore(std::string_view checkpoint_text) {
     // Capacity bound in the same KB quantization the ledger uses — the
     // rounded capacity can sit up to half a KB above storage_mb.
     const double capacity_mb =
-        static_cast<double>(core::mb_to_kb(base_.server(i).storage_mb)) /
+        static_cast<double>(core::mb_to_kb(instance_.server(i).storage_mb)) /
         1024.0;
     if (!std::isfinite(sigma_free_mb_[i]) ||
         sigma_free_mb_[i] < -1e-6 ||
@@ -1017,7 +1035,7 @@ void ServeController::restore(std::string_view checkpoint_text) {
   lkg_sigma_server_ = indices_from_json(
       payload.at("lkg_sigma_server"), server_count, "checkpoint lkg server");
   lkg_sigma_item_ =
-      indices_from_json(payload.at("lkg_sigma_item"), base_.data_count(),
+      indices_from_json(payload.at("lkg_sigma_item"), instance_.data_count(),
                         "checkpoint lkg item");
   validate_sigma(lkg_sigma_server_, lkg_sigma_item_);
 

@@ -48,7 +48,6 @@
 #include "core/strategy.hpp"
 #include "dynamic/churn.hpp"
 #include "dynamic/mobility.hpp"
-#include "dynamic/world.hpp"
 #include "fault/degradation.hpp"
 #include "fault/fault_plan.hpp"
 #include "model/instance.hpp"
@@ -125,7 +124,7 @@ class ServeController {
     return allocation_;
   }
   [[nodiscard]] const model::ProblemInstance& instance() const noexcept {
-    return tracker_.instance();
+    return instance_;
   }
   [[nodiscard]] const ServeConfig& config() const noexcept { return config_; }
   [[nodiscard]] bool breaker_open() const noexcept { return breaker_open_; }
@@ -169,7 +168,9 @@ class ServeController {
 
   ServeConfig config_;
   std::uint64_t seed_;
-  model::ProblemInstance base_;
+  /// The one live world: built from (config, seed), users moved in place
+  /// each tick before any repair reads it.
+  model::ProblemInstance instance_;
   radio::PathLossModel pathloss_;
   fault::FaultPlan plan_;
   // Gray-failure plane: the degradation schedule is derived state (a pure
@@ -177,7 +178,6 @@ class ServeController {
   // the demotion mask are mutable state and are checkpointed.
   fault::DegradationPlan gray_plan_;
   core::HealthTracker health_;
-  dynamic::WorldTracker tracker_;
   util::Rng walk_rng_;
   util::Rng churn_rng_;
   util::Rng solve_rng_;

@@ -229,19 +229,6 @@ TEST(IddeG, StrategyDiagnosticsFilled) {
   EXPECT_TRUE(s.collaborative_delivery);
 }
 
-TEST(IddeG, NaiveAndLazyOptionsAgreeOnLatency) {
-  const ProblemInstance inst = model::make_instance(small_params(), 32);
-  util::Rng rng(32);
-  core::IddeGOptions lazy_options;
-  core::IddeGOptions naive_options;
-  naive_options.lazy_greedy = false;
-  const core::Strategy a = core::IddeG(lazy_options).solve(inst, rng);
-  const core::Strategy b = core::IddeG(naive_options).solve(inst, rng);
-  const auto ma = core::evaluate(inst, a);
-  const auto mb = core::evaluate(inst, b);
-  EXPECT_NEAR(ma.avg_latency_ms, mb.avg_latency_ms, 1e-6);
-}
-
 TEST(Approaches, NamesMatchPaperOrder) {
   const auto approaches = sim::make_paper_approaches();
   ASSERT_EQ(approaches.size(), 5u);

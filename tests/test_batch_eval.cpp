@@ -24,12 +24,15 @@
 #include <span>
 #include <vector>
 
+#include "oracles/radio_reference.hpp"
 #include "radio/batch_eval.hpp"
 #include "radio/interference.hpp"
 #include "util/random.hpp"
 
 namespace {
 
+using idde::oracle::benefit_reference;
+using idde::oracle::sinr_reference;
 using idde::radio::BatchEvaluator;
 using idde::radio::ChannelSlot;
 using idde::radio::InterferenceField;

@@ -11,6 +11,7 @@
 #include "core/idde_g.hpp"
 #include "core/validation.hpp"
 #include "model/instance_builder.hpp"
+#include "oracles/naive_greedy.hpp"
 #include "solver/exhaustive.hpp"
 
 namespace {
@@ -198,7 +199,7 @@ TEST(GreedyDelivery, LazyAndNaiveProduceSameLatency) {
     const AllocationProfile alloc = equilibrium(inst);
     GreedyDeliveryPlanner planner(inst);
     const auto lazy = planner.plan(alloc);
-    const auto naive = planner.plan_naive(alloc);
+    const auto naive = oracle::naive_greedy_plan(inst, alloc);
     const double lazy_latency =
         core::total_latency_seconds(inst, alloc, lazy.delivery);
     const double naive_latency =
@@ -214,7 +215,7 @@ TEST(GreedyDelivery, LazyEvaluatesFarFewerCandidates) {
   const AllocationProfile alloc = equilibrium(inst);
   GreedyDeliveryPlanner planner(inst);
   const auto lazy = planner.plan(alloc);
-  const auto naive = planner.plan_naive(alloc);
+  const auto naive = oracle::naive_greedy_plan(inst, alloc);
   EXPECT_LT(lazy.gain_evaluations, naive.gain_evaluations / 2);
 }
 

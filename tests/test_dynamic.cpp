@@ -9,8 +9,8 @@
 #include "dynamic/migration.hpp"
 #include "dynamic/mobility.hpp"
 #include "dynamic/simulation.hpp"
-#include "dynamic/world.hpp"
 #include "model/instance_builder.hpp"
+#include "oracles/world_rebuild.hpp"
 #include "sim/paper.hpp"
 
 namespace {
@@ -79,7 +79,8 @@ TEST(World, SnapshotPreservesStaticsAndUpdatesRadio) {
   // Move every user 400 m east (clamped world is 2 km, stays inside).
   for (auto& p : positions) p.x = std::min(p.x + 400.0, 1999.0);
   const radio::PathLossModel pathloss = radio::PathLossModel::paper_default();
-  const auto snap = dynamic::with_user_positions(base, positions, pathloss);
+  model::ProblemInstance snap = base;
+  snap.set_user_positions(positions, pathloss);
 
   EXPECT_EQ(snap.server_count(), base.server_count());
   EXPECT_EQ(snap.data_count(), base.data_count());
@@ -105,57 +106,59 @@ TEST(World, SnapshotPreservesStaticsAndUpdatesRadio) {
 
 TEST(World, IdentityPositionsReproduceCoverage) {
   const auto base = model::make_instance(small_params(), 5);
-  const auto snap = dynamic::with_user_positions(
-      base, dynamic::user_positions(base),
-      radio::PathLossModel::paper_default());
+  model::ProblemInstance snap = base;
+  snap.set_user_positions(dynamic::user_positions(base),
+                          radio::PathLossModel::paper_default());
   for (std::size_t j = 0; j < base.user_count(); ++j) {
     EXPECT_EQ(snap.covering_servers(j), base.covering_servers(j));
   }
+  for (std::size_t i = 0; i < base.server_count(); ++i) {
+    EXPECT_EQ(snap.covered_users(i), base.covered_users(i));
+  }
 }
 
-TEST(World, TrackerMatchesRebuildOracleBitExactly) {
+// The one live instance, moved in place step after step, must equal a
+// fresh rebuild at the same positions (the O(N)-scan oracle) in every
+// coverage set, reach row, gain bit, U_i and position, and must pass the
+// radio environment's full check at every step.
+TEST(World, SetUserPositionsMatchesRebuildOracleBitExactly) {
   const auto base = model::make_instance(small_params(), 12);
   const radio::PathLossModel pathloss = radio::PathLossModel::paper_default();
   const geo::BoundingBox bounds = geo::BoundingBox::square(2000.0);
   util::Rng rng(12);
   RandomWaypointModel mobility(dynamic::user_positions(base), bounds,
                                MobilityParams{}, rng);
-  dynamic::WorldTracker tracker(base, pathloss);
+  model::ProblemInstance world = base;
   for (int step = 0; step < 25; ++step) {
     mobility.step(1.0, rng);
-    tracker.update(mobility.positions());
-    const auto oracle =
-        dynamic::with_user_positions(base, mobility.positions(), pathloss);
-    const radio::RadioEnvironment& tracked = tracker.instance().radio_env();
-    const radio::RadioEnvironment& want = oracle.radio_env();
+    world.set_user_positions(mobility.positions(), pathloss);
+    const auto rebuilt =
+        oracle::with_user_positions(base, mobility.positions(), pathloss);
+    const radio::RadioEnvironment& tracked = world.radio_env();
+    const radio::RadioEnvironment& want = rebuilt.radio_env();
+    ASSERT_NO_THROW(tracked.check()) << "step " << step;
     ASSERT_EQ(tracked.neighbours, want.neighbours) << "step " << step;
     for (std::size_t j = 0; j < base.user_count(); ++j) {
+      ASSERT_EQ(world.user(j).position, rebuilt.user(j).position)
+          << "position diverged for user " << j << " at step " << step;
       ASSERT_EQ(tracked.covering_servers[j], want.covering_servers[j])
           << "coverage diverged for user " << j << " at step " << step;
       const auto reach = tracked.reach(j);
       ASSERT_TRUE(std::ranges::equal(reach, want.reach(j)))
           << "reach diverged for user " << j << " at step " << step;
       for (std::size_t e = 0; e < reach.size(); ++e) {
-        // Bit-exact, not approximate: the tracker must be a pure caching
-        // layer over the full rebuild.
+        // Bit-exact, not approximate: the in-place update must give the
+        // full rebuild's bits.
         ASSERT_EQ(tracked.gains(j)[e], want.gains(j)[e])
             << "gain diverged at (" << reach[e] << ", " << j << "), step "
             << step;
       }
     }
+    for (std::size_t i = 0; i < base.server_count(); ++i) {
+      ASSERT_EQ(world.covered_users(i), rebuilt.covered_users(i))
+          << "U_i diverged for server " << i << " at step " << step;
+    }
   }
-}
-
-TEST(World, TrackerSkipsUnchangedUsers) {
-  const auto base = model::make_instance(small_params(), 13);
-  dynamic::WorldTracker tracker(base,
-                                radio::PathLossModel::paper_default());
-  auto positions = dynamic::user_positions(base);
-  EXPECT_EQ(tracker.update(positions), 0u);  // nobody moved
-  positions[3].x += 25.0;
-  positions[7].y += 10.0;
-  EXPECT_EQ(tracker.update(positions), 2u);  // exactly the movers
-  EXPECT_EQ(tracker.update(positions), 0u);  // settled again
 }
 
 TEST(RandomWaypoint, RestoreStateResumesIdentically) {

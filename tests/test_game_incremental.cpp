@@ -16,6 +16,7 @@
 #include "model/instance_builder.hpp"
 #include "model/instance_io.hpp"
 #include "oracles/full_scan_game.hpp"
+#include "oracles/radio_reference.hpp"
 #include "radio/interference.hpp"
 #include "util/json.hpp"
 
@@ -171,7 +172,7 @@ TEST(IncrementalEngine, CachedBenefitsMatchReferenceRecomputation) {
           EXPECT_EQ(result.final_benefits[j], 0.0);
           continue;
         }
-        const double reference = radio::benefit_reference(
+        const double reference = oracle::benefit_reference(
             inst.radio_env(), result.allocation, j, result.allocation[j]);
         EXPECT_NEAR(result.final_benefits[j], reference, 1e-12)
             << "seed " << seed << " user " << j;

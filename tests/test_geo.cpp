@@ -57,15 +57,19 @@ class SpatialGridTest : public ::testing::Test {
 
 TEST_F(SpatialGridTest, RadiusQueryMatchesBruteForce) {
   Rng rng(12);
+  // One reused output vector: each query overwrites the previous result.
+  std::vector<std::size_t> found;
   for (int trial = 0; trial < 50; ++trial) {
     const Point c{rng.uniform(0, 1000), rng.uniform(0, 1000)};
     const double r = rng.uniform(10, 300);
-    EXPECT_EQ(grid_->query_radius(c, r), brute_force_radius(c, r));
+    grid_->query_radius(c, r, found);
+    EXPECT_EQ(found, brute_force_radius(c, r));
   }
 }
 
 TEST_F(SpatialGridTest, ZeroRadiusFindsOnlyCoincidentPoints) {
-  const auto result = grid_->query_radius(points_[5], 0.0);
+  std::vector<std::size_t> result;
+  grid_->query_radius(points_[5], 0.0, result);
   EXPECT_FALSE(result.empty());
   for (const std::size_t i : result) {
     EXPECT_DOUBLE_EQ(distance_m(points_[i], points_[5]), 0.0);
@@ -96,13 +100,17 @@ TEST_F(SpatialGridTest, NearestMatchesBruteForce) {
 TEST(SpatialGrid, EmptyGrid) {
   const SpatialGrid grid({}, BoundingBox::square(10.0), 1.0);
   EXPECT_EQ(grid.nearest({1, 1}), SpatialGrid::npos);
-  EXPECT_TRUE(grid.query_radius({1, 1}, 100.0).empty());
+  std::vector<std::size_t> found{7};
+  grid.query_radius({1, 1}, 100.0, found);
+  EXPECT_TRUE(found.empty());
 }
 
 TEST(SpatialGrid, SinglePoint) {
   const SpatialGrid grid({Point{5, 5}}, BoundingBox::square(10.0), 2.0);
   EXPECT_EQ(grid.nearest({0, 0}), 0u);
-  EXPECT_EQ(grid.query_radius({5, 5}, 0.1).size(), 1u);
+  std::vector<std::size_t> found;
+  grid.query_radius({5, 5}, 0.1, found);
+  EXPECT_EQ(found.size(), 1u);
 }
 
 TEST(Generators, UniformStaysInBounds) {

@@ -12,6 +12,7 @@
 #include "net/latency.hpp"
 #include "net/shortest_path.hpp"
 #include "net/wan_profile.hpp"
+#include "oracles/floyd_warshall.hpp"
 
 namespace {
 
@@ -70,7 +71,7 @@ TEST(CostMatrix, MatchesFloydWarshallOnRandomGraphs) {
                           .max_speed_mbps = 6000};
     const Graph g = generate_topology_graph(n, params, rng);
     const CostMatrix matrix(g);
-    const auto reference = floyd_warshall(g);
+    const auto reference = idde::oracle::floyd_warshall(g);
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = 0; j < n; ++j) {
         EXPECT_NEAR(matrix.cost(i, j), reference[i * n + j], 1e-12);

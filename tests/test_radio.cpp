@@ -7,6 +7,7 @@
 #include <numeric>
 #include <string>
 
+#include "oracles/radio_reference.hpp"
 #include "radio/interference.hpp"
 #include "radio/pathloss.hpp"
 #include "radio/units.hpp"
@@ -16,6 +17,8 @@
 namespace {
 
 using namespace idde::radio;
+using idde::oracle::benefit_reference;
+using idde::oracle::sinr_reference;
 using idde::util::Rng;
 
 TEST(Units, DbmWattsRoundTrip) {

@@ -3,6 +3,7 @@
 // mass-failure recovery.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -134,6 +135,49 @@ TEST(Serve, RestoreRejectsCorruptedSnapshots) {
   {
     serve::ServeController b(small_config(), 4);
     EXPECT_THROW(b.restore(snapshot), util::JsonError);
+  }
+}
+
+// Restore must refuse mobility state that no walk can produce: a
+// non-finite position or waypoint, a speed that is non-finite or <= 0, or
+// a pause that is non-finite or < 0. Each case reseals the edited payload,
+// so the checksum passes and only the value checks can refuse it.
+TEST(Serve, RestoreRejectsNonFiniteMobilityState) {
+  serve::ServeController a(small_config(), 3);
+  for (int step = 0; step < 5; ++step) (void)a.tick();
+  const std::string snapshot = a.checkpoint();
+  {
+    // Resealing an unedited payload restores: the edits below are the
+    // only reason a case is refused.
+    serve::ServeController b(small_config(), 3);
+    EXPECT_NO_THROW(
+        b.restore(serve::seal_checkpoint(serve::open_checkpoint(snapshot))));
+  }
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* array;
+    std::size_t index;
+    double value;
+  };
+  // positions = [x_0, y_0, ...]; walks = [wx_0, wy_0, speed_0, pause_0, ...].
+  const Case cases[] = {
+      {"positions", 0, nan}, {"positions", 1, inf}, {"positions", 1, -inf},
+      {"walks", 0, nan},     {"walks", 1, inf},     {"walks", 2, 0.0},
+      {"walks", 2, -1.0},    {"walks", 2, nan},     {"walks", 2, inf},
+      {"walks", 3, -1.0},    {"walks", 3, nan},     {"walks", 3, inf},
+  };
+  for (const Case& c : cases) {
+    util::Json payload = serve::open_checkpoint(snapshot);
+    util::JsonObject& mobility =
+        payload.as_object().at("mobility").as_object();
+    mobility.at(c.array).as_array().at(c.index) =
+        serve::double_to_bits(c.value);
+    serve::ServeController b(small_config(), 3);
+    EXPECT_THROW(b.restore(serve::seal_checkpoint(std::move(payload))),
+                 util::JsonError)
+        << c.array << "[" << c.index << "] = " << c.value;
   }
 }
 

@@ -65,7 +65,7 @@ class Config:
         "src/net/shortest_path.cpp",
         "src/fault/injector.cpp",
         "src/model/instance_builder.cpp",
-        "src/dynamic/world.cpp",
+        "src/model/instance.cpp",
     ])
 
     # Unit-safety vocabulary. A double/int64 parameter or double-returning

@@ -1,9 +1,15 @@
 """Layering pack: test oracles stay out of the shipped library.
 
   oracle-in-production   a file under src/ that includes an `oracles/`
-                         header or names the `idde::oracle` namespace.
-                         Reference implementations (the full-scan game
-                         engine, ...) live in the test/bench-only
+                         header, names the `idde::oracle` namespace,
+                         names a `*_reference` function (the naming of a
+                         from-scratch reference) or carries a
+                         `lint: alloc-ok(oracle)` marker (the allocation
+                         waiver of a rebuild oracle's loop). Reference
+                         implementations (the full-scan game engine,
+                         Floyd–Warshall, the SINR/benefit references,
+                         the instance rebuild, ...) live in the
+                         test/bench-only
                          `idde_oracles` target under tests/oracles/; the
                          perfbench package builds src/ alone and never
                          compiles them, and production option structs keep
@@ -37,6 +43,18 @@ ORACLE_HEADER = re.compile(
 # `oracle::` / `namespace oracle` inside namespace idde.
 ORACLE_NAME = re.compile(
     r"\bidde\s*::\s*oracle\b|(?<![\w:])oracle\s*::|\bnamespace\s+oracle\b")
+# Message for an oracle that lives in src/ itself rather than reaching
+# tests/oracles/.
+HELD_MESSAGE = (
+    "src/ holds a test oracle (a *_reference function or an "
+    "alloc-ok(oracle) waiver); oracles live in the test/bench-only "
+    "idde_oracles target")
+# A from-scratch reference by its naming convention (code only, so a
+# comment that points at tests/oracles/ stays quiet).
+REFERENCE_NAME = re.compile(r"\b(?P<name>\w+_reference)\b")
+# The allocation waiver only an oracle's rebuild loop carries (a comment,
+# so it is read from the raw line).
+ORACLE_ALLOC_MARKER = re.compile(r"//\s*lint:\s*alloc-ok\(\s*oracle\s*\)")
 
 
 def scan(sf: SourceFile, cfg: Config):
@@ -45,17 +63,22 @@ def scan(sf: SourceFile, cfg: Config):
     findings: list[Finding] = []
     suppressed = 0
     for lineno, code in enumerate(sf.code_lines, 1):
+        reached = RULES["oracle-in-production"]
         keys = []
         if INCLUDE.match(code):
             header = ORACLE_HEADER.search(sf.raw_lines[lineno - 1])
             if header:
-                keys.append(f"include:{header.group('path')}")
+                keys.append((f"include:{header.group('path')}", reached))
         if ORACLE_NAME.search(code):
-            keys.append("name:idde::oracle")
-        for key in keys:
+            keys.append(("name:idde::oracle", reached))
+        for match in REFERENCE_NAME.finditer(code):
+            keys.append((f"name:{match.group('name')}", HELD_MESSAGE))
+        if ORACLE_ALLOC_MARKER.search(sf.raw_lines[lineno - 1]):
+            keys.append(("marker:alloc-ok(oracle)", HELD_MESSAGE))
+        for key, message in keys:
             if sf.allowed(lineno, "oracle-in-production"):
                 suppressed += 1
                 continue
             findings.append(Finding(sf.rel, lineno, "oracle-in-production",
-                                    key, RULES["oracle-in-production"]))
+                                    key, message))
     return findings, {"suppressed": suppressed}

@@ -24,3 +24,17 @@ namespace oracle {
 int helper();
 }  // namespace oracle
 }  // namespace idde
+
+// A from-scratch reference left in library code fires by its name, and so
+// does the allocation waiver of a rebuild oracle's loop. The name in this
+// comment (benefit_reference) and a waived declaration stay quiet.
+namespace idde::radio {
+
+double sinr_reference(double gain);
+double benefit_reference(double gain);  // lint: allow(oracle-in-production)
+
+void rebuild(std::vector<int>& out) {
+  out.push_back(1);  // lint: alloc-ok(oracle)
+}
+
+}  // namespace idde::radio
