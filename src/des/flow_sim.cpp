@@ -62,9 +62,10 @@ struct EventLater {
 
 /// `deadline_s` > 0 enables goodput/deadline accounting; `window_s` is the
 /// offered-load period the rates are normalised by (0 = makespan).
-/// `freeze_rounds` is the run's water-filling round total (telemetry only).
+/// `freeze_rounds` and `fluid_solves` are the run's water-filling round and
+/// call totals (telemetry only).
 void finalize(FlowSimResult& result, double deadline_s, double window_s,
-              std::size_t freeze_rounds) {
+              std::size_t freeze_rounds, std::size_t fluid_solves) {
   std::vector<double> durations_ms;
   durations_ms.reserve(result.flows.size());
   std::array<std::vector<double>, core::kFallbackTiers> tier_durations_ms;
@@ -142,6 +143,9 @@ void finalize(FlowSimResult& result, double deadline_s, double window_s,
   IDDE_OBS_COUNT("des.cloud_fetches_total", result.cloud_fetches);
   IDDE_OBS_COUNT("des.rate_recomputations_total", result.rate_recomputations);
   IDDE_OBS_COUNT("des.fluid_freeze_rounds_total", freeze_rounds);
+  IDDE_OBS_COUNT("des.fluid_solves_total", fluid_solves);
+  IDDE_OBS_COUNT("des.fluid_solves_skipped_total",
+                 result.rate_recomputations - fluid_solves);
   IDDE_OBS_COUNT("des.loss_aborts_total", result.loss_aborts);
   IDDE_OBS_COUNT("qos.offered_total", result.qos.offered);
   IDDE_OBS_COUNT("qos.shed_total", result.qos.shed);
@@ -257,8 +261,15 @@ class FlowLevelSimulator::Replay {
       }
       if (active_.empty()) continue;  // the next event re-anchors `now`
 
-      freeze_rounds_ +=
-          detail::assign_max_min_rates(active_, capacities_, scratch_);
+      // The solve reads only the legs' links and order and the constant
+      // capacities, so while no leg joined or left, the rates it would
+      // write are the ones the legs already hold.
+      if (legs_changed_) {
+        freeze_rounds_ +=
+            detail::assign_max_min_rates(active_, capacities_, scratch_);
+        ++fluid_solves_;
+        legs_changed_ = false;
+      }
       ++result_.rate_recomputations;
 
       double dt = std::numeric_limits<double>::infinity();
@@ -269,9 +280,13 @@ class FlowLevelSimulator::Replay {
       if (!events_.empty()) dt = std::min(dt, events_.top().time - now);
       bool epoch_event = false;
       if (plan_ != nullptr) {
-        const double next_epoch = plan_->next_edge_change_after(now);
-        epoch_event = next_epoch - now <= dt;
-        if (epoch_event) dt = next_epoch - now;
+        // `now` never goes back, so the boundary stays the next one until
+        // `now` reaches it.
+        if (now >= next_epoch_) {
+          next_epoch_ = plan_->next_edge_change_after(now);
+        }
+        epoch_event = next_epoch_ - now <= dt;
+        if (epoch_event) dt = next_epoch_ - now;
       }
 
       for (Leg& leg : active_) {
@@ -297,7 +312,7 @@ class FlowLevelSimulator::Replay {
       window_s = qos_->arrivals.inert() ? options_.arrival_window_s
                                         : qos_->arrivals.window_s;
     }
-    finalize(result_, deadline_s, window_s, freeze_rounds_);
+    finalize(result_, deadline_s, window_s, freeze_rounds_, fluid_solves_);
     return std::move(result_);
   }
 
@@ -405,7 +420,8 @@ class FlowLevelSimulator::Replay {
     const std::size_t serving = serving_of(r);
     const std::size_t item = result_.flows[r].item;
     const std::span<const std::size_t> hosts =
-        fragments_ != nullptr ? fragments_->hosts(item) : replicas_->hosts(item);
+        fragments_ != nullptr ? fragments_->hosts(item)
+                              : replicas_->hosts(item);
     eligible_.clear();
     reference_.clear();
     for (const std::size_t host : hosts) {
@@ -526,6 +542,7 @@ class FlowLevelSimulator::Replay {
             sim_.link_between(route.nodes[s], route.nodes[s + 1]));
       }
       active_.push_back(std::move(leg));
+      legs_changed_ = true;
       ++attempt.legs_left;
     }
     if (hops > 0) record.hops = hops;
@@ -625,6 +642,7 @@ class FlowLevelSimulator::Replay {
     Leg leg = std::move(active_[f]);
     if (f + 1 != active_.size()) active_[f] = std::move(active_.back());
     active_.pop_back();
+    legs_changed_ = true;
     --attempts_[leg.record].legs_left;
     return leg;
   }
@@ -889,7 +907,12 @@ class FlowLevelSimulator::Replay {
   std::vector<Leg> active_;
   std::vector<double> capacities_;
   detail::FluidScratch scratch_;
+  /// Set when a leg joins or leaves active_: the rates need a new solve.
+  bool legs_changed_ = false;
+  std::size_t fluid_solves_ = 0;
   std::size_t freeze_rounds_ = 0;
+  /// The first edge-availability change after the loop's last `now`.
+  double next_epoch_ = 0.0;
   std::vector<std::size_t> eligible_;
   std::vector<std::size_t> reference_;
   std::vector<std::uint8_t> up_buf_;

@@ -144,7 +144,9 @@ struct FlowSimResult {
   double makespan_s = 0.0;                ///< last completion
   std::size_t local_hits = 0;
   std::size_t cloud_fetches = 0;
-  std::size_t rate_recomputations = 0;    ///< DES bookkeeping
+  /// Fluid-loop steps. The max-min solve runs only on the steps where a
+  /// leg joined or left since the last one (des.fluid_solves_total).
+  std::size_t rate_recomputations = 0;
   // Resilience aggregates (trivial — availability 1, zero counts — for a
   // fault-free replay).
   double availability = 1.0;  ///< flows served first-try at the primary tier

@@ -1,5 +1,8 @@
 #include "fault/injector.hpp"
 
+#include <algorithm>
+#include <utility>
+
 #include "core/metrics.hpp"
 #include "core/repair_planner.hpp"
 #include "fault/resilience.hpp"
@@ -8,27 +11,96 @@
 
 namespace idde::fault {
 
+namespace {
+
+/// Fills a CSR over `rows` rows from (row, value) pairs; each row's values
+/// come out ascending and unique.
+void build_csr(std::vector<std::pair<std::size_t, std::size_t>>& pairs,
+               std::size_t rows, std::vector<std::size_t>& offset,
+               std::vector<std::size_t>& values) {
+  std::sort(pairs.begin(), pairs.end());
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+  offset.assign(rows + 1, 0);
+  values.clear();
+  values.reserve(pairs.size());
+  for (const auto& [row, value] : pairs) {
+    ++offset[row + 1];
+    values.push_back(value);
+  }
+  for (std::size_t r = 0; r < rows; ++r) offset[r + 1] += offset[r];
+}
+
+}  // namespace
+
 FaultInjector::FaultInjector(const model::ProblemInstance& instance,
                              const FaultPlan& plan)
     : plan_(&plan),
       starts_(plan.epoch_starts()),
       repairable_(net::absorption_free(instance.graph())),
-      // The base graph's storage has room for every epoch's subgraph.
+      // Epoch 0 steps from the fault-free world: the base graph, whose
+      // storage has room for every epoch's subgraph, and its matrix.
       live_{.server_up = {}, .graph = instance.graph(), .costs = {}} {
   const net::Graph& base = instance.graph();
   const std::size_t n = instance.server_count();
+  // Base edges leaving a (a < b) are [first_edge[a], first_edge[a + 1]).
+  std::vector<std::size_t> first_edge(n + 1, 0);
+  std::vector<std::pair<std::size_t, std::size_t>> pairs;
+  pairs.reserve(2 * base.edge_count());
   base_edges_.reserve(base.edge_count());
   for (std::size_t a = 0; a < n; ++a) {
     for (const net::Neighbor& nb : base.neighbors(a)) {
-      if (a < nb.node) base_edges_.push_back(net::Edge{a, nb.node, nb.weight});
+      if (a >= nb.node) continue;
+      pairs.emplace_back(a, base_edges_.size());
+      pairs.emplace_back(nb.node, base_edges_.size());
+      base_edges_.push_back(net::Edge{a, nb.node, nb.weight});
+    }
+    first_edge[a + 1] = base_edges_.size();
+  }
+  build_csr(pairs, n, incident_offset_, incident_);
+
+  // Every downtime endpoint is an epoch start (0.0, or an edge change).
+  const auto epoch_at = [this](double t) {
+    return static_cast<std::size_t>(
+        std::lower_bound(starts_.begin(), starts_.end(), t) -
+        starts_.begin());
+  };
+  pairs.clear();
+  const std::vector<std::vector<Interval>>& server_down =
+      plan.server_downtime();
+  for (std::size_t s = 0; s < std::min(n, server_down.size()); ++s) {
+    for (const Interval& iv : server_down[s]) {
+      pairs.emplace_back(epoch_at(iv.start_s), s);
+      pairs.emplace_back(epoch_at(iv.end_s), s);
     }
   }
-  live_.server_up.resize(n);
-  on_.assign(base_edges_.size(), 0);
-  was_on_.assign(base_edges_.size(), 0);
+  build_csr(pairs, starts_.size(), server_offset_, servers_at_);
+  pairs.clear();
+  for (const auto& [key, intervals] : plan.link_downtime()) {
+    if (key.second >= n) continue;
+    // A link is every parallel base edge between its endpoints.
+    for (std::size_t b = first_edge[key.first]; b < first_edge[key.first + 1];
+         ++b) {
+      if (base_edges_[b].to != key.second) continue;
+      for (const Interval& iv : intervals) {
+        pairs.emplace_back(epoch_at(iv.start_s), b);
+        pairs.emplace_back(epoch_at(iv.end_s), b);
+      }
+    }
+  }
+  build_csr(pairs, starts_.size(), link_offset_, link_edges_at_);
+
+  live_.server_up.assign(n, 1);
+  on_.assign(base_edges_.size(), 1);
+  // An edge is re-queried at most once per link and once per endpoint.
+  touched_.reserve(3 * base_edges_.size());
   edges_.reserve(base_edges_.size());
   removed_.reserve(base_edges_.size());
   added_.reserve(base_edges_.size());
+  // A repair's heap holds one entry per strict decrease: at most one seed
+  // per node and two per added edge, then two per edge relaxed by a
+  // settled node. The fresh sweep needs less.
+  scratch_.dijkstra.heap.reserve(n + 4 * base_edges_.size());
+  if (repairable_) live_.costs = instance.latency().costs();
   load(0);
 }
 
@@ -46,36 +118,47 @@ void FaultInjector::load(std::size_t e) {
   // Sample availability just inside the epoch: intervals are half-open,
   // so the state at `start` itself is the epoch's state throughout.
   std::vector<std::uint8_t>& up = live_.server_up;
-  bool all_servers_up = true;
-  for (std::size_t i = 0; i < up.size(); ++i) {
-    up[i] = plan.server_up(i, start) ? 1 : 0;
-    all_servers_up = all_servers_up && up[i] != 0;
+  touched_.clear();
+  for (std::size_t k = server_offset_[e]; k < server_offset_[e + 1]; ++k) {
+    const std::size_t s = servers_at_[k];
+    const std::uint8_t now_up = plan.server_up(s, start) ? 1 : 0;
+    if (now_up == up[s]) continue;
+    up[s] = now_up;
+    // A crashed server is just its incident edges going off.
+    touched_.insert(touched_.end(), incident_.begin() + incident_offset_[s],
+                    incident_.begin() + incident_offset_[s + 1]);
   }
-  // A crashed server is just its incident edges going off.
-  edges_.clear();
+  touched_.insert(touched_.end(), link_edges_at_.begin() + link_offset_[e],
+                  link_edges_at_.begin() + link_offset_[e + 1]);
+  std::sort(touched_.begin(), touched_.end());
+  touched_.erase(std::unique(touched_.begin(), touched_.end()),
+                 touched_.end());
   removed_.clear();
   added_.clear();
-  for (std::size_t b = 0; b < base_edges_.size(); ++b) {
+  for (const std::size_t b : touched_) {
     const net::Edge& edge = base_edges_[b];
-    on_[b] = up[edge.from] && up[edge.to] &&
-             plan.link_up(edge.from, edge.to, start);
-    if (on_[b]) edges_.push_back(edge);
-    if (on_[b] && !was_on_[b]) added_.push_back(edge);
-    if (!on_[b] && was_on_[b]) removed_.push_back(edge);
+    const bool on = up[edge.from] != 0 && up[edge.to] != 0 &&
+                    plan.link_up(edge.from, edge.to, start);
+    if (on == (on_[b] != 0)) continue;
+    on_[b] = on ? 1 : 0;
+    (on ? added_ : removed_).push_back(edge);
   }
-  live_.all_up = all_servers_up && edges_.size() == base_edges_.size();
+  edges_.clear();
+  for (std::size_t b = 0; b < base_edges_.size(); ++b) {
+    if (on_[b] != 0) edges_.push_back(base_edges_[b]);
+  }
+  live_.all_up = edges_.size() == base_edges_.size() &&
+                 std::find(up.begin(), up.end(), 0) == up.end();
   live_.graph.assign(edges_);
-  // Epoch 0, and every epoch of a graph the repair cannot take, is built
-  // from scratch.
+  // Every epoch of a graph the repair cannot take is built from scratch.
   std::size_t rows_repaired = 0;
-  if (e > 0 && repairable_) {
+  if (repairable_) {
     live_.costs.repair(live_.graph, {removed_, added_}, scratch_,
                        rows_repaired);
   } else {
     live_.costs.rebuild(live_.graph, scratch_.dijkstra);
     IDDE_OBS_COUNT("fault.injector_rows_built_total", up.size());
   }
-  on_.swap(was_on_);
   IDDE_OBS_COUNT("fault.injector_epochs_total", 1);
   IDDE_OBS_COUNT("fault.injector_rows_repaired_total", rows_repaired);
 }

@@ -39,8 +39,10 @@ struct AvailabilitySnapshot {
 
 class FaultInjector {
  public:
-  /// Builds epoch 0: its cost matrix is one Dijkstra sweep. The injector
-  /// keeps a pointer to `plan`, which must outlive it.
+  /// Indexes the plan's downtime endpoints by epoch and builds epoch 0 as a
+  /// step from the fault-free world: the instance's own cost matrix,
+  /// repaired across the edges down at t = 0. The injector keeps a pointer
+  /// to `plan`, which must outlive it.
   FaultInjector(const model::ProblemInstance& instance,
                 const FaultPlan& plan);
   /// A temporary plan would dangle.
@@ -50,14 +52,16 @@ class FaultInjector {
   [[nodiscard]] std::size_t epoch_count() const noexcept {
     return starts_.size();
   }
-  /// Advances the live epoch to `e` and returns it. Each step repairs the
-  /// one cost matrix in place against the edges that went off or came back
-  /// on (net::CostMatrix::repair), bit-identical to a fresh sweep; rows the
-  /// delta cannot reach cost O(|delta|). When the instance's weights fail
-  /// the repair precondition (net::absorption_free, say a zero-weight
-  /// edge), every step takes the fresh sweep. The returned snapshot is
-  /// overwritten by the next step. Expects the live epoch <= e <
-  /// epoch_count(): the cursor never goes back.
+  /// Advances the live epoch to `e` and returns it. Each step re-queries
+  /// only the servers and links with a downtime endpoint at the epoch's
+  /// start, then repairs the one cost matrix in place against the edges
+  /// that went off or came back on (net::CostMatrix::repair), bit-identical
+  /// to a fresh sweep; rows the delta cannot reach cost O(|delta|). When
+  /// the instance's weights fail the repair precondition
+  /// (net::absorption_free, say a zero-weight edge), every step, epoch 0
+  /// included, takes the fresh sweep. The returned snapshot is overwritten
+  /// by the next step. Expects the live epoch <= e < epoch_count(): the
+  /// cursor never goes back.
   const AvailabilitySnapshot& epoch(std::size_t e);
 
   /// Index of the epoch containing time `t` (t >= 0).
@@ -70,7 +74,8 @@ class FaultInjector {
   [[nodiscard]] const FaultPlan& plan() const noexcept { return *plan_; }
 
  private:
-  /// Builds epoch `e` from the live one (or from nothing, for e = 0).
+  /// Steps the live state to epoch `e`: from the live epoch, or from the
+  /// fault-free world for e = 0.
   void load(std::size_t e);
 
   const FaultPlan* plan_;
@@ -82,11 +87,21 @@ class FaultInjector {
   /// Every epoch graph is a subgraph of the base, so the base's weights
   /// decide the repair precondition for all of them.
   bool repairable_ = false;
+  // CSR indexes (row r's values are [offset[r], offset[r + 1])). Within one
+  // entity the plan's intervals do not overlap, so an entity's state can
+  // change only at its own interval endpoints: the rows of epoch e name
+  // everything that can change at its start, in ascending order.
+  std::vector<std::size_t> server_offset_;    ///< per epoch
+  std::vector<std::size_t> servers_at_;       ///< servers with an endpoint
+  std::vector<std::size_t> link_offset_;      ///< per epoch
+  std::vector<std::size_t> link_edges_at_;    ///< base edges of such links
+  std::vector<std::size_t> incident_offset_;  ///< per server
+  std::vector<std::size_t> incident_;         ///< its base edges
   std::size_t current_ = 0;  ///< index of the live epoch
   AvailabilitySnapshot live_;
+  std::vector<std::uint8_t> on_;  ///< per base edge, in the live epoch
   // Per-step working sets; each keeps its capacity across steps.
-  std::vector<std::uint8_t> on_;
-  std::vector<std::uint8_t> was_on_;
+  std::vector<std::size_t> touched_;  ///< base edges to re-query
   std::vector<net::Edge> edges_;
   std::vector<net::Edge> removed_;
   std::vector<net::Edge> added_;

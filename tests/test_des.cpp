@@ -12,6 +12,7 @@
 #include "des/flow_sim.hpp"
 #include "fault/fault_plan.hpp"
 #include "model/instance_builder.hpp"
+#include "obs/obs.hpp"
 #include "sim/paper.hpp"
 
 namespace {
@@ -197,6 +198,46 @@ TEST(FlowSim, InertFaultPlanIsBitIdenticalToNoPlan) {
   EXPECT_EQ(b.availability, 1.0);
   EXPECT_EQ(b.retry_count, 0u);
   EXPECT_EQ(b.tier_counts[0], b.flows.size());
+}
+
+TEST(FlowSim, FluidSolvesRunAndSkippedSumToTheLoopSteps) {
+  // A faults-only replay: steps that end at an epoch boundary nobody's leg
+  // crosses, or at an arrival served without a routed leg, leave the leg
+  // set as it was, and reuse the last solve's rates.
+  const auto s = solved_instance(12);
+  fault::FaultProfile profile;
+  profile.horizon_s = 20.0;
+  profile.server_mtbf_s = 10.0;
+  profile.server_mttr_s = 2.0;
+  profile.link_mtbf_s = 8.0;
+  profile.link_mttr_s = 2.0;
+  const auto plan = fault::FaultPlan::generate(s.instance, profile, 12);
+  des::FlowSimOptions options;
+  options.arrival_window_s = 10.0;
+  options.link_capacity_scale = 0.05;
+  options.fault_plan = &plan;
+  obs::set_enabled(true);
+  obs::reset_all();
+  util::Rng rng(12);
+  const auto result =
+      des::FlowLevelSimulator(s.instance, options).run(s.strategy, rng);
+  const auto counter = [](const char* name) -> std::uint64_t {
+    return obs::MetricsRegistry::global().counter(name).value();
+  };
+  const std::uint64_t steps = counter("des.rate_recomputations_total");
+  const std::uint64_t solves = counter("des.fluid_solves_total");
+  const std::uint64_t skipped = counter("des.fluid_solves_skipped_total");
+  obs::set_enabled(false);
+  obs::reset_all();
+  EXPECT_GT(result.retry_count, 0u);
+#if IDDE_OBS
+  EXPECT_EQ(steps, result.rate_recomputations);
+  EXPECT_EQ(solves + skipped, steps);
+  EXPECT_GT(solves, 0u);
+  EXPECT_GT(skipped, 0u);
+#else
+  (void)steps, (void)solves, (void)skipped;
+#endif
 }
 
 TEST(FlowSim, NonCollaborativeStrategiesNeverRoute) {

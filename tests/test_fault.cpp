@@ -413,12 +413,41 @@ TEST(FaultInjector, TelemetryCountsEpochsAndRowsAndChangesNothing) {
 
 #if IDDE_OBS
   EXPECT_EQ(epochs, counted.epoch_count());
-  EXPECT_EQ(built, inst.server_count());  // epoch 0 only
+  EXPECT_EQ(built, 0u);  // epoch 0 repairs the fault-free matrix
   EXPECT_GT(repaired, 0u);
-  EXPECT_LT(repaired, (counted.epoch_count() - 1) * inst.server_count());
+  EXPECT_LT(repaired, counted.epoch_count() * inst.server_count());
 #else
   (void)epochs, (void)built, (void)repaired;
 #endif
+}
+
+/// The same adjacency lists, weights bit for bit.
+void expect_same_graph(const net::Graph& a, const net::Graph& b) {
+  const std::size_t n = a.node_count();
+  ASSERT_EQ(b.node_count(), n);
+  for (std::size_t node = 0; node < n; ++node) {
+    const auto an = a.neighbors(node);
+    const auto bn = b.neighbors(node);
+    ASSERT_EQ(an.size(), bn.size()) << "node " << node;
+    for (std::size_t k = 0; k < an.size(); ++k) {
+      EXPECT_EQ(an[k].node, bn[k].node);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(an[k].weight),
+                std::bit_cast<std::uint64_t>(bn[k].weight));
+    }
+  }
+}
+
+/// The same matrix, bit for bit.
+void expect_same_costs(const net::CostMatrix& a, const net::CostMatrix& b) {
+  const std::size_t n = a.size();
+  ASSERT_EQ(b.size(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(a.cost(i, j)),
+                std::bit_cast<std::uint64_t>(b.cost(i, j)))
+          << "cost(" << i << ", " << j << ")";
+    }
+  }
 }
 
 /// Every field of two snapshots, the matrix bit for bit.
@@ -428,27 +457,42 @@ void expect_same_snapshot(const fault::AvailabilitySnapshot& a,
   EXPECT_EQ(a.end_s, b.end_s);
   EXPECT_EQ(a.server_up, b.server_up);
   EXPECT_EQ(a.all_up, b.all_up);
-  const std::size_t n = a.graph.node_count();
-  ASSERT_EQ(b.graph.node_count(), n);
-  for (std::size_t node = 0; node < n; ++node) {
-    const auto an = a.graph.neighbors(node);
-    const auto bn = b.graph.neighbors(node);
-    ASSERT_EQ(an.size(), bn.size()) << "node " << node;
-    for (std::size_t k = 0; k < an.size(); ++k) {
-      EXPECT_EQ(an[k].node, bn[k].node);
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(an[k].weight),
-                std::bit_cast<std::uint64_t>(bn[k].weight));
-    }
-  }
-  ASSERT_EQ(a.costs.size(), n);
-  ASSERT_EQ(b.costs.size(), n);
+  expect_same_graph(a.graph, b.graph);
+  ASSERT_EQ(a.costs.size(), a.graph.node_count());
+  expect_same_costs(a.costs, b.costs);
+}
+
+/// `snap` against the plan's point queries at its start: the mask, all_up,
+/// the surviving base edges in adjacency order, and a fresh matrix over
+/// them.
+void expect_epoch_matches_plan(const model::ProblemInstance& inst,
+                               const fault::FaultPlan& plan,
+                               const fault::AvailabilitySnapshot& snap) {
+  const double t = snap.start_s;
+  const std::size_t n = inst.server_count();
+  ASSERT_EQ(snap.server_up.size(), n);
+  bool all_up = true;
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      ASSERT_EQ(std::bit_cast<std::uint64_t>(a.costs.cost(i, j)),
-                std::bit_cast<std::uint64_t>(b.costs.cost(i, j)))
-          << "cost(" << i << ", " << j << ")";
+    EXPECT_EQ(snap.server_up[i] != 0, plan.server_up(i, t))
+        << "server " << i << " at " << t;
+    all_up = all_up && plan.server_up(i, t);
+  }
+  std::vector<net::Edge> surviving;
+  for (std::size_t a = 0; a < n; ++a) {
+    for (const net::Neighbor& nb : inst.graph().neighbors(a)) {
+      if (a >= nb.node) continue;
+      if (plan.server_up(a, t) && plan.server_up(nb.node, t) &&
+          plan.link_up(a, nb.node, t)) {
+        surviving.push_back(net::Edge{a, nb.node, nb.weight});
+      } else {
+        all_up = false;
+      }
     }
   }
+  EXPECT_EQ(snap.all_up, all_up) << "at " << t;
+  const net::Graph expected(n, surviving);
+  expect_same_graph(snap.graph, expected);
+  expect_same_costs(snap.costs, net::CostMatrix(expected));
 }
 
 TEST(FaultInjector, JumpingAheadMatchesSteppingThroughEveryEpoch) {
@@ -483,7 +527,7 @@ TEST(FaultInjectorDeathTest, BackwardsQueryDies) {
                "precondition violated");
 }
 
-TEST(FaultInjector, CountersReportOneFreshBuildAndNoExtraSteps) {
+TEST(FaultInjector, CountersReportNoFreshBuildAndNoExtraSteps) {
   const auto inst = model::make_instance(city_params(), 22);
   ASSERT_TRUE(net::absorption_free(inst.graph()));
   const auto plan =
@@ -508,10 +552,83 @@ TEST(FaultInjector, CountersReportOneFreshBuildAndNoExtraSteps) {
 #if IDDE_OBS
   EXPECT_EQ(halfway, count / 2 + 1);  // epochs past the query: not built
   EXPECT_EQ(epochs, count);
-  EXPECT_EQ(built, inst.server_count());
+  EXPECT_EQ(built, 0u);
 #else
   (void)halfway, (void)epochs, (void)built;
 #endif
+}
+
+TEST(FaultInjector, DeltaStepsMatchPlanPointQueriesOnAHandBuiltPlan) {
+  // A base graph with one doubled link (a parallel edge at a different
+  // weight), and a copy of it with a zero-weight edge, which takes the
+  // fresh build on every epoch.
+  const auto source = model::make_instance(small_params(), 24);
+  std::vector<net::Edge> edges;
+  for (std::size_t a = 0; a < source.server_count(); ++a) {
+    for (const net::Neighbor& nb : source.graph().neighbors(a)) {
+      if (a < nb.node) edges.push_back(net::Edge{a, nb.node, nb.weight});
+    }
+  }
+  ASSERT_GE(edges.size(), 6u);
+  const net::Edge doubled = edges[1];
+  edges.push_back(net::Edge{doubled.from, doubled.to, doubled.weight * 1.5});
+  std::vector<net::Edge> zero_weight = edges;
+  zero_weight[4].weight = 0.0;
+  const auto with_edges = [&source](const std::vector<net::Edge>& list) {
+    const net::Graph graph(source.server_count(), list);
+    return model::ProblemInstance(
+        source.servers(), source.users(), source.data_items(),
+        source.requests(), graph,
+        net::DeliveryLatencyModel(net::CostMatrix(graph),
+                                  source.latency().cloud_speed_mbps()),
+        source.radio_env());
+  };
+
+  const net::Edge at_zero = edges[0];
+  const net::Edge crash_link = edges[2];
+  const net::Edge chained = edges[3];
+  const std::size_t crash = crash_link.from;
+  // Servers other than the links' endpoints, for the server-only cases.
+  std::vector<std::size_t> spare;
+  for (std::size_t i = 0; i < source.server_count(); ++i) {
+    bool endpoint = false;
+    for (const net::Edge& e : {at_zero, doubled, crash_link, chained}) {
+      endpoint = endpoint || i == e.from || i == e.to;
+    }
+    if (!endpoint) spare.push_back(i);
+  }
+  ASSERT_GE(spare.size(), 3u);
+
+  fault::FaultPlan plan;
+  // Down at t = 0: a server and a link.
+  plan.add_server_downtime(spare[0], {0.0, 1.5});
+  plan.add_link_downtime(at_zero.from, at_zero.to, {0.0, 2.5});
+  // Both parallel edges of the doubled link.
+  plan.add_link_downtime(doubled.to, doubled.from, {1.0, 4.0});
+  // A server and one of its links at the same instant.
+  plan.add_server_downtime(crash, {2.0, 3.0});
+  plan.add_link_downtime(crash_link.from, crash_link.to, {2.0, 3.5});
+  // Back-to-back intervals of one entity: the link stays down at 5.0.
+  plan.add_link_downtime(chained.from, chained.to, {4.0, 5.0});
+  plan.add_link_downtime(chained.from, chained.to, {5.0, 6.0});
+  // One entity's interval ends where another's starts, twice over.
+  plan.add_server_downtime(spare[1], {6.0, 7.0});
+  plan.add_server_downtime(spare[2], {7.0, 8.0});
+  plan.add_server_downtime(spare[0], {8.0, 9.0});
+
+  for (const auto& list : {edges, zero_weight}) {
+    const model::ProblemInstance inst = with_edges(list);
+    fault::FaultInjector injector(inst, plan);
+    ASSERT_EQ(injector.epoch_count(), plan.epoch_starts().size());
+    std::size_t degraded = 0;
+    for (std::size_t e = 0; e < injector.epoch_count(); ++e) {
+      SCOPED_TRACE(e);
+      const fault::AvailabilitySnapshot& snap = injector.epoch(e);
+      expect_epoch_matches_plan(inst, plan, snap);
+      if (!snap.all_up) ++degraded;
+    }
+    EXPECT_EQ(degraded, injector.epoch_count() - 1);  // all up from 9.0
+  }
 }
 
 TEST(Failover, AllUpReproducesEq8AndPrimaryTier) {
