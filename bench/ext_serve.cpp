@@ -12,7 +12,9 @@
 //               recovery counter fires) within the run.
 //
 // Emits BENCH_serve.json; the acceptance gates are enforced at exit so CI
-// fails loudly, not silently.
+// fails loudly, not silently. Telemetry is switched on after the three
+// timed scenarios, and one untimed rerun of the steady scenario fills the
+// report's telemetry block (the game.* and serve.* counters and spans).
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -20,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/obs.hpp"
 #include "serve/controller.hpp"
 #include "sim/paper.hpp"
 #include "util/cli.hpp"
@@ -162,6 +165,11 @@ int main(int argc, char** argv) {
   flash.repair_placements_per_event = 2;
   const ScenarioResult flash_result = run_scenario(flash, seed + 2, ticks);
 
+  // Recording starts after the last timed scenario.
+  obs::set_enabled(true);
+  (void)run_scenario(steady, seed, ticks);
+  obs::set_enabled(false);
+
   util::TextTable table({"scenario", "events", "events/s", "repair p50 (ms)",
                          "repair p99 (ms)", "degraded %", "trips",
                          "recovery (ticks)"});
@@ -216,6 +224,7 @@ int main(int argc, char** argv) {
     scenarios.push_back(scenario_json("flash", flash_result));
     doc["scenarios"] = std::move(scenarios);
     doc["gates_passed"] = failures == 0;
+    doc["telemetry"] = obs::telemetry_json();
     std::ofstream file(out);
     if (!file) {
       std::fprintf(stderr, "cannot write %s\n", out.c_str());

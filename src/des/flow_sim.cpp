@@ -109,33 +109,8 @@ void finalize(FlowSimResult& result, double deadline_s, double window_s,
                   result.qos.offered,
               "overload accounting leak: admitted + shed + rejected != "
               "offered");
-  if (!durations_ms.empty()) {
-    result.mean_duration_ms = util::mean_of(durations_ms);
-    result.p95_duration_ms = util::percentile(durations_ms, 95.0);
-    result.p99_duration_ms = util::percentile(durations_ms, 99.0);
-    result.max_duration_ms =
-        *std::max_element(durations_ms.begin(), durations_ms.end());
-    result.availability = static_cast<double>(first_try_primary) /
-                          static_cast<double>(durations_ms.size());
-    result.qos.mean_queue_wait_ms =
-        queue_wait_s_sum / static_cast<double>(durations_ms.size()) * 1e3;
-  }
-  result.makespan_s = makespan;
-  for (std::size_t t = 0; t < core::kFallbackTiers; ++t) {
-    if (tier_durations_ms[t].empty()) continue;
-    result.qos.tier_p50_ms[t] = util::percentile(tier_durations_ms[t], 50.0);
-    result.qos.tier_p99_ms[t] = util::percentile(tier_durations_ms[t], 99.0);
-  }
-  // Throughput rates are normalised by the offered-load window so they stay
-  // comparable across load multipliers; makespan is the closed-loop proxy.
-  const double period = window_s > 0.0 ? window_s : makespan;
-  if (period > 0.0) {
-    result.qos.goodput_rps =
-        static_cast<double>(result.qos.goodput_flows) / period;
-    result.qos.offered_rps =
-        static_cast<double>(result.qos.offered) / period;
-  }
 
+  // Telemetry records the durations in flow order, before the sorts below.
   IDDE_OBS_COUNT("des.runs_total", 1);
   IDDE_OBS_COUNT("des.flows_total", result.flows.size());
   IDDE_OBS_COUNT("des.forced_cloud_total", result.forced_cloud_fetches);
@@ -169,6 +144,35 @@ void finalize(FlowSimResult& result, double deadline_s, double window_s,
     }
   }
 #endif
+  if (!durations_ms.empty()) {
+    // The mean sums in flow order; every rank reads one sorted copy.
+    result.mean_duration_ms = util::mean_of(durations_ms);
+    std::sort(durations_ms.begin(), durations_ms.end());
+    result.p95_duration_ms = util::percentile_sorted(durations_ms, 95.0);
+    result.p99_duration_ms = util::percentile_sorted(durations_ms, 99.0);
+    result.max_duration_ms = durations_ms.back();
+    result.availability = static_cast<double>(first_try_primary) /
+                          static_cast<double>(durations_ms.size());
+    result.qos.mean_queue_wait_ms =
+        queue_wait_s_sum / static_cast<double>(durations_ms.size()) * 1e3;
+  }
+  result.makespan_s = makespan;
+  for (std::size_t t = 0; t < core::kFallbackTiers; ++t) {
+    std::vector<double>& tier = tier_durations_ms[t];
+    if (tier.empty()) continue;
+    std::sort(tier.begin(), tier.end());
+    result.qos.tier_p50_ms[t] = util::percentile_sorted(tier, 50.0);
+    result.qos.tier_p99_ms[t] = util::percentile_sorted(tier, 99.0);
+  }
+  // Throughput rates are normalised by the offered-load window so they stay
+  // comparable across load multipliers; makespan is the closed-loop proxy.
+  const double period = window_s > 0.0 ? window_s : makespan;
+  if (period > 0.0) {
+    result.qos.goodput_rps =
+        static_cast<double>(result.qos.goodput_flows) / period;
+    result.qos.offered_rps =
+        static_cast<double>(result.qos.offered) / period;
+  }
 }
 
 }  // namespace

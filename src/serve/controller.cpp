@@ -189,9 +189,13 @@ TickReport ServeController::tick() {
   TickReport report;
   report.tick = tick_;
   IDDE_OBS_SPAN("serve.tick");
+  last_repair_.valid = false;  // the world moves below
 
-  mobility_.step(config_.tick_seconds, walk_rng_);
-  instance_.set_user_positions(mobility_.positions(), pathloss_);
+  {
+    IDDE_OBS_SPAN("serve.world");
+    mobility_.step(config_.tick_seconds, walk_rng_);
+    instance_.set_user_positions(mobility_.positions(), pathloss_);
+  }
   derive_events(t);
   report.events = events_.size();
   status_.events_total += events_.size();
@@ -386,17 +390,31 @@ void ServeController::build_candidates() {
 }
 
 bool ServeController::run_equilibrium_repair(TickReport& report) {
+  IDDE_OBS_SPAN("serve.repair.equilibrium");
   const model::ProblemInstance& inst = instance_;
-  build_candidates();
-  core::GameOptions options;
-  options.rule = config_.repair_rule;
-  options.max_rounds = config_.repair_rounds_per_event;
-  options.budgeted = true;
-  options.threads = config_.solver_threads;
-  options.candidate_servers = &candidates_;
-  core::IddeUGame game(inst, options);
-  const core::AllocationProfile before = allocation_;
-  core::GameResult result = game.run_from(before);
+  RepairRecord& result = last_repair_;
+  if (result.valid && result.start == allocation_) {
+    // Best-response dynamics are deterministic in their start profile, and
+    // nothing they read has changed since the record was made this tick.
+    IDDE_OBS_COUNT("serve.equilibrium_replays_total", 1);
+  } else {
+    build_candidates();
+    core::GameOptions options;
+    options.rule = config_.repair_rule;
+    options.max_rounds = config_.repair_rounds_per_event;
+    options.budgeted = true;
+    options.threads = config_.solver_threads;
+    options.candidate_servers = &candidates_;
+    core::IddeUGame game(inst, options);
+    core::GameResult solved = game.run_from(allocation_);
+    result.valid = true;
+    result.start = allocation_;
+    result.allocation = std::move(solved.allocation);
+    result.rounds = solved.rounds;
+    result.moves = solved.moves;
+    result.converged = solved.converged;
+    IDDE_OBS_COUNT("serve.equilibrium_solves_total", 1);
+  }
   ++status_.repairs_total;
   ++report.repairs;
   status_.repair_rounds_total += result.rounds;
@@ -411,7 +429,7 @@ bool ServeController::run_equilibrium_repair(TickReport& report) {
     // exact potential game, so honest budget-capped repairs occasionally
     // leave the potential flat or slightly perturbed.
     ++status_.potential_checks;
-    const double potential_before = core::potential(inst, before);
+    const double potential_before = core::potential(inst, result.start);
     const double potential_after =
         core::potential(inst, result.allocation);
     if (potential_after < potential_before - 1e-9) {
@@ -420,14 +438,14 @@ bool ServeController::run_equilibrium_repair(TickReport& report) {
       equilibrium_clean_ = false;
       IDDE_OBS_COUNT("serve.watchdog_strikes_total", 1);
       // The repair's moves are bogus: discard them (allocation_ stays at
-      // `before`). A strike in the half-open probe re-trips immediately.
+      // the start). A strike in the half-open probe re-trips immediately.
       if (half_open_ || strikes_ >= config_.watchdog_strike_limit) {
         trip_breaker();
       }
       return false;
     }
   }
-  allocation_ = std::move(result.allocation);
+  allocation_ = result.allocation;
   if (!result.converged) {
     equilibrium_clean_ = false;
     return false;
@@ -444,6 +462,7 @@ bool ServeController::run_equilibrium_repair(TickReport& report) {
 }
 
 bool ServeController::run_sigma_repair(TickReport& report) {
+  IDDE_OBS_SPAN("serve.repair.sigma");
   const model::ProblemInstance& inst = instance_;
   const core::DeliveryProfile sigma = materialize_sigma();
   core::RepairPlanner planner(inst);

@@ -214,6 +214,22 @@ class ServeController {
   std::vector<Event> events_;                        // per-tick scratch
   std::vector<std::vector<std::size_t>> candidates_;  // per-repair scratch
 
+  /// The tick's last equilibrium solve: its start profile and what the
+  /// controller reads from its result. Within one tick() the world, the
+  /// candidate sets and the game options are fixed, so a repair whose
+  /// start is bit-equal to `start` replays this result instead of solving
+  /// (DESIGN.md §15, *Replaying repeated repairs*). Cleared at the top of
+  /// every tick and never checkpointed; the buffers keep their capacity.
+  struct RepairRecord {
+    bool valid = false;
+    core::AllocationProfile start;
+    core::AllocationProfile allocation;
+    std::size_t rounds = 0;
+    std::size_t moves = 0;
+    bool converged = false;
+  };
+  RepairRecord last_repair_;
+
   std::uint64_t trajectory_hash_;
   ServeStatus status_;
 };

@@ -66,10 +66,14 @@ Estimate summarize(const RunningStats& stats) {
 }
 
 double percentile(std::span<const double> samples, double p) {
-  IDDE_EXPECTS(!samples.empty());
-  IDDE_EXPECTS(p >= 0.0 && p <= 100.0);
   std::vector<double> sorted(samples.begin(), samples.end());
   std::sort(sorted.begin(), sorted.end());
+  return percentile_sorted(sorted, p);
+}
+
+double percentile_sorted(std::span<const double> sorted, double p) {
+  IDDE_EXPECTS(!sorted.empty());
+  IDDE_EXPECTS(p >= 0.0 && p <= 100.0);
   if (sorted.size() == 1) return sorted.front();
   const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
   const auto lo = static_cast<std::size_t>(rank);

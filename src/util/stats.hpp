@@ -46,6 +46,11 @@ struct Estimate {
 /// Percentile by linear interpolation on a copy of the data; p in [0, 100].
 [[nodiscard]] double percentile(std::span<const double> samples, double p);
 
+/// percentile() over samples already sorted ascending: reads several ranks
+/// from one sort, with the same bits.
+[[nodiscard]] double percentile_sorted(std::span<const double> sorted,
+                                       double p);
+
 [[nodiscard]] double mean_of(std::span<const double> samples);
 
 /// Relative improvement of `ours` over `other`: (other - ours)/other for

@@ -5,11 +5,12 @@
 // benefit — into one FNV-1a digest per seed, for each update rule at one
 // and at three solver threads, with full coverage and with a DUP-G-style
 // candidate restriction. The cycle-probe cases pin the adversarial
-// watchdog rule under a 200-round cap. The serve case pins the controller
-// trajectory of the watchdog-containment scenario, and the dynamic cases
-// fold every StepRecord field of the mobility loop for two re-solve
-// periods with churn off and on. The pinned values are exact, so a
-// rewrite of the game engine must reproduce them bit for bit.
+// watchdog rule under a 200-round cap. The serve cases pin the controller
+// trajectory and the repair and watchdog counters of the default and the
+// watchdog-containment scenarios, and the dynamic cases fold every
+// StepRecord field of the mobility loop for two re-solve periods with
+// churn off and on. The pinned values are exact, so a rewrite of the game
+// engine must reproduce them bit for bit.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -203,18 +204,51 @@ std::uint64_t serve_hash(const serve::ServeConfig& config) {
   return controller.trajectory_hash();
 }
 
-TEST(GameGolden, ServeWatchdogTrajectory) {
+serve::ServeConfig watchdog_serve_config() {
   serve::ServeConfig config = small_serve_config();
   config.repair_rule = UpdateRule::kCycleProbe;
   config.repair_rounds_per_event = 64;
   config.watchdog_suspect_moves = 32;
   config.watchdog_strike_limit = 2;
   config.watchdog_cooldown_ticks = 4;
-  EXPECT_EQ(hex(serve_hash(config)), hex(0x60e40a2dcd1a7bd6ULL));
+  return config;
+}
+
+TEST(GameGolden, ServeWatchdogTrajectory) {
+  EXPECT_EQ(hex(serve_hash(watchdog_serve_config())),
+            hex(0x60e40a2dcd1a7bd6ULL));
 }
 
 TEST(GameGolden, ServeDefaultTrajectory) {
   EXPECT_EQ(hex(serve_hash(small_serve_config())), hex(0xf4e78f1ea5930e87ULL));
+}
+
+// The trajectory hash folds allocations, sigma and breaker state but not
+// the repair and watchdog counters, so these pin them separately.
+serve::ServeStatus serve_status(const serve::ServeConfig& config) {
+  serve::ServeController controller(config, 5);
+  for (int tick = 0; tick < 80; ++tick) (void)controller.tick();
+  return controller.status();
+}
+
+TEST(GameGolden, ServeRepairCounters) {
+  const serve::ServeStatus plain = serve_status(small_serve_config());
+  EXPECT_EQ(plain.repairs_total, 159u);
+  EXPECT_EQ(plain.repair_rounds_total, 216u);
+  EXPECT_EQ(plain.repair_moves_total, 82u);
+  EXPECT_EQ(plain.potential_checks, 0u);
+  EXPECT_EQ(plain.watchdog_strikes, 0u);
+  EXPECT_EQ(plain.breaker_trips, 0u);
+  EXPECT_EQ(plain.lkg_restores, 0u);
+
+  const serve::ServeStatus watchdog = serve_status(watchdog_serve_config());
+  EXPECT_EQ(watchdog.repairs_total, 41u);
+  EXPECT_EQ(watchdog.repair_rounds_total, 2432u);
+  EXPECT_EQ(watchdog.repair_moves_total, 2432u);
+  EXPECT_EQ(watchdog.potential_checks, 38u);
+  EXPECT_EQ(watchdog.watchdog_strikes, 21u);
+  EXPECT_EQ(watchdog.breaker_trips, 20u);
+  EXPECT_EQ(watchdog.lkg_restores, 20u);
 }
 
 // --- dynamic: the mobility re-solve loop ------------------------------------

@@ -3,10 +3,12 @@
 // mass-failure recovery.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "obs/obs.hpp"
 #include "serve/checkpoint.hpp"
 #include "serve/controller.hpp"
 #include "sim/paper.hpp"
@@ -93,6 +95,39 @@ TEST(Serve, CrashRestoreResumesBitIdenticallyAcrossTenSeeds) {
         << "seed " << seed;
     EXPECT_EQ(survivor.status().repairs_total,
               uninterrupted.status().repairs_total)
+        << "seed " << seed;
+  }
+}
+
+// A controller that has run ahead holds state from a later tick, the
+// tick's repair record included. Restoring an earlier snapshot into it
+// must still resume exactly like the uninterrupted run.
+TEST(Serve, RestoreIntoAControllerThatRanAheadResumesBitIdentically) {
+  constexpr std::size_t kTicks = 36;
+  constexpr std::size_t kCut = 12;
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    serve::ServeController uninterrupted(small_config(), seed);
+    std::vector<std::uint64_t> hashes;
+    std::string snapshot;
+    for (std::size_t step = 0; step < kTicks; ++step) {
+      (void)uninterrupted.tick();
+      hashes.push_back(uninterrupted.trajectory_hash());
+      if (step + 1 == kCut) snapshot = uninterrupted.checkpoint();
+    }
+
+    serve::ServeController ahead(small_config(), seed);
+    for (std::size_t step = 0; step < kTicks; ++step) (void)ahead.tick();
+    ahead.restore(snapshot);
+    for (std::size_t step = kCut; step < kTicks; ++step) {
+      (void)ahead.tick();
+      ASSERT_EQ(ahead.trajectory_hash(), hashes[step])
+          << "seed " << seed << " tick " << step;
+    }
+    EXPECT_EQ(ahead.status().repairs_total,
+              uninterrupted.status().repairs_total)
+        << "seed " << seed;
+    EXPECT_EQ(ahead.status().repair_moves_total,
+              uninterrupted.status().repair_moves_total)
         << "seed " << seed;
   }
 }
@@ -271,6 +306,47 @@ TEST(Serve, FlashFailureIsRepairedAndRecoveryTimed) {
       EXPECT_LT(slot.server, controller.instance().server_count());
     }
   }
+}
+
+// Within one tick, an equilibrium repair whose start profile repeats the
+// last repair's start replays that result instead of solving again. Every
+// equilibrium repair is either a solve or a replay, replays do happen, and
+// recording telemetry changes nothing.
+TEST(Serve, EquilibriumReplaysAreCountedAndExact) {
+  constexpr int kTicks = 60;
+  serve::ServeController quiet(small_config(), 3);
+  for (int step = 0; step < kTicks; ++step) (void)quiet.tick();
+
+  obs::reset_all();
+  obs::set_enabled(true);
+  serve::ServeController observed(small_config(), 3);
+  for (int step = 0; step < kTicks; ++step) (void)observed.tick();
+  obs::set_enabled(false);
+  const util::Json telemetry = obs::telemetry_json();
+  obs::reset_all();
+
+  EXPECT_EQ(observed.trajectory_hash(), quiet.trajectory_hash());
+  EXPECT_EQ(observed.status().repairs_total, quiet.status().repairs_total);
+#if IDDE_OBS
+  const auto counter = [&](const char* name) {
+    const util::Json* value = telemetry.at("counters").find(name);
+    return value == nullptr ? std::int64_t{0} : value->as_int();
+  };
+  const auto spans = [&](const char* name) {
+    const util::Json* span = telemetry.at("spans").find(name);
+    return span == nullptr ? std::int64_t{0} : span->at("count").as_int();
+  };
+  const std::int64_t solves = counter("serve.equilibrium_solves_total");
+  const std::int64_t replays = counter("serve.equilibrium_replays_total");
+  EXPECT_GT(solves, 0);
+  EXPECT_GT(replays, 0);
+  EXPECT_EQ(solves + replays, spans("serve.repair.equilibrium"));
+  EXPECT_EQ(solves + replays + spans("serve.repair.sigma"),
+            static_cast<std::int64_t>(observed.status().repairs_total));
+  EXPECT_EQ(spans("serve.world"), kTicks);
+#else
+  (void)telemetry;
+#endif
 }
 
 }  // namespace

@@ -1,9 +1,13 @@
 // RunningStats / summaries / percentile tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
+#include "util/random.hpp"
 #include "util/stats.hpp"
 
 namespace {
@@ -139,6 +143,32 @@ TEST(Percentile, InfiniteTailDoesNotPoisonFiniteQuantiles) {
   EXPECT_EQ(idde::util::percentile(xs, 50.0), 3.0);
   const std::vector<double> all_inf{inf, inf};
   EXPECT_EQ(idde::util::percentile(all_inf, 50.0), inf);
+}
+
+// Reading several ranks from one sort must give percentile()'s bits, on
+// vectors with duplicates and infinite samples at both ends.
+TEST(Percentile, SortedMatchesCopyAndSortBitForBit) {
+  const double inf = std::numeric_limits<double>::infinity();
+  idde::util::Rng rng(2024);
+  for (int trial = 0; trial < 200; ++trial) {
+    // A small pool makes duplicates common.
+    std::vector<double> pool(1 + rng.index(6));
+    for (double& value : pool) value = rng.uniform(-50.0, 50.0);
+    std::vector<double> xs(1 + rng.index(40));
+    for (double& x : xs) {
+      const std::size_t pick = rng.index(pool.size() + 2);
+      x = pick < pool.size() ? pool[pick] : (pick == pool.size() ? inf : -inf);
+    }
+    std::vector<double> sorted = xs;
+    std::sort(sorted.begin(), sorted.end());
+    for (const double p : {0.0, 50.0, 95.0, 99.0, 100.0}) {
+      const double want = idde::util::percentile(xs, p);
+      const double got = idde::util::percentile_sorted(sorted, p);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                std::bit_cast<std::uint64_t>(want))
+          << "trial " << trial << " p " << p;
+    }
+  }
 }
 
 TEST(MeanOf, EmptyIsZero) {
