@@ -45,19 +45,28 @@ const std::vector<std::size_t>& IddeUGame::candidates(std::size_t user) const {
 }
 
 IddeUGame::BestResponse IddeUGame::best_response(
-    radio::BatchEvaluator& batch, std::size_t user,
-    std::size_t* evaluations) const {
+    radio::BatchEvaluator& batch, const radio::InterferenceField& field,
+    std::size_t user, double* current, std::size_t* evaluations) const {
   const std::size_t channels = instance_->radio_env().channels_per_server;
   const auto& servers = candidates(user);
   const std::span<const double> priced = batch.benefits(user, servers);
+  const ChannelSlot held = field.slot_of(user);
+  bool held_priced = false;
   BestResponse best;
   for (std::size_t a = 0; a < servers.size(); ++a) {
+    if (servers[a] == held.server) {
+      *current = priced[a * channels + held.channel];
+      held_priced = true;
+    }
     for (std::size_t channel = 0; channel < channels; ++channel) {
       const double benefit = priced[a * channels + channel];
       if (benefit > best.benefit) {
         best = BestResponse{ChannelSlot{servers[a], channel}, benefit};
       }
     }
+  }
+  if (!held_priced) {
+    *current = held.allocated() ? field.benefit(user, held) : 0.0;
   }
   *evaluations += priced.size();
   return best;
@@ -184,9 +193,7 @@ GameResult IddeUGame::run_from(const AllocationProfile& start) {
 
   const auto evaluate_user = [&](radio::BatchEvaluator& eval, std::size_t j,
                                  std::size_t* evaluations) {
-    cached[j] = best_response(eval, j, evaluations);
-    const ChannelSlot slot = field.slot_of(j);
-    current[j] = slot.allocated() ? field.benefit(j, slot) : 0.0;
+    cached[j] = best_response(eval, field, j, &current[j], evaluations);
   };
 
   // Below this many dirty users a pool dispatch costs more than the

@@ -131,10 +131,13 @@ class IddeUGame {
 
   /// Best candidate in delta_j over candidate servers x channels, priced
   /// in one batched sweep; the scan runs server-major, channel-minor and
-  /// strict > keeps the first of equal benefits.
-  [[nodiscard]] BestResponse best_response(radio::BatchEvaluator& batch,
-                                           std::size_t user,
-                                           std::size_t* evaluations) const;
+  /// strict > keeps the first of equal benefits. Also writes the user's
+  /// current benefit to *current: 0 when unallocated, else read from the
+  /// same sweep when the current slot is a candidate (the batched kernel
+  /// is bit-identical to field.benefit), and field.benefit otherwise.
+  [[nodiscard]] BestResponse best_response(
+      radio::BatchEvaluator& batch, const radio::InterferenceField& field,
+      std::size_t user, double* current, std::size_t* evaluations) const;
 
   const model::ProblemInstance* instance_;
   GameOptions options_;

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <span>
 
-#include "geo/spatial_grid.hpp"
+#include "obs/obs.hpp"
 #include "util/assert.hpp"
 #include "util/error.hpp"
 
@@ -28,48 +28,25 @@ std::vector<std::vector<ServerId>> coverage_neighbours(
   return neighbours;
 }
 
+geo::CoverageIndex coverage_index(const std::vector<EdgeServer>& servers) {
+  std::vector<geo::Point> centres;
+  std::vector<double> radii_m;
+  centres.reserve(servers.size());
+  radii_m.reserve(servers.size());
+  for (const EdgeServer& s : servers) {
+    centres.push_back(s.position);
+    radii_m.push_back(s.coverage_radius_m);
+  }
+  return geo::CoverageIndex(centres, radii_m);
+}
+
 void coverage_sets(const std::vector<EdgeServer>& servers,
                    const std::vector<User>& users,
                    std::vector<std::vector<ServerId>>& covering) {
+  const geo::CoverageIndex index = coverage_index(servers);
   covering.resize(users.size());
-  if (servers.empty()) {
-    for (std::vector<ServerId>& row : covering) row.clear();
-    return;
-  }
-  std::vector<geo::Point> positions;
-  positions.reserve(servers.size());
-  geo::BoundingBox bounds{servers.front().position, servers.front().position};
-  double max_radius = 0.0;
-  for (const EdgeServer& s : servers) {
-    IDDE_EXPECTS(std::isfinite(s.coverage_radius_m) &&
-                 s.coverage_radius_m >= 0.0);
-    positions.push_back(s.position);
-    bounds.min = {std::min(bounds.min.x, s.position.x),
-                  std::min(bounds.min.y, s.position.y)};
-    bounds.max = {std::max(bounds.max.x, s.position.x),
-                  std::max(bounds.max.y, s.position.y)};
-    max_radius = std::max(max_radius, s.coverage_radius_m);
-  }
-  // Cells of half the largest radius (at least 50 m), coarsened so that a
-  // far-flung file cannot ask for more than kMaxCells per axis.
-  constexpr double kMaxCells = 256.0;
-  const double extent = std::max(bounds.width(), bounds.height());
-  IDDE_EXPECTS(std::isfinite(extent));
-  const geo::SpatialGrid grid(
-      positions, bounds,
-      std::max({50.0, max_radius / 2.0, extent / kMaxCells}));
-  // The grid tests squared distances; the slack keeps a user that
-  // distance_m puts exactly on the largest disc's rim among the candidates.
-  const double candidate_radius = max_radius * (1.0 + kDiscSlack);
   for (std::size_t j = 0; j < users.size(); ++j) {
-    const geo::Point& at = users[j].position;
-    IDDE_EXPECTS(std::isfinite(at.x) && std::isfinite(at.y));
-    std::vector<ServerId>& row = covering[j];
-    grid.query_radius(at, candidate_radius, row);
-    std::erase_if(row, [&](std::size_t i) {
-      return !(geo::distance_m(servers[i].position, at) <=
-               servers[i].coverage_radius_m);
-    });
+    index.covering(users[j].position, covering[j]);
   }
 }
 
@@ -106,6 +83,11 @@ ProblemInstance::ProblemInstance(std::vector<EdgeServer> servers,
   index_covered_users();
   for (const EdgeServer& s : servers_) {
     util::validate(s.storage_mb >= 0.0, "instance: negative server storage");
+    util::validate(std::isfinite(s.position.x) && std::isfinite(s.position.y),
+                   "instance: non-finite server position");
+    util::validate(std::isfinite(s.coverage_radius_m) &&
+                       s.coverage_radius_m >= 0.0,
+                   "instance: coverage radius must be finite and >= 0");
     total_storage_mb_ += s.storage_mb;
   }
   for (const DataItem& d : data_) {
@@ -118,11 +100,24 @@ void ProblemInstance::set_user_positions(
     const std::vector<geo::Point>& positions,
     const radio::PathLossModel& pathloss) {
   IDDE_EXPECTS(positions.size() == users_.size());
+  if (!coverage_index_) coverage_index_ = coverage_index(servers_);
+  changed_users_.reserve(users_.size());
+  changed_users_.clear();
   for (UserId j = 0; j < users_.size(); ++j) {
     users_[j].position = positions[j];
+    coverage_index_->covering(positions[j], row_scratch_);
+    std::vector<ServerId>& row = radio_env_.covering_servers[j];
+    if (row != row_scratch_) {
+      row.assign(row_scratch_.begin(), row_scratch_.end());
+      changed_users_.push_back(j);
+    }
   }
-  coverage_sets(servers_, users_, radio_env_.covering_servers);
-  radio_env_.index_reach();
+  IDDE_OBS_COUNT("model.coverage_rows_rederived_total",
+                 changed_users_.size());
+  if (!changed_users_.empty()) {
+    radio_env_.reindex_reach(changed_users_, spare_reach_offset_,
+                             spare_reach_server_);
+  }
   for (UserId j = 0; j < users_.size(); ++j) {
     const std::span<const ServerId> reach = radio_env_.reach(j);
     const std::span<double> gains = radio_env_.gains(j);
@@ -131,7 +126,7 @@ void ProblemInstance::set_user_positions(
           geo::distance_m(servers_[reach[e]].position, positions[j]));
     }
   }
-  index_covered_users();
+  if (!changed_users_.empty()) index_covered_users();
 }
 
 void ProblemInstance::index_covered_users() {

@@ -8,8 +8,10 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <vector>
 
+#include "geo/coverage_index.hpp"
 #include "model/entities.hpp"
 #include "model/request_matrix.hpp"
 #include "net/graph.hpp"
@@ -19,9 +21,10 @@
 
 namespace idde::model {
 
-/// Relative slack on the disc-meeting test, so floating-point ties in the
-/// triangle inequality cannot drop a pair of servers that co-cover a user.
-inline constexpr double kDiscSlack = 1e-9;
+/// Relative slack on disc tests (geo::kDiscSlack): on the disc-meeting
+/// test it keeps floating-point ties in the triangle inequality from
+/// dropping a pair of servers that co-cover a user.
+using geo::kDiscSlack;
 
 /// True when the coverage discs of `a` and `b` meet: their distance is at
 /// most r_a + r_b (with kDiscSlack). Two servers covering a common user
@@ -35,13 +38,19 @@ inline constexpr double kDiscSlack = 1e-9;
 [[nodiscard]] std::vector<std::vector<ServerId>> coverage_neighbours(
     const std::vector<EdgeServer>& servers);
 
-/// Overwrites `covering` with V_j for every user: the servers i with
-/// distance_m(i, j) <= r_i, ascending. A geo::SpatialGrid over the server
-/// positions narrows each user's candidates to the discs of the largest
-/// radius, so the cost is O(M * local servers) rather than N * M distance
-/// tests. Every row keeps its capacity. The instance builder, the reader
-/// and ProblemInstance::set_user_positions all use it. Positions and radii
-/// must be finite and radii >= 0 (the reader rejects anything else first).
+/// The static coverage index over the servers' discs (position, r_i): the
+/// one V_j implementation. Its covering(p) is V_j of a user at p, the
+/// servers i with distance_m(i, p) <= r_i, ascending, from one cell lookup
+/// and that exact filter. Positions and radii must be finite and radii
+/// >= 0 (the reader and the ProblemInstance constructor reject anything
+/// else first).
+[[nodiscard]] geo::CoverageIndex coverage_index(
+    const std::vector<EdgeServer>& servers);
+
+/// Overwrites `covering` with V_j for every user through one
+/// coverage_index(servers). Every row keeps its capacity. The instance
+/// builder and the reader use it; ProblemInstance keeps its own index for
+/// set_user_positions. User positions must be finite.
 void coverage_sets(const std::vector<EdgeServer>& servers,
                    const std::vector<User>& users,
                    std::vector<std::vector<ServerId>>& covering);
@@ -100,18 +109,23 @@ class ProblemInstance {
   }
 
   /// Moves user j to `positions[j]` and re-derives everything that depends
-  /// on user positions, in place: V_j (coverage_sets), reach(j), the gains
-  /// g_{i,j} = pathloss.gain(distance) for i in reach(j), and U_i. The
-  /// gains are unshadowed, the arithmetic of the builder's sigma = 0
-  /// branch. Every buffer keeps its capacity, so a steady-state update
-  /// allocates nothing per user. `positions.size()` must equal
-  /// user_count() and every position must be finite. The closure
-  /// invariant then holds at any positions provided nbr(o) lists every
-  /// server whose disc meets o's, as coverage_neighbours derives it for
-  /// the builder, the v1 reader and every file the writer produces. Only
-  /// the instance's owner calls this, between solves: solvers and profiles
-  /// hold const references and pointers that must not see the world
-  /// change under them.
+  /// on user positions, in place. V_j comes from the instance's static
+  /// coverage index (coverage_index, built by the first call). Only users
+  /// whose V_j changed get reach(j) re-derived
+  /// (radio::RadioEnvironment::reindex_reach); every other row is copied,
+  /// and U_i is rebuilt only when some V_j changed. Every user gets its
+  /// gains g_{i,j} = pathloss.gain(distance) for i in reach(j) rewritten,
+  /// unshadowed, the arithmetic of the builder's sigma = 0 branch. The
+  /// result is bit-identical to a full rebuild. Counts the users whose V_j
+  /// changed in `model.coverage_rows_rederived_total`. Every buffer keeps
+  /// its capacity, so a steady-state update allocates nothing per user.
+  /// `positions.size()` must equal user_count() and every position must be
+  /// finite. The closure invariant then holds at any positions provided
+  /// nbr(o) lists every server whose disc meets o's, as coverage_neighbours
+  /// derives it for the builder, the v1 reader and every file the writer
+  /// produces. Only the instance's owner calls this, between solves:
+  /// solvers and profiles hold const references and pointers that must not
+  /// see the world change under them.
   void set_user_positions(const std::vector<geo::Point>& positions,
                           const radio::PathLossModel& pathloss);
 
@@ -136,6 +150,15 @@ class ProblemInstance {
   net::DeliveryLatencyModel latency_;
   radio::RadioEnvironment radio_env_;
   std::vector<std::vector<UserId>> covered_users_;
+  /// set_user_positions state, made by its first call and kept across
+  /// calls, so an instance whose users never move pays nothing for it: the
+  /// coverage index over servers_ (which never move), one user's new V_j,
+  /// the ascending users whose V_j changed, and the spare reach CSR.
+  std::optional<geo::CoverageIndex> coverage_index_;
+  std::vector<ServerId> row_scratch_;
+  std::vector<UserId> changed_users_;
+  std::vector<std::size_t> spare_reach_offset_;
+  std::vector<std::size_t> spare_reach_server_;
   double total_storage_mb_ = 0.0;
   double max_data_size_mb_ = 0.0;
 };

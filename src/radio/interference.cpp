@@ -53,6 +53,29 @@ void RadioEnvironment::index_reach() {
   gain.assign(reach_server.size(), 0.0);
 }
 
+void RadioEnvironment::reindex_reach(std::span<const std::size_t> changed,
+                                     std::vector<std::size_t>& spare_offset,
+                                     std::vector<std::size_t>& spare_server) {
+  spare_offset.reserve(user_count + 1);
+  spare_offset.assign(1, 0);
+  spare_server.clear();
+  auto next = changed.begin();
+  for (std::size_t t = 0; t < user_count; ++t) {
+    if (next != changed.end() && *next == t) {
+      append_reach(neighbours, covering_servers[t], spare_server);
+      ++next;
+    } else {
+      const std::span<const std::size_t> row = reach(t);
+      spare_server.insert(spare_server.end(), row.begin(), row.end());
+    }
+    spare_offset.push_back(spare_server.size());
+  }
+  IDDE_EXPECTS(next == changed.end());
+  reach_offset.swap(spare_offset);
+  reach_server.swap(spare_server);
+  gain.resize(reach_server.size());
+}
+
 void RadioEnvironment::check() const {
   util::validate(power.size() == user_count,
                  "radio environment: power vector shape mismatch");

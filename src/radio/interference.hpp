@@ -93,6 +93,16 @@ struct RadioEnvironment {
   /// neighbours and sizes gain to match (new entries zero); callers then
   /// fill each user's gains(t) in reach(t) order.
   void index_reach();
+  /// Brings the reach CSR up to date after the coverage sets of the users
+  /// in `changed` (ascending ids) changed: re-derives their reach(t) with
+  /// append_reach and copies every other row, which gives index_reach()'s
+  /// rows. The CSR is rebuilt into `spare_offset`/`spare_server` and
+  /// swapped in, so a caller that keeps the spares allocates nothing once
+  /// they are large enough. gain is resized to match and its entries are
+  /// stale: callers then rewrite every user's gains(t).
+  void reindex_reach(std::span<const std::size_t> changed,
+                     std::vector<std::size_t>& spare_offset,
+                     std::vector<std::size_t>& spare_server);
   /// Validates shapes, value ranges, the neighbour lists, the reach index
   /// and the closure invariant; throws util::ValidationError on the first
   /// inconsistency (environments come from files and generator parameters

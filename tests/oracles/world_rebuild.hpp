@@ -2,7 +2,7 @@
 // rebuild of the instance at new user positions.
 //
 // V_j comes from an O(N) distance scan per user (the definition, with no
-// spatial grid), reach(j) from RadioEnvironment::index_reach, the gains
+// coverage index), reach(j) from RadioEnvironment::index_reach, the gains
 // from unshadowed path loss, and the result goes through the
 // ProblemInstance constructor, so RadioEnvironment::check() and the U_i
 // build run on it. The in-place mutator must give the same instance bit

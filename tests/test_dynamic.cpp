@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
 #include "core/greedy_delivery.hpp"
 #include "core/idde_g.hpp"
@@ -10,6 +12,7 @@
 #include "dynamic/mobility.hpp"
 #include "dynamic/simulation.hpp"
 #include "model/instance_builder.hpp"
+#include "obs/obs.hpp"
 #include "oracles/world_rebuild.hpp"
 #include "sim/paper.hpp"
 
@@ -159,6 +162,113 @@ TEST(World, SetUserPositionsMatchesRebuildOracleBitExactly) {
           << "U_i diverged for server " << i << " at step " << step;
     }
   }
+}
+
+/// A global counter's value (always 0 in IDDE_OBS=0 builds).
+std::uint64_t counter_value(const char* name) {
+  return obs::MetricsRegistry::global().counter(name).value();
+}
+
+/// Asserts that `world` equals the O(N)-scan rebuild of `base` at
+/// `positions` in every coverage set, reach row, gain bit and U_i, and
+/// passes the radio environment's full check.
+void expect_matches_rebuild(const model::ProblemInstance& world,
+                            const model::ProblemInstance& base,
+                            const std::vector<geo::Point>& positions,
+                            const radio::PathLossModel& pathloss, int tick) {
+  const auto rebuilt = oracle::with_user_positions(base, positions, pathloss);
+  const radio::RadioEnvironment& tracked = world.radio_env();
+  const radio::RadioEnvironment& want = rebuilt.radio_env();
+  ASSERT_NO_THROW(tracked.check()) << "tick " << tick;
+  ASSERT_EQ(tracked.reach_offset, want.reach_offset) << "tick " << tick;
+  ASSERT_EQ(tracked.reach_server, want.reach_server) << "tick " << tick;
+  ASSERT_EQ(tracked.gain.size(), want.gain.size()) << "tick " << tick;
+  for (std::size_t e = 0; e < want.gain.size(); ++e) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(tracked.gain[e]),
+              std::bit_cast<std::uint64_t>(want.gain[e]))
+        << "gain entry " << e << " diverged at tick " << tick;
+  }
+  for (std::size_t j = 0; j < base.user_count(); ++j) {
+    ASSERT_EQ(world.user(j).position, positions[j]) << "tick " << tick;
+    ASSERT_EQ(tracked.covering_servers[j], want.covering_servers[j])
+        << "V_j diverged for user " << j << " at tick " << tick;
+  }
+  for (std::size_t i = 0; i < base.server_count(); ++i) {
+    ASSERT_EQ(world.covered_users(i), rebuilt.covered_users(i))
+        << "U_i diverged for server " << i << " at tick " << tick;
+  }
+}
+
+// set_user_positions re-derives reach(j) only for users whose V_j changed
+// and copies every other row. Over 220 random-waypoint ticks, one tick
+// that moves nobody and one teleport that changes every V_j, the live
+// instance must equal the O(N)-scan rebuild bit for bit after every tick,
+// and model.coverage_rows_rederived_total must count exactly the users
+// whose V_j changed.
+TEST(World, IncrementalCoverageRowsMatchRebuildOracle) {
+  model::InstanceParams params = small_params();
+  params.server_count = 20;
+  params.user_count = 120;
+  const auto base = model::make_instance(params, 13);
+  const radio::PathLossModel pathloss = radio::PathLossModel::paper_default();
+  util::Rng rng(13);
+  // Fast walkers with short pauses, so coverage changes every tick.
+  RandomWaypointModel mobility(
+      dynamic::user_positions(base), geo::BoundingBox::square(2000.0),
+      MobilityParams{
+          .min_speed_mps = 2.0, .max_speed_mps = 8.0, .pause_seconds = 1.0},
+      rng);
+  model::ProblemInstance world = base;
+  obs::reset_all();
+  obs::set_enabled(true);
+  std::size_t partial_ticks = 0;
+  for (int tick = 0; tick < 222; ++tick) {
+    std::vector<geo::Point> positions;
+    if (tick == 100) {
+      positions = dynamic::user_positions(world);  // nobody moves
+    } else if (tick == 150) {
+      // Teleport: a covered user leaves every disc, an uncovered one lands
+      // on server 0, so every V_j changes.
+      for (std::size_t j = 0; j < world.user_count(); ++j) {
+        positions.push_back(world.covering_servers(j).empty()
+                                ? world.server(0).position
+                                : geo::Point{-1e4, -1e4});
+      }
+    } else {
+      mobility.step(5.0, rng);
+      positions = mobility.positions();
+    }
+    const std::vector<std::vector<std::size_t>> before =
+        world.radio_env().covering_servers;
+    const std::uint64_t counted_before =
+        counter_value("model.coverage_rows_rederived_total");
+    world.set_user_positions(positions, pathloss);
+    const std::uint64_t counted =
+        counter_value("model.coverage_rows_rederived_total") -
+        counted_before;
+    expect_matches_rebuild(world, base, positions, pathloss, tick);
+    ASSERT_FALSE(HasFatalFailure());
+    std::size_t changed = 0;
+    for (std::size_t j = 0; j < world.user_count(); ++j) {
+      changed += before[j] != world.covering_servers(j) ? 1 : 0;
+    }
+#if IDDE_OBS
+    EXPECT_EQ(counted, changed) << "tick " << tick;
+#else
+    (void)counted;
+#endif
+    if (tick == 100) {
+      EXPECT_EQ(changed, 0u);
+    }
+    if (tick == 150) {
+      EXPECT_EQ(changed, world.user_count());
+    }
+    if (changed > 0 && changed < world.user_count()) ++partial_ticks;
+  }
+  obs::set_enabled(false);
+  obs::reset_all();
+  // Most ticks mix re-derived and copied rows.
+  EXPECT_GT(partial_ticks, 150u);
 }
 
 TEST(RandomWaypoint, RestoreStateResumesIdentically) {

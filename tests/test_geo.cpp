@@ -1,14 +1,18 @@
-// Geometry, spatial index, point processes and the synthetic EUA scenario.
+// Geometry, the coverage index, point processes and the synthetic EUA scenario.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <span>
+#include <vector>
 
 #include "geo/bbox.hpp"
+#include "geo/coverage_index.hpp"
 #include "geo/eua.hpp"
 #include "geo/generators.hpp"
 #include "geo/point.hpp"
-#include "geo/spatial_grid.hpp"
 
 namespace {
 
@@ -32,85 +36,172 @@ TEST(BoundingBox, ContainsAndClamp) {
   EXPECT_DOUBLE_EQ(box.height(), 10.0);
 }
 
-class SpatialGridTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    Rng rng(11);
-    bounds_ = BoundingBox::square(1000.0);
-    points_ = generate_uniform(300, bounds_, rng);
-    grid_ = std::make_unique<SpatialGrid>(points_, bounds_, 50.0);
-  }
+// The coverage index against the N x M definition: V(p) = {i :
+// distance_m(centre_i, p) <= r_i}, ascending. Every query also checks that
+// the cell's candidate list is strictly ascending and holds every covering
+// disc (the superset the exact filter relies on).
+struct Discs {
+  std::vector<Point> centres;
+  std::vector<double> radii;
 
-  std::vector<std::size_t> brute_force_radius(const Point& c,
-                                              double r) const {
+  void add(Point centre, double radius) {
+    centres.push_back(centre);
+    radii.push_back(radius);
+  }
+  [[nodiscard]] CoverageIndex index() const {
+    return CoverageIndex(centres, radii);
+  }
+  [[nodiscard]] std::vector<std::size_t> brute_force(const Point& p) const {
     std::vector<std::size_t> out;
-    for (std::size_t i = 0; i < points_.size(); ++i) {
-      if (distance_m(points_[i], c) <= r) out.push_back(i);
+    for (std::size_t i = 0; i < centres.size(); ++i) {
+      if (distance_m(centres[i], p) <= radii[i]) out.push_back(i);
     }
     return out;
   }
-
-  BoundingBox bounds_;
-  std::vector<Point> points_;
-  std::unique_ptr<SpatialGrid> grid_;
 };
 
-TEST_F(SpatialGridTest, RadiusQueryMatchesBruteForce) {
-  Rng rng(12);
-  // One reused output vector: each query overwrites the previous result.
-  std::vector<std::size_t> found;
-  for (int trial = 0; trial < 50; ++trial) {
-    const Point c{rng.uniform(0, 1000), rng.uniform(0, 1000)};
-    const double r = rng.uniform(10, 300);
-    grid_->query_radius(c, r, found);
-    EXPECT_EQ(found, brute_force_radius(c, r));
+void expect_matches_brute_force(const Discs& discs, const CoverageIndex& index,
+                                const std::vector<Point>& points) {
+  std::vector<std::size_t> found{99};  // reused: each query overwrites it
+  for (const Point& p : points) {
+    const std::vector<std::size_t> expected = discs.brute_force(p);
+    index.covering(p, found);
+    EXPECT_EQ(found, expected) << "at (" << p.x << ", " << p.y << ")";
+    const std::span<const std::size_t> candidates = index.candidates(p);
+    EXPECT_TRUE(std::adjacent_find(candidates.begin(), candidates.end(),
+                                   std::greater_equal<>()) ==
+                candidates.end());
+    EXPECT_TRUE(std::includes(candidates.begin(), candidates.end(),
+                              expected.begin(), expected.end()));
   }
 }
 
-TEST_F(SpatialGridTest, ZeroRadiusFindsOnlyCoincidentPoints) {
-  std::vector<std::size_t> result;
-  grid_->query_radius(points_[5], 0.0, result);
-  EXPECT_FALSE(result.empty());
-  for (const std::size_t i : result) {
-    EXPECT_DOUBLE_EQ(distance_m(points_[i], points_[5]), 0.0);
+/// The four points exactly one radius from each centre along the axes.
+std::vector<Point> rim_points(const Discs& discs) {
+  std::vector<Point> points;
+  for (std::size_t i = 0; i < discs.centres.size(); ++i) {
+    const Point c = discs.centres[i];
+    const double r = discs.radii[i];
+    points.insert(points.end(), {Point{c.x + r, c.y}, Point{c.x - r, c.y},
+                                 Point{c.x, c.y + r}, Point{c.x, c.y - r}});
   }
+  return points;
 }
 
-TEST_F(SpatialGridTest, NearestMatchesBruteForce) {
-  Rng rng(13);
-  for (int trial = 0; trial < 50; ++trial) {
-    const Point c{rng.uniform(-100, 1100), rng.uniform(-100, 1100)};
-    const std::size_t found = grid_->nearest(c);
-    double best = 1e18;
-    std::size_t expected = SpatialGrid::npos;
-    for (std::size_t i = 0; i < points_.size(); ++i) {
-      const double d = squared_distance_m2(points_[i], c);
-      if (d < best) {
-        best = d;
-        expected = i;
-      }
+TEST(CoverageIndex, RandomLayoutsMatchBruteForce) {
+  for (const std::uint64_t seed : {21u, 22u, 23u}) {
+    Rng rng(seed);
+    Discs discs;
+    const double side = rng.uniform(500.0, 5000.0);
+    for (std::size_t i = 0; i < 60; ++i) {
+      discs.add({rng.uniform(0.0, side), rng.uniform(0.0, side)},
+                rng.uniform(0.0, 400.0));
     }
-    ASSERT_NE(found, SpatialGrid::npos);
-    // Ties are acceptable: require equal distance rather than equal index.
-    EXPECT_DOUBLE_EQ(squared_distance_m2(points_[found], c), best)
-        << "found " << found << " expected " << expected;
+    std::vector<Point> points;
+    for (std::size_t j = 0; j < 1000; ++j) {
+      points.push_back({rng.uniform(-500.0, side + 500.0),
+                        rng.uniform(-500.0, side + 500.0)});
+    }
+    expect_matches_brute_force(discs, discs.index(), points);
   }
 }
 
-TEST(SpatialGrid, EmptyGrid) {
-  const SpatialGrid grid({}, BoundingBox::square(10.0), 1.0);
-  EXPECT_EQ(grid.nearest({1, 1}), SpatialGrid::npos);
-  std::vector<std::size_t> found{7};
-  grid.query_radius({1, 1}, 100.0, found);
-  EXPECT_TRUE(found.empty());
+TEST(CoverageIndex, UsersOnARimAlongEachAxis) {
+  Rng rng(24);
+  Discs discs;
+  for (std::size_t i = 0; i < 40; ++i) {
+    discs.add({rng.uniform(0.0, 2000.0), rng.uniform(0.0, 2000.0)},
+              rng.uniform(50.0, 250.0));
+  }
+  // Radii that are exact binary fractions put the rim points exactly at
+  // distance r, on cell boundaries of the quarter-radius grid.
+  discs.add({1000.0, 1000.0}, 256.0);
+  discs.add({0.0, 0.0}, 64.0);
+  const CoverageIndex index = discs.index();
+  const std::vector<Point> rims = rim_points(discs);
+  expect_matches_brute_force(discs, index, rims);
+  // Those two discs (the last) must cover their own four rim points.
+  const std::size_t n = discs.centres.size();
+  std::vector<std::size_t> found;
+  for (std::size_t k = 0; k < 8; ++k) {
+    const std::size_t disc = n - 2 + k / 4;
+    index.covering(rims[4 * (n - 2) + k], found);
+    EXPECT_TRUE(std::binary_search(found.begin(), found.end(), disc))
+        << "rim point " << k % 4 << " of disc " << disc;
+  }
 }
 
-TEST(SpatialGrid, SinglePoint) {
-  const SpatialGrid grid({Point{5, 5}}, BoundingBox::square(10.0), 2.0);
-  EXPECT_EQ(grid.nearest({0, 0}), 0u);
+TEST(CoverageIndex, OutsideEveryDiscAndOutsideTheGrid) {
+  Discs discs;
+  discs.add({100.0, 100.0}, 50.0);
+  discs.add({400.0, 100.0}, 80.0);
+  const CoverageIndex index = discs.index();
+  // Inside the grid but between the discs, then far outside the grid on
+  // every side.
+  const std::vector<Point> points{{250.0, 100.0}, {-1e6, 100.0},
+                                  {1e6, 100.0},   {100.0, -1e6},
+                                  {100.0, 1e6},   {-1e300, 1e300}};
+  expect_matches_brute_force(discs, index, points);
+  std::vector<std::size_t> found{7};
+  for (const Point& p : points) {
+    index.covering(p, found);
+    EXPECT_TRUE(found.empty());
+  }
+  for (std::size_t k = 1; k < points.size(); ++k) {
+    EXPECT_TRUE(index.candidates(points[k]).empty());
+  }
+}
+
+TEST(CoverageIndex, CoincidentServersAndAZeroRadius) {
+  Discs discs;
+  discs.add({500.0, 500.0}, 0.0);
+  discs.add({500.0, 500.0}, 120.0);
+  discs.add({500.0, 500.0}, 120.0);
+  discs.add({700.0, 500.0}, 0.0);
+  const CoverageIndex index = discs.index();
+  expect_matches_brute_force(
+      discs, index,
+      {{500.0, 500.0}, {700.0, 500.0}, {620.0, 500.0}, {500.0, 500.1}});
   std::vector<std::size_t> found;
-  grid.query_radius({5, 5}, 0.1, found);
-  EXPECT_EQ(found.size(), 1u);
+  index.covering({500.0, 500.0}, found);
+  EXPECT_EQ(found, (std::vector<std::size_t>{0, 1, 2}));
+  index.covering({700.0, 500.0}, found);
+  EXPECT_EQ(found, (std::vector<std::size_t>{3}));
+}
+
+TEST(CoverageIndex, OneDiscAndNoDiscs) {
+  Discs one;
+  one.add({5.0, 5.0}, 2.0);
+  expect_matches_brute_force(one, one.index(),
+                             {{5.0, 5.0}, {7.0, 5.0}, {7.1, 5.0}, {0.0, 0.0}});
+  const CoverageIndex none = Discs{}.index();
+  std::vector<std::size_t> found{3};
+  none.covering({1.0, 1.0}, found);
+  EXPECT_TRUE(found.empty());
+  EXPECT_TRUE(none.candidates({0.0, 0.0}).empty());
+  EXPECT_TRUE(CoverageIndex{}.candidates({0.0, 0.0}).empty());
+}
+
+TEST(CoverageIndex, FarFlungLayoutHitsTheCellCap) {
+  Rng rng(25);
+  Discs discs;
+  for (std::size_t i = 0; i < 30; ++i) {
+    discs.add({rng.uniform(0.0, 2000.0), rng.uniform(0.0, 2000.0)},
+              rng.uniform(50.0, 250.0));
+  }
+  discs.add({1e9, -1e9}, 100.0);
+  const CoverageIndex index = discs.index();
+  // Coarsened to the cap (plus the guard ring), not 1e9 / 50 m cells.
+  EXPECT_LE(index.cells_x(), CoverageIndex::kMaxCellsPerAxis + 3);
+  EXPECT_LE(index.cells_y(), CoverageIndex::kMaxCellsPerAxis + 3);
+  std::vector<Point> points = rim_points(discs);
+  for (std::size_t j = 0; j < 500; ++j) {
+    points.push_back(
+        {rng.uniform(-100.0, 2100.0), rng.uniform(-100.0, 2100.0)});
+  }
+  points.insert(points.end(), {Point{1e9 + 60.0, -1e9}, Point{1e9, -1e9 - 99.0},
+                               Point{1e9 + 101.0, -1e9}});
+  expect_matches_brute_force(discs, index, points);
 }
 
 TEST(Generators, UniformStaysInBounds) {

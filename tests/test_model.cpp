@@ -146,10 +146,10 @@ TEST(InstanceBuilder, CoverageSetsSortedAndGeometricallyCorrect) {
   }
 }
 
-// coverage_sets narrows candidates with a spatial grid; it must agree with
-// the N x M definition (distance_m <= r_i) for users outside the servers'
-// bounding box, zero radii, points exactly on a disc boundary, and a
-// far-flung server that coarsens the grid to its cell cap.
+// coverage_sets narrows candidates with the static coverage index; it must
+// agree with the N x M definition (distance_m <= r_i) for users outside the
+// servers' bounding box, zero radii, points exactly on a disc boundary, and
+// a far-flung server that coarsens the grid to its cell cap.
 TEST(CoverageSets, MatchBruteForceDefinition) {
   util::Rng rng(17);
   std::vector<model::EdgeServer> servers;
