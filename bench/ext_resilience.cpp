@@ -5,10 +5,11 @@
 // repetition): solve fault-free, draw a seeded FaultPlan, then score the
 // strategy three ways — analytic resilience without repair (ride out the
 // outage on surviving replicas + cloud), analytic resilience with greedy
-// re-healing (core::RepairPlanner per epoch), and a flow-level DES replay
-// through the same plan (retries, backoff, brown-out stalls). Also proves
-// the "no single point of failure" property: every request still resolves
-// (finitely) under every possible single-server crash.
+// re-healing (core::GreedyDeliveryPlanner::replan per epoch), and a
+// flow-level DES replay through the same plan (retries, backoff, brown-out
+// stalls). Also proves the "no single point of failure" property: every
+// request still resolves (finitely) under every possible single-server
+// crash.
 //
 // Emits BENCH_resilience.json (availability + degraded L_avg per approach
 // and policy) for cross-PR tracking; --smoke runs the 1-rep moderate

@@ -9,7 +9,7 @@
 //             CostMatrix and naive Floyd–Warshall, on the instance graph
 //             and on a larger dense synthetic graph.
 //   planner   heap allocations per GreedyDeliveryPlanner::plan() and
-//             RepairPlanner::replan(), counted by a TU-local operator
+//             GreedyDeliveryPlanner::replan(), counted by a TU-local operator
 //             new override. The first plan builds the planner's reusable
 //             scratch; warm plans must stay at the small per-plan constant
 //             (the returned DeliveryProfile), i.e. allocation-free per move.
@@ -62,7 +62,6 @@
 
 #include "core/game.hpp"
 #include "core/greedy_delivery.hpp"
-#include "core/repair_planner.hpp"
 #include "des/fluid.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/injector.hpp"
@@ -529,7 +528,6 @@ int main(int argc, char** argv) {
 
   // ---- planner: allocations per plan -----------------------------------
   core::GreedyDeliveryPlanner planner(instance);
-  core::RepairPlanner repairer(instance);
   const std::size_t plan_allocs_cold =
       count_allocs([&] { (void)planner.plan(equilibrium.allocation); });
   std::size_t plan_allocs_warm = 0;
@@ -543,9 +541,9 @@ int main(int argc, char** argv) {
     sigma = std::move(result.delivery);
   }
   const std::vector<std::uint8_t> all_up(servers, 1);
-  (void)repairer.replan(equilibrium.allocation, sigma, all_up);  // warm up
+  (void)planner.replan(equilibrium.allocation, sigma, all_up);  // warm up
   const std::size_t repair_allocs_warm = count_allocs(
-      [&] { (void)repairer.replan(equilibrium.allocation, sigma, all_up); });
+      [&] { (void)planner.replan(equilibrium.allocation, sigma, all_up); });
   std::printf("  planner plan() allocations: cold %zu, warm %zu\n",
               plan_allocs_cold, plan_allocs_warm);
   std::printf("  planner replan() allocations: warm %zu\n\n",

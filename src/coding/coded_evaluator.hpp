@@ -38,6 +38,11 @@ class CodedDeliveryEvaluator {
   void reset(const core::AllocationProfile& allocation,
              bool collaborative = true);
 
+  /// At k > 1 a fragment's gain can grow as other fragments of its item
+  /// land, so the lazy greedy (core/lazy_greedy.hpp) rescans after every
+  /// drain until a rescan finds nothing.
+  static constexpr bool kRescanAfterDrain = true;
+
   [[nodiscard]] const FragmentConfig& config() const noexcept {
     return config_;
   }

@@ -1,17 +1,9 @@
 #include "coding/coded_planner.hpp"
 
-#include <algorithm>
-
 #include "obs/obs.hpp"
 #include "util/assert.hpp"
 
 namespace idde::coding {
-
-namespace {
-
-constexpr double kMinGain = 1e-12;  // "no feasible improving decision"
-
-}  // namespace
 
 CodedGreedyPlanner::CodedGreedyPlanner(const model::ProblemInstance& instance)
     : instance_(&instance) {}
@@ -30,161 +22,49 @@ CodedDeliveryEvaluator& CodedGreedyPlanner::evaluator_for(
 CodedPlanResult CodedGreedyPlanner::plan(
     const core::AllocationProfile& allocation, FragmentConfig config,
     bool collaborative) {
-  const model::ProblemInstance& instance = *instance_;
   IDDE_EXPECTS(config.valid());
   IDDE_OBS_SPAN("coding.plan");
-  CodedPlanResult result{CodedDeliveryProfile(instance, config), 0, 0, 0};
-  CodedDeliveryEvaluator& evaluator =
-      evaluator_for(allocation, config, collaborative);
-
-  heap_.clear();
-  heap_.reserve(instance.server_count() * instance.data_count());
-  // Refill-rescan outer loop (see header). The first fill is the rescan
-  // of the empty heap; each later rescan re-scores every feasible
-  // candidate because k > 1 gains may have grown since they were dropped.
-  for (;;) {
-    bool refilled = false;
-    for (std::size_t i = 0; i < instance.server_count(); ++i) {
-      for (std::size_t k = 0; k < instance.data_count(); ++k) {
-        if (!result.delivery.can_place(i, k)) continue;
-        const double gain = evaluator.gain_seconds(i, k);
-        ++result.gain_evaluations;
-        if (gain > kMinGain) {
-          heap_.push_back(Candidate{
-              gain / result.delivery.item_fragment_mb(k), i, k});
-          std::push_heap(heap_.begin(), heap_.end());
-          refilled = true;
-        }
-      }
-    }
-    if (!refilled) break;
-    ++result.rescan_rounds;
-
-    while (!heap_.empty()) {
-      const Candidate top = heap_.front();
-      std::pop_heap(heap_.begin(), heap_.end());
-      heap_.pop_back();
-      // Storage only shrinks and the n-cap only tightens, so a
-      // now-infeasible candidate never returns.
-      if (!result.delivery.can_place(top.server, top.item)) continue;
-      const double gain = evaluator.gain_seconds(top.server, top.item);
-      ++result.gain_evaluations;
-      const double ratio = gain / result.delivery.item_fragment_mb(top.item);
-      if (gain <= kMinGain) continue;  // decayed to nothing, drop
-      if (!heap_.empty() && ratio < heap_.front().ratio) {
-        heap_.push_back(Candidate{ratio, top.server, top.item});
-        std::push_heap(heap_.begin(), heap_.end());
-        continue;
-      }
-      evaluator.commit(top.server, top.item);
-      result.delivery.place(top.server, top.item);
-      ++result.placements;
-    }
-  }
+  CodedPlanResult result{CodedDeliveryProfile(*instance_, config), 0, 0, 0};
+  const core::GreedyRun run = core::run_lazy_greedy<CodedDeliveryProfile>(
+      nullptr, result.delivery,
+      evaluator_for(allocation, config, collaborative), heap_,
+      core::EveryPlacementUsable{}, std::numeric_limits<std::size_t>::max());
+  result.placements = run.placements;
+  result.gain_evaluations = run.gain_evaluations;
+  result.rescan_rounds = run.rescan_rounds;
 
   IDDE_OBS_COUNT("coding.plans_total", 1);
-  IDDE_OBS_COUNT("coding.candidates_scanned_total", result.gain_evaluations);
-  IDDE_OBS_COUNT("coding.placements_total", result.placements);
+  IDDE_OBS_COUNT("coding.candidates_scanned_total", run.gain_evaluations);
+  IDDE_OBS_COUNT("coding.placements_total", run.placements);
   return result;
 }
 
-CodedRepairPlanner::CodedRepairPlanner(const model::ProblemInstance& instance)
-    : instance_(&instance) {}
-
-CodedRepairResult CodedRepairPlanner::replan(
+CodedRepairResult CodedGreedyPlanner::replan(
     const core::AllocationProfile& allocation,
     const CodedDeliveryProfile& sigma, std::span<const std::uint8_t> server_up,
-    const ReplicaLost& replica_lost, bool collaborative,
+    const core::ReplicaLost& replica_lost, bool collaborative,
     std::size_t max_placements) {
-  const model::ProblemInstance& instance = *instance_;
-  IDDE_EXPECTS(allocation.size() == instance.user_count());
+  IDDE_EXPECTS(allocation.size() == instance_->user_count());
   IDDE_EXPECTS(server_up.empty() ||
-               server_up.size() == instance.server_count());
-
+               server_up.size() == instance_->server_count());
   IDDE_OBS_SPAN("coding.replan");
-  std::size_t candidates_scanned = 0;
-
-  const auto up = [&](std::size_t server) {
-    return server_up.empty() || server_up[server] != 0;
-  };
-  const auto lost = [&](std::size_t server, std::size_t item) {
-    return replica_lost && replica_lost(server, item);
-  };
-
-  // Users on dead servers have no radio channel for the outage — same
-  // masking core::RepairPlanner applies.
-  effective_.assign(allocation.begin(), allocation.end());
-  for (core::ChannelSlot& slot : effective_) {
-    if (slot.allocated() && !up(slot.server)) slot = core::kUnallocated;
-  }
-
-  CodedRepairResult result{CodedDeliveryProfile(instance, sigma.config()), 0,
-                           0, 0.0};
-  if (evaluator_.has_value() && evaluator_->config() == sigma.config()) {
-    evaluator_->reset(effective_, collaborative);
-  } else {
-    evaluator_.emplace(instance, effective_, sigma.config(), collaborative);
-  }
-  CodedDeliveryEvaluator& evaluator = *evaluator_;
-
-  // Keep what survived; count what did not.
-  for (std::size_t k = 0; k < instance.data_count(); ++k) {
-    for (const std::size_t i : sigma.hosts(k)) {
-      if (!up(i) || lost(i, k)) {
-        ++result.lost_placements;
-        continue;
-      }
-      evaluator.commit(i, k);
-      result.delivery.place(i, k);
-    }
-  }
-
-  heap_.clear();
-  heap_.reserve(instance.server_count() * instance.data_count());
-  while (result.repair_placements < max_placements) {
-    bool refilled = false;
-    for (std::size_t i = 0; i < instance.server_count(); ++i) {
-      if (!up(i)) continue;
-      for (std::size_t k = 0; k < instance.data_count(); ++k) {
-        if (lost(i, k) || !result.delivery.can_place(i, k)) continue;
-        const double gain = evaluator.gain_seconds(i, k);
-        ++candidates_scanned;
-        if (gain > kMinGain) {
-          heap_.push_back(Candidate{
-              gain / result.delivery.item_fragment_mb(k), i, k});
-          std::push_heap(heap_.begin(), heap_.end());
-          refilled = true;
-        }
-      }
-    }
-    if (!refilled) break;
-
-    while (!heap_.empty() && result.repair_placements < max_placements) {
-      const Candidate top = heap_.front();
-      std::pop_heap(heap_.begin(), heap_.end());
-      heap_.pop_back();
-      if (!result.delivery.can_place(top.server, top.item)) continue;
-      const double gain = evaluator.gain_seconds(top.server, top.item);
-      ++candidates_scanned;
-      if (gain <= kMinGain) continue;
-      const double ratio = gain / result.delivery.item_fragment_mb(top.item);
-      if (!heap_.empty() && ratio < heap_.front().ratio) {
-        heap_.push_back(Candidate{ratio, top.server, top.item});
-        std::push_heap(heap_.begin(), heap_.end());
-        continue;
-      }
-      evaluator.commit(top.server, top.item);
-      result.delivery.place(top.server, top.item);
-      ++result.repair_placements;
-      result.recovered_gain_seconds += gain;
-    }
-    heap_.clear();  // budget may have cut the drain short — rescan fresh
-  }
+  const core::SurvivingPlacements usable{server_up, replica_lost};
+  usable.mask(allocation, effective_);
+  CodedRepairResult result{CodedDeliveryProfile(*instance_, sigma.config()),
+                           0, 0, 0.0};
+  const core::GreedyRun run = core::run_lazy_greedy(
+      &sigma, result.delivery,
+      evaluator_for(effective_, sigma.config(), collaborative), heap_, usable,
+      max_placements);
+  result.lost_placements = run.lost_placements;
+  result.repair_placements = run.placements;
+  result.recovered_gain_seconds = run.recovered_gain_seconds;
 
   IDDE_OBS_COUNT("coding.replans_total", 1);
-  IDDE_OBS_COUNT("coding.repair_candidates_scanned_total", candidates_scanned);
-  IDDE_OBS_COUNT("coding.repair_placements_total", result.repair_placements);
-  IDDE_OBS_COUNT("coding.lost_placements_total", result.lost_placements);
+  IDDE_OBS_COUNT("coding.repair_candidates_scanned_total",
+                 run.gain_evaluations);
+  IDDE_OBS_COUNT("coding.repair_placements_total", run.placements);
+  IDDE_OBS_COUNT("coding.lost_placements_total", run.lost_placements);
   return result;
 }
 

@@ -1,22 +1,19 @@
-// Coded Phase 2: greedily add the fragment placement with the highest
-// latency-reduction-per-fragment-MB ratio (the coded Eq. 17) until
-// nothing feasible improves, plus the resume-greedy repair that re-heals
-// a coded sigma after failures.
+// Coded Phase 2 and its repair: the lazy greedy of core/lazy_greedy.hpp
+// over a CodedDeliveryProfile, adding the fragment placement with the
+// highest latency-reduction-per-fragment-MB ratio (the coded Eq. 17) until
+// nothing feasible improves. plan() runs it from the empty coded sigma;
+// replan() keeps the surviving (uncorrupted) fragments of a coded sigma
+// and resumes it on the surviving servers.
 //
-// Both planners are ports of core::GreedyDeliveryPlanner /
-// core::RepairPlanner with one structural addition: for k > 1 the gain of
-// a fragment can *grow* as other fragments of the same item land (the
-// k-th-fastest leg shifts), so stale heap keys are no longer upper bounds
-// and the lazy drain can terminate early. After the heap empties the
-// planners rescan all feasible candidates and refill the heap, repeating
-// until a rescan finds nothing — at k = 1 gains are submodular, the first
-// rescan is provably empty, and the final placement set (and every
-// committed move before it) is bit-identical to the replication planner.
+// For k > 1 a fragment's gain can grow as other fragments of the same
+// item land, so CodedDeliveryEvaluator makes the loop rescan after every
+// drain until a rescan finds nothing. At k = 1 gains are submodular, the
+// first rescan is provably empty, and the committed moves are
+// bit-identical to core::GreedyDeliveryPlanner's.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <optional>
 #include <span>
@@ -25,6 +22,7 @@
 #include "coding/coded_evaluator.hpp"
 #include "coding/coded_profile.hpp"
 #include "coding/fragment.hpp"
+#include "core/lazy_greedy.hpp"
 #include "core/strategy.hpp"
 #include "model/instance.hpp"
 
@@ -39,9 +37,16 @@ struct CodedPlanResult {
   std::size_t rescan_rounds = 0;  ///< refills that found new candidates
 };
 
-/// Non-const plan(): the planner owns reusable scratch (candidate heap,
-/// one CodedDeliveryEvaluator) — rewound per call, never carried between
-/// plans.
+struct CodedRepairResult {
+  CodedDeliveryProfile delivery;
+  std::size_t lost_placements = 0;    ///< fragments on dead servers / corrupt
+  std::size_t repair_placements = 0;  ///< new fragments the repair added
+  double recovered_gain_seconds = 0;  ///< total latency the repairs removed
+};
+
+/// Non-const plan()/replan(): the planner owns reusable scratch (candidate
+/// heap, one CodedDeliveryEvaluator, the outage-masked allocation) —
+/// rewound per call, never carried between calls.
 class CodedGreedyPlanner {
  public:
   explicit CodedGreedyPlanner(const model::ProblemInstance& instance);
@@ -53,66 +58,23 @@ class CodedGreedyPlanner {
                                      FragmentConfig config,
                                      bool collaborative = true);
 
+  /// Same survivor, outage-masking and max_placements budget semantics as
+  /// core::GreedyDeliveryPlanner::replan; the k > 1 rescan only runs while
+  /// budget remains.
+  [[nodiscard]] CodedRepairResult replan(
+      const core::AllocationProfile& allocation,
+      const CodedDeliveryProfile& sigma,
+      std::span<const std::uint8_t> server_up,
+      const core::ReplicaLost& replica_lost = {}, bool collaborative = true,
+      std::size_t max_placements = std::numeric_limits<std::size_t>::max());
+
  private:
-  struct Candidate {
-    double ratio;
-    std::size_t server;
-    std::size_t item;
-
-    bool operator<(const Candidate& other) const {
-      return ratio < other.ratio;  // max-heap on ratio
-    }
-  };
-
   CodedDeliveryEvaluator& evaluator_for(
       const core::AllocationProfile& allocation, FragmentConfig config,
       bool collaborative);
 
   const model::ProblemInstance* instance_;
-  std::vector<Candidate> heap_;
-  std::optional<CodedDeliveryEvaluator> evaluator_;
-};
-
-struct CodedRepairResult {
-  CodedDeliveryProfile delivery;
-  std::size_t lost_placements = 0;    ///< fragments on dead servers / corrupt
-  std::size_t repair_placements = 0;  ///< new fragments the repair added
-  double recovered_gain_seconds = 0;  ///< total latency the repairs removed
-};
-
-/// Resume-greedy repair of a coded sigma: keep every surviving
-/// (uncorrupted) fragment, drop the rest, and resume the coded greedy on
-/// the surviving servers. Same member-scratch discipline and
-/// max_placements budget semantics as core::RepairPlanner; the k > 1
-/// refill-rescan only runs while budget remains.
-class CodedRepairPlanner {
- public:
-  explicit CodedRepairPlanner(const model::ProblemInstance& instance);
-
-  /// True when the fragment (server, item) is unreadable even though its
-  /// server is up (silent corruption).
-  using ReplicaLost = std::function<bool(std::size_t, std::size_t)>;
-
-  [[nodiscard]] CodedRepairResult replan(
-      const core::AllocationProfile& allocation,
-      const CodedDeliveryProfile& sigma,
-      std::span<const std::uint8_t> server_up,
-      const ReplicaLost& replica_lost = {}, bool collaborative = true,
-      std::size_t max_placements = std::numeric_limits<std::size_t>::max());
-
- private:
-  struct Candidate {
-    double ratio;
-    std::size_t server;
-    std::size_t item;
-
-    bool operator<(const Candidate& other) const {
-      return ratio < other.ratio;  // max-heap on ratio
-    }
-  };
-
-  const model::ProblemInstance* instance_;
-  std::vector<Candidate> heap_;
+  std::vector<core::GreedyCandidate> heap_;
   std::optional<CodedDeliveryEvaluator> evaluator_;
   core::AllocationProfile effective_;  ///< outage-masked allocation
 };

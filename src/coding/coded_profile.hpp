@@ -74,6 +74,11 @@ class CodedDeliveryProfile {
   [[nodiscard]] double item_fragment_mb(std::size_t item) const {
     return frag_mb_[item];
   }
+  /// Storage one placement of d_k takes (MB): the coded Eq. 17
+  /// denominator, one fragment.
+  [[nodiscard]] double placement_mb(std::size_t item) const {
+    return frag_mb_[item];
+  }
 
   [[nodiscard]] std::size_t placement_count() const noexcept { return count_; }
   [[nodiscard]] std::size_t server_count() const noexcept {

@@ -9,7 +9,7 @@ fault::ResilienceReport evaluate_coded_resilience(
     const model::ProblemInstance& instance, const CodedStrategy& strategy,
     const fault::FaultPlan& plan, fault::RepairPolicy policy) {
   const CodedDeliveryProfile& delivery = strategy.delivery;
-  return fault::walk_resilience<CodedRepairPlanner>(
+  return fault::walk_resilience<CodedGreedyPlanner>(
       instance, strategy, plan, policy,
       coded_average_latency_ms(instance, strategy.allocation, delivery,
                                strategy.collaborative_delivery),

@@ -62,16 +62,11 @@ void DeliveryProfile::remove(std::size_t server, std::size_t item) {
 
 DeliveryProfile DeliveryProfile::restore(
     const model::ProblemInstance& instance,
-    std::span<const std::pair<std::size_t, std::size_t>> placements,
-    std::span<const double> free_mb) {
-  IDDE_EXPECTS(free_mb.size() == instance.server_count());
+    std::span<const std::pair<std::size_t, std::size_t>> placements) {
   DeliveryProfile profile(instance);
   for (const auto& [server, item] : placements) {
     profile.place(server, item);
   }
-  // Headroom is recomputed by the replay above: the integer-KB ledger is
-  // order-independent, so it already matches the recorded values of any
-  // genuine checkpoint (see header).
   return profile;
 }
 

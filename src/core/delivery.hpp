@@ -31,6 +31,10 @@ class DeliveryEvaluator {
   /// keep one evaluator per planner instead of building one per plan.
   void reset(const AllocationProfile& allocation, bool collaborative = true);
 
+  /// Gains only shrink as sigma grows (Eq. 8 is a min), so the lazy greedy
+  /// (core/lazy_greedy.hpp) never needs to rescan after its heap drains.
+  static constexpr bool kRescanAfterDrain = false;
+
   /// Total latency reduction (seconds) of adding sigma_{i,k}, given all
   /// placements committed so far. Never negative (Eq. 8 takes the min).
   [[nodiscard]] double gain_seconds(std::size_t server,

@@ -1,7 +1,5 @@
 #include "core/greedy_delivery.hpp"
 
-#include <algorithm>
-
 #include "obs/obs.hpp"
 #include "util/assert.hpp"
 
@@ -9,39 +7,29 @@ namespace idde::core {
 
 namespace {
 
-/// Telemetry for a finished plan: counters, the post-plan per-request
-/// latency distribution (the Eq. 8 resolution the strategy commits to),
-/// and per-server storage-budget utilisation. Observation only.
-void record_plan_telemetry(const model::ProblemInstance& instance,
-                           const DeliveryEvaluator& evaluator,
-                           const GreedyDeliveryResult& result) {
-  IDDE_OBS_COUNT("delivery.plans_total", 1);
-  IDDE_OBS_COUNT("delivery.candidates_scanned_total",
-                 result.gain_evaluations);
-  IDDE_OBS_COUNT("delivery.placements_total", result.placements);
+/// Eq. 6 budget utilisation of a finished sigma on the usable servers.
+/// Observation only.
+template <class Usable>
+void record_budget_utilization(const model::ProblemInstance& instance,
+                               const DeliveryProfile& delivery,
+                               const Usable& usable, const char* histogram) {
 #if IDDE_OBS
-  if (obs::enabled()) {
-    obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
-    obs::Histogram& latency =
-        registry.histogram("delivery.request_latency_ms");
-    for (std::size_t id = 0; id < evaluator.request_count(); ++id) {
-      latency.record(evaluator.request_latency_seconds(id) * 1e3);
-    }
-    obs::Histogram& utilization =
-        registry.histogram("delivery.budget_utilization");
-    for (std::size_t i = 0; i < instance.server_count(); ++i) {
-      const double capacity = instance.server(i).storage_mb;
-      if (capacity <= 0.0) continue;
-      utilization.record(1.0 - result.delivery.free_mb(i) / capacity);
-    }
+  if (!obs::enabled()) return;
+  obs::Histogram& utilization =
+      obs::MetricsRegistry::global().histogram(histogram);
+  for (std::size_t i = 0; i < instance.server_count(); ++i) {
+    if (!usable.server(i)) continue;
+    const double capacity = instance.server(i).storage_mb;
+    if (capacity <= 0.0) continue;
+    utilization.record(1.0 - delivery.free_mb(i) / capacity);
   }
 #else
   (void)instance;
-  (void)evaluator;
+  (void)delivery;
+  (void)usable;
+  (void)histogram;
 #endif
 }
-
-constexpr double kMinGain = 1e-12;  // "no feasible improving decision"
 
 }  // namespace
 
@@ -50,11 +38,11 @@ GreedyDeliveryPlanner::GreedyDeliveryPlanner(
     : instance_(&instance) {}
 
 DeliveryEvaluator& GreedyDeliveryPlanner::evaluator_for(
-    const AllocationProfile& allocation) {
+    const AllocationProfile& allocation, bool collaborative) {
   if (evaluator_.has_value()) {
-    evaluator_->reset(allocation);
+    evaluator_->reset(allocation, collaborative);
   } else {
-    evaluator_.emplace(*instance_, allocation);
+    evaluator_.emplace(*instance_, allocation, collaborative);
   }
   return *evaluator_;
 }
@@ -64,48 +52,57 @@ GreedyDeliveryResult GreedyDeliveryPlanner::plan(
   const model::ProblemInstance& instance = *instance_;
   IDDE_OBS_SPAN("delivery.plan");
   GreedyDeliveryResult result{DeliveryProfile(instance), 0, 0};
-  DeliveryEvaluator& evaluator = evaluator_for(allocation);
+  DeliveryEvaluator& evaluator = evaluator_for(allocation, true);
+  const EveryPlacementUsable usable;
+  const GreedyRun run = run_lazy_greedy<DeliveryProfile>(
+      nullptr, result.delivery, evaluator, heap_, usable,
+      std::numeric_limits<std::size_t>::max());
+  result.placements = run.placements;
+  result.gain_evaluations = run.gain_evaluations;
 
-  // The initial fill pushes up to S*K candidates; reserving the member
-  // vector once bounds its capacity for every later plan — the loops below
-  // run push_heap/pop_heap in place with no per-move allocation (the same
-  // sift operations std::priority_queue performs, hence the same pop
-  // order and the same plan).
-  heap_.clear();
-  heap_.reserve(instance.server_count() * instance.data_count());
-  for (std::size_t i = 0; i < instance.server_count(); ++i) {
-    for (std::size_t k = 0; k < instance.data_count(); ++k) {
-      if (!result.delivery.can_place(i, k)) continue;
-      const double gain = evaluator.gain_seconds(i, k);
-      ++result.gain_evaluations;
-      if (gain > kMinGain) {
-        heap_.push_back(Candidate{gain / instance.data(k).size_mb, i, k});
-        std::push_heap(heap_.begin(), heap_.end());
-      }
+  IDDE_OBS_COUNT("delivery.plans_total", 1);
+  IDDE_OBS_COUNT("delivery.candidates_scanned_total", run.gain_evaluations);
+  IDDE_OBS_COUNT("delivery.placements_total", run.placements);
+#if IDDE_OBS
+  if (obs::enabled()) {
+    // The post-plan per-request latency distribution: the Eq. 8
+    // resolution the strategy commits to.
+    obs::Histogram& latency = obs::MetricsRegistry::global().histogram(
+        "delivery.request_latency_ms");
+    for (std::size_t id = 0; id < evaluator.request_count(); ++id) {
+      latency.record(evaluator.request_latency_seconds(id) * 1e3);
     }
   }
+#endif
+  record_budget_utilization(instance, result.delivery, usable,
+                            "delivery.budget_utilization");
+  return result;
+}
 
-  while (!heap_.empty()) {
-    const Candidate top = heap_.front();
-    std::pop_heap(heap_.begin(), heap_.end());
-    heap_.pop_back();
-    // Storage only shrinks, so a now-infeasible candidate never returns.
-    if (!result.delivery.can_place(top.server, top.item)) continue;
-    const double gain = evaluator.gain_seconds(top.server, top.item);
-    ++result.gain_evaluations;
-    const double ratio = gain / instance.data(top.item).size_mb;
-    if (gain <= kMinGain) continue;  // decayed to nothing, drop
-    if (!heap_.empty() && ratio < heap_.front().ratio) {
-      // Stale: the refreshed key is no longer the maximum.
-      heap_.push_back(Candidate{ratio, top.server, top.item});
-      std::push_heap(heap_.begin(), heap_.end());
-      continue;
-    }
-    evaluator.commit(top.server, top.item);
-    result.delivery.place(top.server, top.item);
-    ++result.placements;
-  }
-  record_plan_telemetry(instance, evaluator, result);
+RepairResult GreedyDeliveryPlanner::replan(
+    const AllocationProfile& allocation, const DeliveryProfile& sigma,
+    std::span<const std::uint8_t> server_up, const ReplicaLost& replica_lost,
+    bool collaborative, std::size_t max_placements) {
+  const model::ProblemInstance& instance = *instance_;
+  IDDE_EXPECTS(allocation.size() == instance.user_count());
+  IDDE_EXPECTS(server_up.empty() || server_up.size() == instance.server_count());
+  IDDE_OBS_SPAN("repair.replan");
+  const SurvivingPlacements usable{server_up, replica_lost};
+  usable.mask(allocation, effective_);
+  RepairResult result{DeliveryProfile(instance), 0, 0, 0.0};
+  const GreedyRun run = run_lazy_greedy(
+      &sigma, result.delivery, evaluator_for(effective_, collaborative),
+      heap_, usable, max_placements);
+  result.lost_placements = run.lost_placements;
+  result.repair_placements = run.placements;
+  result.recovered_gain_seconds = run.recovered_gain_seconds;
+
+  IDDE_OBS_COUNT("repair.replans_total", 1);
+  IDDE_OBS_COUNT("repair.candidates_scanned_total", run.gain_evaluations);
+  IDDE_OBS_COUNT("repair.placements_total", run.placements);
+  IDDE_OBS_COUNT("repair.lost_placements_total", run.lost_placements);
+  record_budget_utilization(instance, result.delivery, usable,
+                            "repair.budget_utilization");
   return result;
 }
 

@@ -1,21 +1,29 @@
-// Phase 2 of IDDE-G (Algorithm 1, lines 22-26): greedily add the placement
-// sigma_{i,k} with the highest latency-reduction-per-MB ratio (Eq. 17) until
-// nothing feasible improves.
+// Phase 2 of IDDE-G (Algorithm 1, lines 22-26) and its post-crash repair,
+// both run by the one lazy greedy in core/lazy_greedy.hpp: greedily add
+// the placement sigma_{i,k} with the highest latency-reduction-per-MB
+// ratio (Eq. 17) until nothing feasible improves.
 //
-// plan() is a lazy greedy. Because the committed min in Eq. 8 makes the
-// gain of every candidate monotonically non-increasing as sigma grows
-// (submodularity, the property behind Theorem 6), stale heap keys are valid
-// upper bounds: re-evaluate only the popped top and either commit it (still
-// the best) or push it back with its refreshed ratio. The naive greedy that
-// re-scores all N*K candidates per step is the oracle in
-// tests/oracles/naive_greedy.hpp.
+// plan() runs it from the empty sigma with every server usable. replan()
+// re-heals a sigma after servers die: their replicas disappear and the
+// users they served fall back to the cloud, leaving spare Eq. 6 budget on
+// the survivors. It keeps every surviving (and uncorrupted) placement,
+// drops the rest and resumes the greedy on the surviving servers.
+//
+// With every server up and no corruption a replan is a provable no-op on a
+// greedily saturated sigma: committed gains only shrink as sigma grows
+// (submodularity), so no candidate the original run rejected can become
+// profitable. plan(a) equals replan(a, empty sigma, all up) bit for bit.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/delivery.hpp"
+#include "core/lazy_greedy.hpp"
 #include "core/strategy.hpp"
 #include "model/instance.hpp"
 
@@ -27,36 +35,48 @@ struct GreedyDeliveryResult {
   std::size_t gain_evaluations = 0;
 };
 
+struct RepairResult {
+  DeliveryProfile delivery;
+  std::size_t lost_placements = 0;    ///< replicas on dead servers / corrupt
+  std::size_t repair_placements = 0;  ///< new placements the repair added
+  double recovered_gain_seconds = 0;  ///< total latency the repairs removed
+};
+
 /// Planner methods are non-const because the planner owns reusable scratch
-/// (the candidate heap's backing vector and one DeliveryEvaluator): after
-/// the first plan on a given instance the greedy loop performs no heap
-/// allocation per candidate or per committed move. Results are unaffected —
-/// the scratch is rewound, never carried between plans.
+/// (the candidate heap's backing vector, one DeliveryEvaluator and the
+/// outage-masked allocation): after the first call on a given instance the
+/// greedy loop performs no heap allocation per candidate or per committed
+/// move. Results are unaffected — the scratch is rewound, never carried
+/// between calls.
 class GreedyDeliveryPlanner {
  public:
   explicit GreedyDeliveryPlanner(const model::ProblemInstance& instance);
 
   [[nodiscard]] GreedyDeliveryResult plan(const AllocationProfile& allocation);
 
+  /// Re-heals `sigma` for the world where only `server_up` servers survive
+  /// (empty: all up). Users allocated to dead servers are treated as
+  /// cloud-bound for the duration of the outage.
+  ///
+  /// `max_placements` caps how many *new* placements the greedy may add
+  /// (surviving placements are always kept). The online controller uses
+  /// it as a per-event work budget; the first n placements of a budgeted
+  /// run are the first n of an unbudgeted one.
+  [[nodiscard]] RepairResult replan(
+      const AllocationProfile& allocation, const DeliveryProfile& sigma,
+      std::span<const std::uint8_t> server_up,
+      const ReplicaLost& replica_lost = {}, bool collaborative = true,
+      std::size_t max_placements = std::numeric_limits<std::size_t>::max());
+
  private:
-  /// Heap entry: ratio key (possibly stale upper bound) plus the candidate.
-  struct Candidate {
-    double ratio;
-    std::size_t server;
-    std::size_t item;
-
-    bool operator<(const Candidate& other) const {
-      return ratio < other.ratio;  // max-heap on ratio
-    }
-  };
-
-  /// Rewinds the evaluator scratch for a fresh plan (constructs it on the
-  /// first call; resets it afterwards).
-  DeliveryEvaluator& evaluator_for(const AllocationProfile& allocation);
+  /// Rewinds the evaluator scratch (constructs it on the first call).
+  DeliveryEvaluator& evaluator_for(const AllocationProfile& allocation,
+                                   bool collaborative);
 
   const model::ProblemInstance* instance_;
-  std::vector<Candidate> heap_;                ///< push_heap/pop_heap store
-  std::optional<DeliveryEvaluator> evaluator_; ///< built once per instance
+  std::vector<GreedyCandidate> heap_;           ///< the loop's candidate heap
+  std::optional<DeliveryEvaluator> evaluator_;  ///< built once per instance
+  AllocationProfile effective_;                 ///< outage-masked allocation
 };
 
 }  // namespace idde::core

@@ -67,6 +67,11 @@ class DeliveryProfile {
     return free_kb_[server];
   }
 
+  /// Storage one placement of d_k takes (MB): the Eq. 17 denominator.
+  [[nodiscard]] double placement_mb(std::size_t item) const {
+    return instance_->data(item).size_mb;
+  }
+
   /// Servers currently hosting d_k (ascending ids).
   [[nodiscard]] std::span<const std::size_t> hosts(std::size_t item) const {
     return {hosts_flat_.data() + item * free_kb_.size(), host_count_[item]};
@@ -78,18 +83,14 @@ class DeliveryProfile {
   }
   [[nodiscard]] std::size_t data_count() const noexcept { return data_count_; }
 
-  /// Checkpoint/restore: rebuilds a profile from a placement list.
-  /// Headroom is recomputed from the placements — integer-KB accounting
-  /// makes replay order-independent, so a restored profile is
-  /// bit-identical to the uninterrupted one regardless of the order the
-  /// placements were recorded in. `free_mb` must have one entry per
-  /// server and is accepted for interface compatibility with recorded
-  /// checkpoints; the recomputed ledger is authoritative. Placements
-  /// must be feasible and duplicate-free (checked).
+  /// Rebuilds a profile from a placement list. Headroom is recomputed
+  /// from the placements — integer-KB accounting makes replay
+  /// order-independent, so the rebuilt profile is bit-identical to the
+  /// original regardless of the order the placements were recorded in.
+  /// Placements must be feasible and duplicate-free (checked).
   [[nodiscard]] static DeliveryProfile restore(
       const model::ProblemInstance& instance,
-      std::span<const std::pair<std::size_t, std::size_t>> placements,
-      std::span<const double> free_mb);
+      std::span<const std::pair<std::size_t, std::size_t>> placements);
 
  private:
   const model::ProblemInstance* instance_;

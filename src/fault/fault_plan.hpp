@@ -6,9 +6,10 @@
 // edge storage systems live with: per-server crash/recover intervals,
 // per-link down/up intervals, cloud brown-out intervals, and a per-replica
 // corruption lottery. The plan is *data*, not behaviour — the analytic
-// failover resolver (core/delivery), the repair planner
-// (core/repair_planner) and the flow-level DES (des/flow_sim) all consume
-// the same plan, so every layer degrades the same world.
+// failover resolver (core/delivery), the sigma repair
+// (core::GreedyDeliveryPlanner::replan) and the flow-level DES
+// (des/flow_sim) all consume the same plan, so every layer degrades the
+// same world.
 //
 // Determinism contract: a plan is a pure function of
 // (instance topology, FaultProfile, seed). Every stream is forked from the
@@ -93,7 +94,8 @@ class FaultPlan {
   [[nodiscard]] bool server_up(std::size_t server, double t) const;
   /// Fills `mask` (resized to `server_count`) with 1/0 per server at time
   /// `t` — the degraded-world input of core::Eq8Resolver and
-  /// core::RepairPlanner. Allocation-free once `mask` has capacity.
+  /// core::GreedyDeliveryPlanner::replan. Allocation-free once `mask` has
+  /// capacity.
   void server_up_mask(std::size_t server_count, double t,
                       std::vector<std::uint8_t>& mask) const;
   [[nodiscard]] bool link_up(std::size_t a, std::size_t b, double t) const;

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "core/greedy_delivery.hpp"
 #include "core/metrics.hpp"
-#include "core/repair_planner.hpp"
 #include "fault/resilience.hpp"
 #include "obs/obs.hpp"
 #include "util/assert.hpp"
@@ -173,7 +173,7 @@ ResilienceReport evaluate_resilience(const model::ProblemInstance& instance,
                                      const core::Strategy& strategy,
                                      const FaultPlan& plan,
                                      RepairPolicy policy) {
-  return walk_resilience<core::RepairPlanner>(
+  return walk_resilience<core::GreedyDeliveryPlanner>(
       instance, strategy, plan, policy,
       core::average_latency_ms(instance, strategy.allocation,
                                strategy.delivery,

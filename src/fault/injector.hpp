@@ -111,7 +111,7 @@ class FaultInjector {
 /// What to do with sigma when servers die.
 enum class RepairPolicy : std::uint8_t {
   kNone = 0,    ///< ride it out: surviving replicas + cloud fallback only
-  kGreedy = 1,  ///< re-heal sigma per epoch via core::RepairPlanner
+  kGreedy = 1,  ///< re-heal sigma per epoch via core::GreedyDeliveryPlanner::replan
 };
 
 /// Time-weighted analytic resilience metrics over the plan's horizon.

@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "core/lazy_greedy.hpp"
 #include "core/resolver.hpp"
 #include "core/strategy.hpp"
 #include "fault/fault_plan.hpp"
@@ -22,7 +23,8 @@
 namespace idde::fault {
 
 /// `Strategy` is core::Strategy or coding::CodedStrategy and `Planner` its
-/// repair planner (core::RepairPlanner or coding::CodedRepairPlanner).
+/// planner (core::GreedyDeliveryPlanner or coding::CodedGreedyPlanner),
+/// whose replan() re-heals sigma.
 /// `fault_free_latency_ms` is the strategy's L_avg without faults, `k` the
 /// fragments per request (1 = replication) and `fragment_mb(item)` the
 /// size of one fragment of `item`.
@@ -45,12 +47,12 @@ template <class Planner, class Strategy, class FragmentMb>
   const double horizon = plan.horizon_s();
   IDDE_EXPECTS(horizon > 0.0);
   const bool corruption = plan.replica_corruption_prob() > 0.0;
-  using ReplicaLost = typename Planner::ReplicaLost;
-  const ReplicaLost replica_lost =
-      corruption ? ReplicaLost([&plan](std::size_t i, std::size_t item) {
-                     return plan.replica_corrupted(i, item);
-                   })
-                 : ReplicaLost{};
+  const core::ReplicaLost replica_lost =
+      corruption
+          ? core::ReplicaLost([&plan](std::size_t i, std::size_t item) {
+              return plan.replica_corrupted(i, item);
+            })
+          : core::ReplicaLost{};
   Planner repairer(instance);
   core::Eq8Resolver resolver(instance);
   const auto& requests = instance.requests();

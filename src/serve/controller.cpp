@@ -8,7 +8,6 @@
 #include "core/game.hpp"
 #include "core/idde_g.hpp"
 #include "core/potential.hpp"
-#include "core/repair_planner.hpp"
 #include "geo/bbox.hpp"
 #include "obs/obs.hpp"
 #include "serve/checkpoint.hpp"
@@ -103,11 +102,22 @@ std::vector<std::size_t> indices_from_json(const util::Json& value,
   return out;
 }
 
-util::Json indices_to_json(const std::vector<std::size_t>& values) {
-  util::JsonArray array;
-  array.reserve(values.size());
-  for (const std::size_t v : values) array.emplace_back(u64_to_hex(v));
-  return array;
+/// Writes a sigma's placements as parallel server and item index lists,
+/// item-major with ascending hosts.
+void sigma_to_json(const core::DeliveryProfile& sigma, const char* server_key,
+                   const char* item_key, util::JsonObject& root) {
+  util::JsonArray servers;
+  util::JsonArray items;
+  servers.reserve(sigma.placement_count());
+  items.reserve(sigma.placement_count());
+  for (std::size_t k = 0; k < sigma.data_count(); ++k) {
+    for (const std::size_t host : sigma.hosts(k)) {
+      servers.emplace_back(u64_to_hex(host));
+      items.emplace_back(u64_to_hex(k));
+    }
+  }
+  root.emplace(server_key, std::move(servers));
+  root.emplace(item_key, std::move(items));
 }
 
 std::vector<double> doubles_from_json(const util::Json& value,
@@ -119,13 +129,6 @@ std::vector<double> doubles_from_json(const util::Json& value,
     out.push_back(bits_to_double(element, what));
   }
   return out;
-}
-
-util::Json doubles_to_json(const std::vector<double>& values) {
-  util::JsonArray array;
-  array.reserve(values.size());
-  for (const double v : values) array.push_back(double_to_bits(v));
-  return array;
 }
 
 }  // namespace
@@ -149,6 +152,9 @@ ServeController::ServeController(ServeConfig config, std::uint64_t seed)
              config_.churn_enabled ? config_.churn : dynamic::ChurnParams{},
              churn_rng_),
       retry_(config_.retry),
+      sigma_(instance_),
+      planner_(instance_),
+      lkg_sigma_(instance_),
       trajectory_hash_(kFnvOffsetBasis) {
   IDDE_EXPECTS(config_.tick_seconds > 0.0);
   IDDE_EXPECTS(config_.repair_rounds_per_event > 0);
@@ -176,10 +182,9 @@ ServeController::ServeController(ServeConfig config, std::uint64_t seed)
   core::Strategy strategy =
       core::IddeG(options).solve(instance_, solve_rng_);
   allocation_ = std::move(strategy.allocation);
-  extract_sigma(strategy.delivery);
+  sigma_ = std::move(strategy.delivery);
   lkg_allocation_ = allocation_;
-  lkg_sigma_server_ = sigma_server_;
-  lkg_sigma_item_ = sigma_item_;
+  lkg_sigma_ = sigma_;
 }
 
 TickReport ServeController::tick() {
@@ -463,9 +468,6 @@ bool ServeController::run_equilibrium_repair(TickReport& report) {
 
 bool ServeController::run_sigma_repair(TickReport& report) {
   IDDE_OBS_SPAN("serve.repair.sigma");
-  const model::ProblemInstance& inst = instance_;
-  const core::DeliveryProfile sigma = materialize_sigma();
-  core::RepairPlanner planner(inst);
   const std::size_t budget = config_.repair_placements_per_event;
   // With an active gray plane, demoted servers are excluded from the heal
   // exactly like dead ones: new placements avoid them and their replicas
@@ -481,10 +483,10 @@ bool ServeController::run_sigma_repair(TickReport& report) {
     mask = &healthy;
   }
   core::RepairResult result =
-      planner.replan(allocation_, sigma, *mask, {}, true, budget);
+      planner_.replan(allocation_, sigma_, *mask, {}, true, budget);
   ++status_.repairs_total;
   ++report.repairs;
-  extract_sigma(result.delivery);
+  sigma_ = std::move(result.delivery);
   // Exhausting the placement budget means the lazy greedy may still hold
   // profitable candidates — another pass is owed.
   sigma_clean_ = result.repair_placements < budget;
@@ -564,15 +566,12 @@ void ServeController::restore_lkg() {
       allocation_[j] = core::kUnallocated;
     }
   }
-  core::DeliveryProfile profile(inst);
-  for (std::size_t idx = 0; idx < lkg_sigma_server_.size(); ++idx) {
-    const std::size_t server = lkg_sigma_server_[idx];
-    const std::size_t item = lkg_sigma_item_[idx];
-    if (up_mask_[server] != 0 && profile.can_place(server, item)) {
-      profile.place(server, item);
+  sigma_ = core::DeliveryProfile(inst);
+  for (std::size_t item = 0; item < inst.data_count(); ++item) {
+    for (const std::size_t server : lkg_sigma_.hosts(item)) {
+      if (up_mask_[server] != 0) sigma_.place(server, item);
     }
   }
-  extract_sigma(profile);
   // A sanitised fallback is valid but not an equilibrium for the current
   // world; both planes stay dirty until honest repairs re-converge.
   equilibrium_clean_ = false;
@@ -582,33 +581,7 @@ void ServeController::restore_lkg() {
 void ServeController::maybe_update_lkg() {
   if (!equilibrium_clean_ || !sigma_clean_ || breaker_open_) return;
   lkg_allocation_ = allocation_;
-  lkg_sigma_server_ = sigma_server_;
-  lkg_sigma_item_ = sigma_item_;
-}
-
-void ServeController::extract_sigma(const core::DeliveryProfile& delivery) {
-  sigma_server_.clear();
-  sigma_item_.clear();
-  for (std::size_t k = 0; k < instance_.data_count(); ++k) {
-    for (const std::size_t host : delivery.hosts(k)) {
-      sigma_server_.push_back(host);
-      sigma_item_.push_back(k);
-    }
-  }
-  sigma_free_mb_.resize(instance_.server_count());
-  for (std::size_t i = 0; i < instance_.server_count(); ++i) {
-    sigma_free_mb_[i] = delivery.free_mb(i);
-  }
-}
-
-core::DeliveryProfile ServeController::materialize_sigma() const {
-  std::vector<std::pair<std::size_t, std::size_t>> pairs;
-  pairs.reserve(sigma_server_.size());
-  for (std::size_t idx = 0; idx < sigma_server_.size(); ++idx) {
-    pairs.emplace_back(sigma_server_[idx], sigma_item_[idx]);
-  }
-  return core::DeliveryProfile::restore(instance_, pairs,
-                                        sigma_free_mb_);
+  lkg_sigma_ = sigma_;
 }
 
 bool ServeController::user_online(std::size_t user) const {
@@ -626,12 +599,14 @@ void ServeController::fold_tick_hash() {
     hash = fnv1a_fold(hash, slot.server);
     hash = fnv1a_fold(hash, slot.channel);
   }
-  for (std::size_t idx = 0; idx < sigma_server_.size(); ++idx) {
-    hash = fnv1a_fold(hash, sigma_server_[idx]);
-    hash = fnv1a_fold(hash, sigma_item_[idx]);
+  for (std::size_t k = 0; k < sigma_.data_count(); ++k) {
+    for (const std::size_t host : sigma_.hosts(k)) {
+      hash = fnv1a_fold(hash, host);
+      hash = fnv1a_fold(hash, k);
+    }
   }
-  for (const double free : sigma_free_mb_) {
-    hash = fnv1a_fold(hash, std::bit_cast<std::uint64_t>(free));
+  for (std::size_t i = 0; i < sigma_.server_count(); ++i) {
+    hash = fnv1a_fold(hash, std::bit_cast<std::uint64_t>(sigma_.free_mb(i)));
   }
   hash = fnv1a_fold(hash, backlog_.size());
   hash = fnv1a_fold(hash,
@@ -786,9 +761,13 @@ std::string ServeController::checkpoint(int indent) const {
   root.emplace("alloc_server", std::move(alloc_server));
   root.emplace("alloc_channel", std::move(alloc_channel));
 
-  root.emplace("sigma_server", indices_to_json(sigma_server_));
-  root.emplace("sigma_item", indices_to_json(sigma_item_));
-  root.emplace("sigma_free_mb", doubles_to_json(sigma_free_mb_));
+  sigma_to_json(sigma_, "sigma_server", "sigma_item", root);
+  util::JsonArray sigma_free_mb;
+  sigma_free_mb.reserve(sigma_.server_count());
+  for (std::size_t i = 0; i < sigma_.server_count(); ++i) {
+    sigma_free_mb.push_back(double_to_bits(sigma_.free_mb(i)));
+  }
+  root.emplace("sigma_free_mb", std::move(sigma_free_mb));
 
   util::JsonArray lkg_alloc_server;
   util::JsonArray lkg_alloc_channel;
@@ -798,8 +777,7 @@ std::string ServeController::checkpoint(int indent) const {
   }
   root.emplace("lkg_alloc_server", std::move(lkg_alloc_server));
   root.emplace("lkg_alloc_channel", std::move(lkg_alloc_channel));
-  root.emplace("lkg_sigma_server", indices_to_json(lkg_sigma_server_));
-  root.emplace("lkg_sigma_item", indices_to_json(lkg_sigma_item_));
+  sigma_to_json(lkg_sigma_, "lkg_sigma_server", "lkg_sigma_item", root);
 
   util::JsonArray backlog;
   backlog.reserve(backlog_.size() * 3);
@@ -845,39 +823,34 @@ std::string ServeController::checkpoint(int indent) const {
   return seal_checkpoint(util::Json(std::move(root)), indent);
 }
 
-void ServeController::validate_sigma(
-    const std::vector<std::size_t>& servers,
-    const std::vector<std::size_t>& items) const {
+core::DeliveryProfile ServeController::sigma_from_json(
+    const util::Json& payload, std::string_view server_key,
+    std::string_view item_key) const {
+  const std::vector<std::size_t> servers =
+      indices_from_json(payload.at(server_key), instance_.server_count(),
+                        util::format("checkpoint {}", server_key));
+  const std::vector<std::size_t> items =
+      indices_from_json(payload.at(item_key), instance_.data_count(),
+                        util::format("checkpoint {}", item_key));
   if (servers.size() != items.size()) {
     throw util::JsonError("checkpoint: sigma server/item length mismatch");
   }
-  // Mirror DeliveryProfile::place feasibility exactly (same integer-KB
-  // ledger, in replay order) so a valid checkpoint never trips internal
-  // asserts and a hostile one fails structurally here.
-  std::vector<std::int64_t> free_kb;
-  free_kb.reserve(instance_.server_count());
-  for (const model::EdgeServer& server : instance_.servers()) {
-    free_kb.push_back(core::mb_to_kb(server.storage_mb));
-  }
-  std::vector<std::uint8_t> placed(
-      instance_.server_count() * instance_.data_count(), 0);
+  core::DeliveryProfile sigma(instance_);
   for (std::size_t idx = 0; idx < servers.size(); ++idx) {
     const std::size_t server = servers[idx];
     const std::size_t item = items[idx];
-    std::uint8_t& flag = placed[server * instance_.data_count() + item];
-    if (flag != 0) {
+    if (sigma.placed(server, item)) {
       throw util::JsonError(util::format(
           "checkpoint: duplicate sigma placement ({}, {})", server, item));
     }
-    const std::int64_t size_kb = core::mb_to_kb(instance_.data(item).size_mb);
-    if (size_kb > free_kb[server]) {
+    if (!sigma.can_place(server, item)) {
       throw util::JsonError(util::format(
           "checkpoint: sigma placement ({}, {}) exceeds server storage",
           server, item));
     }
-    flag = 1;
-    free_kb[server] -= size_kb;
+    sigma.place(server, item);
   }
+  return sigma;
 }
 
 void ServeController::restore(std::string_view checkpoint_text) {
@@ -1027,36 +1000,24 @@ void ServeController::restore(std::string_view checkpoint_text) {
   lkg_allocation_ = read_allocation("lkg_alloc_server", "lkg_alloc_channel",
                                     "checkpoint lkg allocation");
 
-  sigma_server_ = indices_from_json(payload.at("sigma_server"), server_count,
-                                    "checkpoint sigma server");
-  sigma_item_ = indices_from_json(payload.at("sigma_item"),
-                                  instance_.data_count(),
-                                  "checkpoint sigma item");
-  validate_sigma(sigma_server_, sigma_item_);
-  sigma_free_mb_ = doubles_from_json(payload.at("sigma_free_mb"),
-                                     "checkpoint sigma free_mb");
-  if (sigma_free_mb_.size() != server_count) {
+  sigma_ = sigma_from_json(payload, "sigma_server", "sigma_item");
+  // The recorded headroom is derived state: it must be the replayed
+  // ledger's bits exactly, or the snapshot contradicts itself.
+  const std::vector<double> sigma_free_mb = doubles_from_json(
+      payload.at("sigma_free_mb"), "checkpoint sigma free_mb");
+  if (sigma_free_mb.size() != server_count) {
     throw util::JsonError("checkpoint: sigma free_mb size mismatch");
   }
   for (std::size_t i = 0; i < server_count; ++i) {
-    // Capacity bound in the same KB quantization the ledger uses — the
-    // rounded capacity can sit up to half a KB above storage_mb.
-    const double capacity_mb =
-        static_cast<double>(core::mb_to_kb(instance_.server(i).storage_mb)) /
-        1024.0;
-    if (!std::isfinite(sigma_free_mb_[i]) ||
-        sigma_free_mb_[i] < -1e-6 ||
-        sigma_free_mb_[i] > capacity_mb + 1e-6) {
+    if (std::bit_cast<std::uint64_t>(sigma_free_mb[i]) !=
+        std::bit_cast<std::uint64_t>(sigma_.free_mb(i))) {
       throw util::JsonError(util::format(
-          "checkpoint: sigma free_mb out of range for server {}", i));
+          "checkpoint: sigma free_mb of server {} contradicts its "
+          "placements",
+          i));
     }
   }
-  lkg_sigma_server_ = indices_from_json(
-      payload.at("lkg_sigma_server"), server_count, "checkpoint lkg server");
-  lkg_sigma_item_ =
-      indices_from_json(payload.at("lkg_sigma_item"), instance_.data_count(),
-                        "checkpoint lkg item");
-  validate_sigma(lkg_sigma_server_, lkg_sigma_item_);
+  lkg_sigma_ = sigma_from_json(payload, "lkg_sigma_server", "lkg_sigma_item");
 
   const util::JsonArray& backlog = payload.at("backlog").as_array();
   if (backlog.size() % 3 != 0) {

@@ -44,6 +44,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/greedy_delivery.hpp"
 #include "core/health.hpp"
 #include "core/strategy.hpp"
 #include "dynamic/churn.hpp"
@@ -55,6 +56,7 @@
 #include "radio/pathloss.hpp"
 #include "serve/config.hpp"
 #include "serve/events.hpp"
+#include "util/json.hpp"
 #include "util/random.hpp"
 
 namespace idde::serve {
@@ -95,6 +97,13 @@ class ServeController {
   /// Builds the world from (config, seed) and runs the initial solve.
   ServeController(ServeConfig config, std::uint64_t seed);
 
+  // The profiles and the planner point at instance_: a copied or moved
+  // controller would read its source's world. Hold one by unique_ptr.
+  ServeController(const ServeController&) = delete;
+  ServeController& operator=(const ServeController&) = delete;
+  ServeController(ServeController&&) = delete;
+  ServeController& operator=(ServeController&&) = delete;
+
   /// Advances one tick: derive events, apply bookkeeping, run budgeted
   /// repairs, drain the backlog, fold the trajectory hash.
   TickReport tick();
@@ -133,7 +142,7 @@ class ServeController {
   }
   /// Placement count of the standing sigma (introspection for tests).
   [[nodiscard]] std::size_t sigma_placements() const noexcept {
-    return sigma_server_.size();
+    return sigma_.placement_count();
   }
   /// Servers currently health-demoted — gray, not down (introspection).
   [[nodiscard]] std::size_t gray_demoted_count() const noexcept {
@@ -155,16 +164,16 @@ class ServeController {
   void trip_breaker();
   void restore_lkg();
   void maybe_update_lkg();
-  void extract_sigma(const core::DeliveryProfile& delivery);
-  [[nodiscard]] core::DeliveryProfile materialize_sigma() const;
   [[nodiscard]] bool user_online(std::size_t user) const;
   void fold_tick_hash();
   [[nodiscard]] std::uint64_t guard_hash() const;
-  /// Validates a decoded sigma placement list against the instance
-  /// (bounds, duplicates, capacity) — hostile checkpoints must fail
-  /// structurally, not trip internal asserts. Throws util::JsonError.
-  void validate_sigma(const std::vector<std::size_t>& servers,
-                      const std::vector<std::size_t>& items) const;
+  /// Rebuilds a sigma from its checkpointed placement lists, refusing
+  /// out-of-range ids, duplicates and placements over capacity — hostile
+  /// checkpoints must fail structurally, not trip internal asserts.
+  /// Throws util::JsonError.
+  [[nodiscard]] core::DeliveryProfile sigma_from_json(
+      const util::Json& payload, std::string_view server_key,
+      std::string_view item_key) const;
 
   ServeConfig config_;
   std::uint64_t seed_;
@@ -187,20 +196,19 @@ class ServeController {
 
   std::size_t tick_ = 0;
   core::AllocationProfile allocation_;
-  // Sigma as flat placement lists + recorded headroom. The headroom is
-  // derived: DeliveryProfile keeps an exact integer-KB ledger, so replay
-  // recomputes identical bits in any order. The recorded copy stays in
-  // the checkpoint for auditability and is cross-checked on restore.
-  std::vector<std::size_t> sigma_server_;
-  std::vector<std::size_t> sigma_item_;
-  std::vector<double> sigma_free_mb_;
+  // Sigma. Its headroom is derived: DeliveryProfile keeps an exact
+  // integer-KB ledger, so replay recomputes identical bits in any order.
+  // The checkpoint records the headroom for auditability and restore
+  // refuses a record that differs from the replayed ledger.
+  core::DeliveryProfile sigma_;
   bool equilibrium_clean_ = true;
   bool sigma_clean_ = true;
+  /// Every sigma repair reuses this planner's scratch.
+  core::GreedyDeliveryPlanner planner_;
 
   // Last known good (Pillar 2 fallback).
   core::AllocationProfile lkg_allocation_;
-  std::vector<std::size_t> lkg_sigma_server_;
-  std::vector<std::size_t> lkg_sigma_item_;
+  core::DeliveryProfile lkg_sigma_;
 
   std::deque<RepairTask> backlog_;
   std::size_t strikes_ = 0;

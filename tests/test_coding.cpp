@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -22,7 +23,6 @@
 #include "core/delivery.hpp"
 #include "core/greedy_delivery.hpp"
 #include "core/idde_g.hpp"
-#include "core/repair_planner.hpp"
 #include "core/resolver.hpp"
 #include "des/flow_sim.hpp"
 #include "fault/fault_plan.hpp"
@@ -289,26 +289,103 @@ fault::FaultProfile busy_profile() {
   return profile;
 }
 
-// Coded repair at k = 1 resumes the greedy exactly like core::RepairPlanner
-// (same survivors kept, same repairs committed, same recovered gain).
+// Coded repair at k = 1 resumes the greedy exactly like the replication
+// replan (same survivors kept, same repairs committed, same recovered
+// gain), under every placement budget.
 TEST(CodedRepair, K1MatchesCoreRepairPlanner) {
   const auto inst = model::make_instance(sized(10, 50, 4), 31);
   const auto strategy = solve(inst, 31);
   const auto coded_sigma = as_coded(inst, strategy.delivery);
-  core::RepairPlanner core_repair(inst);
-  coding::CodedRepairPlanner coded_repair(inst);
+  core::GreedyDeliveryPlanner core_repair(inst);
+  coding::CodedGreedyPlanner coded_repair(inst);
   util::Rng rng(17);
   std::vector<std::uint8_t> up(inst.server_count(), 1);
+  const std::size_t budgets[] = {0, 1, 3,
+                                 std::numeric_limits<std::size_t>::max()};
   for (int round = 0; round < 20; ++round) {
     for (auto& flag : up) flag = rng.index(4) > 0 ? 1 : 0;
-    const auto expected = core_repair.replan(strategy.allocation,
-                                             strategy.delivery, up);
-    const auto got =
-        coded_repair.replan(strategy.allocation, coded_sigma, up);
-    EXPECT_EQ(got.lost_placements, expected.lost_placements);
-    EXPECT_EQ(got.repair_placements, expected.repair_placements);
-    EXPECT_EQ(got.recovered_gain_seconds, expected.recovered_gain_seconds);
-    expect_same_profile(got.delivery, expected.delivery);
+    for (const std::size_t budget : budgets) {
+      SCOPED_TRACE(testing::Message()
+                   << "round " << round << " budget " << budget);
+      const auto expected = core_repair.replan(
+          strategy.allocation, strategy.delivery, up, {}, true, budget);
+      const auto got = coded_repair.replan(strategy.allocation, coded_sigma,
+                                           up, {}, true, budget);
+      EXPECT_EQ(got.lost_placements, expected.lost_placements);
+      EXPECT_EQ(got.repair_placements, expected.repair_placements);
+      EXPECT_EQ(got.recovered_gain_seconds, expected.recovered_gain_seconds);
+      expect_same_profile(got.delivery, expected.delivery);
+    }
+  }
+}
+
+/// Asserts two coded profiles hold the same fragments and headroom.
+void expect_same_coded_profile(const coding::CodedDeliveryProfile& a,
+                               const coding::CodedDeliveryProfile& b) {
+  ASSERT_EQ(a.placement_count(), b.placement_count());
+  for (std::size_t k = 0; k < a.data_count(); ++k) {
+    const auto ah = a.hosts(k);
+    const auto bh = b.hosts(k);
+    ASSERT_TRUE(std::equal(ah.begin(), ah.end(), bh.begin(), bh.end()))
+        << "item " << k;
+  }
+  for (std::size_t i = 0; i < a.server_count(); ++i) {
+    EXPECT_EQ(a.free_kb(i), b.free_kb(i)) << "server " << i;
+  }
+}
+
+// plan() is replan() from the empty coded sigma with every server up, at
+// k = 1 and at k = 2 (where the rescans run).
+TEST(CodedPlanner, PlanEqualsReplanFromEmptySigma) {
+  const auto inst = model::make_instance(sized(10, 50, 4), 33);
+  const auto strategy = solve(inst, 33);
+  const std::vector<std::uint8_t> all_up(inst.server_count(), 1);
+  for (const std::size_t k_of : {1u, 2u}) {
+    SCOPED_TRACE(testing::Message() << "k = " << k_of);
+    const coding::FragmentConfig config{inst.server_count(), k_of};
+    const auto planned =
+        coding::CodedGreedyPlanner(inst).plan(strategy.allocation, config);
+    const auto replanned = coding::CodedGreedyPlanner(inst).replan(
+        strategy.allocation, coding::CodedDeliveryProfile(inst, config),
+        all_up);
+    EXPECT_EQ(replanned.lost_placements, 0u);
+    EXPECT_EQ(replanned.repair_placements, planned.placements);
+    expect_same_coded_profile(replanned.delivery, planned.delivery);
+  }
+}
+
+// The first n fragments of a budgeted coded repair are the first n of the
+// unbudgeted one, rescans included: the budgeted sigma is a subset and the
+// budget caps the repair count exactly. The standing sigma is the k = 2
+// plan without the fragments of items 0 and 1, with server 0 down.
+TEST(CodedRepair, BudgetedReplanIsAPrefixOfUnbudgeted) {
+  const auto inst = model::make_instance(sized(10, 50, 4), 13);
+  const auto strategy = solve(inst, 13);
+  const coding::FragmentConfig config{inst.server_count(), 2};
+  coding::CodedGreedyPlanner planner(inst);
+  const auto planned = planner.plan(strategy.allocation, config).delivery;
+  coding::CodedDeliveryProfile sigma(inst, config);
+  for (std::size_t k = 2; k < inst.data_count(); ++k) {
+    for (const std::size_t i : planned.hosts(k)) sigma.place(i, k);
+  }
+  std::vector<std::uint8_t> up(inst.server_count(), 1);
+  up[0] = 0;
+  const auto full = planner.replan(strategy.allocation, sigma, up);
+  ASSERT_GT(full.repair_placements, 3u);
+  const std::size_t total = full.repair_placements;
+  for (const std::size_t budget :
+       {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{3},
+        total - 1, total, total + 1}) {
+    SCOPED_TRACE(testing::Message() << "budget " << budget);
+    const auto cut =
+        planner.replan(strategy.allocation, sigma, up, {}, true, budget);
+    EXPECT_EQ(cut.repair_placements, std::min(budget, total));
+    EXPECT_EQ(cut.lost_placements, full.lost_placements);
+    for (std::size_t k = 0; k < inst.data_count(); ++k) {
+      for (const std::size_t i : cut.delivery.hosts(k)) {
+        EXPECT_TRUE(full.delivery.placed(i, k)) << i << ", " << k;
+      }
+    }
   }
 }
 

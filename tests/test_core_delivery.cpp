@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <vector>
 
 #include "core/game.hpp"
 #include "core/greedy_delivery.hpp"
@@ -244,6 +247,37 @@ TEST(GreedyDelivery, ReusedPlannerMatchesFreshPlanner) {
               << "seed " << seed << " server " << i << " item " << k;
         }
       }
+    }
+  }
+}
+
+// plan() is replan() from the empty sigma with every server up: the same
+// placements, the same headroom bits and the same placement count.
+TEST(GreedyDelivery, PlanEqualsReplanFromEmptySigma) {
+  for (std::uint64_t seed = 50; seed < 54; ++seed) {
+    const ProblemInstance inst = model::make_instance(tiny_params(8, 30, 4),
+                                                      seed);
+    const AllocationProfile alloc = equilibrium(inst);
+    const std::vector<std::uint8_t> all_up(inst.server_count(), 1);
+    const auto planned = GreedyDeliveryPlanner(inst).plan(alloc);
+    const auto replanned =
+        GreedyDeliveryPlanner(inst).replan(alloc, DeliveryProfile(inst), all_up);
+    EXPECT_EQ(replanned.lost_placements, 0u) << "seed " << seed;
+    EXPECT_EQ(replanned.repair_placements, planned.placements)
+        << "seed " << seed;
+    ASSERT_EQ(replanned.delivery.placement_count(),
+              planned.delivery.placement_count())
+        << "seed " << seed;
+    for (std::size_t k = 0; k < inst.data_count(); ++k) {
+      const auto a = replanned.delivery.hosts(k);
+      const auto b = planned.delivery.hosts(k);
+      EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+          << "seed " << seed << " item " << k;
+    }
+    for (std::size_t i = 0; i < inst.server_count(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(replanned.delivery.free_mb(i)),
+                std::bit_cast<std::uint64_t>(planned.delivery.free_mb(i)))
+          << "seed " << seed << " server " << i;
     }
   }
 }

@@ -13,7 +13,6 @@
 #include "core/greedy_delivery.hpp"
 #include "core/idde_g.hpp"
 #include "core/metrics.hpp"
-#include "core/repair_planner.hpp"
 #include "core/resolver.hpp"
 #include "des/flow_sim.hpp"
 #include "fault/fault_plan.hpp"
@@ -729,7 +728,7 @@ TEST(RepairPlanner, AllUpReplanIsANoOpOnGreedySigma) {
   util::Rng rng(10);
   const auto strategy = core::IddeG().solve(inst, rng);
   const std::vector<std::uint8_t> up(inst.server_count(), 1);
-  const auto result = core::RepairPlanner(inst).replan(
+  const auto result = core::GreedyDeliveryPlanner(inst).replan(
       strategy.allocation, strategy.delivery, up);
   // Submodularity: a saturated greedy sigma admits no further profitable
   // placement, and nothing was lost — the replan reproduces sigma.
@@ -751,13 +750,13 @@ TEST(RepairPlanner, ReusedPlannerMatchesFreshPlanner) {
   const auto inst = model::make_instance(small_params(), 12);
   util::Rng rng(12);
   const auto strategy = core::IddeG().solve(inst, rng);
-  core::RepairPlanner warm(inst);
+  core::GreedyDeliveryPlanner warm(inst);
   for (std::size_t dead = 0; dead < inst.server_count(); ++dead) {
     std::vector<std::uint8_t> up(inst.server_count(), 1);
     up[dead] = 0;
     const auto reused =
         warm.replan(strategy.allocation, strategy.delivery, up);
-    const auto fresh = core::RepairPlanner(inst).replan(
+    const auto fresh = core::GreedyDeliveryPlanner(inst).replan(
         strategy.allocation, strategy.delivery, up);
     EXPECT_EQ(reused.lost_placements, fresh.lost_placements) << dead;
     EXPECT_EQ(reused.repair_placements, fresh.repair_placements) << dead;
@@ -771,6 +770,41 @@ TEST(RepairPlanner, ReusedPlannerMatchesFreshPlanner) {
       for (std::size_t i = 0; i < inst.server_count(); ++i) {
         EXPECT_EQ(reused.delivery.placed(i, k), fresh.delivery.placed(i, k))
             << "dead " << dead << " server " << i << " item " << k;
+      }
+    }
+  }
+}
+
+// The first n placements of a budgeted replan are the first n of the
+// unbudgeted one: the budgeted sigma is a subset and the budget caps the
+// repair count exactly. The standing sigma is the greedy one without the
+// replicas of items 0 and 1, with server 0 down, so the repair has room to
+// place a dozen replicas.
+TEST(RepairPlanner, BudgetedReplanIsAPrefixOfUnbudgeted) {
+  const auto inst = model::make_instance(small_params(), 13);
+  util::Rng rng(13);
+  const auto strategy = core::IddeG().solve(inst, rng);
+  core::DeliveryProfile standing(inst);
+  for (std::size_t k = 2; k < inst.data_count(); ++k) {
+    for (const std::size_t i : strategy.delivery.hosts(k)) standing.place(i, k);
+  }
+  std::vector<std::uint8_t> up(inst.server_count(), 1);
+  up[0] = 0;
+  core::GreedyDeliveryPlanner planner(inst);
+  const auto full = planner.replan(strategy.allocation, standing, up);
+  ASSERT_GT(full.repair_placements, 3u);
+  const std::size_t total = full.repair_placements;
+  for (const std::size_t budget :
+       {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{3},
+        total - 1, total, total + 1}) {
+    SCOPED_TRACE(testing::Message() << "budget " << budget);
+    const auto cut =
+        planner.replan(strategy.allocation, standing, up, {}, true, budget);
+    EXPECT_EQ(cut.repair_placements, std::min(budget, total));
+    EXPECT_EQ(cut.lost_placements, full.lost_placements);
+    for (std::size_t k = 0; k < inst.data_count(); ++k) {
+      for (const std::size_t i : cut.delivery.hosts(k)) {
+        EXPECT_TRUE(full.delivery.placed(i, k)) << i << ", " << k;
       }
     }
   }
@@ -790,7 +824,7 @@ TEST(RepairPlanner, CrashLosesAndRepairsUnderStorageBudget) {
   ASSERT_GT(load[dead], 0u);
   std::vector<std::uint8_t> up(inst.server_count(), 1);
   up[dead] = 0;
-  const auto result = core::RepairPlanner(inst).replan(
+  const auto result = core::GreedyDeliveryPlanner(inst).replan(
       strategy.allocation, strategy.delivery, up);
   EXPECT_EQ(result.lost_placements, load[dead]);
   // Nothing lands on the dead server, and Eq. 6 holds on the survivors.

@@ -198,12 +198,7 @@ TEST(DeliveryLedger, ReplayEqualsRecomputeOverRandomSequences) {
     for (std::size_t i = placements.size(); i > 1; --i) {
       std::swap(placements[i - 1], placements[rng.index(i)]);
     }
-    std::vector<double> free_mb(inst.server_count());
-    for (std::size_t i = 0; i < inst.server_count(); ++i) {
-      free_mb[i] = live.free_mb(i);
-    }
-    const auto recomputed =
-        core::DeliveryProfile::restore(inst, placements, free_mb);
+    const auto recomputed = core::DeliveryProfile::restore(inst, placements);
     ASSERT_EQ(recomputed.placement_count(), live.placement_count());
     for (std::size_t i = 0; i < inst.server_count(); ++i) {
       ASSERT_EQ(recomputed.free_kb(i), live.free_kb(i))

@@ -3,6 +3,8 @@
 // mass-failure recovery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -213,6 +215,45 @@ TEST(Serve, RestoreRejectsNonFiniteMobilityState) {
     EXPECT_THROW(b.restore(serve::seal_checkpoint(std::move(payload))),
                  util::JsonError)
         << c.array << "[" << c.index << "] = " << c.value;
+  }
+}
+
+// The recorded sigma headroom is derived from the placements, so restore
+// refuses a resealed snapshot whose headroom differs from the replayed
+// ledger by any bit — even when the value is in range for its server.
+TEST(Serve, RestoreRejectsHeadroomThatContradictsPlacements) {
+  serve::ServeController a(small_config(), 3);
+  for (int step = 0; step < 5; ++step) (void)a.tick();
+  const std::string snapshot = a.checkpoint();
+  const util::Json pristine = serve::open_checkpoint(snapshot);
+  const util::JsonArray& recorded = pristine.at("sigma_free_mb").as_array();
+  std::vector<double> free_mb;
+  for (const util::Json& bits : recorded) {
+    free_mb.push_back(serve::bits_to_double(bits, "sigma_free_mb"));
+  }
+  const std::size_t roomiest = static_cast<std::size_t>(
+      std::max_element(free_mb.begin(), free_mb.end()) - free_mb.begin());
+  ASSERT_GE(free_mb[roomiest], 1.0);
+
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    std::size_t server;
+    double value;
+  };
+  const Case cases[] = {
+      {roomiest, free_mb[roomiest] - 1.0},           // 1 MB shaved
+      {roomiest, free_mb[roomiest] - 1.0 / 1024.0},  // one KB
+      {0, std::nextafter(free_mb[0], inf)},          // one ulp up
+      {0, std::nextafter(free_mb[0], -inf)},         // one ulp down
+  };
+  for (const Case& c : cases) {
+    util::Json payload = serve::open_checkpoint(snapshot);
+    payload.as_object().at("sigma_free_mb").as_array().at(c.server) =
+        serve::double_to_bits(c.value);
+    serve::ServeController b(small_config(), 3);
+    EXPECT_THROW(b.restore(serve::seal_checkpoint(std::move(payload))),
+                 util::JsonError)
+        << "sigma_free_mb[" << c.server << "] = " << c.value;
   }
 }
 

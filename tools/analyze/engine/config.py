@@ -57,7 +57,7 @@ class Config:
         "src/radio/batch_eval.hpp",
         "src/core/game.cpp",
         "src/core/greedy_delivery.cpp",
-        "src/core/repair_planner.cpp",
+        "src/core/lazy_greedy.hpp",
         "src/coding/coded_evaluator.cpp",
         "src/coding/coded_planner.cpp",
         "src/core/resolver.cpp",
