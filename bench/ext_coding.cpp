@@ -10,9 +10,11 @@
 // legs, retries, backoff).
 //
 // Two gates run in-binary (CI runs --smoke and fails on exit != 0):
-//  1. k = 1 is bit-identical to replication: same placements and headroom
-//     as core::GreedyDeliveryPlanner, same fault-free L_avg, the same
-//     ResilienceReport field-for-field, and the same DES replay floats.
+//  1. k = 1 is bit-identical to replication: the (N, 1) plan equals the
+//     replication plan, the lazy greedy driven by CodedDeliveryEvaluator
+//     commits the same placements and headroom with the same L_avg, and
+//     the plan scores the same ResilienceReport field-for-field and the
+//     same DES replay floats as the strategy's own sigma.
 //  2. The coded frontier dominates replication somewhere: at >= 1
 //     (budget, severity) point some k > 1 config reaches a strictly lower
 //     degraded L_avg (no repair) than replication at equal storage.
@@ -23,17 +25,17 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "figure_common.hpp"
-#include "coding/coded_planner.hpp"
-#include "coding/coded_profile.hpp"
-#include "coding/coded_resilience.hpp"
-#include "coding/fragment.hpp"
+#include "core/coded_evaluator.hpp"
 #include "core/greedy_delivery.hpp"
+#include "core/lazy_greedy.hpp"
 #include "core/metrics.hpp"
+#include "core/strategy.hpp"
 #include "des/flow_sim.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/injector.hpp"
@@ -89,7 +91,7 @@ bool same_report(const fault::ResilienceReport& a,
 
 /// k = 1 placement identity: the coded profile holds exactly the
 /// replication planner's placements and the same integer-KB headroom.
-bool same_placements(const coding::CodedDeliveryProfile& coded,
+bool same_placements(const core::DeliveryProfile& coded,
                      const core::DeliveryProfile& replication) {
   for (std::size_t k = 0; k < coded.data_count(); ++k) {
     const auto ch = coded.hosts(k);
@@ -100,6 +102,27 @@ bool same_placements(const coding::CodedDeliveryProfile& coded,
     if (coded.free_kb(i) != replication.free_kb(i)) return false;
   }
   return true;
+}
+
+/// L_avg (ms) of the lazy greedy driven by CodedDeliveryEvaluator at
+/// `shape`, with its sigma in `sigma`: the coded evaluator's side of gate 1
+/// (the planner runs it only at k > 1).
+double coded_evaluator_latency_ms(const model::ProblemInstance& instance,
+                                  const core::Strategy& strategy,
+                                  core::FragmentConfig shape,
+                                  core::DeliveryProfile& sigma) {
+  core::CodedDeliveryEvaluator evaluator(instance, strategy.allocation, shape,
+                                         strategy.collaborative_delivery);
+  std::vector<core::GreedyCandidate> heap;
+  (void)core::run_lazy_greedy(nullptr, sigma, evaluator, heap,
+                              core::EveryPlacementUsable{},
+                              std::numeric_limits<std::size_t>::max());
+  core::CodedDeliveryEvaluator replay(instance, strategy.allocation, shape,
+                                      strategy.collaborative_delivery);
+  for (std::size_t k = 0; k < instance.data_count(); ++k) {
+    for (const std::size_t i : sigma.hosts(k)) replay.commit(i, k);
+  }
+  return replay.average_latency_seconds() * 1e3;
 }
 
 }  // namespace
@@ -140,7 +163,7 @@ int main(int argc, char** argv) {
   // keep n = N (spread wherever the greedy wants) and vary the fragment
   // granularity k; one tight-n row shows the redundancy cap n/k = 2.
   const std::size_t n_servers = base_params.server_count;
-  const std::vector<coding::FragmentConfig> configs{{n_servers, 1},
+  const std::vector<core::FragmentConfig> configs{{n_servers, 1},
                                                     {n_servers, 2},
                                                     {n_servers, 3},
                                                     {n_servers, 4},
@@ -219,20 +242,20 @@ int main(int argc, char** argv) {
       des_p99[0].add(replication_replay.p99_duration_ms);
       des_retries[0].add(static_cast<double>(replication_replay.retry_count));
 
-      coding::CodedGreedyPlanner coded_planner(instance);
+      core::GreedyDeliveryPlanner coded_planner(instance);
       for (std::size_t c = 0; c < configs.size(); ++c) {
-        const coding::FragmentConfig config = configs[c];
-        coding::CodedPlanResult coded =
+        const core::FragmentConfig config = configs[c];
+        core::GreedyDeliveryResult coded =
             coded_planner.plan(strategy.allocation, config,
                                strategy.collaborative_delivery);
-        const double coded_ms = coding::coded_average_latency_ms(
+        const double coded_ms = core::average_latency_ms(
             instance, strategy.allocation, coded.delivery,
             strategy.collaborative_delivery);
         fault_free[c + 1].add(coded_ms);
         placements[c + 1].add(static_cast<double>(coded.placements));
 
-        coding::CodedStrategy coded_strategy(strategy.allocation,
-                                             std::move(coded.delivery));
+        core::Strategy coded_strategy(strategy.allocation,
+                                      std::move(coded.delivery));
         coded_strategy.collaborative_delivery =
             strategy.collaborative_delivery;
         coded_strategy.approach_name = "IDDE-G+coded";
@@ -240,14 +263,11 @@ int main(int argc, char** argv) {
 
         std::optional<fault::ResilienceReport> k1_none;
         for (std::size_t f = 0; f < profiles.size(); ++f) {
-          const fault::ResilienceReport none =
-              coding::evaluate_coded_resilience(instance, coded_strategy,
-                                                plans[f],
-                                                fault::RepairPolicy::kNone);
-          const fault::ResilienceReport greedy =
-              coding::evaluate_coded_resilience(instance, coded_strategy,
-                                                plans[f],
-                                                fault::RepairPolicy::kGreedy);
+          const fault::ResilienceReport none = fault::evaluate_resilience(
+              instance, coded_strategy, plans[f], fault::RepairPolicy::kNone);
+          const fault::ResilienceReport greedy = fault::evaluate_resilience(
+              instance, coded_strategy, plans[f],
+              fault::RepairPolicy::kGreedy);
           degraded_none[c + 1][f].add(none.degraded_latency_ms);
           degraded_greedy[c + 1][f].add(greedy.degraded_latency_ms);
           avail[c + 1][f].add(none.availability);
@@ -256,18 +276,24 @@ int main(int argc, char** argv) {
 
         util::Rng coded_rng(seed ^ 0xde5ULL);
         const des::FlowSimResult coded_replay =
-            simulator.run_coded(coded_strategy, coded_rng);
+            simulator.run(coded_strategy, coded_rng);
         des_p99[c + 1].add(coded_replay.p99_duration_ms);
         des_retries[c + 1].add(static_cast<double>(coded_replay.retry_count));
 
-        // Gate 1: the (N, 1) config replays replication bit-for-bit.
+        // Gate 1: the (N, 1) config replays replication bit-for-bit, and
+        // so does the greedy driven by the coded evaluator.
         if (config.n == n_servers && config.k == 1) {
+          core::DeliveryProfile evaluator_sigma(instance, config);
+          const double evaluator_ms = coded_evaluator_latency_ms(
+              instance, strategy, config, evaluator_sigma);
           const bool placements_ok =
-              same_placements(coded_strategy.delivery, replication.delivery);
+              same_placements(coded_strategy.delivery,
+                              replication.delivery) &&
+              same_placements(evaluator_sigma, replication.delivery);
+          const double replication_ms = core::average_latency_ms(
+              instance, strategy.allocation, replication.delivery);
           const bool latency_ok =
-              coded_ms == core::average_latency_ms(
-                              instance, strategy.allocation,
-                              replication.delivery);
+              coded_ms == replication_ms && evaluator_ms == replication_ms;
           const fault::ResilienceReport reference =
               fault::evaluate_resilience(
                   instance,

@@ -45,6 +45,6 @@ target_link_libraries(ext_overload PRIVATE idde_des idde_fault idde_qos idde_dyn
 idde_bench(ext_serve)
 target_link_libraries(ext_serve PRIVATE idde_serve)
 idde_bench(ext_coding)
-target_link_libraries(ext_coding PRIVATE idde_des idde_fault idde_coding)
+target_link_libraries(ext_coding PRIVATE idde_des idde_fault)
 idde_bench(ext_gray)
 target_link_libraries(ext_gray PRIVATE idde_des idde_fault)

@@ -1,14 +1,14 @@
-#include "coding/coded_evaluator.hpp"
+#include "core/coded_evaluator.hpp"
 
 #include <algorithm>
 
 #include "util/assert.hpp"
 
-namespace idde::coding {
+namespace idde::core {
 
 CodedDeliveryEvaluator::CodedDeliveryEvaluator(
     const model::ProblemInstance& instance,
-    const core::AllocationProfile& allocation, FragmentConfig config,
+    const AllocationProfile& allocation, FragmentConfig config,
     bool collaborative)
     : instance_(&instance),
       config_(config),
@@ -55,13 +55,13 @@ CodedDeliveryEvaluator::CodedDeliveryEvaluator(
   reset(allocation, collaborative);
 }
 
-void CodedDeliveryEvaluator::reset(const core::AllocationProfile& allocation,
+void CodedDeliveryEvaluator::reset(const AllocationProfile& allocation,
                                    bool collaborative) {
   IDDE_EXPECTS(allocation.size() == instance_->user_count());
   collaborative_ = collaborative;
   for (std::size_t j = 0; j < allocation.size(); ++j) {
     serving_server_[j] = allocation[j].allocated() ? allocation[j].server
-                                                   : core::ChannelSlot::kNone;
+                                                   : ChannelSlot::kNone;
   }
   std::fill(host_count_.begin(), host_count_.end(), 0);
   total_latency_ = 0.0;
@@ -121,7 +121,7 @@ double CodedDeliveryEvaluator::gain_seconds(std::size_t server,
   for (std::size_t r = item_req_offset_[item]; r < item_req_offset_[item + 1];
        ++r) {
     const std::size_t id = item_req_ids_[r];
-    if (request_serving_[id] == core::ChannelSlot::kNone) continue;
+    if (request_serving_[id] == ChannelSlot::kNone) continue;
     const double candidate = request_seconds(id, server);
     if (candidate < request_latency_[id]) {
       gain += request_latency_[id] - candidate;
@@ -137,7 +137,7 @@ double CodedDeliveryEvaluator::commit(std::size_t server, std::size_t item) {
   for (std::size_t r = item_req_offset_[item]; r < item_req_offset_[item + 1];
        ++r) {
     const std::size_t id = item_req_ids_[r];
-    if (request_serving_[id] == core::ChannelSlot::kNone) continue;
+    if (request_serving_[id] == ChannelSlot::kNone) continue;
     const double candidate = request_seconds(id, server);
     if (candidate < request_latency_[id]) {
       gain += request_latency_[id] - candidate;
@@ -164,18 +164,4 @@ double CodedDeliveryEvaluator::average_latency_seconds() const {
   return total_latency_ / static_cast<double>(request_user_.size());
 }
 
-double coded_total_latency_seconds(const model::ProblemInstance& instance,
-                                   const core::AllocationProfile& allocation,
-                                   const CodedDeliveryProfile& delivery,
-                                   bool collaborative) {
-  CodedDeliveryEvaluator evaluator(instance, allocation, delivery.config(),
-                                   collaborative);
-  for (std::size_t k = 0; k < instance.data_count(); ++k) {
-    for (const std::size_t i : delivery.hosts(k)) {
-      evaluator.commit(i, k);
-    }
-  }
-  return evaluator.total_latency_seconds();
-}
-
-}  // namespace idde::coding
+}  // namespace idde::core

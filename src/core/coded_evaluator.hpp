@@ -1,27 +1,26 @@
 // CodedDeliveryEvaluator: incremental evaluation of total delivery
 // latency under a fixed allocation when items are (n, k) erasure-coded.
-// The coded planner asks "how much latency would one more fragment of d_k
-// on v_i remove?" thousands of times; each request caches its current
+// The planner asks "how much latency would one more fragment of d_k on v_i
+// remove?" thousands of times; each request caches its current
 // coded Eq. 8 latency and a candidate is scored by re-running the small
 // per-request kernel over the item's hosts plus the candidate.
 //
-// Unlike core::DeliveryEvaluator, adding a fragment does not reduce each
+// Unlike DeliveryEvaluator, adding a fragment does not reduce each
 // request to a single min update (the k-th-fastest leg shifts), so the
 // evaluator tracks the per-item host sets itself in a flat K x N arena.
 // At k = 1 the kernel degenerates to min(cached, new leg): gains, commit
-// effects and the running total are bit-identical to
-// core::DeliveryEvaluator in the same request order.
+// effects and the running total are bit-identical to DeliveryEvaluator in
+// the same request order. The planners and total_latency_seconds run it
+// only for profiles with k > 1.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
-#include "coding/coded_profile.hpp"
-#include "coding/fragment.hpp"
 #include "core/strategy.hpp"
 #include "model/instance.hpp"
 
-namespace idde::coding {
+namespace idde::core {
 
 class CodedDeliveryEvaluator {
  public:
@@ -30,13 +29,12 @@ class CodedDeliveryEvaluator {
   /// coded sigma. With `collaborative` false, fragments only help users
   /// allocated to their own host server.
   CodedDeliveryEvaluator(const model::ProblemInstance& instance,
-                         const core::AllocationProfile& allocation,
+                         const AllocationProfile& allocation,
                          FragmentConfig config, bool collaborative = true);
 
   /// Rewinds to the empty sigma under a (possibly different) allocation,
   /// reusing every buffer — no allocation happens here.
-  void reset(const core::AllocationProfile& allocation,
-             bool collaborative = true);
+  void reset(const AllocationProfile& allocation, bool collaborative = true);
 
   /// At k > 1 a fragment's gain can grow as other fragments of its item
   /// land, so the lazy greedy (core/lazy_greedy.hpp) rescans after every
@@ -70,7 +68,7 @@ class CodedDeliveryEvaluator {
 
   /// Current coded Eq. 8 latency of one request, seconds. Requests are
   /// numbered user-major in `requests().items_of(j)` order — the same
-  /// numbering core::DeliveryEvaluator uses.
+  /// numbering DeliveryEvaluator uses.
   [[nodiscard]] double request_latency_seconds(std::size_t id) const {
     return request_latency_[id];
   }
@@ -89,7 +87,7 @@ class CodedDeliveryEvaluator {
   std::size_t data_count_;
   std::vector<std::size_t> serving_server_;
   // Flat request arrays (SoA), ids user-major, with a CSR index per item
-  // — the same layout core::DeliveryEvaluator uses, so per-item gain
+  // — the same layout DeliveryEvaluator uses, so per-item gain
   // accumulation visits requests in the identical order.
   std::vector<std::size_t> request_user_;
   std::vector<std::size_t> request_item_;
@@ -105,11 +103,4 @@ class CodedDeliveryEvaluator {
   double total_latency_ = 0.0;
 };
 
-/// Convenience: total coded latency of a complete coded strategy from
-/// scratch. At k = 1 equals core::total_latency_seconds bitwise.
-[[nodiscard]] double coded_total_latency_seconds(
-    const model::ProblemInstance& instance,
-    const core::AllocationProfile& allocation,
-    const CodedDeliveryProfile& delivery, bool collaborative = true);
-
-}  // namespace idde::coding
+}  // namespace idde::core

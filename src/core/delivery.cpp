@@ -1,22 +1,31 @@
 #include "core/delivery.hpp"
 
+#include "core/coded_evaluator.hpp"
 #include "util/assert.hpp"
 
 namespace idde::core {
 
 DeliveryProfile::DeliveryProfile(const model::ProblemInstance& instance)
-    : instance_(&instance),
+    : DeliveryProfile(instance, replication_shape(instance.server_count())) {}
+
+DeliveryProfile::DeliveryProfile(const model::ProblemInstance& instance,
+                                 FragmentConfig shape)
+    : shape_(shape),
       data_count_(instance.data_count()),
       flags_(instance.server_count() * instance.data_count(), false),
       hosts_flat_(instance.data_count() * instance.server_count(), 0),
       host_count_(instance.data_count(), 0) {
+  IDDE_EXPECTS(shape.valid());
   free_kb_.reserve(instance.server_count());
   for (const model::EdgeServer& s : instance.servers()) {
     free_kb_.push_back(mb_to_kb(s.storage_mb));
   }
   item_kb_.reserve(instance.data_count());
+  item_mb_.reserve(instance.data_count());
   for (std::size_t k = 0; k < instance.data_count(); ++k) {
-    item_kb_.push_back(mb_to_kb(instance.data(k).size_mb));
+    const double size_mb = instance.data(k).size_mb;
+    item_kb_.push_back(fragment_size_kb(size_mb, shape.k));
+    item_mb_.push_back(fragment_size_mb(size_mb, shape.k));
   }
 }
 
@@ -24,6 +33,7 @@ bool DeliveryProfile::can_place(std::size_t server, std::size_t item) const {
   IDDE_EXPECTS(server < free_kb_.size());
   IDDE_EXPECTS(item < data_count_);
   if (placed(server, item)) return false;
+  if (host_count_[item] >= shape_.n) return false;
   return item_kb_[item] <= free_kb_[server];
 }
 
@@ -61,9 +71,9 @@ void DeliveryProfile::remove(std::size_t server, std::size_t item) {
 }
 
 DeliveryProfile DeliveryProfile::restore(
-    const model::ProblemInstance& instance,
+    const model::ProblemInstance& instance, FragmentConfig shape,
     std::span<const std::pair<std::size_t, std::size_t>> placements) {
-  DeliveryProfile profile(instance);
+  DeliveryProfile profile(instance, shape);
   for (const auto& [server, item] : placements) {
     profile.place(server, item);
   }
@@ -175,17 +185,33 @@ double DeliveryEvaluator::average_latency_seconds() const {
   return total_latency_ / static_cast<double>(request_user_.size());
 }
 
+namespace {
+
+/// Commits every placement of `delivery` into a fresh evaluator, in item
+/// order, and returns its total latency.
+template <class Evaluator>
+double replayed_total_seconds(Evaluator evaluator,
+                              const DeliveryProfile& delivery) {
+  for (std::size_t k = 0; k < delivery.data_count(); ++k) {
+    for (const std::size_t i : delivery.hosts(k)) evaluator.commit(i, k);
+  }
+  return evaluator.total_latency_seconds();
+}
+
+}  // namespace
+
 double total_latency_seconds(const model::ProblemInstance& instance,
                              const AllocationProfile& allocation,
                              const DeliveryProfile& delivery,
                              bool collaborative) {
-  DeliveryEvaluator evaluator(instance, allocation, collaborative);
-  for (std::size_t k = 0; k < instance.data_count(); ++k) {
-    for (const std::size_t i : delivery.hosts(k)) {
-      evaluator.commit(i, k);
-    }
+  if (delivery.shape().k > 1) {
+    return replayed_total_seconds(
+        CodedDeliveryEvaluator(instance, allocation, delivery.shape(),
+                               collaborative),
+        delivery);
   }
-  return evaluator.total_latency_seconds();
+  return replayed_total_seconds(
+      DeliveryEvaluator(instance, allocation, collaborative), delivery);
 }
 
 }  // namespace idde::core

@@ -83,7 +83,9 @@ class DeliveryEvaluator {
   double total_latency_ = 0.0;
 };
 
-/// Convenience: evaluates a complete strategy's total latency from scratch.
+/// Convenience: evaluates a complete strategy's total latency from scratch,
+/// through DeliveryEvaluator at k = 1 and CodedDeliveryEvaluator at k > 1
+/// (the shape of `delivery` picks it).
 [[nodiscard]] double total_latency_seconds(
     const model::ProblemInstance& instance, const AllocationProfile& allocation,
     const DeliveryProfile& delivery, bool collaborative = true);

@@ -1,5 +1,7 @@
 #include "core/greedy_delivery.hpp"
 
+#include <utility>
+
 #include "obs/obs.hpp"
 #include "util/assert.hpp"
 
@@ -47,18 +49,51 @@ DeliveryEvaluator& GreedyDeliveryPlanner::evaluator_for(
   return *evaluator_;
 }
 
+CodedDeliveryEvaluator& GreedyDeliveryPlanner::coded_evaluator_for(
+    const AllocationProfile& allocation, FragmentConfig shape,
+    bool collaborative) {
+  if (coded_evaluator_.has_value() && coded_evaluator_->config() == shape) {
+    coded_evaluator_->reset(allocation, collaborative);
+  } else {
+    coded_evaluator_.emplace(*instance_, allocation, shape, collaborative);
+  }
+  return *coded_evaluator_;
+}
+
 GreedyDeliveryResult GreedyDeliveryPlanner::plan(
     const AllocationProfile& allocation) {
+  return plan(allocation, replication_shape(instance_->server_count()), true);
+}
+
+GreedyDeliveryResult GreedyDeliveryPlanner::plan(
+    const AllocationProfile& allocation, FragmentConfig shape,
+    bool collaborative) {
   const model::ProblemInstance& instance = *instance_;
-  IDDE_OBS_SPAN("delivery.plan");
-  GreedyDeliveryResult result{DeliveryProfile(instance), 0, 0};
-  DeliveryEvaluator& evaluator = evaluator_for(allocation, true);
+  IDDE_EXPECTS(shape.valid());
+  constexpr std::size_t kNoBudget = std::numeric_limits<std::size_t>::max();
   const EveryPlacementUsable usable;
-  const GreedyRun run = run_lazy_greedy<DeliveryProfile>(
-      nullptr, result.delivery, evaluator, heap_, usable,
-      std::numeric_limits<std::size_t>::max());
-  result.placements = run.placements;
-  result.gain_evaluations = run.gain_evaluations;
+  const auto result_of = [](DeliveryProfile&& delivery, const GreedyRun& run) {
+    return GreedyDeliveryResult{std::move(delivery), run.placements,
+                                run.gain_evaluations, run.rescan_rounds};
+  };
+  if (shape.k > 1) {
+    IDDE_OBS_SPAN("coding.plan");
+    DeliveryProfile delivery(instance, shape);
+    const GreedyRun run = run_lazy_greedy(
+        nullptr, delivery,
+        coded_evaluator_for(allocation, shape, collaborative), heap_, usable,
+        kNoBudget);
+    IDDE_OBS_COUNT("coding.plans_total", 1);
+    IDDE_OBS_COUNT("coding.candidates_scanned_total", run.gain_evaluations);
+    IDDE_OBS_COUNT("coding.placements_total", run.placements);
+    return result_of(std::move(delivery), run);
+  }
+
+  IDDE_OBS_SPAN("delivery.plan");
+  DeliveryProfile delivery(instance, shape);
+  DeliveryEvaluator& evaluator = evaluator_for(allocation, collaborative);
+  const GreedyRun run =
+      run_lazy_greedy(nullptr, delivery, evaluator, heap_, usable, kNoBudget);
 
   IDDE_OBS_COUNT("delivery.plans_total", 1);
   IDDE_OBS_COUNT("delivery.candidates_scanned_total", run.gain_evaluations);
@@ -74,9 +109,9 @@ GreedyDeliveryResult GreedyDeliveryPlanner::plan(
     }
   }
 #endif
-  record_budget_utilization(instance, result.delivery, usable,
+  record_budget_utilization(instance, delivery, usable,
                             "delivery.budget_utilization");
-  return result;
+  return result_of(std::move(delivery), run);
 }
 
 RepairResult GreedyDeliveryPlanner::replan(
@@ -86,24 +121,41 @@ RepairResult GreedyDeliveryPlanner::replan(
   const model::ProblemInstance& instance = *instance_;
   IDDE_EXPECTS(allocation.size() == instance.user_count());
   IDDE_EXPECTS(server_up.empty() || server_up.size() == instance.server_count());
-  IDDE_OBS_SPAN("repair.replan");
   const SurvivingPlacements usable{server_up, replica_lost};
+  const auto result_of = [](DeliveryProfile&& delivery, const GreedyRun& run) {
+    return RepairResult{std::move(delivery), run.lost_placements,
+                        run.placements, run.recovered_gain_seconds};
+  };
+  if (sigma.shape().k > 1) {
+    IDDE_OBS_SPAN("coding.replan");
+    usable.mask(allocation, effective_);
+    DeliveryProfile delivery(instance, sigma.shape());
+    const GreedyRun run = run_lazy_greedy(
+        &sigma, delivery,
+        coded_evaluator_for(effective_, sigma.shape(), collaborative), heap_,
+        usable, max_placements);
+    IDDE_OBS_COUNT("coding.replans_total", 1);
+    IDDE_OBS_COUNT("coding.repair_candidates_scanned_total",
+                   run.gain_evaluations);
+    IDDE_OBS_COUNT("coding.repair_placements_total", run.placements);
+    IDDE_OBS_COUNT("coding.lost_placements_total", run.lost_placements);
+    return result_of(std::move(delivery), run);
+  }
+
+  IDDE_OBS_SPAN("repair.replan");
   usable.mask(allocation, effective_);
-  RepairResult result{DeliveryProfile(instance), 0, 0, 0.0};
+  DeliveryProfile delivery(instance, sigma.shape());
   const GreedyRun run = run_lazy_greedy(
-      &sigma, result.delivery, evaluator_for(effective_, collaborative),
-      heap_, usable, max_placements);
-  result.lost_placements = run.lost_placements;
-  result.repair_placements = run.placements;
-  result.recovered_gain_seconds = run.recovered_gain_seconds;
+      &sigma, delivery, evaluator_for(effective_, collaborative), heap_,
+      usable, max_placements);
 
   IDDE_OBS_COUNT("repair.replans_total", 1);
   IDDE_OBS_COUNT("repair.candidates_scanned_total", run.gain_evaluations);
   IDDE_OBS_COUNT("repair.placements_total", run.placements);
   IDDE_OBS_COUNT("repair.lost_placements_total", run.lost_placements);
-  record_budget_utilization(instance, result.delivery, usable,
+  record_budget_utilization(instance, delivery, usable,
                             "repair.budget_utilization");
-  return result;
+  return result_of(std::move(delivery), run);
 }
 
 }  // namespace idde::core

@@ -18,10 +18,11 @@
 // Rescans: under (n, k) coding with k > 1 a fragment's gain can *grow* as
 // other fragments of its item land (the k-th-fastest leg shifts), so stale
 // keys stop being upper bounds and the drain can end early. An evaluator
-// type whose gains may grow sets kRescanAfterDrain; the loop then re-scores
-// every usable candidate after each drain until a rescan finds nothing. At
-// k = 1 that first rescan is provably empty, so the committed moves are
-// bit-identical to replication's.
+// type whose gains may grow (CodedDeliveryEvaluator) sets
+// kRescanAfterDrain; the loop then re-scores every usable candidate after
+// each drain until a rescan finds nothing. At k = 1 that first rescan is
+// provably empty, so the committed moves are bit-identical to
+// DeliveryEvaluator's.
 //
 // Budget: the heap pops candidates in ratio order, so the first n
 // placements of a run with budget n are the first n of an unbudgeted run,
@@ -101,13 +102,14 @@ struct GreedyRun {
   double recovered_gain_seconds = 0.0;  ///< latency the new placements removed
 };
 
-/// Runs the greedy into `sigma` (empty on entry) with `evaluator` rewound
-/// to the empty sigma. Keeps the usable placements of `standing` (nullptr:
+/// Runs the greedy into `sigma` (empty on entry, of the standing sigma's
+/// shape) with `evaluator` rewound to the empty sigma. Keeps the usable placements of `standing` (nullptr:
 /// nothing standing), then adds at most `max_placements` new ones. `heap`
 /// is caller-owned scratch: once its capacity reaches N*K the loop
 /// allocates nothing per candidate or per committed move.
-template <class Profile, class Evaluator, class Usable>
-GreedyRun run_lazy_greedy(const Profile* standing, Profile& sigma,
+template <class Evaluator, class Usable>
+GreedyRun run_lazy_greedy(const DeliveryProfile* standing,
+                          DeliveryProfile& sigma,
                           Evaluator& evaluator,
                           std::vector<GreedyCandidate>& heap,
                           const Usable& usable, std::size_t max_placements) {

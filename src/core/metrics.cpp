@@ -35,11 +35,11 @@ double average_latency_ms(const model::ProblemInstance& instance,
                           const AllocationProfile& allocation,
                           const DeliveryProfile& delivery,
                           bool collaborative) {
-  DeliveryEvaluator evaluator(instance, allocation, collaborative);
-  for (std::size_t k = 0; k < instance.data_count(); ++k) {
-    for (const std::size_t i : delivery.hosts(k)) evaluator.commit(i, k);
-  }
-  return evaluator.average_latency_seconds() * 1e3;
+  const std::size_t requests = instance.requests().total_requests();
+  if (requests == 0) return 0.0;
+  return total_latency_seconds(instance, allocation, delivery,
+                               collaborative) /
+         static_cast<double>(requests) * 1e3;
 }
 
 StrategyMetrics evaluate(const model::ProblemInstance& instance,

@@ -22,7 +22,8 @@ namespace idde::core {
 
 /// L_avg (Eq. 9) in milliseconds (the paper reports ms). `collaborative`
 /// selects full Eq. 8 delivery vs the local-or-cloud semantics of the
-/// non-collaborative baselines.
+/// non-collaborative baselines; the shape of `delivery` picks the
+/// evaluator, as in total_latency_seconds.
 [[nodiscard]] double average_latency_ms(const model::ProblemInstance& instance,
                                         const AllocationProfile& allocation,
                                         const DeliveryProfile& delivery,

@@ -1,9 +1,11 @@
 // The two halves of an IDDE strategy (Definitions 1 and 2):
 //  - AllocationProfile alpha: one ChannelSlot per user,
-//  - DeliveryProfile sigma: the set of (server, item) replica placements,
-//    tracked together with per-server storage headroom.
+//  - DeliveryProfile sigma: the set of (server, item) placements under an
+//    (n, k) code shape, tracked together with per-server storage headroom.
+//    Replication is the (N, 1) shape: every placement is a whole-item copy.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -31,25 +33,80 @@ using AllocationProfile = std::vector<ChannelSlot>;
   return std::llround(mb * 1024.0);
 }
 
+/// The largest code length n a shape may have. k <= n < 2^32 keeps the
+/// ceil division in fragment_size_kb (item_kb + k - 1) far inside int64
+/// for every item size mb_to_kb represents exactly (below 2^53 KB).
+inline constexpr std::size_t kMaxCodeLength = std::size_t{1} << 32;
+
+/// The (n, k) shape of an MDS erasure code (DESIGN.md §16): an item splits
+/// into equal fragments so that *any* k of its n distinct fragments
+/// reconstruct it. n bounds how many servers may host a fragment of one
+/// item; k is the reconstruction threshold. k = 1 is a repetition code:
+/// fragments are whole-item copies, and (N, 1) is plain replication.
+struct FragmentConfig {
+  std::size_t n = 1;  ///< distinct fragments available for placement
+  std::size_t k = 1;  ///< fragments needed to reconstruct the item
+
+  [[nodiscard]] bool valid() const noexcept {
+    return k >= 1 && n >= k && n <= kMaxCodeLength;
+  }
+
+  friend bool operator==(const FragmentConfig&,
+                         const FragmentConfig&) = default;
+};
+
+/// The replication shape over `servers` servers: (N, 1), so no item's
+/// host count is capped below the server count.
+[[nodiscard]] inline FragmentConfig replication_shape(std::size_t servers) {
+  return {std::max<std::size_t>(servers, 1), 1};
+}
+
+/// Eq. 6 storage cost of one fragment, exact KB. Rounded *up* so k
+/// fragments never account for less than the whole item (the
+/// storage-conservative convention); equals the whole item's KB at k = 1.
+[[nodiscard]] inline std::int64_t fragment_size_kb(double item_size_mb,
+                                                   std::size_t k) {
+  const std::int64_t item_kb = mb_to_kb(item_size_mb);
+  const auto divisor = static_cast<std::int64_t>(k);
+  return (item_kb + divisor - 1) / divisor;
+}
+
+/// Transfer size of one fragment (Eq. 8 latency math), MB. Exact at
+/// k = 1 (x / 1.0 == x bitwise), so coded latencies replay replication's.
+[[nodiscard]] inline double fragment_size_mb(double item_size_mb,
+                                             std::size_t k) {
+  return item_size_mb / static_cast<double>(k);
+}
+
 /// sigma = {sigma_{i,k}} with the storage constraint (Eq. 6) enforced at
 /// every mutation. The cloud's implicit replicas (Eq. 7) are not stored.
+/// Under a shape with k > 1 each flag means "server i holds one of the n
+/// distinct fragments of d_k": Eq. 6 charges the fragment's exact KB and
+/// an item has at most n hosts.
 class DeliveryProfile {
  public:
+  /// Replication: shape replication_shape(instance.server_count()).
   explicit DeliveryProfile(const model::ProblemInstance& instance);
+  DeliveryProfile(const model::ProblemInstance& instance,
+                  FragmentConfig shape);
+
+  [[nodiscard]] const FragmentConfig& shape() const noexcept {
+    return shape_;
+  }
 
   /// True iff sigma_{i,k} = 1.
   [[nodiscard]] bool placed(std::size_t server, std::size_t item) const {
     return flags_[server * data_count_ + item];
   }
 
-  /// Whether placing d_k on v_i would respect Eq. (6) (and is not a
-  /// duplicate placement).
+  /// Whether placing d_k on v_i would respect Eq. (6), is not a duplicate
+  /// placement and keeps the item within its n fragments.
   [[nodiscard]] bool can_place(std::size_t server, std::size_t item) const;
 
   /// Sets sigma_{i,k} = 1. Aborts if infeasible — callers must check.
   void place(std::size_t server, std::size_t item);
 
-  /// Clears sigma_{i,k} = 0, returning the item's KB to the server's
+  /// Clears sigma_{i,k} = 0, returning the placement's KB to the server's
   /// headroom. Aborts if the placement does not exist — callers must
   /// check placed(). Because accounting is exact integer KB, any
   /// place/remove sequence leaves headroom identical to recomputing it
@@ -67,9 +124,10 @@ class DeliveryProfile {
     return free_kb_[server];
   }
 
-  /// Storage one placement of d_k takes (MB): the Eq. 17 denominator.
+  /// Storage one placement of d_k takes (MB): the Eq. 17 denominator, one
+  /// fragment (the whole item at k = 1, bit for bit).
   [[nodiscard]] double placement_mb(std::size_t item) const {
-    return instance_->data(item).size_mb;
+    return item_mb_[item];
   }
 
   /// Servers currently hosting d_k (ascending ids).
@@ -89,15 +147,16 @@ class DeliveryProfile {
   /// original regardless of the order the placements were recorded in.
   /// Placements must be feasible and duplicate-free (checked).
   [[nodiscard]] static DeliveryProfile restore(
-      const model::ProblemInstance& instance,
+      const model::ProblemInstance& instance, FragmentConfig shape,
       std::span<const std::pair<std::size_t, std::size_t>> placements);
 
  private:
-  const model::ProblemInstance* instance_;
+  FragmentConfig shape_;
   std::size_t data_count_;
   std::vector<bool> flags_;             // N x K
   std::vector<std::int64_t> free_kb_;   // per server, exact KB ledger
-  std::vector<std::int64_t> item_kb_;   // per item, quantized size
+  std::vector<std::int64_t> item_kb_;   // per item, quantized fragment size
+  std::vector<double> item_mb_;         // per item, fragment size
   /// Host lists as a flat K x N arena: item k's hosts occupy
   /// hosts_flat_[k*N .. k*N + host_count_[k]), ascending. An item can have
   /// at most N hosts, so the segments never overflow and place() is a

@@ -31,10 +31,21 @@ Json strategy_to_json(const Strategy& strategy) {
       });
     }
   }
+  // Replication keeps its own tag and no "coding" block; every other
+  // shape is written as a coded strategy.
+  const FragmentConfig& shape = strategy.delivery.shape();
+  const bool replication =
+      shape == replication_shape(strategy.delivery.server_count());
   JsonObject document;
-  document.emplace("format", "idde-strategy-v1");
+  document.emplace("format", replication ? kStrategyFormat : kCodedFormat);
   document.emplace("approach", strategy.approach_name);
   document.emplace("collaborative_delivery", strategy.collaborative_delivery);
+  if (!replication) {
+    document.emplace("coding", JsonObject{
+                                   {"n", Json(shape.n)},
+                                   {"k", Json(shape.k)},
+                               });
+  }
   document.emplace("allocation", std::move(allocation));
   document.emplace("placements", std::move(placements));
   return Json(std::move(document));
@@ -69,15 +80,41 @@ AllocationProfile allocation_from_json(const model::ProblemInstance& instance,
   return allocation;
 }
 
+FragmentConfig code_shape_from_json(const Json& json, FragmentConfig shape,
+                                    std::size_t max_n) {
+  if (const Json* n = json.find("n")) {
+    shape.n = util::as_index(*n, max_n + 1, "coding n");
+  }
+  if (const Json* k = json.find("k")) {
+    shape.k = util::as_index(*k, max_n + 1, "coding k");
+  }
+  if (!shape.valid()) {
+    throw util::JsonError(util::format(
+        "invalid code shape (n {}, k {}): need 1 <= k <= n", shape.n,
+        shape.k));
+  }
+  return shape;
+}
+
 Strategy strategy_from_json(const model::ProblemInstance& instance,
                             const Json& json) {
-  if (json.string_or("format", "") != "idde-strategy-v1") {
-    throw util::JsonError("unknown strategy format (want idde-strategy-v1)");
+  const std::string format = json.string_or("format", "");
+  FragmentConfig shape = replication_shape(instance.server_count());
+  if (format == kCodedFormat) {
+    // n is capped by the server count (more fragments than servers can
+    // never be placed); the invalid {0, 0} fallback makes both fields
+    // required.
+    shape = code_shape_from_json(json.at("coding"), FragmentConfig{0, 0},
+                                 instance.server_count());
+  } else if (format != kStrategyFormat) {
+    throw util::JsonError(util::format(
+        "unknown strategy format (want {} or {})", kStrategyFormat,
+        kCodedFormat));
   }
   AllocationProfile allocation =
       allocation_from_json(instance, json.at("allocation"));
 
-  DeliveryProfile delivery(instance);
+  DeliveryProfile delivery(instance, shape);
   for (const Json& placement : json.at("placements").as_array()) {
     const std::size_t server = util::as_index(
         placement.at("server"), instance.server_count(), "placement server");
@@ -86,7 +123,8 @@ Strategy strategy_from_json(const model::ProblemInstance& instance,
     // place() aborts on infeasibility; an untrusted document must not.
     if (!delivery.can_place(server, item)) {
       throw util::JsonError(util::format(
-          "placement (server {}, item {}) is a duplicate or exceeds storage",
+          "placement (server {}, item {}) is a duplicate, exceeds the item's "
+          "n fragments, or exceeds storage",
           server, item));
     }
     delivery.place(server, item);

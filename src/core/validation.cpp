@@ -39,7 +39,8 @@ std::vector<std::string> validate_strategy(
     }
   }
 
-  // Eq. (6), recomputed from scratch.
+  // Eq. (6), recomputed from scratch: each placement stores one fragment
+  // (the whole item at k = 1).
   std::vector<double> used(instance.server_count(), 0.0);
   for (std::size_t k = 0; k < instance.data_count(); ++k) {
     for (const std::size_t i : strategy.delivery.hosts(k)) {
@@ -50,7 +51,7 @@ std::vector<std::string> validate_strategy(
       if (!strategy.delivery.placed(i, k)) {
         complain(util::format("host list/flag mismatch for item {}", k));
       }
-      used[i] += instance.data(k).size_mb;
+      used[i] += strategy.delivery.placement_mb(k);
     }
   }
   for (std::size_t i = 0; i < instance.server_count(); ++i) {

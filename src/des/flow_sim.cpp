@@ -1,5 +1,5 @@
 // The DES engine (DESIGN.md §18): one event loop over legs for every
-// combination of faults, admission control, gray failures and coding.
+// combination of faults, admission control, gray failures and code shapes.
 //
 // Events are fresh arrivals, retries after backoff, and the end of a timed
 // local service; they sit in one min-heap ordered by (time, kind, record),
@@ -177,24 +177,19 @@ void finalize(FlowSimResult& result, double deadline_s, double window_s,
 
 }  // namespace
 
-/// One replay: the per-run state and the event loop. Replicated strategies
-/// pass `replicas`, coded ones `fragments` (exactly one is non-null).
+/// One replay: the per-run state and the event loop.
 class FlowLevelSimulator::Replay {
  public:
-  Replay(const FlowLevelSimulator& sim,
-         const core::AllocationProfile& allocation, bool collaborative,
-         const core::DeliveryProfile* replicas,
-         const coding::CodedDeliveryProfile* fragments)
+  Replay(const FlowLevelSimulator& sim, const core::Strategy& strategy)
       : sim_(sim),
         instance_(*sim.instance_),
         options_(sim.options_),
-        allocation_(allocation),
-        collaborative_(collaborative),
-        replicas_(replicas),
-        fragments_(fragments),
-        legs_per_attempt_(fragments != nullptr ? fragments->config().k : 1),
+        allocation_(strategy.allocation),
+        collaborative_(strategy.collaborative_delivery),
+        delivery_(strategy.delivery),
+        legs_per_attempt_(strategy.delivery.shape().k),
         resolver_(instance_) {
-    IDDE_EXPECTS(allocation.size() == instance_.user_count());
+    IDDE_EXPECTS(allocation_.size() == instance_.user_count());
     const FlowSimOptions& o = options_;
     if (o.fault_plan != nullptr && !o.fault_plan->inert()) {
       plan_ = o.fault_plan;
@@ -219,7 +214,7 @@ class FlowLevelSimulator::Replay {
     if (qos_ != nullptr) {
       const qos::AdmissionConfig& admission = qos_->admission;
       slots_ = admission.service_slots;
-      IDDE_EXPECTS(fragments == nullptr || slots_ == 0);
+      IDDE_EXPECTS(legs_per_attempt_ == 1 || slots_ == 0);
       deadline_aware_ =
           admission.policy == qos::SheddingPolicy::kDeadlineAware &&
           admission.deadline_s > 0.0;
@@ -374,11 +369,9 @@ class FlowLevelSimulator::Replay {
     return instance_.data(result_.flows[r].item).size_mb;
   }
 
-  /// Size of one routed leg: the whole item, or one fragment.
+  /// Size of one routed leg: one fragment (the whole item at k = 1).
   [[nodiscard]] double leg_mb(std::size_t r) const {
-    return fragments_ != nullptr
-               ? fragments_->item_fragment_mb(result_.flows[r].item)
-               : item_mb(r);
+    return delivery_.placement_mb(result_.flows[r].item);
   }
 
   [[nodiscard]] std::span<const std::size_t> sources_of(std::size_t r) const {
@@ -423,12 +416,9 @@ class FlowLevelSimulator::Replay {
   void collect_hosts(std::size_t r) {
     const std::size_t serving = serving_of(r);
     const std::size_t item = result_.flows[r].item;
-    const std::span<const std::size_t> hosts =
-        fragments_ != nullptr ? fragments_->hosts(item)
-                              : replicas_->hosts(item);
     eligible_.clear();
     reference_.clear();
-    for (const std::size_t host : hosts) {
+    for (const std::size_t host : delivery_.hosts(item)) {
       if (!collaborative_ && host != serving) continue;
       reference_.push_back(host);
       if (filter_corrupt_ && plan_->replica_corrupted(host, item)) continue;
@@ -877,9 +867,8 @@ class FlowLevelSimulator::Replay {
   const FlowSimOptions& options_;
   const core::AllocationProfile& allocation_;
   const bool collaborative_;
-  const core::DeliveryProfile* replicas_;
-  const coding::CodedDeliveryProfile* fragments_;
-  const std::size_t legs_per_attempt_;  ///< k (1 for replication)
+  const core::DeliveryProfile& delivery_;
+  const std::size_t legs_per_attempt_;  ///< the profile's k
 
   // What is active in this run (null/false = inert).
   const fault::FaultPlan* plan_ = nullptr;
@@ -961,17 +950,7 @@ std::size_t FlowLevelSimulator::link_between(std::size_t a,
 FlowSimResult FlowLevelSimulator::run(const core::Strategy& strategy,
                                       util::Rng& rng) const {
   IDDE_OBS_SPAN("des.run");
-  return Replay(*this, strategy.allocation, strategy.collaborative_delivery,
-                &strategy.delivery, nullptr)
-      .run(rng);
-}
-
-FlowSimResult FlowLevelSimulator::run_coded(
-    const coding::CodedStrategy& strategy, util::Rng& rng) const {
-  IDDE_OBS_SPAN("des.run");
-  return Replay(*this, strategy.allocation, strategy.collaborative_delivery,
-                nullptr, &strategy.delivery)
-      .run(rng);
+  return Replay(*this, strategy).run(rng);
 }
 
 }  // namespace idde::des

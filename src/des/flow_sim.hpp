@@ -10,13 +10,14 @@
 // of *legs*: routed edge legs, water-filled max-min fairly over the links
 // they cross (rates are recomputed at every leg launch and landing), and at
 // most one uncontended cloud leg whose completion is fixed at launch. A
-// replicated request has one leg; a (n,k)-coded request has e edge legs
-// plus an optional cloud top-up. The request completes when its last leg
-// lands. Three decisions vary with the options, never the loop itself:
+// replicated request has one leg; a request under an (n, k) code shape
+// with k > 1 has e edge legs plus an optional cloud top-up. The request
+// completes when its last leg lands. Three decisions vary with the
+// options, never the loop itself:
 //
 //   source selection  core::Eq8Resolver against the epoch the attempt
-//                     starts in: k = 1 for run, the strategy's k for
-//                     run_coded, health-weighted with health_aware;
+//                     starts in, with the delivery profile's k,
+//                     health-weighted with health_aware;
 //   admission         open-loop arrivals, per-server slots and queues,
 //                     deadline-aware shedding, the retry budget and circuit
 //                     breakers — inert unless `qos` is active;
@@ -35,7 +36,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "coding/coded_profile.hpp"
 #include "core/health.hpp"
 #include "core/resolver.hpp"
 #include "core/strategy.hpp"
@@ -76,7 +76,7 @@ struct FlowSimOptions {
   /// be lost (integrity failure on landing). Null or inert = the replay
   /// without gray effects, bit for bit.
   const fault::DegradationPlan* degradation = nullptr;
-  /// Health-weight source selection (run and run_coded) with a tracker
+  /// Health-weight source selection with a tracker
   /// fed by the legs this run observes under the degradation plan
   /// (demotes gray servers).
   bool health_aware = false;
@@ -168,21 +168,17 @@ class FlowLevelSimulator {
   explicit FlowLevelSimulator(const model::ProblemInstance& instance,
                               FlowSimOptions options = {});
 
-  /// Replays the strategy's deliveries: one leg per request attempt.
-  /// `rng` drives arrival jitter (unused when arrival_window_s == 0) or the
-  /// open-loop arrival process.
-  [[nodiscard]] FlowSimResult run(const core::Strategy& strategy,
-                                  util::Rng& rng) const;
-
-  /// Replays a coded strategy: each attempt's e edge fragments are
-  /// parallel routed legs and its k - e cloud fragments one cloud leg. A
+  /// Replays the strategy's deliveries. `rng` drives arrival jitter
+  /// (unused when arrival_window_s == 0) or the open-loop arrival process.
+  ///
+  /// At k = 1 an attempt is one leg. At k > 1 its e edge fragments are
+  /// parallel routed legs and its k - e cloud fragments one cloud leg; a
   /// lost leg aborts the whole attempt (partial fragment sets cannot
   /// reconstruct the item). Slot-based admission has no faithful coded
-  /// meaning (an attempt spans several servers), so an active QoS config
-  /// must leave service_slots at 0. At k = 1 the result is bit-identical
-  /// to run() on the equivalent replication strategy.
-  [[nodiscard]] FlowSimResult run_coded(const coding::CodedStrategy& strategy,
-                                        util::Rng& rng) const;
+  /// meaning (an attempt spans several servers), so at k > 1 an active QoS
+  /// config must leave service_slots at 0.
+  [[nodiscard]] FlowSimResult run(const core::Strategy& strategy,
+                                  util::Rng& rng) const;
 
  private:
   class Replay;  // the event loop (flow_sim.cpp)

@@ -33,21 +33,18 @@ double masked_latency_ms(const model::ProblemInstance& instance,
                          const core::AllocationProfile& allocation,
                          const std::vector<bool>& online,
                          const core::DeliveryProfile& placements) {
+  const net::DeliveryLatencyModel& latency = instance.latency();
   double total = 0.0;
   std::size_t count = 0;
   for (std::size_t j = 0; j < instance.user_count(); ++j) {
     if (!online[j]) continue;
-    const bool allocated = allocation[j].allocated();
     for (const std::size_t k : instance.requests().items_of(j)) {
       const double size = instance.data(k).size_mb;
-      double best = instance.latency().cloud_transfer_seconds(size);
-      if (allocated) {
-        for (const std::size_t host : placements.hosts(k)) {
-          best = std::min(best, instance.latency().edge_transfer_seconds(
-                                    host, allocation[j].server, size));
-        }
-      }
-      total += best;
+      // Eq. 8; an unallocated user has no edge path.
+      total += allocation[j].allocated()
+                   ? latency.best_delivery_seconds(placements.hosts(k),
+                                                   allocation[j].server, size)
+                   : latency.cloud_transfer_seconds(size);
       ++count;
     }
   }

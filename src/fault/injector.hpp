@@ -128,12 +128,12 @@ struct ResilienceReport {
   std::size_t repair_placements = 0;  ///< total across repaired epochs
 };
 
-/// Evaluates a solved strategy against a fault plan: for every epoch,
-/// every request is resolved through core::Eq8Resolver over the epoch's
-/// surviving replicas (optionally re-healed by RepairPolicy) and the
-/// results are weighted by epoch length over [0, horizon). An inert plan
-/// short-circuits to the fault-free metrics exactly (fault/resilience.hpp
-/// holds the walk, shared with coding::evaluate_coded_resilience).
+/// Evaluates a solved strategy of any code shape against a fault plan: for
+/// every epoch, every request is resolved through core::Eq8Resolver (with
+/// the profile's k and fragment size) over the epoch's surviving hosts
+/// (optionally re-healed by RepairPolicy) and the results are weighted by
+/// epoch length over [0, horizon). An inert plan short-circuits to the
+/// fault-free metrics exactly.
 [[nodiscard]] ResilienceReport evaluate_resilience(
     const model::ProblemInstance& instance, const core::Strategy& strategy,
     const FaultPlan& plan, RepairPolicy policy = RepairPolicy::kNone);

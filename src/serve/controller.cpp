@@ -686,6 +686,13 @@ std::uint64_t ServeController::guard_hash() const {
   fold_bits(config_.health.recover_score);
   fold_bits(config_.health.loss_weight);
   hash = fnv1a_fold(hash, config_.health.min_samples);
+  // The retry budget gates every backlog retry. Gated on activity, as
+  // fold_tick_hash gates the gray mask, so inert-config checkpoints keep
+  // their bytes.
+  if (!config_.retry.inert()) {
+    fold_bits(config_.retry.ratio);
+    fold_bits(config_.retry.burst);
+  }
   return hash;
 }
 

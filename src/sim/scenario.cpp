@@ -1,5 +1,7 @@
 #include "sim/scenario.hpp"
 
+#include "core/strategy_io.hpp"
+
 namespace idde::sim {
 
 using util::Json;
@@ -150,25 +152,16 @@ fault::FaultProfile fault_profile_from_json(const Json& json) {
   return profile;
 }
 
-Json fragment_config_to_json(const coding::FragmentConfig& config) {
+Json fragment_config_to_json(const core::FragmentConfig& config) {
   return Json(JsonObject{
       {"n", Json(config.n)},
       {"k", Json(config.k)},
   });
 }
 
-coding::FragmentConfig fragment_config_from_json(const Json& json) {
-  coding::FragmentConfig config;
-  config.n = static_cast<std::size_t>(
-      json.int_or("n", static_cast<std::int64_t>(config.n)));
-  config.k = static_cast<std::size_t>(
-      json.int_or("k", static_cast<std::int64_t>(config.k)));
-  if (config.k < 1 || !config.valid()) {
-    throw util::JsonError("fragment config requires 1 <= k <= n, got n=" +
-                          std::to_string(config.n) +
-                          " k=" + std::to_string(config.k));
-  }
-  return config;
+core::FragmentConfig fragment_config_from_json(const Json& json) {
+  return core::code_shape_from_json(json, core::FragmentConfig{},
+                                    core::kMaxCodeLength);
 }
 
 }  // namespace idde::sim

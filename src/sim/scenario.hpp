@@ -5,7 +5,7 @@
 
 #include <string>
 
-#include "coding/fragment.hpp"
+#include "core/strategy.hpp"
 #include "fault/fault_plan.hpp"
 #include "model/instance_builder.hpp"
 #include "util/json.hpp"
@@ -35,13 +35,14 @@ namespace idde::sim {
 /// Serialises an erasure-coding config (same conventions as
 /// params_to_json).
 [[nodiscard]] util::Json fragment_config_to_json(
-    const coding::FragmentConfig& config);
+    const core::FragmentConfig& config);
 
-/// Applies fields present in `json` on top of the replication default
-/// (n = k = 1). Throws util::JsonError when the resulting config is
-/// invalid (k < 1 or n < k) — a silently clamped code rate would change
-/// every downstream number.
-[[nodiscard]] coding::FragmentConfig fragment_config_from_json(
+/// Applies fields present in `json` on top of the default (n = k = 1),
+/// through core::code_shape_from_json. Throws util::JsonError when a field
+/// is not an integer index or the result is invalid (k < 1, n < k or
+/// n > core::kMaxCodeLength) — a silently clamped or wrapped code rate
+/// would change every downstream number.
+[[nodiscard]] core::FragmentConfig fragment_config_from_json(
     const util::Json& json);
 
 }  // namespace idde::sim

@@ -1,7 +1,10 @@
 #include "sim/sweep.hpp"
 
-#include "coding/coded_planner.hpp"
-#include "coding/coded_resilience.hpp"
+#include <optional>
+#include <utility>
+
+#include "core/greedy_delivery.hpp"
+#include "core/metrics.hpp"
 #include "obs/obs.hpp"
 #include "util/assert.hpp"
 
@@ -56,7 +59,7 @@ std::vector<PointResult> run_sweep(
         plan = fault::FaultPlan::generate(instance, *options.fault_profile,
                                           seed ^ options.fault_seed_offset);
       }
-      std::optional<coding::CodedGreedyPlanner> coded_planner;
+      std::optional<core::GreedyDeliveryPlanner> coded_planner;
       if (coding_active) coded_planner.emplace(instance);
       for (std::size_t a = 0; a < a_count; ++a) {
         // One cell = (point, approach, repetition); the args string makes
@@ -79,19 +82,19 @@ std::vector<PointResult> run_sweep(
           // Same allocation, coded delivery plane: the coded column isolates
           // the effect of fragmenting sigma while the game-side alpha stays
           // the approach's own.
-          coding::CodedPlanResult coded = coded_planner->plan(
+          core::GreedyDeliveryResult coded = coded_planner->plan(
               strategy->allocation, *options.coding,
               strategy->collaborative_delivery);
-          coded_latency[a] = coding::coded_average_latency_ms(
+          coded_latency[a] = core::average_latency_ms(
               instance, strategy->allocation, coded.delivery,
               strategy->collaborative_delivery);
           if (faults_active) {
-            coding::CodedStrategy coded_strategy(strategy->allocation,
-                                                 std::move(coded.delivery));
+            core::Strategy coded_strategy(strategy->allocation,
+                                          std::move(coded.delivery));
             coded_strategy.collaborative_delivery =
                 strategy->collaborative_delivery;
             coded_strategy.approach_name = strategy->approach_name;
-            coded_reports[a] = coding::evaluate_coded_resilience(
+            coded_reports[a] = fault::evaluate_resilience(
                 instance, coded_strategy, plan, options.repair_policy);
           }
         }

@@ -7,7 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "coding/fragment.hpp"
+#include "core/strategy.hpp"
 #include "fault/injector.hpp"
 #include "model/instance_builder.hpp"
 #include "sim/runner.hpp"
@@ -32,8 +32,8 @@ struct CellResult {
   util::Estimate degraded_latency_ms;
   util::Estimate availability;
   /// Coded columns — populated only when SweepOptions::coding is set.
-  /// Each approach's allocation is re-planned with the coded greedy at the
-  /// requested (n, k); coded_degraded_latency_ms additionally requires a
+  /// Each approach's allocation is re-planned by the greedy at the
+  /// requested (n, k) shape; coded_degraded_latency_ms additionally requires a
   /// non-inert fault profile.
   util::Estimate coded_latency_ms;
   util::Estimate coded_degraded_latency_ms;
@@ -68,10 +68,10 @@ struct SweepOptions {
   fault::RepairPolicy repair_policy = fault::RepairPolicy::kNone;
   /// Optional erasure-coding config (not owned; must outlive the sweep).
   /// When set, every cell additionally re-plans the approach's allocation
-  /// with the coded greedy at this (n, k) and fills the coded_* columns
+  /// with the greedy at this (n, k) shape and fills the coded_* columns
   /// (coded resilience when a fault profile is also active). Null (the
   /// default) leaves the sweep bit-identical to the replication harness.
-  const coding::FragmentConfig* coding = nullptr;
+  const core::FragmentConfig* coding = nullptr;
   /// Progress callback (invoked once per completed point, serialised).
   std::function<void(const PointResult&)> on_point;
 };

@@ -1,29 +1,30 @@
-// src/coding/ contract tests. The load-bearing property throughout: at
-// k = 1 every coded component (profile, evaluator, planner,
-// repair, resilience, DES replay) is bit-identical to its replication
-// counterpart — same feasibility decisions, same floats, same tiers — so
-// the coded plane is a strict generalisation, not a parallel
-// implementation that drifts. k > 1 behaviour is checked against
-// structural invariants (cloud cap, n-cap, ledger exactness, rescan
-// convergence).
+// Contract tests of the (n, k) code shape of core::DeliveryProfile and of
+// the coded plane built on it. Replication is the (N, 1) shape of the same
+// profile, planner, resilience walk and DES replay, so the only code that
+// still forks at k = 1 is the evaluator: CodedDeliveryEvaluator, driven
+// through the shared lazy greedy, must commit exactly what DeliveryEvaluator
+// commits — same placements, same floats. k > 1 behaviour is checked
+// against structural invariants (cloud cap, n-cap, ledger exactness,
+// rescan convergence).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
-#include "coding/coded_evaluator.hpp"
-#include "coding/coded_io.hpp"
-#include "coding/coded_planner.hpp"
-#include "coding/coded_profile.hpp"
-#include "coding/coded_resilience.hpp"
-#include "coding/fragment.hpp"
+#include "core/coded_evaluator.hpp"
 #include "core/delivery.hpp"
 #include "core/greedy_delivery.hpp"
 #include "core/idde_g.hpp"
+#include "core/lazy_greedy.hpp"
 #include "core/resolver.hpp"
+#include "core/strategy.hpp"
+#include "core/strategy_io.hpp"
+#include "core/validation.hpp"
 #include "des/flow_sim.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/injector.hpp"
@@ -48,30 +49,74 @@ model::InstanceParams sized(std::size_t n, std::size_t m, std::size_t k) {
   return p;
 }
 
-/// The replication-equivalent config: k = 1 whole-item fragments with no
-/// host cap below the server count.
-coding::FragmentConfig replication_config(
-    const model::ProblemInstance& instance) {
-  return {instance.server_count(), 1};
-}
-
 core::Strategy solve(const model::ProblemInstance& instance,
                      std::uint64_t seed) {
   util::Rng rng(seed);
   return core::IddeG().solve(instance, rng);
 }
 
-/// Copies a replication sigma into a coded (N, 1) profile.
-coding::CodedDeliveryProfile as_coded(const model::ProblemInstance& instance,
-                                      const core::DeliveryProfile& sigma) {
-  coding::CodedDeliveryProfile coded(instance, replication_config(instance));
-  for (std::size_t k = 0; k < instance.data_count(); ++k) {
-    for (const std::size_t i : sigma.hosts(k)) coded.place(i, k);
-  }
-  return coded;
+/// The k = 1 shapes the evaluator fork is checked at: replication (N, 1)
+/// and a tight (4, 1) that caps every item at four copies.
+std::vector<core::FragmentConfig> k1_shapes(
+    const model::ProblemInstance& instance) {
+  return {core::replication_shape(instance.server_count()), {4, 1}};
 }
 
-void expect_same_profile(const coding::CodedDeliveryProfile& coded,
+/// Phase 2 through CodedDeliveryEvaluator. The planner runs that evaluator
+/// only at k > 1, so at k = 1 this is the second code path the planner's
+/// DeliveryEvaluator run is checked against.
+core::GreedyDeliveryResult coded_evaluator_plan(
+    const model::ProblemInstance& instance,
+    const core::AllocationProfile& allocation, core::FragmentConfig shape) {
+  core::GreedyDeliveryResult result{core::DeliveryProfile(instance, shape)};
+  core::CodedDeliveryEvaluator evaluator(instance, allocation, shape);
+  std::vector<core::GreedyCandidate> heap;
+  const core::GreedyRun run = core::run_lazy_greedy(
+      nullptr, result.delivery, evaluator, heap, core::EveryPlacementUsable{},
+      std::numeric_limits<std::size_t>::max());
+  result.placements = run.placements;
+  result.gain_evaluations = run.gain_evaluations;
+  result.rescan_rounds = run.rescan_rounds;
+  return result;
+}
+
+/// replan() through CodedDeliveryEvaluator: the same survivor and
+/// outage-masking rules as GreedyDeliveryPlanner::replan.
+core::RepairResult coded_evaluator_replan(
+    const model::ProblemInstance& instance,
+    const core::AllocationProfile& allocation,
+    const core::DeliveryProfile& sigma, std::span<const std::uint8_t> up,
+    std::size_t max_placements) {
+  const core::ReplicaLost none;
+  const core::SurvivingPlacements usable{up, none};
+  core::AllocationProfile effective;
+  usable.mask(allocation, effective);
+  core::RepairResult result{core::DeliveryProfile(instance, sigma.shape())};
+  core::CodedDeliveryEvaluator evaluator(instance, effective, sigma.shape());
+  std::vector<core::GreedyCandidate> heap;
+  const core::GreedyRun run = core::run_lazy_greedy(
+      &sigma, result.delivery, evaluator, heap, usable, max_placements);
+  result.lost_placements = run.lost_placements;
+  result.repair_placements = run.placements;
+  result.recovered_gain_seconds = run.recovered_gain_seconds;
+  return result;
+}
+
+/// Total latency of a complete sigma, committed in item order through
+/// CodedDeliveryEvaluator (core::total_latency_seconds runs it only at
+/// k > 1).
+double coded_evaluator_total_seconds(const model::ProblemInstance& instance,
+                                     const core::AllocationProfile& allocation,
+                                     const core::DeliveryProfile& delivery) {
+  core::CodedDeliveryEvaluator evaluator(instance, allocation,
+                                         delivery.shape());
+  for (std::size_t k = 0; k < instance.data_count(); ++k) {
+    for (const std::size_t i : delivery.hosts(k)) evaluator.commit(i, k);
+  }
+  return evaluator.total_latency_seconds();
+}
+
+void expect_same_profile(const core::DeliveryProfile& coded,
                          const core::DeliveryProfile& replication) {
   ASSERT_EQ(coded.placement_count(), replication.placement_count());
   for (std::size_t k = 0; k < coded.data_count(); ++k) {
@@ -87,58 +132,33 @@ void expect_same_profile(const coding::CodedDeliveryProfile& coded,
 
 TEST(Fragment, SizeKbIsCeilDivOfExactItemKb) {
   // 10 MB = 10240 KB: k = 3 -> ceil(10240 / 3) = 3414.
-  EXPECT_EQ(coding::fragment_size_kb(10.0, 3), 3414);
-  EXPECT_EQ(coding::fragment_size_kb(10.0, 1), core::mb_to_kb(10.0));
+  EXPECT_EQ(core::fragment_size_kb(10.0, 3), 3414);
+  EXPECT_EQ(core::fragment_size_kb(10.0, 1), core::mb_to_kb(10.0));
   // k fragments always cover the item: k * frag_kb >= item_kb.
   util::Rng rng(11);
   for (int i = 0; i < 200; ++i) {
     const double mb = 0.1 + 50.0 * rng.uniform();
     const std::size_t k = 1 + rng.index(6);
-    EXPECT_GE(static_cast<std::int64_t>(k) * coding::fragment_size_kb(mb, k),
+    EXPECT_GE(static_cast<std::int64_t>(k) * core::fragment_size_kb(mb, k),
               core::mb_to_kb(mb));
   }
 }
 
 TEST(Fragment, SizeMbIsExactAtKEqualsOne) {
-  EXPECT_EQ(coding::fragment_size_mb(7.25, 1), 7.25);
-  EXPECT_EQ(coding::fragment_size_mb(9.0, 3), 3.0);
+  EXPECT_EQ(core::fragment_size_mb(7.25, 1), 7.25);
+  EXPECT_EQ(core::fragment_size_mb(9.0, 3), 3.0);
 }
 
 TEST(Fragment, ConfigValidity) {
-  EXPECT_TRUE((coding::FragmentConfig{1, 1}).valid());
-  EXPECT_TRUE((coding::FragmentConfig{4, 2}).valid());
-  EXPECT_FALSE((coding::FragmentConfig{2, 3}).valid());
-  EXPECT_FALSE((coding::FragmentConfig{0, 0}).valid());
-  EXPECT_TRUE((coding::FragmentConfig{5, 1}).replication());
-  EXPECT_FALSE((coding::FragmentConfig{4, 2}).replication());
-}
-
-// At k = 1 the coded profile must make the same feasibility decision and
-// keep the same integer-KB ledger as core::DeliveryProfile through any
-// interleaving of placements and removals.
-TEST(CodedProfile, K1ReplaysDeliveryProfileThroughRandomMutations) {
-  const auto inst = model::make_instance(sized(8, 30, 5), 42);
-  coding::CodedDeliveryProfile coded(inst, replication_config(inst));
-  core::DeliveryProfile replication(inst);
-  util::Rng rng(7);
-  for (int step = 0; step < 2000; ++step) {
-    const std::size_t i = rng.index(inst.server_count());
-    const std::size_t k = rng.index(inst.data_count());
-    ASSERT_EQ(coded.can_place(i, k), replication.can_place(i, k));
-    if (coded.placed(i, k) && rng.index(3) == 0) {
-      coded.remove(i, k);
-      replication.remove(i, k);
-    } else if (coded.can_place(i, k)) {
-      coded.place(i, k);
-      replication.place(i, k);
-    }
-  }
-  expect_same_profile(coded, replication);
+  EXPECT_TRUE((core::FragmentConfig{1, 1}).valid());
+  EXPECT_TRUE((core::FragmentConfig{4, 2}).valid());
+  EXPECT_FALSE((core::FragmentConfig{2, 3}).valid());
+  EXPECT_FALSE((core::FragmentConfig{0, 0}).valid());
 }
 
 TEST(CodedProfile, NCapRejectsExtraFragmentsDespiteHeadroom) {
   const auto inst = model::make_instance(sized(6, 20, 3), 3);
-  coding::CodedDeliveryProfile coded(inst, {2, 2});
+  core::DeliveryProfile coded(inst, {2, 2});
   std::size_t placed = 0;
   for (std::size_t i = 0; i < inst.server_count() && placed < 2; ++i) {
     if (coded.can_place(i, 0)) {
@@ -147,7 +167,7 @@ TEST(CodedProfile, NCapRejectsExtraFragmentsDespiteHeadroom) {
     }
   }
   ASSERT_EQ(placed, 2u);
-  EXPECT_EQ(coded.fragment_count(0), 2u);
+  EXPECT_EQ(coded.hosts(0).size(), 2u);
   for (std::size_t i = 0; i < inst.server_count(); ++i) {
     EXPECT_FALSE(coded.can_place(i, 0));
   }
@@ -155,21 +175,21 @@ TEST(CodedProfile, NCapRejectsExtraFragmentsDespiteHeadroom) {
 
 TEST(CodedProfile, LedgerChargesCeilDividedFragments) {
   const auto inst = model::make_instance(sized(6, 20, 3), 5);
-  const coding::FragmentConfig config{inst.server_count(), 3};
-  coding::CodedDeliveryProfile coded(inst, config);
+  const core::FragmentConfig config{inst.server_count(), 3};
+  core::DeliveryProfile coded(inst, config);
   const std::int64_t before = coded.free_kb(0);
   ASSERT_TRUE(coded.can_place(0, 1));
   coded.place(0, 1);
   EXPECT_EQ(before - coded.free_kb(0),
-            coding::fragment_size_kb(inst.data(1).size_mb, 3));
+            core::fragment_size_kb(inst.data(1).size_mb, 3));
   coded.remove(0, 1);
   EXPECT_EQ(coded.free_kb(0), before);
 }
 
 TEST(CodedProfile, RestoreIsReplayOrderIndependent) {
   const auto inst = model::make_instance(sized(8, 30, 5), 13);
-  const coding::FragmentConfig config{inst.server_count(), 2};
-  coding::CodedDeliveryProfile live(inst, config);
+  const core::FragmentConfig config{inst.server_count(), 2};
+  core::DeliveryProfile live(inst, config);
   std::vector<std::pair<std::size_t, std::size_t>> placements;
   util::Rng rng(77);
   for (int tries = 0; tries < 200; ++tries) {
@@ -186,7 +206,7 @@ TEST(CodedProfile, RestoreIsReplayOrderIndependent) {
     std::swap(placements[i - 1], placements[rng.index(i)]);
   }
   const auto restored =
-      coding::CodedDeliveryProfile::restore(inst, config, placements);
+      core::DeliveryProfile::restore(inst, config, placements);
   ASSERT_EQ(restored.placement_count(), live.placement_count());
   for (std::size_t k = 0; k < inst.data_count(); ++k) {
     const auto a = restored.hosts(k);
@@ -198,48 +218,55 @@ TEST(CodedProfile, RestoreIsReplayOrderIndependent) {
   }
 }
 
-// The coded greedy at k = 1 must commit the exact move sequence of the
-// replication greedy: same final placements, same headroom, same total
-// latency to the last bit. (gain_evaluations differs by design — the
-// coded planner's terminating rescan re-scores every candidate.)
+// CodedDeliveryEvaluator at k = 1 must drive the lazy greedy through the
+// exact move sequence of the planner's DeliveryEvaluator: same final
+// placements, same headroom, same total latency to the last bit.
+// (gain_evaluations differs by design — the coded evaluator's terminating
+// rescan re-scores every candidate.)
 TEST(CodedPlanner, K1BitIdenticalToGreedyDeliveryPlanner) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     const auto inst = model::make_instance(sized(10, 50, 4), seed);
     const auto strategy = solve(inst, seed);
-    core::GreedyDeliveryPlanner replication_planner(inst);
-    const auto replication = replication_planner.plan(strategy.allocation);
-    coding::CodedGreedyPlanner coded_planner(inst);
-    const auto coded =
-        coded_planner.plan(strategy.allocation, replication_config(inst));
-    EXPECT_EQ(coded.placements, replication.placements);
-    expect_same_profile(coded.delivery, replication.delivery);
-    EXPECT_EQ(coding::coded_total_latency_seconds(inst, strategy.allocation,
-                                                  coded.delivery),
-              core::total_latency_seconds(inst, strategy.allocation,
-                                          replication.delivery));
+    for (const core::FragmentConfig shape : k1_shapes(inst)) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " n " << shape.n);
+      core::GreedyDeliveryPlanner replication_planner(inst);
+      const auto replication =
+          replication_planner.plan(strategy.allocation, shape);
+      const auto coded =
+          coded_evaluator_plan(inst, strategy.allocation, shape);
+      EXPECT_EQ(coded.placements, replication.placements);
+      expect_same_profile(coded.delivery, replication.delivery);
+      EXPECT_EQ(coded_evaluator_total_seconds(inst, strategy.allocation,
+                                              coded.delivery),
+                core::total_latency_seconds(inst, strategy.allocation,
+                                            replication.delivery));
+    }
   }
 }
 
 TEST(CodedPlanner, K2SaturatesWithinCapsAndBeatsEmptySigma) {
   const auto inst = model::make_instance(sized(10, 50, 4), 9);
   const auto strategy = solve(inst, 9);
-  coding::CodedGreedyPlanner planner(inst);
-  const coding::FragmentConfig config{inst.server_count(), 2};
+  core::GreedyDeliveryPlanner planner(inst);
+  const core::FragmentConfig config{inst.server_count(), 2};
   const auto result = planner.plan(strategy.allocation, config);
   EXPECT_GT(result.placements, 0u);
   EXPECT_GE(result.rescan_rounds, 1u);
   for (std::size_t k = 0; k < inst.data_count(); ++k) {
-    EXPECT_LE(result.delivery.fragment_count(k), config.n);
+    EXPECT_LE(result.delivery.hosts(k).size(), config.n);
   }
   for (std::size_t i = 0; i < inst.server_count(); ++i) {
     EXPECT_GE(result.delivery.free_kb(i), 0);
   }
   // Committing fragments can only lower latency below the all-cloud sigma.
-  const coding::CodedDeliveryProfile empty(inst, config);
-  EXPECT_LT(coding::coded_total_latency_seconds(inst, strategy.allocation,
-                                                result.delivery),
-            coding::coded_total_latency_seconds(inst, strategy.allocation,
-                                                empty));
+  const core::DeliveryProfile empty(inst, config);
+  EXPECT_LT(core::total_latency_seconds(inst, strategy.allocation,
+                                        result.delivery),
+            core::total_latency_seconds(inst, strategy.allocation, empty));
+  // validate_strategy charges each host one fragment, as the ledger does.
+  const core::Strategy coded(strategy.allocation, result.delivery);
+  EXPECT_EQ(core::validate_strategy(inst, coded),
+            std::vector<std::string>{});
 }
 
 // For any k the coded Eq. 8 never exceeds the whole-item cloud fetch:
@@ -247,12 +274,12 @@ TEST(CodedPlanner, K2SaturatesWithinCapsAndBeatsEmptySigma) {
 TEST(CodedEq8, NeverExceedsWholeItemCloudFetch) {
   const auto inst = model::make_instance(sized(10, 40, 5), 23);
   const auto strategy = solve(inst, 23);
-  coding::CodedGreedyPlanner planner(inst);
+  core::GreedyDeliveryPlanner planner(inst);
   core::Eq8Resolver resolver(inst);
   util::Rng rng(3);
   std::vector<std::uint8_t> up(inst.server_count(), 1);
   for (const std::size_t k_of : {2u, 3u, 4u}) {
-    const coding::FragmentConfig config{inst.server_count(), k_of};
+    const core::FragmentConfig config{inst.server_count(), k_of};
     const auto plan = planner.plan(strategy.allocation, config);
     for (auto& flag : up) flag = rng.index(3) > 0 ? 1 : 0;
     for (std::size_t j = 0; j < inst.user_count(); ++j) {
@@ -265,7 +292,7 @@ TEST(CodedEq8, NeverExceedsWholeItemCloudFetch) {
             {.hosts = plan.delivery.hosts(item),
              .serving = serving,
              .item_mb = size,
-             .fragment_mb = plan.delivery.item_fragment_mb(item),
+             .fragment_mb = plan.delivery.placement_mb(item),
              .k = k_of,
              .server_up = up});
         EXPECT_LE(decision.seconds,
@@ -289,39 +316,46 @@ fault::FaultProfile busy_profile() {
   return profile;
 }
 
-// Coded repair at k = 1 resumes the greedy exactly like the replication
-// replan (same survivors kept, same repairs committed, same recovered
-// gain), under every placement budget.
+// Repair through CodedDeliveryEvaluator at k = 1 resumes the greedy exactly
+// like the planner's replan (same survivors kept, same repairs committed,
+// same recovered gain), under every placement budget.
 TEST(CodedRepair, K1MatchesCoreRepairPlanner) {
   const auto inst = model::make_instance(sized(10, 50, 4), 31);
   const auto strategy = solve(inst, 31);
-  const auto coded_sigma = as_coded(inst, strategy.delivery);
   core::GreedyDeliveryPlanner core_repair(inst);
-  coding::CodedGreedyPlanner coded_repair(inst);
-  util::Rng rng(17);
-  std::vector<std::uint8_t> up(inst.server_count(), 1);
   const std::size_t budgets[] = {0, 1, 3,
                                  std::numeric_limits<std::size_t>::max()};
-  for (int round = 0; round < 20; ++round) {
-    for (auto& flag : up) flag = rng.index(4) > 0 ? 1 : 0;
-    for (const std::size_t budget : budgets) {
-      SCOPED_TRACE(testing::Message()
-                   << "round " << round << " budget " << budget);
-      const auto expected = core_repair.replan(
-          strategy.allocation, strategy.delivery, up, {}, true, budget);
-      const auto got = coded_repair.replan(strategy.allocation, coded_sigma,
-                                           up, {}, true, budget);
-      EXPECT_EQ(got.lost_placements, expected.lost_placements);
-      EXPECT_EQ(got.repair_placements, expected.repair_placements);
-      EXPECT_EQ(got.recovered_gain_seconds, expected.recovered_gain_seconds);
-      expect_same_profile(got.delivery, expected.delivery);
+  for (const core::FragmentConfig shape : k1_shapes(inst)) {
+    // The standing sigma: the strategy's own under replication, the
+    // shape's greedy plan under the tighter n.
+    const core::DeliveryProfile sigma =
+        shape == core::replication_shape(inst.server_count())
+            ? strategy.delivery
+            : core_repair.plan(strategy.allocation, shape).delivery;
+    util::Rng rng(17);
+    std::vector<std::uint8_t> up(inst.server_count(), 1);
+    for (int round = 0; round < 20; ++round) {
+      for (auto& flag : up) flag = rng.index(4) > 0 ? 1 : 0;
+      for (const std::size_t budget : budgets) {
+        SCOPED_TRACE(testing::Message() << "n " << shape.n << " round "
+                                        << round << " budget " << budget);
+        const auto expected = core_repair.replan(strategy.allocation, sigma,
+                                                 up, {}, true, budget);
+        const auto got = coded_evaluator_replan(inst, strategy.allocation,
+                                                sigma, up, budget);
+        EXPECT_EQ(got.lost_placements, expected.lost_placements);
+        EXPECT_EQ(got.repair_placements, expected.repair_placements);
+        EXPECT_EQ(got.recovered_gain_seconds,
+                  expected.recovered_gain_seconds);
+        expect_same_profile(got.delivery, expected.delivery);
+      }
     }
   }
 }
 
 /// Asserts two coded profiles hold the same fragments and headroom.
-void expect_same_coded_profile(const coding::CodedDeliveryProfile& a,
-                               const coding::CodedDeliveryProfile& b) {
+void expect_same_coded_profile(const core::DeliveryProfile& a,
+                               const core::DeliveryProfile& b) {
   ASSERT_EQ(a.placement_count(), b.placement_count());
   for (std::size_t k = 0; k < a.data_count(); ++k) {
     const auto ah = a.hosts(k);
@@ -342,12 +376,11 @@ TEST(CodedPlanner, PlanEqualsReplanFromEmptySigma) {
   const std::vector<std::uint8_t> all_up(inst.server_count(), 1);
   for (const std::size_t k_of : {1u, 2u}) {
     SCOPED_TRACE(testing::Message() << "k = " << k_of);
-    const coding::FragmentConfig config{inst.server_count(), k_of};
+    const core::FragmentConfig config{inst.server_count(), k_of};
     const auto planned =
-        coding::CodedGreedyPlanner(inst).plan(strategy.allocation, config);
-    const auto replanned = coding::CodedGreedyPlanner(inst).replan(
-        strategy.allocation, coding::CodedDeliveryProfile(inst, config),
-        all_up);
+        core::GreedyDeliveryPlanner(inst).plan(strategy.allocation, config);
+    const auto replanned = core::GreedyDeliveryPlanner(inst).replan(
+        strategy.allocation, core::DeliveryProfile(inst, config), all_up);
     EXPECT_EQ(replanned.lost_placements, 0u);
     EXPECT_EQ(replanned.repair_placements, planned.placements);
     expect_same_coded_profile(replanned.delivery, planned.delivery);
@@ -361,10 +394,10 @@ TEST(CodedPlanner, PlanEqualsReplanFromEmptySigma) {
 TEST(CodedRepair, BudgetedReplanIsAPrefixOfUnbudgeted) {
   const auto inst = model::make_instance(sized(10, 50, 4), 13);
   const auto strategy = solve(inst, 13);
-  const coding::FragmentConfig config{inst.server_count(), 2};
-  coding::CodedGreedyPlanner planner(inst);
+  const core::FragmentConfig config{inst.server_count(), 2};
+  core::GreedyDeliveryPlanner planner(inst);
   const auto planned = planner.plan(strategy.allocation, config).delivery;
-  coding::CodedDeliveryProfile sigma(inst, config);
+  core::DeliveryProfile sigma(inst, config);
   for (std::size_t k = 2; k < inst.data_count(); ++k) {
     for (const std::size_t i : planned.hosts(k)) sigma.place(i, k);
   }
@@ -389,97 +422,21 @@ TEST(CodedRepair, BudgetedReplanIsAPrefixOfUnbudgeted) {
   }
 }
 
-// Analytic coded resilience at k = 1 reproduces fault::evaluate_resilience
-// field-for-field under both repair policies.
-TEST(CodedResilience, K1BitIdenticalToReplicationResilience) {
-  for (std::uint64_t seed = 40; seed <= 42; ++seed) {
-    const auto inst = model::make_instance(sized(10, 50, 4), seed);
-    const auto strategy = solve(inst, seed);
-    coding::CodedStrategy coded(strategy.allocation,
-                                as_coded(inst, strategy.delivery));
-    coded.collaborative_delivery = strategy.collaborative_delivery;
-    const auto plan =
-        fault::FaultPlan::generate(inst, busy_profile(), seed ^ 0x4a17);
-    ASSERT_FALSE(plan.inert());
-    for (const auto policy :
-         {fault::RepairPolicy::kNone, fault::RepairPolicy::kGreedy}) {
-      const auto expected =
-          fault::evaluate_resilience(inst, strategy, plan, policy);
-      const auto got =
-          coding::evaluate_coded_resilience(inst, coded, plan, policy);
-      EXPECT_EQ(got.fault_free_latency_ms, expected.fault_free_latency_ms);
-      EXPECT_EQ(got.degraded_latency_ms, expected.degraded_latency_ms);
-      EXPECT_EQ(got.availability, expected.availability);
-      EXPECT_EQ(got.tier_fraction, expected.tier_fraction);
-      EXPECT_EQ(got.epochs, expected.epochs);
-      EXPECT_EQ(got.lost_placements, expected.lost_placements);
-      EXPECT_EQ(got.repair_placements, expected.repair_placements);
-    }
-  }
-}
-
+// An inert plan short-circuits the resilience walk of a k = 2 strategy to
+// its fault-free L_avg, which the coded evaluator computes.
 TEST(CodedResilience, InertPlanShortCircuitsToFaultFree) {
   const auto inst = model::make_instance(sized(8, 40, 4), 50);
   const auto strategy = solve(inst, 50);
-  coding::CodedStrategy coded(strategy.allocation,
-                              as_coded(inst, strategy.delivery));
+  core::Strategy coded(
+      strategy.allocation,
+      core::GreedyDeliveryPlanner(inst)
+          .plan(strategy.allocation, {inst.server_count(), 2})
+          .delivery);
   const fault::FaultPlan inert;
-  const auto report =
-      coding::evaluate_coded_resilience(inst, coded, inert);
+  const auto report = fault::evaluate_resilience(inst, coded, inert);
   EXPECT_EQ(report.degraded_latency_ms, report.fault_free_latency_ms);
   EXPECT_EQ(report.availability, 1.0);
   EXPECT_EQ(report.epochs, 1u);
-}
-
-// The coded DES replay at k = 1 under a non-inert plan, with or without
-// admission control, replays run() bit-for-bit: same rng draws, same
-// events, same floats.
-TEST(CodedDes, K1BitIdenticalToFaultyReplay) {
-  qos::QosConfig chaos =
-      sim::chaos_qos_config(4.0, qos::SheddingPolicy::kDeadlineAware, 0.1);
-  chaos.admission.service_slots = 0;  // slots have no coded meaning
-  for (std::uint64_t seed = 60; seed <= 65; ++seed) {
-    const auto inst = model::make_instance(sized(10, 50, 4), seed);
-    const auto strategy = solve(inst, seed);
-    coding::CodedStrategy coded(strategy.allocation,
-                                as_coded(inst, strategy.delivery));
-    coded.collaborative_delivery = strategy.collaborative_delivery;
-    const auto plan =
-        fault::FaultPlan::generate(inst, busy_profile(), seed ^ 0x4a17);
-    ASSERT_FALSE(plan.inert());
-    des::FlowSimOptions options;
-    options.arrival_window_s = 15.0;
-    options.fault_plan = &plan;
-    if (seed > 62) options.qos = &chaos;
-    const des::FlowLevelSimulator simulator(inst, options);
-    util::Rng rng_a(seed);
-    util::Rng rng_b(seed);
-    const auto expected = simulator.run(strategy, rng_a);
-    const auto got = simulator.run_coded(coded, rng_b);
-    ASSERT_EQ(got.flows.size(), expected.flows.size());
-    for (std::size_t f = 0; f < got.flows.size(); ++f) {
-      EXPECT_EQ(got.flows[f].arrival_s, expected.flows[f].arrival_s);
-      EXPECT_EQ(got.flows[f].completion_s, expected.flows[f].completion_s);
-      EXPECT_EQ(got.flows[f].retries, expected.flows[f].retries);
-      EXPECT_EQ(got.flows[f].forced_cloud, expected.flows[f].forced_cloud);
-      EXPECT_EQ(got.flows[f].from_cloud, expected.flows[f].from_cloud);
-      EXPECT_EQ(got.flows[f].local_hit, expected.flows[f].local_hit);
-      EXPECT_EQ(got.flows[f].tier, expected.flows[f].tier);
-      EXPECT_EQ(got.flows[f].hops, expected.flows[f].hops);
-    }
-    EXPECT_EQ(got.mean_duration_ms, expected.mean_duration_ms);
-    EXPECT_EQ(got.p99_duration_ms, expected.p99_duration_ms);
-    EXPECT_EQ(got.makespan_s, expected.makespan_s);
-    EXPECT_EQ(got.rate_recomputations, expected.rate_recomputations);
-    EXPECT_EQ(got.availability, expected.availability);
-    EXPECT_EQ(got.retry_count, expected.retry_count);
-    EXPECT_EQ(got.tier_counts, expected.tier_counts);
-    EXPECT_EQ(got.local_hits, expected.local_hits);
-    EXPECT_EQ(got.cloud_fetches, expected.cloud_fetches);
-    EXPECT_EQ(got.qos.shed, expected.qos.shed);
-    EXPECT_EQ(got.qos.retries_denied, expected.qos.retries_denied);
-    EXPECT_EQ(got.qos.breaker_opens, expected.qos.breaker_opens);
-  }
 }
 
 // k > 1: the coded replay stays structurally sound under faults — every
@@ -488,11 +445,11 @@ TEST(CodedDes, K1BitIdenticalToFaultyReplay) {
 TEST(CodedDes, K2ReplayIsSoundAndDeterministic) {
   const auto inst = model::make_instance(sized(10, 50, 4), 70);
   const auto strategy = solve(inst, 70);
-  coding::CodedGreedyPlanner planner(inst);
+  core::GreedyDeliveryPlanner planner(inst);
   const auto plan_result = planner.plan(strategy.allocation,
                                         {inst.server_count(), 2});
-  coding::CodedStrategy coded(strategy.allocation,
-                              coding::CodedDeliveryProfile(plan_result.delivery));
+  core::Strategy coded(strategy.allocation,
+                       core::DeliveryProfile(plan_result.delivery));
   const auto plan =
       fault::FaultPlan::generate(inst, busy_profile(), 0x70 ^ 0x4a17);
   des::FlowSimOptions options;
@@ -501,8 +458,8 @@ TEST(CodedDes, K2ReplayIsSoundAndDeterministic) {
   const des::FlowLevelSimulator simulator(inst, options);
   util::Rng rng_a(70);
   util::Rng rng_b(70);
-  const auto a = simulator.run_coded(coded, rng_a);
-  const auto b = simulator.run_coded(coded, rng_b);
+  const auto a = simulator.run(coded, rng_a);
+  const auto b = simulator.run(coded, rng_b);
   ASSERT_FALSE(a.flows.empty());
   for (const auto& flow : a.flows) {
     EXPECT_GE(flow.completion_s, flow.arrival_s);
@@ -522,7 +479,7 @@ TEST(CodedDes, K2ReplayIsSoundAndDeterministic) {
 // (the per-rep staging + serial fold discipline extends to coded rows).
 TEST(CodedSweep, ColumnsBitIdenticalAcrossThreadCounts) {
   const fault::FaultProfile profile = busy_profile();
-  const coding::FragmentConfig config{8, 2};
+  const core::FragmentConfig config{8, 2};
   std::vector<sim::SweepPoint> points{{"N=8", sized(8, 30, 3)}};
   const auto run = [&](std::size_t threads) {
     sim::SweepOptions options;
@@ -554,36 +511,56 @@ TEST(CodedSweep, ColumnsBitIdenticalAcrossThreadCounts) {
   }
 }
 
+// The profile's shape picks the format tag: replication (N, 1) writes an
+// idde-strategy-v1 document, any other shape (a tight (4, 1) included) a
+// coded one, and each reads back to the shape, hosts and ledger it was
+// written from.
 TEST(CodedIo, RoundTripsIntactStrategy) {
   const auto inst = model::make_instance(sized(8, 30, 4), 81);
   const auto strategy = solve(inst, 81);
-  coding::CodedGreedyPlanner planner(inst);
-  const auto plan = planner.plan(strategy.allocation, {6, 2});
-  coding::CodedStrategy coded(strategy.allocation,
-                              coding::CodedDeliveryProfile(plan.delivery));
-  coded.approach_name = "IDDE-G+coded";
-  coded.placements = plan.placements;
-  const std::string text = coding::coded_strategy_to_string(coded, 2);
-  const auto back = coding::coded_strategy_from_string(inst, text);
-  EXPECT_EQ(coding::coded_strategy_to_string(back, 2), text);
-  EXPECT_EQ(back.delivery.config().n, 6u);
-  EXPECT_EQ(back.delivery.config().k, 2u);
-  // Host sets and ledger survive the round trip.
-  for (std::size_t k = 0; k < inst.data_count(); ++k) {
-    const auto a = back.delivery.hosts(k);
-    const auto b = coded.delivery.hosts(k);
-    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
-  }
-  for (std::size_t i = 0; i < inst.server_count(); ++i) {
-    EXPECT_EQ(back.delivery.free_kb(i), coded.delivery.free_kb(i));
+  core::GreedyDeliveryPlanner planner(inst);
+  const core::FragmentConfig replication =
+      core::replication_shape(inst.server_count());
+  for (const core::FragmentConfig shape :
+       {core::FragmentConfig{6, 2}, core::FragmentConfig{4, 1},
+        replication}) {
+    SCOPED_TRACE(testing::Message() << "n " << shape.n << " k " << shape.k);
+    const auto plan = planner.plan(strategy.allocation, shape);
+    core::Strategy coded(strategy.allocation,
+                         core::DeliveryProfile(plan.delivery));
+    coded.approach_name = "IDDE-G+coded";
+    coded.placements = plan.placements;
+    const std::string text = core::strategy_to_string(coded, 2);
+    EXPECT_EQ(util::Json::parse(text).string_or("format", ""),
+              shape == replication ? core::kStrategyFormat
+                                   : core::kCodedFormat);
+    const auto back = core::strategy_from_string(inst, text);
+    EXPECT_EQ(core::strategy_to_string(back, 2), text);
+    EXPECT_EQ(back.delivery.shape().n, shape.n);
+    EXPECT_EQ(back.delivery.shape().k, shape.k);
+    // Host sets and ledger survive the round trip.
+    for (std::size_t k = 0; k < inst.data_count(); ++k) {
+      const auto a = back.delivery.hosts(k);
+      const auto b = coded.delivery.hosts(k);
+      EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
+    }
+    for (std::size_t i = 0; i < inst.server_count(); ++i) {
+      EXPECT_EQ(back.delivery.free_kb(i), coded.delivery.free_kb(i));
+    }
   }
 }
 
 TEST(CodedIo, HostileDocumentsAreRejectedStructurally) {
   const auto inst = model::make_instance(sized(5, 12, 3), 83);
   const std::vector<std::string> hostile = {
-      // wrong format tag
+      // unknown format tag
+      R"({"format":"idde-strategy-v0","coding":{"n":1,"k":1},"allocation":[],"placements":[]})",
+      // replication tag: the coding block is ignored, the empty
+      // allocation is not
       R"({"format":"idde-strategy-v1","coding":{"n":1,"k":1},"allocation":[],"placements":[]})",
+      // missing or negative shape fields
+      R"({"format":"idde-coded-strategy-v1","coding":{"n":2},"allocation":[],"placements":[]})",
+      R"({"format":"idde-coded-strategy-v1","coding":{"n":-1,"k":1},"allocation":[],"placements":[]})",
       // invalid shapes: k = 0, n < k, absurd n
       R"({"format":"idde-coded-strategy-v1","coding":{"n":1,"k":0},"allocation":[],"placements":[]})",
       R"({"format":"idde-coded-strategy-v1","coding":{"n":1,"k":2},"allocation":[],"placements":[]})",
@@ -596,14 +573,14 @@ TEST(CodedIo, HostileDocumentsAreRejectedStructurally) {
       "[3]",
   };
   for (const auto& text : hostile) {
-    EXPECT_THROW((void)coding::coded_strategy_from_string(inst, text),
+    EXPECT_THROW((void)core::strategy_from_string(inst, text),
                  util::JsonError)
         << text;
   }
 }
 
 TEST(CodedScenario, FragmentConfigJsonRoundTripsAndValidates) {
-  const coding::FragmentConfig config{6, 4};
+  const core::FragmentConfig config{6, 4};
   const util::Json json = sim::fragment_config_to_json(config);
   const auto back = sim::fragment_config_from_json(json);
   EXPECT_EQ(back.n, 6u);
@@ -618,6 +595,13 @@ TEST(CodedScenario, FragmentConfigJsonRoundTripsAndValidates) {
                util::JsonError);
   EXPECT_THROW((void)sim::fragment_config_from_json(
                    util::Json::parse(R"({"n":2,"k":0})")),
+               util::JsonError);
+  // Negative sizes must not wrap around to 2^64 - 1.
+  EXPECT_THROW((void)sim::fragment_config_from_json(
+                   util::Json::parse(R"({"n":-1,"k":-1})")),
+               util::JsonError);
+  EXPECT_THROW((void)sim::fragment_config_from_json(
+                   util::Json::parse(R"({"n":-1,"k":1})")),
                util::JsonError);
 }
 

@@ -15,8 +15,7 @@
 #include <sstream>
 #include <string>
 
-#include "coding/coded_planner.hpp"
-#include "coding/coded_profile.hpp"
+#include "core/greedy_delivery.hpp"
 #include "core/idde_g.hpp"
 #include "des/flow_sim.hpp"
 #include "fault/degradation.hpp"
@@ -141,12 +140,12 @@ des::FlowSimOptions slow_links() {
   return options;
 }
 
-coding::CodedStrategy coded_k2(const Scenario& s) {
-  coding::CodedGreedyPlanner planner(s.instance);
+core::Strategy coded_k2(const Scenario& s) {
+  core::GreedyDeliveryPlanner planner(s.instance);
   auto planned =
       planner.plan(s.strategy.allocation, {s.instance.server_count(), 2});
-  coding::CodedStrategy coded(s.strategy.allocation,
-                              coding::CodedDeliveryProfile(planned.delivery));
+  core::Strategy coded(s.strategy.allocation,
+                       core::DeliveryProfile(planned.delivery));
   coded.collaborative_delivery = s.strategy.collaborative_delivery;
   return coded;
 }
@@ -275,7 +274,7 @@ TEST(DesGolden, CodedK2WithFaults) {
   expect_digests({0x77fcc840ceb0b20fULL, 0x2bc36fdff1d1eed4ULL,
                   0x9472f609f937f5f5ULL}, [](std::uint64_t seed) {
     const Scenario s = scenario(seed);
-    const coding::CodedStrategy coded = coded_k2(s);
+    const core::Strategy coded = coded_k2(s);
     const auto plan =
         fault::FaultPlan::generate(s.instance, busy_faults(0.1), seed ^ 0x4a17);
     des::FlowSimOptions options = slow_links();
@@ -283,7 +282,7 @@ TEST(DesGolden, CodedK2WithFaults) {
     options.fault_plan = &plan;
     options.max_retries = 3;
     util::Rng rng(seed);
-    return des::FlowLevelSimulator(s.instance, options).run_coded(coded, rng);
+    return des::FlowLevelSimulator(s.instance, options).run(coded, rng);
   });
 }
 
@@ -291,7 +290,7 @@ TEST(DesGolden, CodedK2WithQos) {
   expect_digests({0xef71794f50e3b215ULL, 0xd3a8c1b6453ec1a8ULL,
                   0x1e29f45b5d1cc960ULL}, [](std::uint64_t seed) {
     const Scenario s = scenario(seed);
-    const coding::CodedStrategy coded = coded_k2(s);
+    const core::Strategy coded = coded_k2(s);
     qos::QosConfig qos =
         sim::chaos_qos_config(4.0, qos::SheddingPolicy::kDeadlineAware, 0.1);
     qos.admission.service_slots = 0;  // slots have no coded meaning
@@ -301,7 +300,7 @@ TEST(DesGolden, CodedK2WithQos) {
     options.fault_plan = &plan;
     options.qos = &qos;
     util::Rng rng(seed ^ 0x10adULL);
-    return des::FlowLevelSimulator(s.instance, options).run_coded(coded, rng);
+    return des::FlowLevelSimulator(s.instance, options).run(coded, rng);
   });
 }
 

@@ -13,8 +13,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "coding/coded_planner.hpp"
-#include "coding/coded_profile.hpp"
+#include "core/greedy_delivery.hpp"
 #include "core/health.hpp"
 #include "core/idde_g.hpp"
 #include "core/resolver.hpp"
@@ -594,11 +593,11 @@ TEST(GrayDes, SlowServersTripBreakersUnderAdmissionControl) {
 TEST(GrayDes, ComposesWithCodedDelivery) {
   const auto inst = model::make_instance(small_params(), 28);
   const auto strategy = solve(inst, 28);
-  coding::CodedGreedyPlanner planner(inst);
+  core::GreedyDeliveryPlanner planner(inst);
   const auto planned =
       planner.plan(strategy.allocation, {inst.server_count(), 2});
-  coding::CodedStrategy coded(strategy.allocation,
-                              coding::CodedDeliveryProfile(planned.delivery));
+  core::Strategy coded(strategy.allocation,
+                       core::DeliveryProfile(planned.delivery));
   coded.collaborative_delivery = strategy.collaborative_delivery;
 
   des::FlowSimOptions options;
@@ -607,7 +606,7 @@ TEST(GrayDes, ComposesWithCodedDelivery) {
     des::FlowSimOptions with = options;
     with.degradation = gray;
     util::Rng rng(28);
-    return des::FlowLevelSimulator(inst, with).run_coded(coded, rng);
+    return des::FlowLevelSimulator(inst, with).run(coded, rng);
   };
 
   const auto healthy = replay(nullptr);
@@ -631,7 +630,7 @@ TEST(GrayDes, ComposesWithCodedDelivery) {
     EXPECT_LE(flow.retries, flow.losses);
     losses += flow.losses;
     lost_mb += static_cast<double>(flow.losses) *
-               coded.delivery.item_fragment_mb(flow.item);
+               coded.delivery.placement_mb(flow.item);
   }
   EXPECT_EQ(losses, lossy.loss_aborts);
   EXPECT_NEAR(lossy.lost_mb, lost_mb, 1e-9 * lost_mb);
@@ -662,12 +661,12 @@ TEST(GrayDes, SimultaneouslyLostFragmentsAreAllCounted) {
   const std::size_t item = inst.requests().items_of(user).front();
   core::AllocationProfile allocation(inst.user_count(), radio::kUnallocated);
   allocation[user] = radio::ChannelSlot{1, 0};
-  coding::CodedDeliveryProfile fragments(inst, {2, 2});
+  core::DeliveryProfile fragments(inst, {2, 2});
   ASSERT_TRUE(fragments.can_place(0, item));
   ASSERT_TRUE(fragments.can_place(2, item));
   fragments.place(0, item);
   fragments.place(2, item);
-  const coding::CodedStrategy coded(allocation, fragments);
+  const core::Strategy coded(allocation, fragments);
 
   // Every leg is lost (up to a 1e-9 lottery chance per leg).
   const auto plan = uniform_gray(inst, 1.0, 1.0 - 1e-9, 29);
@@ -676,9 +675,9 @@ TEST(GrayDes, SimultaneouslyLostFragmentsAreAllCounted) {
   options.health_aware = true;
   options.max_retries = 3;
   util::Rng rng(29);
-  const auto result = des::FlowLevelSimulator(inst, options).run_coded(coded, rng);
+  const auto result = des::FlowLevelSimulator(inst, options).run(coded, rng);
 
-  const double fragment_mb = fragments.item_fragment_mb(item);
+  const double fragment_mb = fragments.placement_mb(item);
   std::size_t routed = 0;
   for (const auto& flow : result.flows) {
     if (flow.user != user || flow.item != item) {
@@ -700,7 +699,7 @@ TEST(GrayDes, SimultaneouslyLostFragmentsAreAllCounted) {
 
   util::Rng rng2(29);
   expect_same_result(
-      des::FlowLevelSimulator(inst, options).run_coded(coded, rng2), result);
+      des::FlowLevelSimulator(inst, options).run(coded, rng2), result);
 }
 
 // Health-aware routing also steers coded delivery: on a path graph the
@@ -736,12 +735,12 @@ TEST(GrayDes, HealthAwareCodedDeliveryRoutesAroundADemotedFragmentHost) {
       allocation[j] = radio::ChannelSlot{1, 0};
     }
   }
-  coding::CodedDeliveryProfile fragments(inst, {3, 2});
+  core::DeliveryProfile fragments(inst, {3, 2});
   for (const std::size_t host : {0u, 2u, 3u}) {
     ASSERT_TRUE(fragments.can_place(host, item));
     fragments.place(host, item);
   }
-  const coding::CodedStrategy coded(allocation, fragments);
+  const core::Strategy coded(allocation, fragments);
 
   fault::DegradationPlan plan;
   plan.add_server_segment(0, {0.0, 300.0, 20.0, 0.0});
@@ -752,7 +751,7 @@ TEST(GrayDes, HealthAwareCodedDeliveryRoutesAroundADemotedFragmentHost) {
     des::FlowSimOptions with = options;
     with.health_aware = health_aware;
     util::Rng rng(30);
-    return des::FlowLevelSimulator(inst, with).run_coded(coded, rng);
+    return des::FlowLevelSimulator(inst, with).run(coded, rng);
   };
   const auto blind = replay(false);
   const auto aware = replay(true);

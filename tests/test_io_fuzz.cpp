@@ -14,8 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "coding/coded_io.hpp"
-#include "coding/coded_planner.hpp"
+#include "core/greedy_delivery.hpp"
 #include "core/idde_g.hpp"
 #include "core/strategy_io.hpp"
 #include "fault/degradation.hpp"
@@ -203,13 +202,13 @@ TEST(IoFuzz, OutOfRangeGeometryIsRejectedStructurally) {
   }
 }
 
-coding::CodedStrategy tiny_coded_strategy(
-    const model::ProblemInstance& instance, std::uint64_t seed) {
+core::Strategy tiny_coded_strategy(const model::ProblemInstance& instance,
+                                   std::uint64_t seed) {
   util::Rng solve_rng(seed);
   const auto strategy = core::IddeG().solve(instance, solve_rng);
-  coding::CodedGreedyPlanner planner(instance);
+  core::GreedyDeliveryPlanner planner(instance);
   auto plan = planner.plan(strategy.allocation, {4, 2});
-  coding::CodedStrategy coded(strategy.allocation, std::move(plan.delivery));
+  core::Strategy coded(strategy.allocation, std::move(plan.delivery));
   coded.approach_name = "fuzz";
   coded.placements = plan.placements;
   return coded;
@@ -367,23 +366,22 @@ TEST(IoFuzz, OutOfCoverageAllocationIsRejected) {
       core::strategy_to_string(core::IddeG().solve(instance, solve_rng)));
   expect_rejected([&] { (void)core::strategy_from_string(instance, plain); });
   const std::string coded = move_out(
-      coding::coded_strategy_to_string(tiny_coded_strategy(instance, 13)));
-  expect_rejected(
-      [&] { (void)coding::coded_strategy_from_string(instance, coded); });
+      core::strategy_to_string(tiny_coded_strategy(instance, 13)));
+  expect_rejected([&] { (void)core::strategy_from_string(instance, coded); });
 }
 
 TEST(IoFuzz, MutatedCodedStrategyNeverCrashes) {
   const auto instance = model::make_instance(tiny_params(), 11);
   const auto coded = tiny_coded_strategy(instance, 11);
-  const std::string text = coding::coded_strategy_to_string(coded, -1);
+  const std::string text = core::strategy_to_string(coded, -1);
   // Intact round trip first.
-  const auto back = coding::coded_strategy_from_string(instance, text);
-  EXPECT_EQ(coding::coded_strategy_to_string(back, -1), text);
+  const auto back = core::strategy_from_string(instance, text);
+  EXPECT_EQ(core::strategy_to_string(back, -1), text);
 
   util::Rng rng(0xf025ULL);
   for (int i = 0; i < 3000; ++i) {
     expect_structured(mutate(text, rng), [&](const std::string& s) {
-      (void)coding::coded_strategy_from_string(instance, s);
+      (void)core::strategy_from_string(instance, s);
     });
   }
 }
@@ -391,12 +389,12 @@ TEST(IoFuzz, MutatedCodedStrategyNeverCrashes) {
 TEST(IoFuzz, TruncatedCodedStrategyIsRejectedAtEveryLength) {
   const auto instance = model::make_instance(tiny_params(), 12);
   const auto coded = tiny_coded_strategy(instance, 12);
-  const std::string text = coding::coded_strategy_to_string(coded, -1);
+  const std::string text = core::strategy_to_string(coded, -1);
   // Every strict prefix breaks the JSON grammar or loses a required
   // field; all must throw the structured error.
   for (std::size_t len = 0; len < text.size(); ++len) {
     EXPECT_THROW(
-        (void)coding::coded_strategy_from_string(instance, text.substr(0, len)),
+        (void)core::strategy_from_string(instance, text.substr(0, len)),
         util::JsonError)
         << "prefix length " << len;
   }

@@ -23,8 +23,7 @@
 #include <string_view>
 #include <vector>
 
-#include "coding/coded_io.hpp"
-#include "coding/coded_planner.hpp"
+#include "core/greedy_delivery.hpp"
 #include "core/idde_g.hpp"
 #include "core/strategy_io.hpp"
 #include "model/instance_builder.hpp"
@@ -134,14 +133,14 @@ TEST(IoGolden, CodedStrategy) {
   const auto instance = model::make_instance(tiny_params(), 11);
   util::Rng rng(11);
   const core::Strategy strategy = core::IddeG().solve(instance, rng);
-  coding::CodedGreedyPlanner planner(instance);
+  core::GreedyDeliveryPlanner planner(instance);
   auto plan = planner.plan(strategy.allocation, {4, 2});
-  coding::CodedStrategy coded(strategy.allocation, std::move(plan.delivery));
+  core::Strategy coded(strategy.allocation, std::move(plan.delivery));
   coded.approach_name = "golden";
   coded.placements = plan.placements;
-  EXPECT_EQ(hex(fnv1a(coding::coded_strategy_to_string(coded, -1))),
+  EXPECT_EQ(hex(fnv1a(core::strategy_to_string(coded, -1))),
             hex(0x8d8dedbfd1a01b5));
-  EXPECT_EQ(hex(fnv1a(coding::coded_strategy_to_string(coded, 2))),
+  EXPECT_EQ(hex(fnv1a(core::strategy_to_string(coded, 2))),
             hex(0xf83e720801384a95));
 }
 

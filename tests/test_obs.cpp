@@ -8,9 +8,8 @@
 #include <string>
 #include <vector>
 
-#include "coding/coded_planner.hpp"
-#include "coding/coded_profile.hpp"
 #include "core/game.hpp"
+#include "core/greedy_delivery.hpp"
 #include "core/idde_g.hpp"
 #include "core/resolver.hpp"
 #include "des/flow_sim.hpp"
@@ -520,14 +519,14 @@ TEST_F(ObsTest, FailoverResolutionCountsTiers) {
   EXPECT_GT(replicated.retry_count, 0u);
   expect_counted(replay_resolutions(replicated));
 
-  coding::CodedGreedyPlanner planner(instance);
+  core::GreedyDeliveryPlanner planner(instance);
   auto planned =
       planner.plan(strategy.allocation, {instance.server_count(), 2});
-  coding::CodedStrategy coded(strategy.allocation,
-                              coding::CodedDeliveryProfile(planned.delivery));
+  core::Strategy coded(strategy.allocation,
+                       core::DeliveryProfile(planned.delivery));
   coded.collaborative_delivery = strategy.collaborative_delivery;
   util::Rng coded_rng(9);
-  const des::FlowSimResult coded_result = sim.run_coded(coded, coded_rng);
+  const des::FlowSimResult coded_result = sim.run(coded, coded_rng);
   EXPECT_GT(coded_result.retry_count, 0u);
   expect_counted(replay_resolutions(coded_result));
 }

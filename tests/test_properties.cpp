@@ -198,7 +198,8 @@ TEST(DeliveryLedger, ReplayEqualsRecomputeOverRandomSequences) {
     for (std::size_t i = placements.size(); i > 1; --i) {
       std::swap(placements[i - 1], placements[rng.index(i)]);
     }
-    const auto recomputed = core::DeliveryProfile::restore(inst, placements);
+    const auto recomputed =
+        core::DeliveryProfile::restore(inst, live.shape(), placements);
     ASSERT_EQ(recomputed.placement_count(), live.placement_count());
     for (std::size_t i = 0; i < inst.server_count(); ++i) {
       ASSERT_EQ(recomputed.free_kb(i), live.free_kb(i))

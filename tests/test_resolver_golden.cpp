@@ -20,12 +20,11 @@
 #include <string>
 #include <vector>
 
-#include "coding/coded_planner.hpp"
-#include "coding/coded_resilience.hpp"
-#include "coding/fragment.hpp"
+#include "core/greedy_delivery.hpp"
 #include "core/health.hpp"
 #include "core/idde_g.hpp"
 #include "core/resolver.hpp"
+#include "core/strategy.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/injector.hpp"
 #include "model/instance_builder.hpp"
@@ -152,7 +151,7 @@ std::uint64_t resolver_digest(std::uint64_t seed, std::size_t k,
               .hosts = hosts,
               .serving = serving,
               .item_mb = size,
-              .fragment_mb = coding::fragment_size_mb(size, k),
+              .fragment_mb = core::fragment_size_mb(size, k),
               .k = k,
               .degraded_costs = degraded ? &costs : nullptr,
               .health = health};
@@ -241,9 +240,9 @@ std::uint64_t report_digest(const fault::ResilienceReport& report) {
   return fnv.value();
 }
 
-/// Resilience report of one seeded scenario: replication through
-/// fault::evaluate_resilience at k = 1, a greedy (n, k) plan through
-/// coding::evaluate_coded_resilience otherwise.
+/// Resilience report of one seeded scenario through
+/// fault::evaluate_resilience: the replication strategy at k = 1, a greedy
+/// (N, k) plan otherwise.
 std::uint64_t resilience_digest(std::uint64_t seed, std::size_t k,
                                 fault::RepairPolicy policy,
                                 double corruption) {
@@ -254,14 +253,14 @@ std::uint64_t resilience_digest(std::uint64_t seed, std::size_t k,
     return report_digest(
         fault::evaluate_resilience(s.instance, s.strategy, plan, policy));
   }
-  coding::CodedGreedyPlanner planner(s.instance);
+  core::GreedyDeliveryPlanner planner(s.instance);
   auto planned =
       planner.plan(s.strategy.allocation, {s.instance.server_count(), k});
-  coding::CodedStrategy coded(s.strategy.allocation,
-                              coding::CodedDeliveryProfile(planned.delivery));
+  core::Strategy coded(s.strategy.allocation,
+                       core::DeliveryProfile(planned.delivery));
   coded.collaborative_delivery = s.strategy.collaborative_delivery;
   return report_digest(
-      coding::evaluate_coded_resilience(s.instance, coded, plan, policy));
+      fault::evaluate_resilience(s.instance, coded, plan, policy));
 }
 
 void expect_resilience_digests(const std::array<std::uint64_t, 3>& pinned,

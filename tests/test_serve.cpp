@@ -173,6 +173,15 @@ TEST(Serve, RestoreRejectsCorruptedSnapshots) {
     serve::ServeController b(small_config(), 4);
     EXPECT_THROW(b.restore(snapshot), util::JsonError);
   }
+  // Valid snapshot, different retry budget: the budget gates every backlog
+  // retry, so the guard hash refuses it too.
+  {
+    serve::ServeConfig budgeted = small_config();
+    budgeted.retry.ratio = 0.1;
+    budgeted.retry.burst = 2.0;
+    serve::ServeController b(budgeted, 3);
+    EXPECT_THROW(b.restore(snapshot), util::JsonError);
+  }
 }
 
 // Restore must refuse mobility state that no walk can produce: a

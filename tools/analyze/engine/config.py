@@ -36,7 +36,7 @@ class Config:
     timing_exempt: list[str] = field(
         default_factory=lambda: ["src/util", "src/obs"])
     queue_scoped: list[str] = field(
-        default_factory=lambda: ["src/qos", "src/des", "src/coding"])
+        default_factory=lambda: ["src/qos", "src/des"])
     atomic_exempt: list[str] = field(
         default_factory=lambda: ["src/util", "src/obs"])
     # Determinism, unit-safety, and retry-bound packs police shipped
@@ -58,8 +58,7 @@ class Config:
         "src/core/game.cpp",
         "src/core/greedy_delivery.cpp",
         "src/core/lazy_greedy.hpp",
-        "src/coding/coded_evaluator.cpp",
-        "src/coding/coded_planner.cpp",
+        "src/core/coded_evaluator.cpp",
         "src/core/resolver.cpp",
         "src/des/fluid.hpp",
         "src/net/shortest_path.cpp",
