@@ -10,9 +10,11 @@
 //             and on a larger dense synthetic graph.
 //   planner   heap allocations per GreedyDeliveryPlanner::plan() and
 //             GreedyDeliveryPlanner::replan(), counted by a TU-local operator
-//             new override. The first plan builds the planner's reusable
-//             scratch; warm plans must stay at the small per-plan constant
-//             (the returned DeliveryProfile), i.e. allocation-free per move.
+//             new override, and per plan() at an (N, 2) code shape (the
+//             evaluator's resolver-priced k > 1 branch). The first plan
+//             builds the planner's reusable scratch; warm plans must stay at
+//             the small per-plan constant (the returned DeliveryProfile),
+//             i.e. allocation-free per move.
 //   fluid     the DES's link-indexed max-min water-filling
 //             (des::detail::assign_max_min_rates) vs the full-scan oracle,
 //             in solves/second, on a metro-like shape (thousands of
@@ -35,11 +37,12 @@
 //             load back to an instance that writes the same bytes.
 //
 // --smoke turns the report into a gate for CI: batched speedup below
-// --min-speedup, a warm plan allocating more than --max-warm-allocs, a warm
-// water-filling solve allocating at all, an indexed/oracle water-filling
-// ratio on the metro-like shape below kMinFluidSpeedup, an eager/injector
-// walk ratio below kMinInjectorSpeedup, a warm injector step allocating at
-// all, or a city instance file above kMaxCityBytesPerUser fail the run.
+// --min-speedup, a warm plan, replan or k = 2 plan allocating more than
+// --max-warm-allocs, a warm water-filling solve allocating at all, an
+// indexed/oracle water-filling ratio on the metro-like shape below
+// kMinFluidSpeedup, an eager/injector walk ratio below kMinInjectorSpeedup,
+// a warm injector step allocating at all, or a city instance file above
+// kMaxCityBytesPerUser fail the run.
 // Telemetry is switched on after every timed section, so the report's
 // telemetry block carries the perf.* counters without costing the timings.
 // Results go to stdout and to --out (default BENCH_kernels.json) for
@@ -544,10 +547,16 @@ int main(int argc, char** argv) {
   (void)planner.replan(equilibrium.allocation, sigma, all_up);  // warm up
   const std::size_t repair_allocs_warm = count_allocs(
       [&] { (void)planner.replan(equilibrium.allocation, sigma, all_up); });
+  const core::FragmentConfig coded_shape{servers, 2};
+  (void)planner.plan(equilibrium.allocation, coded_shape);  // warm up
+  const std::size_t coded_plan_allocs_warm = count_allocs(
+      [&] { (void)planner.plan(equilibrium.allocation, coded_shape); });
   std::printf("  planner plan() allocations: cold %zu, warm %zu\n",
               plan_allocs_cold, plan_allocs_warm);
-  std::printf("  planner replan() allocations: warm %zu\n\n",
+  std::printf("  planner replan() allocations: warm %zu\n",
               repair_allocs_warm);
+  std::printf("  planner plan() allocations at (%zu, 2): warm %zu\n\n",
+              servers, coded_plan_allocs_warm);
 
   // ---- fluid: link-indexed water-filling vs the scan oracle -------------
   // Metro-like: a 500/8000 burst replay keeps thousands of legs in flight
@@ -646,6 +655,7 @@ int main(int argc, char** argv) {
   IDDE_OBS_COUNT("perf.eval_slots_checked", sweep_evals);
   IDDE_OBS_COUNT("perf.plan_allocs_warm", plan_allocs_warm);
   IDDE_OBS_COUNT("perf.replan_allocs_warm", repair_allocs_warm);
+  IDDE_OBS_COUNT("perf.coded_plan_allocs_warm", coded_plan_allocs_warm);
   IDDE_OBS_COUNT("perf.fluid_legs_checked",
                  fluid_shapes[0].legs.size() + fluid_shapes[1].legs.size());
   IDDE_OBS_COUNT("perf.fluid_rounds", fluid[0].rounds + fluid[1].rounds);
@@ -672,6 +682,13 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "GATE: warm replan() made %zu allocations (budget %zu)\n",
                    repair_allocs_warm, max_warm_allocs);
+      failed = true;
+    }
+    if (coded_plan_allocs_warm > max_warm_allocs) {
+      std::fprintf(stderr,
+                   "GATE: warm (N, 2) plan() made %zu allocations (budget "
+                   "%zu)\n",
+                   coded_plan_allocs_warm, max_warm_allocs);
       failed = true;
     }
     for (std::size_t s = 0; s < 2; ++s) {
@@ -739,6 +756,7 @@ int main(int argc, char** argv) {
     alloc["plan_cold"] = plan_allocs_cold;
     alloc["plan_warm"] = plan_allocs_warm;
     alloc["replan_warm"] = repair_allocs_warm;
+    alloc["coded_plan_warm"] = coded_plan_allocs_warm;
     doc["planner_allocs"] = std::move(alloc);
     util::JsonObject fluid_doc;
     for (std::size_t s = 0; s < 2; ++s) {

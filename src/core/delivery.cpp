@@ -1,6 +1,7 @@
 #include "core/delivery.hpp"
 
-#include "core/coded_evaluator.hpp"
+#include <algorithm>
+
 #include "util/assert.hpp"
 
 namespace idde::core {
@@ -83,10 +84,17 @@ DeliveryProfile DeliveryProfile::restore(
 DeliveryEvaluator::DeliveryEvaluator(const model::ProblemInstance& instance,
                                      const AllocationProfile& allocation,
                                      bool collaborative)
-    : instance_(&instance), collaborative_(collaborative) {
+    : DeliveryEvaluator(instance, allocation,
+                        replication_shape(instance.server_count()),
+                        collaborative) {}
+
+DeliveryEvaluator::DeliveryEvaluator(const model::ProblemInstance& instance,
+                                     const AllocationProfile& allocation,
+                                     FragmentConfig shape, bool collaborative)
+    : instance_(&instance), shape_(shape), collaborative_(collaborative) {
   const auto& requests = instance.requests();
-  // Structure first (instance-dependent only), then the allocation-
-  // dependent state via the same path reset() uses.
+  // Structure first (instance-dependent only), then the allocation- and
+  // shape-dependent state via the same path reset() uses.
   std::vector<std::size_t> item_degree(instance.data_count(), 0);
   std::size_t total_requests = 0;
   for (std::size_t j = 0; j < instance.user_count(); ++j) {
@@ -116,12 +124,14 @@ DeliveryEvaluator::DeliveryEvaluator(const model::ProblemInstance& instance,
   serving_server_.resize(instance.user_count());
   request_serving_.resize(total_requests);
   request_latency_.resize(total_requests);
-  reset(allocation, collaborative);
+  reset(allocation, shape, collaborative);
 }
 
 void DeliveryEvaluator::reset(const AllocationProfile& allocation,
-                              bool collaborative) {
+                              FragmentConfig shape, bool collaborative) {
   IDDE_EXPECTS(allocation.size() == instance_->user_count());
+  IDDE_EXPECTS(shape.valid());
+  shape_ = shape;
   collaborative_ = collaborative;
   for (std::size_t j = 0; j < allocation.size(); ++j) {
     serving_server_[j] =
@@ -135,12 +145,72 @@ void DeliveryEvaluator::reset(const AllocationProfile& allocation,
     request_latency_[id] = cloud;
     total_latency_ += cloud;
   }
+  if (shape.k == 1) return;
+  const std::size_t items = instance_->data_count();
+  const std::size_t servers = instance_->server_count();
+  fragment_mb_.resize(items);
+  for (std::size_t k = 0; k < items; ++k) {
+    fragment_mb_[k] = fragment_size_mb(instance_->data(k).size_mb, shape.k);
+  }
+  hosts_flat_.resize(items * servers);
+  host_count_.assign(items, 0);
+  candidate_hosts_.resize(servers);
+  if (!resolver_.has_value()) resolver_.emplace(*instance_);
+}
+
+std::span<const std::size_t> DeliveryEvaluator::hosts_with(
+    std::size_t server, std::size_t item) const {
+  const std::size_t* const seg =
+      hosts_flat_.data() + item * instance_->server_count();
+  const std::size_t count = host_count_[item];
+  std::size_t* const out = candidate_hosts_.data();
+  std::size_t pos = 0;
+  for (; pos < count && seg[pos] < server; ++pos) out[pos] = seg[pos];
+  IDDE_EXPECTS(pos == count || seg[pos] != server);
+  out[pos] = server;
+  std::copy(seg + pos, seg + count, out + pos + 1);
+  return {out, count + 1};
+}
+
+template <class Improve>
+double DeliveryEvaluator::coded_gain_seconds(std::size_t server,
+                                             std::size_t item,
+                                             Improve improve) const {
+  const std::span<const std::size_t> hosts = hosts_with(server, item);
+  Eq8Request request{.hosts = hosts,
+                     .serving = ChannelSlot::kNone,
+                     .item_mb = instance_->data(item).size_mb,
+                     .fragment_mb = fragment_mb_[item],
+                     .k = shape_.k};
+  double gain = 0.0;
+  for (std::size_t r = item_req_offset_[item]; r < item_req_offset_[item + 1];
+       ++r) {
+    const std::size_t id = item_req_ids_[r];
+    const std::size_t serving = request_serving_[id];
+    if (serving == ChannelSlot::kNone) continue;  // cloud-only user
+    request.serving = serving;
+    if (!collaborative_) {
+      // Local-or-cloud delivery sees at most its own server's fragment.
+      const bool local =
+          std::binary_search(hosts.begin(), hosts.end(), serving);
+      request.hosts = {&request_serving_[id], local ? 1U : 0U};
+    }
+    const double candidate = resolver_->estimate(request).seconds;
+    if (candidate < request_latency_[id]) {
+      gain += request_latency_[id] - candidate;
+      improve(id, candidate);
+    }
+  }
+  return gain;
 }
 
 double DeliveryEvaluator::gain_seconds(std::size_t server,
                                        std::size_t item) const {
   IDDE_EXPECTS(server < instance_->server_count());
   IDDE_EXPECTS(item < instance_->data_count());
+  if (shape_.k > 1) {
+    return coded_gain_seconds(server, item, [](std::size_t, double) {});
+  }
   const double size = instance_->data(item).size_mb;
   const auto& latency = instance_->latency();
   double gain = 0.0;
@@ -160,6 +230,22 @@ double DeliveryEvaluator::gain_seconds(std::size_t server,
 }
 
 double DeliveryEvaluator::commit(std::size_t server, std::size_t item) {
+  if (shape_.k > 1) {
+    IDDE_EXPECTS(server < instance_->server_count());
+    IDDE_EXPECTS(item < instance_->data_count());
+    const double gain = coded_gain_seconds(
+        server, item, [this](std::size_t id, double seconds) {
+          request_latency_[id] = seconds;
+        });
+    // Record the host after pricing, so every request saw it exactly once.
+    const std::span<const std::size_t> hosts = hosts_with(server, item);
+    std::copy(hosts.begin(), hosts.end(),
+              hosts_flat_.begin() + static_cast<std::ptrdiff_t>(
+                                        item * instance_->server_count()));
+    ++host_count_[item];
+    total_latency_ -= gain;
+    return gain;
+  }
   const double size = instance_->data(item).size_mb;
   const auto& latency = instance_->latency();
   double gain = 0.0;
@@ -185,33 +271,16 @@ double DeliveryEvaluator::average_latency_seconds() const {
   return total_latency_ / static_cast<double>(request_user_.size());
 }
 
-namespace {
-
-/// Commits every placement of `delivery` into a fresh evaluator, in item
-/// order, and returns its total latency.
-template <class Evaluator>
-double replayed_total_seconds(Evaluator evaluator,
-                              const DeliveryProfile& delivery) {
-  for (std::size_t k = 0; k < delivery.data_count(); ++k) {
-    for (const std::size_t i : delivery.hosts(k)) evaluator.commit(i, k);
-  }
-  return evaluator.total_latency_seconds();
-}
-
-}  // namespace
-
 double total_latency_seconds(const model::ProblemInstance& instance,
                              const AllocationProfile& allocation,
                              const DeliveryProfile& delivery,
                              bool collaborative) {
-  if (delivery.shape().k > 1) {
-    return replayed_total_seconds(
-        CodedDeliveryEvaluator(instance, allocation, delivery.shape(),
-                               collaborative),
-        delivery);
+  DeliveryEvaluator evaluator(instance, allocation, delivery.shape(),
+                              collaborative);
+  for (std::size_t k = 0; k < delivery.data_count(); ++k) {
+    for (const std::size_t i : delivery.hosts(k)) evaluator.commit(i, k);
   }
-  return replayed_total_seconds(
-      DeliveryEvaluator(instance, allocation, collaborative), delivery);
+  return evaluator.total_latency_seconds();
 }
 
 }  // namespace idde::core

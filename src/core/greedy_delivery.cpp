@@ -40,24 +40,14 @@ GreedyDeliveryPlanner::GreedyDeliveryPlanner(
     : instance_(&instance) {}
 
 DeliveryEvaluator& GreedyDeliveryPlanner::evaluator_for(
-    const AllocationProfile& allocation, bool collaborative) {
-  if (evaluator_.has_value()) {
-    evaluator_->reset(allocation, collaborative);
-  } else {
-    evaluator_.emplace(*instance_, allocation, collaborative);
-  }
-  return *evaluator_;
-}
-
-CodedDeliveryEvaluator& GreedyDeliveryPlanner::coded_evaluator_for(
     const AllocationProfile& allocation, FragmentConfig shape,
     bool collaborative) {
-  if (coded_evaluator_.has_value() && coded_evaluator_->config() == shape) {
-    coded_evaluator_->reset(allocation, collaborative);
+  if (evaluator_.has_value()) {
+    evaluator_->reset(allocation, shape, collaborative);
   } else {
-    coded_evaluator_.emplace(*instance_, allocation, shape, collaborative);
+    evaluator_.emplace(*instance_, allocation, shape, collaborative);
   }
-  return *coded_evaluator_;
+  return *evaluator_;
 }
 
 GreedyDeliveryResult GreedyDeliveryPlanner::plan(
@@ -70,48 +60,40 @@ GreedyDeliveryResult GreedyDeliveryPlanner::plan(
     bool collaborative) {
   const model::ProblemInstance& instance = *instance_;
   IDDE_EXPECTS(shape.valid());
-  constexpr std::size_t kNoBudget = std::numeric_limits<std::size_t>::max();
+  const bool coded = shape.k > 1;
+  IDDE_OBS_SPAN(coded ? "coding.plan" : "delivery.plan");
   const EveryPlacementUsable usable;
-  const auto result_of = [](DeliveryProfile&& delivery, const GreedyRun& run) {
-    return GreedyDeliveryResult{std::move(delivery), run.placements,
-                                run.gain_evaluations, run.rescan_rounds};
-  };
-  if (shape.k > 1) {
-    IDDE_OBS_SPAN("coding.plan");
-    DeliveryProfile delivery(instance, shape);
-    const GreedyRun run = run_lazy_greedy(
-        nullptr, delivery,
-        coded_evaluator_for(allocation, shape, collaborative), heap_, usable,
-        kNoBudget);
+  DeliveryProfile delivery(instance, shape);
+  DeliveryEvaluator& evaluator =
+      evaluator_for(allocation, shape, collaborative);
+  const GreedyRun run =
+      run_lazy_greedy(nullptr, delivery, evaluator, heap_, usable,
+                      std::numeric_limits<std::size_t>::max());
+
+  if (coded) {
     IDDE_OBS_COUNT("coding.plans_total", 1);
     IDDE_OBS_COUNT("coding.candidates_scanned_total", run.gain_evaluations);
     IDDE_OBS_COUNT("coding.placements_total", run.placements);
-    return result_of(std::move(delivery), run);
-  }
-
-  IDDE_OBS_SPAN("delivery.plan");
-  DeliveryProfile delivery(instance, shape);
-  DeliveryEvaluator& evaluator = evaluator_for(allocation, collaborative);
-  const GreedyRun run =
-      run_lazy_greedy(nullptr, delivery, evaluator, heap_, usable, kNoBudget);
-
-  IDDE_OBS_COUNT("delivery.plans_total", 1);
-  IDDE_OBS_COUNT("delivery.candidates_scanned_total", run.gain_evaluations);
-  IDDE_OBS_COUNT("delivery.placements_total", run.placements);
+  } else {
+    IDDE_OBS_COUNT("delivery.plans_total", 1);
+    IDDE_OBS_COUNT("delivery.candidates_scanned_total", run.gain_evaluations);
+    IDDE_OBS_COUNT("delivery.placements_total", run.placements);
 #if IDDE_OBS
-  if (obs::enabled()) {
-    // The post-plan per-request latency distribution: the Eq. 8
-    // resolution the strategy commits to.
-    obs::Histogram& latency = obs::MetricsRegistry::global().histogram(
-        "delivery.request_latency_ms");
-    for (std::size_t id = 0; id < evaluator.request_count(); ++id) {
-      latency.record(evaluator.request_latency_seconds(id) * 1e3);
+    if (obs::enabled()) {
+      // The post-plan per-request latency distribution: the Eq. 8
+      // resolution the strategy commits to.
+      obs::Histogram& latency = obs::MetricsRegistry::global().histogram(
+          "delivery.request_latency_ms");
+      for (std::size_t id = 0; id < evaluator.request_count(); ++id) {
+        latency.record(evaluator.request_latency_seconds(id) * 1e3);
+      }
     }
-  }
 #endif
-  record_budget_utilization(instance, delivery, usable,
-                            "delivery.budget_utilization");
-  return result_of(std::move(delivery), run);
+    record_budget_utilization(instance, delivery, usable,
+                              "delivery.budget_utilization");
+  }
+  return GreedyDeliveryResult{std::move(delivery), run.placements,
+                              run.gain_evaluations, run.rescan_rounds};
 }
 
 RepairResult GreedyDeliveryPlanner::replan(
@@ -121,41 +103,31 @@ RepairResult GreedyDeliveryPlanner::replan(
   const model::ProblemInstance& instance = *instance_;
   IDDE_EXPECTS(allocation.size() == instance.user_count());
   IDDE_EXPECTS(server_up.empty() || server_up.size() == instance.server_count());
+  const bool coded = sigma.shape().k > 1;
+  IDDE_OBS_SPAN(coded ? "coding.replan" : "repair.replan");
   const SurvivingPlacements usable{server_up, replica_lost};
-  const auto result_of = [](DeliveryProfile&& delivery, const GreedyRun& run) {
-    return RepairResult{std::move(delivery), run.lost_placements,
-                        run.placements, run.recovered_gain_seconds};
-  };
-  if (sigma.shape().k > 1) {
-    IDDE_OBS_SPAN("coding.replan");
-    usable.mask(allocation, effective_);
-    DeliveryProfile delivery(instance, sigma.shape());
-    const GreedyRun run = run_lazy_greedy(
-        &sigma, delivery,
-        coded_evaluator_for(effective_, sigma.shape(), collaborative), heap_,
-        usable, max_placements);
+  usable.mask(allocation, effective_);
+  DeliveryProfile delivery(instance, sigma.shape());
+  const GreedyRun run = run_lazy_greedy(
+      &sigma, delivery, evaluator_for(effective_, sigma.shape(), collaborative),
+      heap_, usable, max_placements);
+
+  if (coded) {
     IDDE_OBS_COUNT("coding.replans_total", 1);
     IDDE_OBS_COUNT("coding.repair_candidates_scanned_total",
                    run.gain_evaluations);
     IDDE_OBS_COUNT("coding.repair_placements_total", run.placements);
     IDDE_OBS_COUNT("coding.lost_placements_total", run.lost_placements);
-    return result_of(std::move(delivery), run);
+  } else {
+    IDDE_OBS_COUNT("repair.replans_total", 1);
+    IDDE_OBS_COUNT("repair.candidates_scanned_total", run.gain_evaluations);
+    IDDE_OBS_COUNT("repair.placements_total", run.placements);
+    IDDE_OBS_COUNT("repair.lost_placements_total", run.lost_placements);
+    record_budget_utilization(instance, delivery, usable,
+                              "repair.budget_utilization");
   }
-
-  IDDE_OBS_SPAN("repair.replan");
-  usable.mask(allocation, effective_);
-  DeliveryProfile delivery(instance, sigma.shape());
-  const GreedyRun run = run_lazy_greedy(
-      &sigma, delivery, evaluator_for(effective_, collaborative), heap_,
-      usable, max_placements);
-
-  IDDE_OBS_COUNT("repair.replans_total", 1);
-  IDDE_OBS_COUNT("repair.candidates_scanned_total", run.gain_evaluations);
-  IDDE_OBS_COUNT("repair.placements_total", run.placements);
-  IDDE_OBS_COUNT("repair.lost_placements_total", run.lost_placements);
-  record_budget_utilization(instance, delivery, usable,
-                            "repair.budget_utilization");
-  return result_of(std::move(delivery), run);
+  return RepairResult{std::move(delivery), run.lost_placements, run.placements,
+                      run.recovered_gain_seconds};
 }
 
 }  // namespace idde::core

@@ -9,11 +9,10 @@
 // the survivors. It keeps every surviving (and uncorrupted) placement,
 // drops the rest and resumes the greedy on the surviving servers.
 //
-// The sigma's (n, k) code shape picks the evaluator, never the caller: at
-// k = 1 (replication) DeliveryEvaluator scores candidates and the planner
-// emits delivery.* / repair.* telemetry; at k > 1 CodedDeliveryEvaluator
-// scores fragments, the loop rescans after each drain, and the planner
-// emits coding.*.
+// One DeliveryEvaluator scores candidates at every (n, k) code shape. The
+// sigma's shape, never the caller, picks what differs: at k = 1
+// (replication) the planner emits delivery.* / repair.* telemetry; at
+// k > 1 the loop rescans after each drain and the planner emits coding.*.
 //
 // With every server up and no corruption a replan is a provable no-op on a
 // greedily saturated sigma at k = 1: committed gains only shrink as sigma
@@ -29,7 +28,6 @@
 #include <span>
 #include <vector>
 
-#include "core/coded_evaluator.hpp"
 #include "core/delivery.hpp"
 #include "core/lazy_greedy.hpp"
 #include "core/strategy.hpp"
@@ -53,7 +51,7 @@ struct RepairResult {
 };
 
 /// Planner methods are non-const because the planner owns reusable scratch
-/// (the candidate heap's backing vector, one evaluator per kind and the
+/// (the candidate heap's backing vector, the evaluator and the
 /// outage-masked allocation): after the first call on a given instance the
 /// greedy loop performs no heap allocation per candidate or per committed
 /// move. Results are unaffected — the scratch is rewound, never carried
@@ -89,18 +87,13 @@ class GreedyDeliveryPlanner {
       std::size_t max_placements = std::numeric_limits<std::size_t>::max());
 
  private:
-  /// Rewinds the evaluator scratch (constructs it on the first call, and
-  /// the coded one again when the shape changes).
+  /// Rewinds the evaluator scratch (constructs it on the first call).
   DeliveryEvaluator& evaluator_for(const AllocationProfile& allocation,
-                                   bool collaborative);
-  CodedDeliveryEvaluator& coded_evaluator_for(
-      const AllocationProfile& allocation, FragmentConfig shape,
-      bool collaborative);
+                                   FragmentConfig shape, bool collaborative);
 
   const model::ProblemInstance* instance_;
   std::vector<GreedyCandidate> heap_;           ///< the loop's candidate heap
   std::optional<DeliveryEvaluator> evaluator_;  ///< built once per instance
-  std::optional<CodedDeliveryEvaluator> coded_evaluator_;  ///< per shape
   AllocationProfile effective_;                 ///< outage-masked allocation
 };
 

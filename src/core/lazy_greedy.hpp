@@ -18,11 +18,10 @@
 // Rescans: under (n, k) coding with k > 1 a fragment's gain can *grow* as
 // other fragments of its item land (the k-th-fastest leg shifts), so stale
 // keys stop being upper bounds and the drain can end early. An evaluator
-// type whose gains may grow (CodedDeliveryEvaluator) sets
-// kRescanAfterDrain; the loop then re-scores every usable candidate after
-// each drain until a rescan finds nothing. At k = 1 that first rescan is
-// provably empty, so the committed moves are bit-identical to
-// DeliveryEvaluator's.
+// whose gains may grow reports rescans_after_drain() (DeliveryEvaluator
+// does at k > 1); the loop then re-scores every usable candidate after
+// each drain until a rescan finds nothing. At k = 1 that rescan would be
+// provably empty, so the loop stops after the first drain.
 //
 // Budget: the heap pops candidates in ratio order, so the first n
 // placements of a run with budget n are the first n of an unbudgeted run,
@@ -103,10 +102,13 @@ struct GreedyRun {
 };
 
 /// Runs the greedy into `sigma` (empty on entry, of the standing sigma's
-/// shape) with `evaluator` rewound to the empty sigma. Keeps the usable placements of `standing` (nullptr:
-/// nothing standing), then adds at most `max_placements` new ones. `heap`
-/// is caller-owned scratch: once its capacity reaches N*K the loop
-/// allocates nothing per candidate or per committed move.
+/// shape) with `evaluator` rewound to the empty sigma. Keeps the usable
+/// placements of `standing` (nullptr: nothing standing), then adds at most
+/// `max_placements` new ones. `evaluator` is a DeliveryEvaluator, or any
+/// type with its gain_seconds/commit/rescans_after_drain (tests substitute
+/// an oracle-priced one). `heap` is caller-owned scratch: once its capacity
+/// reaches N*K the loop allocates nothing per candidate or per committed
+/// move.
 template <class Evaluator, class Usable>
 GreedyRun run_lazy_greedy(const DeliveryProfile* standing,
                           DeliveryProfile& sigma,
@@ -174,7 +176,7 @@ GreedyRun run_lazy_greedy(const DeliveryProfile* standing,
       ++run.placements;
       run.recovered_gain_seconds += gain;
     }
-    if constexpr (!Evaluator::kRescanAfterDrain) break;
+    if (!evaluator.rescans_after_drain()) break;
     heap.clear();  // a budget may have cut the drain short: rescan fresh
   }
   return run;

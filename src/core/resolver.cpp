@@ -22,9 +22,8 @@ bool better(double rank, double seconds, double best_rank,
 /// Leg order: the preference, then host id. Hosts are distinct, so this is
 /// a strict total order and the best e legs are a deterministic prefix.
 bool ranks_before(const EdgeLeg& a, const EdgeLeg& b) {
-  if (a.rank != b.rank || a.seconds != b.seconds) {
-    return better(a.rank, a.seconds, b.rank, b.seconds);
-  }
+  if (a.rank != b.rank) return a.rank < b.rank;
+  if (a.seconds != b.seconds) return a.seconds < b.seconds;
   return a.host < b.host;
 }
 
@@ -94,19 +93,29 @@ std::size_t Eq8Resolver::select(const Eq8Request& request,
     return 1;
   }
 
-  std::size_t survivors = 0;
+  // The best min(survivors, k) legs in rank order, by insertion into a
+  // prefix of at most k: O(survivors x k), which for the small k of real
+  // codes beats a heap select. The order is strict and total, so the
+  // prefix is the one a full sort would give.
+  std::size_t max_e = 0;
   for (const std::size_t host : hosts) {
     if (!server_up.empty() && !server_up[host]) continue;
     const double leg_s =
         costs.cost(host, request.serving) * request.fragment_mb;
-    legs[survivors++] = EdgeLeg{
+    const EdgeLeg leg{
         host, leg_s, health != nullptr ? leg_s / health->score(host) : leg_s};
+    std::size_t pos = max_e;
+    if (max_e == request.k) {
+      if (!ranks_before(leg, legs[max_e - 1])) continue;
+      --pos;
+    } else {
+      ++max_e;
+    }
+    for (; pos > 0 && ranks_before(leg, legs[pos - 1]); --pos) {
+      legs[pos] = legs[pos - 1];
+    }
+    legs[pos] = leg;
   }
-  const std::size_t max_e = std::min(survivors, request.k);
-  const auto first = legs.begin();
-  std::partial_sort(first, first + static_cast<std::ptrdiff_t>(max_e),
-                    first + static_cast<std::ptrdiff_t>(survivors),
-                    ranks_before);
   double best_rank = seconds;
   std::size_t best_e = 0;
   double slowest = 0.0;

@@ -1,5 +1,6 @@
 #include "dynamic/migration.hpp"
 
+#include "core/resolver.hpp"
 #include "util/assert.hpp"
 
 namespace idde::dynamic {
@@ -9,27 +10,26 @@ MigrationPlan plan_migration(const model::ProblemInstance& instance,
                              const core::DeliveryProfile& next) {
   IDDE_EXPECTS(previous.server_count() == instance.server_count());
   IDDE_EXPECTS(next.server_count() == instance.server_count());
+  core::Eq8Resolver resolver(instance);
   MigrationPlan plan;
   for (std::size_t k = 0; k < instance.data_count(); ++k) {
     const double size = instance.data(k).size_mb;
-    const auto old_hosts = previous.hosts(k);
     for (const std::size_t to : next.hosts(k)) {
       if (previous.placed(to, k)) continue;  // replica already in place
-      // Cheapest source: nearest previous replica or the cloud.
-      double best_seconds = instance.latency().cloud_transfer_seconds(size);
-      std::size_t best_source = MigrationStep::kFromCloud;
-      for (const std::size_t from : old_hosts) {
-        const double seconds =
-            instance.latency().edge_transfer_seconds(from, to, size);
-        if (seconds < best_seconds) {
-          best_seconds = seconds;
-          best_source = from;
-        }
-      }
-      plan.steps.push_back(MigrationStep{k, to, best_source, best_seconds});
+      // Cheapest source: Eq. 8 from the new host's side, over the
+      // previous replicas and the cloud.
+      const core::Eq8Resolution source = resolver.estimate(
+          {.hosts = previous.hosts(k),
+           .serving = to,
+           .item_mb = size,
+           .fragment_mb = size});
+      const std::size_t from = source.source() == core::kCloudSource
+                                   ? MigrationStep::kFromCloud
+                                   : source.source();
+      plan.steps.push_back(MigrationStep{k, to, from, source.seconds});
       plan.total_mb += size;
-      plan.total_transfer_seconds += best_seconds;
-      if (best_source == MigrationStep::kFromCloud) ++plan.cloud_fetches;
+      plan.total_transfer_seconds += source.seconds;
+      if (from == MigrationStep::kFromCloud) ++plan.cloud_fetches;
     }
   }
   return plan;

@@ -6,6 +6,7 @@
 #include "core/greedy_delivery.hpp"
 #include "core/idde_g.hpp"
 #include "core/metrics.hpp"
+#include "core/resolver.hpp"
 #include "util/assert.hpp"
 
 namespace idde::dynamic {
@@ -33,18 +34,23 @@ double masked_latency_ms(const model::ProblemInstance& instance,
                          const core::AllocationProfile& allocation,
                          const std::vector<bool>& online,
                          const core::DeliveryProfile& placements) {
-  const net::DeliveryLatencyModel& latency = instance.latency();
+  core::Eq8Resolver resolver(instance);
   double total = 0.0;
   std::size_t count = 0;
   for (std::size_t j = 0; j < instance.user_count(); ++j) {
     if (!online[j]) continue;
+    // Eq. 8; an unallocated user has no edge path.
+    const std::size_t serving = allocation[j].allocated()
+                                    ? allocation[j].server
+                                    : core::ChannelSlot::kNone;
     for (const std::size_t k : instance.requests().items_of(j)) {
-      const double size = instance.data(k).size_mb;
-      // Eq. 8; an unallocated user has no edge path.
-      total += allocation[j].allocated()
-                   ? latency.best_delivery_seconds(placements.hosts(k),
-                                                   allocation[j].server, size)
-                   : latency.cloud_transfer_seconds(size);
+      total += resolver
+                   .estimate({.hosts = placements.hosts(k),
+                              .serving = serving,
+                              .item_mb = instance.data(k).size_mb,
+                              .fragment_mb = placements.placement_mb(k),
+                              .k = placements.shape().k})
+                   .seconds;
       ++count;
     }
   }

@@ -1,6 +1,6 @@
 #include "net/latency.hpp"
 
-#include <algorithm>
+#include <utility>
 
 #include "util/assert.hpp"
 
@@ -10,18 +10,6 @@ DeliveryLatencyModel::DeliveryLatencyModel(CostMatrix costs,
                                            double cloud_speed_mbps)
     : costs_(std::move(costs)), cloud_speed_mbps_(cloud_speed_mbps) {
   IDDE_EXPECTS(cloud_speed_mbps > 0.0);
-}
-
-double DeliveryLatencyModel::best_delivery_seconds(
-    std::span<const std::size_t> replica_hosts, std::size_t to,
-    double size_mb) const {
-  IDDE_EXPECTS(to < costs_.size());
-  IDDE_EXPECTS(size_mb >= 0.0);
-  double best = cloud_transfer_seconds(size_mb);
-  for (const std::size_t host : replica_hosts) {
-    best = std::min(best, edge_transfer_seconds(host, to, size_mb));
-  }
-  return best;
 }
 
 }  // namespace idde::net

@@ -1,12 +1,10 @@
-// Delivery-latency model implementing Eq. (8): the latency of serving item
-// d_k at server v_i from replica host v_o is size_k * cost(o, i); the cloud
-// (which always holds every item, Eq. 7) delivers at size_k / cloud_speed.
-// Eq. (8)'s latency constraint — edge delivery must not beat-lose to the
-// cloud — is enforced by taking the min over {replicas} ∪ {cloud}.
+// Delivery-latency model behind Eq. (8): the latency of serving item d_k at
+// server v_i from replica host v_o is size_k * cost(o, i); the cloud (which
+// always holds every item, Eq. 7) delivers at size_k / cloud_speed. The min
+// over {replicas} ∪ {cloud} that Eq. (8) takes is core::Eq8Resolver's.
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 #include "net/shortest_path.hpp"
@@ -32,12 +30,6 @@ class DeliveryLatencyModel {
   [[nodiscard]] double cloud_transfer_seconds(double size_mb) const {
     return size_mb / cloud_speed_mbps_;
   }
-
-  /// Eq. (8): cheapest delivery of an item of `size_mb` to server `to`,
-  /// given the replica hosts in `replica_hosts`; capped by the cloud.
-  [[nodiscard]] double best_delivery_seconds(
-      std::span<const std::size_t> replica_hosts, std::size_t to,
-      double size_mb) const;
 
   [[nodiscard]] const CostMatrix& costs() const noexcept { return costs_; }
   [[nodiscard]] double cloud_speed_mbps() const noexcept {

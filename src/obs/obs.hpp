@@ -8,6 +8,12 @@
 //                        relaxed atomic ops when enabled. The metric handle
 //                        is resolved through the registry once per call
 //                        site (function-local static) — never per event.
+// Because the handle binds once, a counter, gauge or histogram name must be
+// a string literal: a name chosen at run time would count every later event
+// under whichever name the site saw first. IDDE_OBS_COUNT, _GAUGE_SET and
+// _HISTOGRAM reject anything else at compile time (in both builds); a
+// site that must pick between names at run time needs one literal call
+// site per name. Span names bind per span and may be chosen at run time.
 // Instrumentation must be pure observation: it may not touch rng state,
 // alter iteration order, or round differently — solver outputs are required
 // to be bit-identical with telemetry on, off, and compiled out.
@@ -41,7 +47,7 @@ void reset_all();
     if (::idde::obs::enabled()) {                                           \
       static ::idde::obs::Counter& IDDE_OBS_CONCAT(idde_obs_counter_,       \
                                                    __LINE__) =              \
-          ::idde::obs::MetricsRegistry::global().counter(name);             \
+          ::idde::obs::MetricsRegistry::global().counter("" name);          \
       IDDE_OBS_CONCAT(idde_obs_counter_, __LINE__).add(n);                  \
     }                                                                       \
   } while (0)
@@ -52,7 +58,7 @@ void reset_all();
     if (::idde::obs::enabled()) {                                           \
       static ::idde::obs::Gauge& IDDE_OBS_CONCAT(idde_obs_gauge_,           \
                                                  __LINE__) =                \
-          ::idde::obs::MetricsRegistry::global().gauge(name);               \
+          ::idde::obs::MetricsRegistry::global().gauge("" name);            \
       IDDE_OBS_CONCAT(idde_obs_gauge_, __LINE__)                            \
           .set(static_cast<std::int64_t>(v));                               \
     }                                                                       \
@@ -64,7 +70,7 @@ void reset_all();
     if (::idde::obs::enabled()) {                                           \
       static ::idde::obs::Histogram& IDDE_OBS_CONCAT(idde_obs_histogram_,   \
                                                      __LINE__) =            \
-          ::idde::obs::MetricsRegistry::global().histogram(name);           \
+          ::idde::obs::MetricsRegistry::global().histogram("" name);        \
       IDDE_OBS_CONCAT(idde_obs_histogram_, __LINE__)                        \
           .record(static_cast<double>(v));                                  \
     }                                                                       \
@@ -89,15 +95,15 @@ void reset_all();
 // build emits no code for any of these.
 #define IDDE_OBS_COUNT(name, n)                \
   do {                                         \
-    (void)sizeof(name), (void)sizeof((n));     \
+    (void)sizeof("" name), (void)sizeof((n));  \
   } while (0)
 #define IDDE_OBS_GAUGE_SET(name, v)            \
   do {                                         \
-    (void)sizeof(name), (void)sizeof((v));     \
+    (void)sizeof("" name), (void)sizeof((v));  \
   } while (0)
 #define IDDE_OBS_HISTOGRAM(name, v)            \
   do {                                         \
-    (void)sizeof(name), (void)sizeof((v));     \
+    (void)sizeof("" name), (void)sizeof((v));  \
   } while (0)
 #define IDDE_OBS_SPAN(name)                    \
   do {                                         \

@@ -1,8 +1,10 @@
 #include "solver/placement_bnb.hpp"
 
-#include <algorithm>
+#include <numeric>
+#include <utility>
 #include <vector>
 
+#include "core/resolver.hpp"
 #include "util/assert.hpp"
 
 namespace idde::solver {
@@ -28,21 +30,23 @@ class BnbContext {
       serving.push_back(slot.allocated() ? slot.server : ChannelSlot::kNone);
     }
     // Absolute lower bound on the total latency any placement can reach:
-    // every request relaxed to its cheapest conceivable source (ignoring
-    // storage). Admissible, so pruning with it preserves optimality.
+    // every request relaxed to its cheapest conceivable source, i.e. Eq. 8
+    // with every server a replica host (storage ignored). Admissible, so
+    // pruning with it preserves optimality.
+    std::vector<std::size_t> every_server(instance.server_count());
+    std::iota(every_server.begin(), every_server.end(), std::size_t{0});
+    core::Eq8Resolver resolver(instance);
     const auto& requests = instance.requests();
     floor_sum_ = 0.0;
     for (std::size_t j = 0; j < instance.user_count(); ++j) {
       for (const std::size_t k : requests.items_of(j)) {
         const double size = instance.data(k).size_mb;
-        double floor = instance.latency().cloud_transfer_seconds(size);
-        if (serving[j] != ChannelSlot::kNone) {
-          for (std::size_t i = 0; i < instance.server_count(); ++i) {
-            floor = std::min(floor, instance.latency().edge_transfer_seconds(
-                                        i, serving[j], size));
-          }
-        }
-        floor_sum_ += floor;
+        floor_sum_ += resolver
+                          .estimate({.hosts = every_server,
+                                     .serving = serving[j],
+                                     .item_mb = size,
+                                     .fragment_mb = size})
+                          .seconds;
       }
     }
     // Branch in model order (sigma_{1,1} ... sigma_{N,K}), matching the

@@ -1,14 +1,16 @@
 // Contract tests of the (n, k) code shape of core::DeliveryProfile and of
 // the coded plane built on it. Replication is the (N, 1) shape of the same
-// profile, planner, resilience walk and DES replay, so the only code that
-// still forks at k = 1 is the evaluator: CodedDeliveryEvaluator, driven
-// through the shared lazy greedy, must commit exactly what DeliveryEvaluator
-// commits — same placements, same floats. k > 1 behaviour is checked
-// against structural invariants (cloud cap, n-cap, ledger exactness,
-// rescan convergence).
+// profile, evaluator, planner, resilience walk and DES replay. Eq. 8 at
+// every k is checked against the brute-force k-of-n oracle
+// (tests/oracles/eq8_reference.hpp): DeliveryEvaluator's cached latencies
+// and gains and core::Eq8Resolver bit for bit, and the planner against the
+// lazy greedy driven by an oracle-priced evaluator. k > 1 behaviour is also
+// checked against structural invariants (cloud cap, n-cap, ledger
+// exactness, rescan convergence).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -16,7 +18,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/coded_evaluator.hpp"
 #include "core/delivery.hpp"
 #include "core/greedy_delivery.hpp"
 #include "core/idde_g.hpp"
@@ -29,6 +30,7 @@
 #include "fault/fault_plan.hpp"
 #include "fault/injector.hpp"
 #include "model/instance_builder.hpp"
+#include "oracles/eq8_reference.hpp"
 #include "qos/config.hpp"
 #include "sim/overload.hpp"
 #include "sim/paper.hpp"
@@ -55,21 +57,150 @@ core::Strategy solve(const model::ProblemInstance& instance,
   return core::IddeG().solve(instance, rng);
 }
 
-/// The k = 1 shapes the evaluator fork is checked at: replication (N, 1)
-/// and a tight (4, 1) that caps every item at four copies.
+/// The k = 1 shapes the planner is checked at against the oracle-priced
+/// greedy: replication (N, 1) and a tight (4, 1) that caps every item at
+/// four copies.
 std::vector<core::FragmentConfig> k1_shapes(
     const model::ProblemInstance& instance) {
   return {core::replication_shape(instance.server_count()), {4, 1}};
 }
 
-/// Phase 2 through CodedDeliveryEvaluator. The planner runs that evaluator
-/// only at k > 1, so at k = 1 this is the second code path the planner's
-/// DeliveryEvaluator run is checked against.
-core::GreedyDeliveryResult coded_evaluator_plan(
+/// Request ids as DeliveryEvaluator numbers them: user-major, in
+/// `requests().items_of(j)` order.
+struct RequestIndex {
+  std::vector<std::size_t> user;
+  std::vector<std::size_t> item;
+  std::vector<std::vector<std::size_t>> of_item;  ///< ascending ids
+
+  explicit RequestIndex(const model::ProblemInstance& instance)
+      : of_item(instance.data_count()) {
+    for (std::size_t j = 0; j < instance.user_count(); ++j) {
+      for (const std::size_t k : instance.requests().items_of(j)) {
+        of_item[k].push_back(user.size());
+        user.push_back(j);
+        item.push_back(k);
+      }
+    }
+  }
+};
+
+/// The hosts a request served at `serving` fetches from: all of them under
+/// collaborative delivery, at most its own server under local-or-cloud.
+std::span<const std::size_t> visible_hosts(std::span<const std::size_t> hosts,
+                                           const std::size_t& serving,
+                                           bool collaborative) {
+  if (collaborative) return hosts;
+  const bool local =
+      std::find(hosts.begin(), hosts.end(), serving) != hosts.end();
+  return {&serving, local ? 1U : 0U};
+}
+
+/// Eq. 8 of one request from the brute-force oracle, with the evaluator's
+/// delivery semantics: a user without a channel is served by the cloud.
+double oracle_seconds(const model::ProblemInstance& instance,
+                      std::span<const std::size_t> hosts, std::size_t serving,
+                      std::size_t item, core::FragmentConfig shape,
+                      bool collaborative) {
+  const double item_mb = instance.data(item).size_mb;
+  if (serving == core::ChannelSlot::kNone) {
+    return instance.latency().cloud_transfer_seconds(item_mb);
+  }
+  return oracle::k_of_n_seconds(
+      instance.latency(), visible_hosts(hosts, serving, collaborative),
+      serving, item_mb, core::fragment_size_mb(item_mb, shape.k), shape.k);
+}
+
+/// An incremental evaluator priced by the oracle alone: every request of
+/// an item is re-priced from scratch over its committed hosts plus the
+/// candidate. It keeps DeliveryEvaluator's request order and gain
+/// arithmetic, so it drives core::run_lazy_greedy through the same moves
+/// only if the production evaluator prices every request exactly.
+class OracleEvaluator {
+ public:
+  OracleEvaluator(const model::ProblemInstance& instance,
+                  const core::AllocationProfile& allocation,
+                  core::FragmentConfig shape, bool collaborative = true)
+      : instance_(&instance),
+        shape_(shape),
+        collaborative_(collaborative),
+        requests_(instance),
+        hosts_(instance.data_count()) {
+    // The empty sigma: every request at the whole-item cloud latency,
+    // summed in id order.
+    for (std::size_t id = 0; id < requests_.user.size(); ++id) {
+      const core::ChannelSlot slot = allocation[requests_.user[id]];
+      serving_.push_back(slot.allocated() ? slot.server
+                                          : core::ChannelSlot::kNone);
+      latency_.push_back(instance.latency().cloud_transfer_seconds(
+          instance.data(requests_.item[id]).size_mb));
+      total_ += latency_.back();
+    }
+  }
+
+  [[nodiscard]] bool rescans_after_drain() const { return shape_.k > 1; }
+
+  [[nodiscard]] double gain_seconds(std::size_t server,
+                                    std::size_t item) const {
+    double gain = 0.0;
+    const std::vector<double> candidate = priced_with(server, item);
+    const std::vector<std::size_t>& ids = requests_.of_item[item];
+    for (std::size_t r = 0; r < ids.size(); ++r) {
+      if (candidate[r] < latency_[ids[r]]) {
+        gain += latency_[ids[r]] - candidate[r];
+      }
+    }
+    return gain;
+  }
+
+  double commit(std::size_t server, std::size_t item) {
+    double gain = 0.0;
+    const std::vector<double> candidate = priced_with(server, item);
+    const std::vector<std::size_t>& ids = requests_.of_item[item];
+    for (std::size_t r = 0; r < ids.size(); ++r) {
+      if (candidate[r] < latency_[ids[r]]) {
+        gain += latency_[ids[r]] - candidate[r];
+        latency_[ids[r]] = candidate[r];
+      }
+    }
+    hosts_[item].push_back(server);
+    total_ -= gain;
+    return gain;
+  }
+
+  [[nodiscard]] double total_latency_seconds() const { return total_; }
+
+ private:
+  /// The oracle latency of each of the item's requests with `server`
+  /// added to its committed hosts.
+  [[nodiscard]] std::vector<double> priced_with(std::size_t server,
+                                                std::size_t item) const {
+    std::vector<std::size_t> hosts = hosts_[item];
+    hosts.push_back(server);
+    std::vector<double> out;
+    for (const std::size_t id : requests_.of_item[item]) {
+      out.push_back(oracle_seconds(*instance_, hosts, serving_[id], item,
+                                   shape_, collaborative_));
+    }
+    return out;
+  }
+
+  const model::ProblemInstance* instance_;
+  core::FragmentConfig shape_;
+  bool collaborative_;
+  RequestIndex requests_;
+  std::vector<std::size_t> serving_;  ///< per request
+  std::vector<double> latency_;       ///< per request, current Eq. 8
+  std::vector<std::vector<std::size_t>> hosts_;  ///< committed, per item
+  double total_ = 0.0;
+};
+
+/// Phase 2 through the oracle-priced evaluator: the independent path the
+/// planner's plan() is checked against.
+core::GreedyDeliveryResult oracle_plan(
     const model::ProblemInstance& instance,
     const core::AllocationProfile& allocation, core::FragmentConfig shape) {
   core::GreedyDeliveryResult result{core::DeliveryProfile(instance, shape)};
-  core::CodedDeliveryEvaluator evaluator(instance, allocation, shape);
+  OracleEvaluator evaluator(instance, allocation, shape);
   std::vector<core::GreedyCandidate> heap;
   const core::GreedyRun run = core::run_lazy_greedy(
       nullptr, result.delivery, evaluator, heap, core::EveryPlacementUsable{},
@@ -80,19 +211,19 @@ core::GreedyDeliveryResult coded_evaluator_plan(
   return result;
 }
 
-/// replan() through CodedDeliveryEvaluator: the same survivor and
+/// replan() through the oracle-priced evaluator: the same survivor and
 /// outage-masking rules as GreedyDeliveryPlanner::replan.
-core::RepairResult coded_evaluator_replan(
-    const model::ProblemInstance& instance,
-    const core::AllocationProfile& allocation,
-    const core::DeliveryProfile& sigma, std::span<const std::uint8_t> up,
-    std::size_t max_placements) {
+core::RepairResult oracle_replan(const model::ProblemInstance& instance,
+                                 const core::AllocationProfile& allocation,
+                                 const core::DeliveryProfile& sigma,
+                                 std::span<const std::uint8_t> up,
+                                 std::size_t max_placements) {
   const core::ReplicaLost none;
   const core::SurvivingPlacements usable{up, none};
   core::AllocationProfile effective;
   usable.mask(allocation, effective);
   core::RepairResult result{core::DeliveryProfile(instance, sigma.shape())};
-  core::CodedDeliveryEvaluator evaluator(instance, effective, sigma.shape());
+  OracleEvaluator evaluator(instance, effective, sigma.shape());
   std::vector<core::GreedyCandidate> heap;
   const core::GreedyRun run = core::run_lazy_greedy(
       &sigma, result.delivery, evaluator, heap, usable, max_placements);
@@ -102,14 +233,12 @@ core::RepairResult coded_evaluator_replan(
   return result;
 }
 
-/// Total latency of a complete sigma, committed in item order through
-/// CodedDeliveryEvaluator (core::total_latency_seconds runs it only at
-/// k > 1).
-double coded_evaluator_total_seconds(const model::ProblemInstance& instance,
-                                     const core::AllocationProfile& allocation,
-                                     const core::DeliveryProfile& delivery) {
-  core::CodedDeliveryEvaluator evaluator(instance, allocation,
-                                         delivery.shape());
+/// Total latency of a complete sigma, committed in item order through the
+/// oracle-priced evaluator (core::total_latency_seconds' arithmetic).
+double oracle_total_seconds(const model::ProblemInstance& instance,
+                            const core::AllocationProfile& allocation,
+                            const core::DeliveryProfile& delivery) {
+  OracleEvaluator evaluator(instance, allocation, delivery.shape());
   for (std::size_t k = 0; k < instance.data_count(); ++k) {
     for (const std::size_t i : delivery.hosts(k)) evaluator.commit(i, k);
   }
@@ -218,11 +347,10 @@ TEST(CodedProfile, RestoreIsReplayOrderIndependent) {
   }
 }
 
-// CodedDeliveryEvaluator at k = 1 must drive the lazy greedy through the
-// exact move sequence of the planner's DeliveryEvaluator: same final
-// placements, same headroom, same total latency to the last bit.
-// (gain_evaluations differs by design — the coded evaluator's terminating
-// rescan re-scores every candidate.)
+// The oracle-priced evaluator at k = 1 must drive the lazy greedy through
+// the exact move sequence of the planner's DeliveryEvaluator: same final
+// placements, same headroom, same scans, same total latency to the last
+// bit.
 TEST(CodedPlanner, K1BitIdenticalToGreedyDeliveryPlanner) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     const auto inst = model::make_instance(sized(10, 50, 4), seed);
@@ -232,14 +360,14 @@ TEST(CodedPlanner, K1BitIdenticalToGreedyDeliveryPlanner) {
       core::GreedyDeliveryPlanner replication_planner(inst);
       const auto replication =
           replication_planner.plan(strategy.allocation, shape);
-      const auto coded =
-          coded_evaluator_plan(inst, strategy.allocation, shape);
+      const auto coded = oracle_plan(inst, strategy.allocation, shape);
       EXPECT_EQ(coded.placements, replication.placements);
+      EXPECT_EQ(coded.gain_evaluations, replication.gain_evaluations);
       expect_same_profile(coded.delivery, replication.delivery);
-      EXPECT_EQ(coded_evaluator_total_seconds(inst, strategy.allocation,
-                                              coded.delivery),
-                core::total_latency_seconds(inst, strategy.allocation,
-                                            replication.delivery));
+      EXPECT_EQ(
+          oracle_total_seconds(inst, strategy.allocation, coded.delivery),
+          core::total_latency_seconds(inst, strategy.allocation,
+                                      replication.delivery));
     }
   }
 }
@@ -303,6 +431,147 @@ TEST(CodedEq8, NeverExceedsWholeItemCloudFetch) {
   }
 }
 
+// The oracle's minimum over (slowest member, size) pairs is the minimum
+// over every host subset: checked against literal subset enumeration on
+// small random host sets, and against the replication reference at k = 1.
+TEST(Eq8Oracle, EqualsExhaustiveSubsetMinimum) {
+  const auto inst = model::make_instance(sized(12, 20, 4), 41);
+  const net::DeliveryLatencyModel& latency = inst.latency();
+  util::Rng rng(5);
+  for (int trial = 0; trial < 400; ++trial) {
+    std::vector<std::size_t> hosts;
+    for (std::size_t i = 0; i < inst.server_count(); ++i) {
+      if (rng.index(2) == 0) hosts.push_back(i);
+    }
+    const std::size_t serving = rng.index(inst.server_count());
+    const std::size_t k = 1 + rng.index(5);
+    const double item_mb = inst.data(rng.index(inst.data_count())).size_mb;
+    const double fragment_mb = core::fragment_size_mb(item_mb, k);
+    double best = latency.cloud_transfer_seconds(item_mb);
+    for (std::uint32_t mask = 1; mask < (1U << hosts.size()); ++mask) {
+      const auto size = static_cast<std::size_t>(std::popcount(mask));
+      if (size > k) continue;
+      double slowest = 0.0;
+      for (std::size_t b = 0; b < hosts.size(); ++b) {
+        if (((mask >> b) & 1U) == 0) continue;
+        slowest = std::max(slowest, latency.edge_transfer_seconds(
+                                        hosts[b], serving, fragment_mb));
+      }
+      const double topup =
+          size == k ? 0.0
+                    : latency.cloud_transfer_seconds(
+                          fragment_mb * static_cast<double>(k - size));
+      best = std::min(best, std::max(slowest, topup));
+    }
+    SCOPED_TRACE(testing::Message() << "trial " << trial << " k " << k);
+    EXPECT_EQ(oracle::k_of_n_seconds(latency, hosts, serving, item_mb,
+                                     fragment_mb, k),
+              best);
+    if (k == 1) {
+      EXPECT_EQ(oracle::best_delivery_seconds(latency, hosts, serving,
+                                              item_mb),
+                best);
+    }
+  }
+}
+
+// DeliveryEvaluator and core::Eq8Resolver price every request exactly as
+// the brute-force k-of-n oracle, at replication, tight k = 1, and k = 2, 3
+// and 4 shapes, with and without collaboration. Each planned sigma is
+// replayed host by host into a fresh evaluator. Before each commit the
+// gains of the committing host and of one random other server must equal
+// an oracle re-sum in the evaluator's request order; after it every
+// request of the item must sit at the oracle's latency, and the resolver
+// over the same hosts must return it too.
+TEST(CodedEq8, EvaluatorAndResolverMatchBruteForceOracle) {
+  std::size_t requests_checked = 0;
+  std::size_t gains_checked = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    const std::size_t servers = 20 + (seed * 7) % 21;
+    const std::size_t items = 5 + seed % 4;
+    const auto inst =
+        model::make_instance(sized(servers, 5 * servers, items), seed);
+    const auto strategy = solve(inst, seed);
+    const RequestIndex requests(inst);
+    const auto serving_of = [&](std::size_t id) {
+      const core::ChannelSlot slot = strategy.allocation[requests.user[id]];
+      return slot.allocated() ? slot.server : core::ChannelSlot::kNone;
+    };
+    core::GreedyDeliveryPlanner planner(inst);
+    core::Eq8Resolver resolver(inst);
+    util::Rng rng(seed);
+    for (const core::FragmentConfig shape :
+         {core::replication_shape(servers), core::FragmentConfig{4, 1},
+          core::FragmentConfig{6, 2}, core::FragmentConfig{5, 3},
+          core::FragmentConfig{servers, 4}}) {
+      for (const bool collaborative : {true, false}) {
+        SCOPED_TRACE(testing::Message()
+                     << "seed " << seed << " shape (" << shape.n << ", "
+                     << shape.k << ") collaborative " << collaborative);
+        const auto plan =
+            planner.plan(strategy.allocation, shape, collaborative);
+        core::DeliveryEvaluator evaluator(inst, strategy.allocation, shape,
+                                          collaborative);
+        for (std::size_t item = 0; item < items; ++item) {
+          const std::vector<std::size_t>& ids = requests.of_item[item];
+          std::vector<std::size_t> hosts;  // committed so far, ascending
+          const auto oracle_gain = [&](std::size_t server) {
+            std::vector<std::size_t> with = hosts;
+            with.push_back(server);
+            double gain = 0.0;
+            for (const std::size_t id : ids) {
+              const double cached = oracle_seconds(
+                  inst, hosts, serving_of(id), item, shape, collaborative);
+              const double candidate = oracle_seconds(
+                  inst, with, serving_of(id), item, shape, collaborative);
+              if (candidate < cached) gain += cached - candidate;
+            }
+            return gain;
+          };
+          for (const std::size_t host : plan.delivery.hosts(item)) {
+            ASSERT_EQ(evaluator.gain_seconds(host, item), oracle_gain(host));
+            const std::size_t other = rng.index(servers);
+            if (other != host &&
+                !std::binary_search(hosts.begin(), hosts.end(), other)) {
+              ASSERT_EQ(evaluator.gain_seconds(other, item),
+                        oracle_gain(other));
+              ++gains_checked;
+            }
+            ++gains_checked;
+            evaluator.commit(host, item);
+            hosts.insert(std::upper_bound(hosts.begin(), hosts.end(), host),
+                         host);
+            for (const std::size_t id : ids) {
+              const std::size_t serving = serving_of(id);
+              const double expected = oracle_seconds(
+                  inst, hosts, serving, item, shape, collaborative);
+              ASSERT_EQ(evaluator.request_latency_seconds(id), expected)
+                  << "request " << id << " after host " << host;
+              const double item_mb = inst.data(item).size_mb;
+              EXPECT_EQ(
+                  resolver
+                      .estimate({.hosts = visible_hosts(hosts, serving,
+                                                        collaborative),
+                                 .serving = serving,
+                                 .item_mb = item_mb,
+                                 .fragment_mb =
+                                     core::fragment_size_mb(item_mb, shape.k),
+                                 .k = shape.k})
+                      .seconds,
+                  expected)
+                  << "request " << id << " after host " << host;
+              ++requests_checked;
+            }
+          }
+        }
+      }
+    }
+  }
+  RecordProperty("requests_checked", static_cast<int>(requests_checked));
+  RecordProperty("gains_checked", static_cast<int>(gains_checked));
+  EXPECT_GT(requests_checked, 0U);
+}
+
 fault::FaultProfile busy_profile() {
   fault::FaultProfile profile;
   profile.horizon_s = 45.0;
@@ -316,8 +585,8 @@ fault::FaultProfile busy_profile() {
   return profile;
 }
 
-// Repair through CodedDeliveryEvaluator at k = 1 resumes the greedy exactly
-// like the planner's replan (same survivors kept, same repairs committed,
+// Repair through the oracle-priced evaluator at k = 1 resumes the greedy
+// exactly like the planner's replan (same survivors kept, same repairs committed,
 // same recovered gain), under every placement budget.
 TEST(CodedRepair, K1MatchesCoreRepairPlanner) {
   const auto inst = model::make_instance(sized(10, 50, 4), 31);
@@ -341,8 +610,8 @@ TEST(CodedRepair, K1MatchesCoreRepairPlanner) {
                                         << round << " budget " << budget);
         const auto expected = core_repair.replan(strategy.allocation, sigma,
                                                  up, {}, true, budget);
-        const auto got = coded_evaluator_replan(inst, strategy.allocation,
-                                                sigma, up, budget);
+        const auto got =
+            oracle_replan(inst, strategy.allocation, sigma, up, budget);
         EXPECT_EQ(got.lost_placements, expected.lost_placements);
         EXPECT_EQ(got.repair_placements, expected.repair_placements);
         EXPECT_EQ(got.recovered_gain_seconds,
@@ -423,7 +692,7 @@ TEST(CodedRepair, BudgetedReplanIsAPrefixOfUnbudgeted) {
 }
 
 // An inert plan short-circuits the resilience walk of a k = 2 strategy to
-// its fault-free L_avg, which the coded evaluator computes.
+// its fault-free L_avg, which the evaluator computes.
 TEST(CodedResilience, InertPlanShortCircuitsToFaultFree) {
   const auto inst = model::make_instance(sized(8, 40, 4), 50);
   const auto strategy = solve(inst, 50);

@@ -14,6 +14,7 @@
 #include "core/idde_g.hpp"
 #include "core/validation.hpp"
 #include "model/instance_builder.hpp"
+#include "oracles/eq8_reference.hpp"
 #include "oracles/naive_greedy.hpp"
 #include "solver/exhaustive.hpp"
 
@@ -113,7 +114,8 @@ TEST(DeliveryEvaluator, EmptySigmaPinsEveryRequestToCloudLatency) {
       if (alloc[j].allocated()) {
         // Eq. 8's min over an empty replica set is the cloud term itself.
         EXPECT_DOUBLE_EQ(
-            inst.latency().best_delivery_seconds({}, alloc[j].server, size),
+            oracle::best_delivery_seconds(inst.latency(), {},
+                                          alloc[j].server, size),
             cloud);
       }
       ++id;

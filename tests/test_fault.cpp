@@ -20,6 +20,7 @@
 #include "model/instance_builder.hpp"
 #include "net/shortest_path.hpp"
 #include "obs/obs.hpp"
+#include "oracles/eq8_reference.hpp"
 #include "sim/overload.hpp"
 #include "sim/paper.hpp"
 
@@ -644,8 +645,9 @@ TEST(Failover, AllUpReproducesEq8AndPrimaryTier) {
       EXPECT_EQ(decision.tier, core::FallbackTier::kPrimary);
       const double expected =
           slot.allocated()
-              ? inst.latency().best_delivery_seconds(
-                    s.strategy.delivery.hosts(k), serving, size)
+              ? oracle::best_delivery_seconds(
+                    inst.latency(), s.strategy.delivery.hosts(k), serving,
+                    size)
               : inst.latency().cloud_transfer_seconds(size);
       EXPECT_DOUBLE_EQ(decision.seconds, expected);
     }

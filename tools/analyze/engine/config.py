@@ -58,7 +58,7 @@ class Config:
         "src/core/game.cpp",
         "src/core/greedy_delivery.cpp",
         "src/core/lazy_greedy.hpp",
-        "src/core/coded_evaluator.cpp",
+        "src/core/delivery.cpp",
         "src/core/resolver.cpp",
         "src/des/fluid.hpp",
         "src/net/shortest_path.cpp",
