@@ -41,6 +41,7 @@
 #include "sim/runner.hpp"
 #include "util/assert.hpp"
 #include "util/cli.hpp"
+#include "util/env.hpp"
 #include "util/json.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -143,7 +144,8 @@ int main(int argc, char** argv) {
                                                     {n_servers, 3},
                                                     {n_servers, 4},
                                                     {8, 4}};
-  const auto approaches = sim::make_paper_approaches(100.0);
+  const auto approaches =
+      sim::make_paper_approaches(util::ip_budget_ms(100.0));
   const core::Approach* solver = nullptr;
   for (const auto& approach : approaches) {
     if (approach->name() == "IDDE-G") solver = approach.get();

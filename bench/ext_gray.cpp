@@ -38,6 +38,7 @@
 #include "sim/runner.hpp"
 #include "util/assert.hpp"
 #include "util/cli.hpp"
+#include "util/env.hpp"
 #include "util/json.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -147,7 +148,8 @@ int main(int argc, char** argv) {
 
   const model::InstanceParams params = sim::paper_default_params();
   const model::InstanceBuilder builder(params);
-  const auto approaches = sim::make_paper_approaches(100.0);
+  const auto approaches =
+      sim::make_paper_approaches(util::ip_budget_ms(100.0));
   const core::Approach* solver = nullptr;
   for (const auto& approach : approaches) {
     if (approach->name() == "IDDE-G") solver = approach.get();

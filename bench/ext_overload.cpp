@@ -37,6 +37,7 @@
 #include "sim/paper.hpp"
 #include "sim/runner.hpp"
 #include "util/cli.hpp"
+#include "util/env.hpp"
 #include "util/json.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -74,7 +75,8 @@ int run_soak(std::size_t seeds, std::uint64_t base_seed) {
   params.user_count = 50;
   params.data_count = 4;
   const model::InstanceBuilder builder(params);
-  auto approaches = sim::make_paper_approaches(50.0);
+  auto approaches =
+      sim::make_paper_approaches(util::ip_budget_ms(50.0));
   const core::ApproachPtr idde_g = find_approach(approaches, "IDDE-G");
 
   std::size_t violations = 0;
@@ -180,7 +182,8 @@ int main(int argc, char** argv) {
   params.user_count = 100;
   params.data_count = 5;
   const model::InstanceBuilder builder(params);
-  auto approaches = sim::make_paper_approaches(100.0);
+  auto approaches =
+      sim::make_paper_approaches(util::ip_budget_ms(100.0));
   const core::ApproachPtr idde_g = find_approach(approaches, "IDDE-G");
 
   const std::vector<double> loads =

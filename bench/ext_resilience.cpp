@@ -33,6 +33,7 @@
 #include "sim/runner.hpp"
 #include "util/assert.hpp"
 #include "util/cli.hpp"
+#include "util/env.hpp"
 #include "util/json.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -107,7 +108,8 @@ int main(int argc, char** argv) {
 
   const model::InstanceParams params = sim::paper_default_params();
   const model::InstanceBuilder builder(params);
-  const auto approaches = sim::make_paper_approaches(100.0);
+  const auto approaches =
+      sim::make_paper_approaches(util::ip_budget_ms(100.0));
   const auto profiles = bench::make_severity_profiles(smoke);
 
   std::printf("ext_resilience: N=%zu M=%zu K=%zu, %zu rep(s)\n\n",

@@ -1,11 +1,8 @@
 #include "baselines/idde_ip.hpp"
 
-#include "util/env.hpp"
-
 namespace idde::baselines {
 
-IddeIp::IddeIp(double budget_ms)
-    : budget_ms_(util::ip_budget_ms(budget_ms)) {}
+IddeIp::IddeIp(double budget_ms) : budget_ms_(budget_ms) {}
 
 core::Strategy IddeIp::solve(const model::ProblemInstance& instance,
                              util::Rng& rng) const {

@@ -1,8 +1,9 @@
 // IDDE-IP — the time-capped exact benchmark (the paper feeds the Section
 // 2.3 model to IBM CPLEX's CP Optimizer with a 100 s search cap; we run the
 // in-repo anytime joint search instead, see DESIGN.md §5). The budget is
-// configurable so CI runs stay fast: constructor argument, overridable via
-// the IDDE_IP_BUDGET_MS environment variable.
+// the constructor argument, so CI runs stay fast. IDDE_IP_BUDGET_MS is read
+// only at a program's edge (util::ip_budget_ms), never here: an explicit
+// budget always holds.
 #pragma once
 
 #include "core/approach.hpp"

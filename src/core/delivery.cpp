@@ -71,16 +71,6 @@ void DeliveryProfile::remove(std::size_t server, std::size_t item) {
   --count_;
 }
 
-DeliveryProfile DeliveryProfile::restore(
-    const model::ProblemInstance& instance, FragmentConfig shape,
-    std::span<const std::pair<std::size_t, std::size_t>> placements) {
-  DeliveryProfile profile(instance, shape);
-  for (const auto& [server, item] : placements) {
-    profile.place(server, item);
-  }
-  return profile;
-}
-
 DeliveryEvaluator::DeliveryEvaluator(const model::ProblemInstance& instance,
                                      const AllocationProfile& allocation,
                                      bool collaborative)

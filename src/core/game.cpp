@@ -34,7 +34,6 @@ void record_game_telemetry(const GameResult& result) {
 IddeUGame::IddeUGame(const model::ProblemInstance& instance,
                      GameOptions options)
     : instance_(&instance), options_(options) {
-  IDDE_EXPECTS(options.improvement_epsilon >= 0.0);
   IDDE_EXPECTS(options.max_rounds > 0);
 }
 
@@ -86,7 +85,7 @@ GameResult IddeUGame::run_from(const AllocationProfile& start) {
 
   GameResult result;
   const std::size_t user_count = instance_->user_count();
-  const double eps = options_.improvement_epsilon;
+  const double eps = kImprovementEpsilon;
   std::vector<std::size_t> moves_of(user_count, 0);
   const auto movable = [&](std::size_t j) {
     return moves_of[j] < options_.max_moves_per_user;

@@ -57,11 +57,12 @@ enum class UpdateRule {
   kCycleProbe,
 };
 
+/// A move must improve the benefit by more than this to be applied;
+/// guards floating-point livelock.
+inline constexpr double kImprovementEpsilon = 1e-12;
+
 struct GameOptions {
   UpdateRule rule = UpdateRule::kBestImprovement;
-  /// A move must improve the benefit by more than this to be applied;
-  /// guards floating-point livelock.
-  double improvement_epsilon = 1e-12;
   /// Hard cap on rounds (Theorem 4 guarantees finite convergence; the cap
   /// is a safety net, sized by the driver as ~O(M * candidates)).
   std::size_t max_rounds = 1'000'000;

@@ -78,20 +78,21 @@ GreedyDeliveryResult GreedyDeliveryPlanner::plan(
     IDDE_OBS_COUNT("delivery.plans_total", 1);
     IDDE_OBS_COUNT("delivery.candidates_scanned_total", run.gain_evaluations);
     IDDE_OBS_COUNT("delivery.placements_total", run.placements);
-#if IDDE_OBS
-    if (obs::enabled()) {
-      // The post-plan per-request latency distribution: the Eq. 8
-      // resolution the strategy commits to.
-      obs::Histogram& latency = obs::MetricsRegistry::global().histogram(
-          "delivery.request_latency_ms");
-      for (std::size_t id = 0; id < evaluator.request_count(); ++id) {
-        latency.record(evaluator.request_latency_seconds(id) * 1e3);
-      }
-    }
-#endif
-    record_budget_utilization(instance, delivery, usable,
-                              "delivery.budget_utilization");
   }
+#if IDDE_OBS
+  if (obs::enabled()) {
+    // The post-plan per-request latency distribution: the Eq. 8
+    // resolution the strategy commits to.
+    obs::Histogram& latency = obs::MetricsRegistry::global().histogram(
+        coded ? "coding.request_latency_ms" : "delivery.request_latency_ms");
+    for (std::size_t id = 0; id < evaluator.request_count(); ++id) {
+      latency.record(evaluator.request_latency_seconds(id) * 1e3);
+    }
+  }
+#endif
+  record_budget_utilization(
+      instance, delivery, usable,
+      coded ? "coding.budget_utilization" : "delivery.budget_utilization");
   return GreedyDeliveryResult{std::move(delivery), run.placements,
                               run.gain_evaluations, run.rescan_rounds};
 }
@@ -123,9 +124,10 @@ RepairResult GreedyDeliveryPlanner::replan(
     IDDE_OBS_COUNT("repair.candidates_scanned_total", run.gain_evaluations);
     IDDE_OBS_COUNT("repair.placements_total", run.placements);
     IDDE_OBS_COUNT("repair.lost_placements_total", run.lost_placements);
-    record_budget_utilization(instance, delivery, usable,
-                              "repair.budget_utilization");
   }
+  record_budget_utilization(instance, delivery, usable,
+                            coded ? "coding.repair_budget_utilization"
+                                  : "repair.budget_utilization");
   return RepairResult{std::move(delivery), run.lost_placements, run.placements,
                       run.recovered_gain_seconds};
 }

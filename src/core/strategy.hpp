@@ -141,15 +141,6 @@ class DeliveryProfile {
   }
   [[nodiscard]] std::size_t data_count() const noexcept { return data_count_; }
 
-  /// Rebuilds a profile from a placement list. Headroom is recomputed
-  /// from the placements — integer-KB accounting makes replay
-  /// order-independent, so the rebuilt profile is bit-identical to the
-  /// original regardless of the order the placements were recorded in.
-  /// Placements must be feasible and duplicate-free (checked).
-  [[nodiscard]] static DeliveryProfile restore(
-      const model::ProblemInstance& instance, FragmentConfig shape,
-      std::span<const std::pair<std::size_t, std::size_t>> placements);
-
  private:
   FragmentConfig shape_;
   std::size_t data_count_;

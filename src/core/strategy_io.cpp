@@ -1,6 +1,8 @@
 #include "core/strategy_io.hpp"
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "util/format.hpp"
 
@@ -69,15 +71,42 @@ AllocationProfile allocation_from_json(const model::ProblemInstance& instance,
                        instance.radio_env().channels_per_server,
                        "allocation channel"),
     };
-    const auto& covering = instance.covering_servers(j);
-    if (!std::binary_search(covering.begin(), covering.end(),
-                            allocation[j].server)) {
-      throw util::JsonError(util::format(
-          "allocation of user {} is on server {}, which does not cover it",
-          j, allocation[j].server));
-    }
+    require_coverage(instance, j, allocation[j].server);
   }
   return allocation;
+}
+
+void require_coverage(const model::ProblemInstance& instance,
+                      std::size_t user, std::size_t server) {
+  const auto& covering = instance.covering_servers(user);
+  if (!std::binary_search(covering.begin(), covering.end(), server)) {
+    throw util::JsonError(util::format(
+        "allocation of user {} is on server {}, which does not cover it",
+        user, server));
+  }
+}
+
+DeliveryProfile delivery_from_placements(
+    const model::ProblemInstance& instance, FragmentConfig shape,
+    std::span<const std::pair<std::size_t, std::size_t>> placements) {
+  DeliveryProfile delivery(instance, shape);
+  for (const auto& [server, item] : placements) {
+    if (server >= instance.server_count() || item >= instance.data_count()) {
+      throw util::JsonError(util::format(
+          "placement (server {}, item {}) is outside the instance's {} "
+          "servers and {} items",
+          server, item, instance.server_count(), instance.data_count()));
+    }
+    // place() aborts on infeasibility; an untrusted document must not.
+    if (!delivery.can_place(server, item)) {
+      throw util::JsonError(util::format(
+          "placement (server {}, item {}) is a duplicate, exceeds the item's "
+          "n fragments, or exceeds storage",
+          server, item));
+    }
+    delivery.place(server, item);
+  }
+  return delivery;
 }
 
 FragmentConfig code_shape_from_json(const Json& json, FragmentConfig shape,
@@ -114,23 +143,17 @@ Strategy strategy_from_json(const model::ProblemInstance& instance,
   AllocationProfile allocation =
       allocation_from_json(instance, json.at("allocation"));
 
-  DeliveryProfile delivery(instance, shape);
+  std::vector<std::pair<std::size_t, std::size_t>> placements;
   for (const Json& placement : json.at("placements").as_array()) {
-    const std::size_t server = util::as_index(
-        placement.at("server"), instance.server_count(), "placement server");
-    const std::size_t item = util::as_index(
-        placement.at("item"), instance.data_count(), "placement item");
-    // place() aborts on infeasibility; an untrusted document must not.
-    if (!delivery.can_place(server, item)) {
-      throw util::JsonError(util::format(
-          "placement (server {}, item {}) is a duplicate, exceeds the item's "
-          "n fragments, or exceeds storage",
-          server, item));
-    }
-    delivery.place(server, item);
+    placements.emplace_back(
+        util::as_index(placement.at("server"), instance.server_count(),
+                       "placement server"),
+        util::as_index(placement.at("item"), instance.data_count(),
+                       "placement item"));
   }
 
-  Strategy strategy{std::move(allocation), std::move(delivery)};
+  Strategy strategy{std::move(allocation),
+                    delivery_from_placements(instance, shape, placements)};
   strategy.approach_name = json.string_or("approach", "");
   strategy.collaborative_delivery =
       json.bool_or("collaborative_delivery", true);

@@ -7,7 +7,9 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
+#include <utility>
 
 #include "core/strategy.hpp"
 #include "model/instance.hpp"
@@ -37,6 +39,22 @@ inline constexpr const char* kCodedFormat = "idde-coded-strategy-v1";
 /// reach an evaluation.
 [[nodiscard]] AllocationProfile allocation_from_json(
     const model::ProblemInstance& instance, const util::Json& json);
+
+/// Eq. 1 for one untrusted slot: throws util::JsonError unless `server`
+/// covers `user`. Every reader of an allocation goes through this check.
+void require_coverage(const model::ProblemInstance& instance,
+                      std::size_t user, std::size_t server);
+
+/// Rebuilds sigma of `shape` from untrusted (server, item) placements.
+/// Headroom is recomputed from the exact integer-KB ledger, so the order
+/// the placements are listed in does not matter: the result is bit-
+/// identical to the profile they were taken from. Throws util::JsonError
+/// on an out-of-range id, a duplicate, more than n fragments of an item,
+/// or a placement over Eq. 6 storage — never aborts. Every reader of a
+/// sigma goes through this routine.
+[[nodiscard]] DeliveryProfile delivery_from_placements(
+    const model::ProblemInstance& instance, FragmentConfig shape,
+    std::span<const std::pair<std::size_t, std::size_t>> placements);
 
 /// Rebuilds a strategy of either format against `instance`. Throws
 /// util::JsonError on malformed input, an invalid code shape (n is capped

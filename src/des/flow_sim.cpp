@@ -17,6 +17,7 @@
 #include <queue>
 #include <span>
 
+#include "core/health.hpp"
 #include "des/fluid.hpp"
 #include "fault/injector.hpp"
 #include "net/shortest_path.hpp"
@@ -36,6 +37,13 @@ using detail::Leg;
 
 /// A routed leg with at most this much left has landed (fp residue).
 constexpr double kDrainedMb = 1e-9;
+
+/// First retry delay after an aborted attempt; doubles per attempt.
+constexpr double kRetryBackoffSeconds = 0.05;
+/// Cap on the exponential backoff.
+constexpr double kRetryBackoffMaxSeconds = 2.0;
+/// A request older than this is forced to the cloud on its next attempt.
+constexpr double kRequestTimeoutSeconds = 120.0;
 
 /// Event kinds, in tie-break order at equal times: releases run before
 /// admissions so a slot freed at t is available to an arrival at t.
@@ -208,7 +216,8 @@ class FlowLevelSimulator::Replay {
     filter_corrupt_ = corruption && qos_ == nullptr;
     static_world_ = plan_ == nullptr && qos_ == nullptr && gray_ == nullptr;
     if (gray_ != nullptr && o.health_aware) {
-      health_ = core::HealthTracker(instance_.server_count(), o.health);
+      health_ = core::HealthTracker(instance_.server_count(),
+                                    core::HealthConfig{});
       health_view_ = &health_;
     }
     if (qos_ != nullptr) {
@@ -400,7 +409,7 @@ class FlowLevelSimulator::Replay {
   [[nodiscard]] bool over_caps(std::size_t r, double now) const {
     const FlowRecord& record = result_.flows[r];
     return record.retries > options_.max_retries ||
-           now - record.arrival_s > options_.timeout_s;
+           now - record.arrival_s > kRequestTimeoutSeconds;
   }
 
   /// Deadline-aware shedding: the optimistic estimate already misses.
@@ -673,9 +682,9 @@ class FlowLevelSimulator::Replay {
       force_cloud(r, now);
     } else {
       const double backoff = std::min(
-          options_.retry_backoff_s *
+          kRetryBackoffSeconds *
               std::ldexp(1.0, static_cast<int>(record.retries) - 1),
-          options_.retry_backoff_max_s);
+          kRetryBackoffMaxSeconds);
       events_.push(Event{now + backoff, EventKind::kRetry, r});
     }
     release_slot(r, now);

@@ -36,7 +36,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/health.hpp"
 #include "core/resolver.hpp"
 #include "core/strategy.hpp"
 #include "fault/degradation.hpp"
@@ -58,14 +57,8 @@ struct FlowSimOptions {
   /// Optional fault schedule (not owned; must outlive the simulator run).
   /// Null or inert = the fault-free replay, bit for bit.
   const fault::FaultPlan* fault_plan = nullptr;
-  /// First retry delay after an aborted attempt; doubles per attempt.
-  double retry_backoff_s = 0.05;
-  /// Cap on the exponential backoff.
-  double retry_backoff_max_s = 2.0;
   /// Aborted attempts retry at most this many times, then go cloud-direct.
   std::size_t max_retries = 8;
-  /// A request older than this is forced to the cloud on its next attempt.
-  double timeout_s = 120.0;
 
   /// Optional overload-protection config (not owned; must outlive the run).
   /// Null or inert = the replay without admission control, bit for bit.
@@ -76,12 +69,10 @@ struct FlowSimOptions {
   /// be lost (integrity failure on landing). Null or inert = the replay
   /// without gray effects, bit for bit.
   const fault::DegradationPlan* degradation = nullptr;
-  /// Health-weight source selection with a tracker
-  /// fed by the legs this run observes under the degradation plan
-  /// (demotes gray servers).
+  /// Health-weight source selection with a tracker (default
+  /// core::HealthConfig) fed by the legs this run observes under the
+  /// degradation plan (demotes gray servers).
   bool health_aware = false;
-  /// Tracker parameters used when health_aware is set.
-  core::HealthConfig health;
 };
 
 /// What finally happened to one offered arrival.

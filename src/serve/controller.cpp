@@ -3,11 +3,16 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <string>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "core/delivery.hpp"
 #include "core/game.hpp"
 #include "core/idde_g.hpp"
 #include "core/potential.hpp"
+#include "core/strategy_io.hpp"
 #include "geo/bbox.hpp"
 #include "obs/obs.hpp"
 #include "serve/checkpoint.hpp"
@@ -51,84 +56,255 @@ fault::FaultPlan make_plan(const model::ProblemInstance& base,
   return plan;
 }
 
-util::Json rng_to_json(const util::Rng& rng) {
-  const util::RngState state = rng.state();
-  util::JsonArray words;
-  for (const std::uint64_t word : state.words) {
-    words.emplace_back(u64_to_hex(word));
-  }
-  util::JsonObject object;
-  object.emplace("words", std::move(words));
-  object.emplace("spare", state.has_spare_normal);
-  object.emplace("spare_value", double_to_bits(state.spare_normal));
-  return object;
-}
+/// Reader-side domain of a checkpointed double.
+enum class Domain { kAny, kFinite, kNonNegative, kPositive };
 
-void rng_from_json(const util::Json& value, std::string_view what,
-                   util::Rng& rng) {
-  util::RngState state;
-  const util::JsonArray& words = value.at("words").as_array();
-  if (words.size() != state.words.size()) {
-    throw util::JsonError(util::format("{}: expected 4 state words", what));
-  }
-  for (std::size_t i = 0; i < state.words.size(); ++i) {
-    state.words[i] = hex_to_u64(words[i].as_string(), what);
-  }
-  state.has_spare_normal = value.at("spare").as_bool();
-  state.spare_normal = bits_to_double(value.at("spare_value"), what);
-  rng.set_state(state);
-}
-
-/// Decodes a hex array into size_t values, each checked against `bound`
-/// (pass kNoBound to skip the range check).
+/// Pass as a word's bound to skip the range check.
 constexpr std::size_t kNoBound = static_cast<std::size_t>(-1);
 
-std::vector<std::size_t> indices_from_json(const util::Json& value,
-                                           std::size_t bound,
-                                           std::string_view what) {
-  const util::JsonArray& array = value.as_array();
-  std::vector<std::size_t> out;
-  out.reserve(array.size());
-  for (const util::Json& element : array) {
-    const auto index =
-        static_cast<std::size_t>(hex_to_u64(element.as_string(), what));
-    if (bound != kNoBound && index >= bound) {
-      throw util::JsonError(
-          util::format("{}: index {} out of range [0, {})", what, index,
-                       bound));
-    }
-    out.push_back(index);
+template <class Int>
+Int decode_word(const util::Json& value, std::size_t bound,
+                std::string_view what) {
+  const std::uint64_t word = hex_to_u64(value.as_string(), what);
+  if (bound != kNoBound && word >= bound) {
+    throw util::JsonError(util::format("{}: index {} out of range [0, {})",
+                                       what, word, bound));
   }
-  return out;
+  return static_cast<Int>(word);
 }
 
-/// Writes a sigma's placements as parallel server and item index lists,
-/// item-major with ascending hosts.
-void sigma_to_json(const core::DeliveryProfile& sigma, const char* server_key,
-                   const char* item_key, util::JsonObject& root) {
-  util::JsonArray servers;
-  util::JsonArray items;
-  servers.reserve(sigma.placement_count());
-  items.reserve(sigma.placement_count());
+double decode_bits(const util::Json& value, Domain domain,
+                   std::string_view what) {
+  const double v = bits_to_double(value, what);
+  const bool finite = std::isfinite(v);
+  const bool ok = domain == Domain::kAny ||
+                  (domain == Domain::kFinite && finite) ||
+                  (domain == Domain::kNonNegative && finite && v >= 0.0) ||
+                  (domain == Domain::kPositive && finite && v > 0.0);
+  if (!ok) {
+    throw util::JsonError(util::format("{}: value {} out of range", what, v));
+  }
+  return v;
+}
+
+/// The cells of one flat hex array, written or read in order.
+template <bool Reads>
+class Cells {
+ public:
+  using Array =
+      std::conditional_t<Reads, const util::JsonArray, util::JsonArray>;
+
+  Cells(Array& array, std::string what)
+      : array_(&array), what_(std::move(what)) {}
+
+  template <class Int>
+  void word(Int& value, std::size_t bound = kNoBound) {
+    if constexpr (Reads) {
+      value = decode_word<Int>(take(), bound, what_);
+    } else {
+      array_->emplace_back(u64_to_hex(static_cast<std::uint64_t>(value)));
+    }
+  }
+  template <class Double>
+  void bits(Double& value, Domain domain) {
+    if constexpr (Reads) {
+      value = decode_bits(take(), domain, what_);
+    } else {
+      array_->push_back(double_to_bits(value));
+    }
+  }
+
+  [[nodiscard]] bool done() const { return next_ == array_->size(); }
+  void finish() const {
+    if (!done()) {
+      throw util::JsonError(util::format("{}: too many values", what_));
+    }
+  }
+
+ private:
+  const util::Json& take() {
+    if (done()) {
+      throw util::JsonError(util::format("{}: too few values", what_));
+    }
+    return (*array_)[next_++];
+  }
+
+  Array* array_;
+  std::string what_;
+  std::size_t next_ = 0;
+};
+
+/// The checkpoint's codecs, each one encoding in both directions.
+/// ServeController::walk_state names every field once — key, encoding and
+/// bound — and runs over a StateIo<false> (checkpoint) or a StateIo<true>
+/// (restore, which applies each bound as it decodes). Encodings:
+///  - word: a u64 (or an enum) as 16 hex digits, below `bound` if given;
+///  - bits: a double's bit pattern, inside its Domain;
+///  - flag: a JSON bool;
+///  - mask: a string of '0'/'1', one per element, through `flag_of`;
+///  - table/list: a flat hex array of records whose cells `visit` names in
+///    order; a table keeps the reader's container length, a list sets it.
+template <bool Reads>
+class StateIo {
+ public:
+  static constexpr bool kReads = Reads;
+  using Node = std::conditional_t<Reads, const util::Json, util::JsonObject>;
+
+  StateIo(Node& node, std::string what)
+      : node_(&node), what_(std::move(what)) {}
+
+  [[nodiscard]] StateIo child(std::string_view key) const {
+    if constexpr (Reads) {
+      return StateIo(node_->at(key), path(key));
+    } else {
+      return StateIo(put(key, util::JsonObject{}).as_object(), {});
+    }
+  }
+  template <class Int>
+  void word(std::string_view key, Int& value,
+            std::size_t bound = kNoBound) const {
+    if constexpr (Reads) {
+      value = decode_word<Int>(node_->at(key), bound, path(key));
+    } else {
+      put(key, u64_to_hex(static_cast<std::uint64_t>(value)));
+    }
+  }
+  template <class Bool>
+  void flag(std::string_view key, Bool& value) const {
+    if constexpr (Reads) {
+      value = node_->at(key).as_bool();
+    } else {
+      put(key, value);
+    }
+  }
+  template <class Double>
+  void bits(std::string_view key, Double& value, Domain domain) const {
+    if constexpr (Reads) {
+      value = decode_bits(node_->at(key), domain, path(key));
+    } else {
+      put(key, double_to_bits(value));
+    }
+  }
+  template <class Seq, class FlagOf>
+  void mask(std::string_view key, Seq& seq, FlagOf flag_of) const {
+    if constexpr (Reads) {
+      const std::string& text = node_->at(key).as_string();
+      if (text.size() != seq.size() ||
+          text.find_first_not_of("01") != std::string::npos) {
+        throw util::JsonError(util::format(
+            "{}: expected {} flags of 0/1", path(key), seq.size()));
+      }
+      for (std::size_t i = 0; i < seq.size(); ++i) {
+        flag_of(seq, i) = text[i] == '1';
+      }
+    } else {
+      std::string text(seq.size(), '0');
+      for (std::size_t i = 0; i < seq.size(); ++i) {
+        if (flag_of(seq, i)) text[i] = '1';
+      }
+      put(key, std::move(text));
+    }
+  }
+  template <class Seq, class Visit>
+  void table(std::string_view key, Seq& seq, Visit visit) const {
+    if constexpr (Reads) {
+      Cells<true> cells(node_->at(key).as_array(), path(key));
+      for (auto& record : seq) visit(record, cells);
+      cells.finish();
+    } else {
+      util::JsonArray array;
+      Cells<false> cells(array, {});
+      for (auto& record : seq) visit(record, cells);
+      put(key, std::move(array));
+    }
+  }
+  template <class Seq, class Visit>
+  void list(std::string_view key, Seq& seq, Visit visit) const {
+    if constexpr (Reads) {
+      Cells<true> cells(node_->at(key).as_array(), path(key));
+      seq.clear();
+      while (!cells.done()) visit(seq.emplace_back(), cells);
+    } else {
+      table(key, seq, visit);
+    }
+  }
+
+ private:
+  util::Json& put(std::string_view key, util::Json value) const {
+    return node_->insert_or_assign(std::string(key), std::move(value))
+        .first->second;
+  }
+  [[nodiscard]] std::string path(std::string_view key) const {
+    return util::format("{}.{}", what_, key);
+  }
+
+  Node* node_;
+  std::string what_;
+};
+
+/// Mask projection for a container of flags: element i itself.
+constexpr auto kElement = [](auto& seq, std::size_t i) -> decltype(auto) {
+  return seq[i];
+};
+
+/// An RNG stream: the xoshiro words and the Marsaglia spare normal.
+template <class Io, class Rng>
+void walk_rng(const Io& io, Rng& rng) {
+  util::RngState state = rng.state();
+  io.table("words", state.words, [](auto& word, auto& c) { c.word(word); });
+  io.flag("spare", state.has_spare_normal);
+  io.bits("spare_value", state.spare_normal, Domain::kAny);
+  if constexpr (Io::kReads) rng.set_state(state);
+}
+
+/// An allocation as parallel server and channel lists (a kNone server is
+/// unallocated). The reader range-checks every allocated slot and, when
+/// `covered`, checks Eq. 1 against the instance's current coverage.
+template <class Io, class Allocation>
+void walk_allocation(const Io& io, const model::ProblemInstance& instance,
+                     std::string_view server_key,
+                     std::string_view channel_key, Allocation& allocation,
+                     bool covered) {
+  const std::size_t channels = instance.radio_env().channels_per_server;
+  io.table(server_key, allocation,
+           [](auto& slot, auto& c) { c.word(slot.server); });
+  io.table(channel_key, allocation,
+           [&](auto& slot, auto& c) { c.word(slot.channel, channels); });
+  if constexpr (Io::kReads) {
+    for (std::size_t j = 0; j < allocation.size(); ++j) {
+      core::ChannelSlot& slot = allocation[j];
+      if (!slot.allocated()) {
+        slot = core::kUnallocated;
+      } else if (slot.server >= instance.server_count()) {
+        throw util::JsonError(util::format(
+            "checkpoint {}: server out of range for user {}", server_key, j));
+      } else if (covered) {
+        core::require_coverage(instance, j, slot.server);
+      }
+    }
+  }
+}
+
+/// A sigma as parallel server and item lists, item-major with ascending
+/// hosts. The reader rebuilds it through core::delivery_from_placements.
+template <class Io, class Sigma>
+void walk_sigma(const Io& io, const model::ProblemInstance& instance,
+                std::string_view server_key, std::string_view item_key,
+                Sigma& sigma) {
+  std::vector<std::pair<std::size_t, std::size_t>> placements;
   for (std::size_t k = 0; k < sigma.data_count(); ++k) {
     for (const std::size_t host : sigma.hosts(k)) {
-      servers.emplace_back(u64_to_hex(host));
-      items.emplace_back(u64_to_hex(k));
+      placements.emplace_back(host, k);
     }
   }
-  root.emplace(server_key, std::move(servers));
-  root.emplace(item_key, std::move(items));
-}
-
-std::vector<double> doubles_from_json(const util::Json& value,
-                                      std::string_view what) {
-  const util::JsonArray& array = value.as_array();
-  std::vector<double> out;
-  out.reserve(array.size());
-  for (const util::Json& element : array) {
-    out.push_back(bits_to_double(element, what));
+  io.list(server_key, placements,
+          [](auto& placement, auto& c) { c.word(placement.first); });
+  io.table(item_key, placements,
+           [](auto& placement, auto& c) { c.word(placement.second); });
+  if constexpr (Io::kReads) {
+    sigma = core::delivery_from_placements(instance, sigma.shape(),
+                                           placements);
   }
-  return out;
 }
 
 }  // namespace
@@ -696,398 +872,156 @@ std::uint64_t ServeController::guard_hash() const {
   return hash;
 }
 
-std::string ServeController::checkpoint(int indent) const {
-  util::JsonObject root;
-  root.emplace("guard", u64_to_hex(guard_hash()));
-  root.emplace("tick", u64_to_hex(tick_));
-  root.emplace("hash", u64_to_hex(trajectory_hash_));
-
-  util::JsonObject rng;
-  rng.emplace("walk", rng_to_json(walk_rng_));
-  rng.emplace("churn", rng_to_json(churn_rng_));
-  rng.emplace("solve", rng_to_json(solve_rng_));
-  root.emplace("rng", std::move(rng));
-
-  util::JsonObject mobility;
-  util::JsonArray positions;
-  positions.reserve(mobility_.positions().size() * 2);
-  for (const geo::Point& p : mobility_.positions()) {
-    positions.push_back(double_to_bits(p.x));
-    positions.push_back(double_to_bits(p.y));
+template <class Self, class Io>
+void ServeController::walk_state(Self& self, const Io& io) {
+  // The guard comes first: a snapshot of another (config, seed) is refused
+  // before any of its state is read.
+  const std::uint64_t expected = self.guard_hash();
+  std::uint64_t guard = expected;
+  io.word("guard", guard);
+  if (guard != expected) {
+    throw util::JsonError(
+        "checkpoint: config/seed mismatch (guard hash differs)");
   }
-  mobility.emplace("positions", std::move(positions));
-  util::JsonArray walks;
-  walks.reserve(mobility_.walks().size() * 4);
-  for (const dynamic::RandomWaypointModel::WalkState& walk :
-       mobility_.walks()) {
-    walks.push_back(double_to_bits(walk.waypoint.x));
-    walks.push_back(double_to_bits(walk.waypoint.y));
-    walks.push_back(double_to_bits(walk.speed_mps));
-    walks.push_back(double_to_bits(walk.pause_left_s));
+  io.word("tick", self.tick_);
+  io.word("hash", self.trajectory_hash_);
+  if constexpr (Io::kReads) {
+    // Availability is derived, never stored: the plan is a pure function
+    // of (config, seed), so the mask at the restored tick matches.
+    self.plan_.server_up_mask(
+        self.instance_.server_count(),
+        static_cast<double>(self.tick_) * self.config_.tick_seconds,
+        self.up_mask_);
+    self.prev_up_mask_ = self.up_mask_;
   }
-  mobility.emplace("walks", std::move(walks));
-  mobility.emplace("distance", double_to_bits(mobility_.total_distance_m()));
-  root.emplace("mobility", std::move(mobility));
 
-  std::string churn_mask(churn_.user_count(), '0');
-  for (std::size_t j = 0; j < churn_.user_count(); ++j) {
-    if (churn_.online(j)) churn_mask[j] = '1';
+  const Io rng = io.child("rng");
+  walk_rng(rng.child("walk"), self.walk_rng_);
+  walk_rng(rng.child("churn"), self.churn_rng_);
+  walk_rng(rng.child("solve"), self.solve_rng_);
+
+  // A non-finite position would reach the coverage grid's cell index, and
+  // a zero or negative speed would stall the walk: the domains refuse both.
+  const Io mobility = io.child("mobility");
+  std::vector<geo::Point> positions = self.mobility_.positions();
+  std::vector<dynamic::RandomWaypointModel::WalkState> walks =
+      self.mobility_.walks();
+  double distance = self.mobility_.total_distance_m();
+  mobility.table("positions", positions, [](auto& p, auto& c) {
+    c.bits(p.x, Domain::kFinite);
+    c.bits(p.y, Domain::kFinite);
+  });
+  mobility.table("walks", walks, [](auto& walk, auto& c) {
+    c.bits(walk.waypoint.x, Domain::kFinite);
+    c.bits(walk.waypoint.y, Domain::kFinite);
+    c.bits(walk.speed_mps, Domain::kPositive);
+    c.bits(walk.pause_left_s, Domain::kNonNegative);
+  });
+  mobility.bits("distance", distance, Domain::kNonNegative);
+  if constexpr (Io::kReads) {
+    self.mobility_.restore_state(std::move(positions), std::move(walks),
+                                 distance);
+    // Coverage follows the restored walk before the allocation's Eq. 1
+    // check reads it.
+    self.instance_.set_user_positions(self.mobility_.positions(),
+                                      self.pathloss_);
   }
-  root.emplace("churn_mask", std::move(churn_mask));
 
-  // Health plane (gray failures). The degradation plan itself is derived
-  // (regenerated from config and seed); only the tracker's evidence and
-  // the demotion mask are state.
-  util::JsonObject health;
-  util::JsonArray health_ewma;
-  util::JsonArray health_legs;
-  util::JsonArray health_losses;
-  std::string demoted_mask(instance_.server_count(), '0');
-  std::string gray_mask(instance_.server_count(), '0');
-  for (std::size_t i = 0; i < instance_.server_count(); ++i) {
-    const core::ServerHealth& h = health_.state()[i];
-    health_ewma.push_back(double_to_bits(h.ewma_inflation));
-    health_legs.emplace_back(u64_to_hex(h.legs));
-    health_losses.emplace_back(u64_to_hex(h.losses));
-    if (h.demoted) demoted_mask[i] = '1';
-    if (gray_mask_[i] != 0) gray_mask[i] = '1';
+  std::vector<bool> online = self.churn_.mask();
+  io.mask("churn_mask", online, kElement);
+  if constexpr (Io::kReads) self.churn_.restore_mask(std::move(online));
+
+  // Health plane (gray failures). The degradation plan itself is derived;
+  // only the tracker's evidence and the demotion mask are state.
+  const Io health = io.child("health");
+  std::vector<core::ServerHealth> trackers = self.health_.state();
+  health.table("ewma", trackers, [](auto& h, auto& c) {
+    c.bits(h.ewma_inflation, Domain::kNonNegative);
+  });
+  health.table("legs", trackers, [](auto& h, auto& c) { c.word(h.legs); });
+  health.table("losses", trackers,
+               [](auto& h, auto& c) { c.word(h.losses); });
+  health.mask("demoted", trackers, [](auto& seq, std::size_t i) -> auto& {
+    return seq[i].demoted;
+  });
+  health.mask("gray_mask", self.gray_mask_, kElement);
+  if constexpr (Io::kReads) self.health_.restore_state(std::move(trackers));
+
+  // The LKG allocation is exempt from Eq. 1: restore_lkg sanitises it
+  // against whatever world it is restored into.
+  walk_allocation(io, self.instance_, "alloc_server", "alloc_channel",
+                  self.allocation_, true);
+  walk_allocation(io, self.instance_, "lkg_alloc_server", "lkg_alloc_channel",
+                  self.lkg_allocation_, false);
+  walk_sigma(io, self.instance_, "sigma_server", "sigma_item", self.sigma_);
+  walk_sigma(io, self.instance_, "lkg_sigma_server", "lkg_sigma_item",
+             self.lkg_sigma_);
+  // The recorded headroom is derived state: it must be the rebuilt
+  // ledger's bits exactly, or the snapshot contradicts itself.
+  std::vector<std::uint64_t> headroom(self.sigma_.server_count());
+  for (std::size_t i = 0; i < headroom.size(); ++i) {
+    headroom[i] = std::bit_cast<std::uint64_t>(self.sigma_.free_mb(i));
   }
-  health.emplace("ewma", std::move(health_ewma));
-  health.emplace("legs", std::move(health_legs));
-  health.emplace("losses", std::move(health_losses));
-  health.emplace("demoted", std::move(demoted_mask));
-  health.emplace("gray_mask", std::move(gray_mask));
-  root.emplace("health", std::move(health));
-
-  util::JsonArray alloc_server;
-  util::JsonArray alloc_channel;
-  for (const core::ChannelSlot& slot : allocation_) {
-    alloc_server.emplace_back(u64_to_hex(slot.server));
-    alloc_channel.emplace_back(u64_to_hex(slot.channel));
+  std::vector<std::uint64_t> recorded = headroom;
+  io.table("sigma_free_mb", recorded,
+           [](auto& bits, auto& c) { c.word(bits); });
+  if (recorded != headroom) {
+    throw util::JsonError(
+        "checkpoint: sigma free_mb contradicts the placements");
   }
-  root.emplace("alloc_server", std::move(alloc_server));
-  root.emplace("alloc_channel", std::move(alloc_channel));
 
-  sigma_to_json(sigma_, "sigma_server", "sigma_item", root);
-  util::JsonArray sigma_free_mb;
-  sigma_free_mb.reserve(sigma_.server_count());
-  for (std::size_t i = 0; i < sigma_.server_count(); ++i) {
-    sigma_free_mb.push_back(double_to_bits(sigma_.free_mb(i)));
+  io.list("backlog", self.backlog_, [](auto& task, auto& c) {
+    c.word(task.kind, static_cast<std::size_t>(RepairKind::kSigma) + 1);
+    c.word(task.deadline_tick);
+    c.word(task.attempts);
+  });
+  if (Io::kReads && self.backlog_.size() > self.config_.backlog_capacity) {
+    throw util::JsonError("checkpoint: backlog exceeds configured capacity");
   }
-  root.emplace("sigma_free_mb", std::move(sigma_free_mb));
 
-  util::JsonArray lkg_alloc_server;
-  util::JsonArray lkg_alloc_channel;
-  for (const core::ChannelSlot& slot : lkg_allocation_) {
-    lkg_alloc_server.emplace_back(u64_to_hex(slot.server));
-    lkg_alloc_channel.emplace_back(u64_to_hex(slot.channel));
-  }
-  root.emplace("lkg_alloc_server", std::move(lkg_alloc_server));
-  root.emplace("lkg_alloc_channel", std::move(lkg_alloc_channel));
-  sigma_to_json(lkg_sigma_, "lkg_sigma_server", "lkg_sigma_item", root);
+  const Io watchdog = io.child("watchdog");
+  watchdog.word("strikes", self.strikes_);
+  watchdog.word("cooldown_left", self.cooldown_left_);
+  watchdog.flag("breaker_open", self.breaker_open_);
+  watchdog.flag("half_open", self.half_open_);
+  watchdog.flag("equilibrium_clean", self.equilibrium_clean_);
+  watchdog.flag("sigma_clean", self.sigma_clean_);
 
-  util::JsonArray backlog;
-  backlog.reserve(backlog_.size() * 3);
-  for (const RepairTask& task : backlog_) {
-    backlog.emplace_back(u64_to_hex(static_cast<std::uint64_t>(task.kind)));
-    backlog.emplace_back(u64_to_hex(task.deadline_tick));
-    backlog.emplace_back(u64_to_hex(task.attempts));
-  }
-  root.emplace("backlog", std::move(backlog));
+  const Io retry = io.child("retry");
+  double tokens = self.retry_.tokens();
+  std::size_t denied = self.retry_.denied();
+  retry.bits("tokens", tokens, Domain::kNonNegative);
+  retry.word("denied", denied);
+  if constexpr (Io::kReads) self.retry_.restore(tokens, denied);
 
-  util::JsonObject watchdog;
-  watchdog.emplace("strikes", u64_to_hex(strikes_));
-  watchdog.emplace("cooldown_left", u64_to_hex(cooldown_left_));
-  watchdog.emplace("breaker_open", breaker_open_);
-  watchdog.emplace("half_open", half_open_);
-  watchdog.emplace("equilibrium_clean", equilibrium_clean_);
-  watchdog.emplace("sigma_clean", sigma_clean_);
-  root.emplace("watchdog", std::move(watchdog));
+  const Io counters = io.child("counters");
+  auto& status = self.status_;
+  counters.word("ticks", status.ticks);
+  counters.word("events_total", status.events_total);
+  counters.word("repairs_total", status.repairs_total);
+  counters.word("repair_rounds_total", status.repair_rounds_total);
+  counters.word("repair_moves_total", status.repair_moves_total);
+  counters.word("degraded_ticks", status.degraded_ticks);
+  counters.word("backlog_peak", status.backlog_peak);
+  counters.word("shed_total", status.shed_total);
+  counters.word("potential_checks", status.potential_checks);
+  counters.word("watchdog_strikes", status.watchdog_strikes);
+  counters.word("breaker_trips", status.breaker_trips);
+  counters.word("lkg_restores", status.lkg_restores);
+  counters.word("recovery_ticks", status.recovery_ticks);
 
-  util::JsonObject retry;
-  retry.emplace("tokens", double_to_bits(retry_.tokens()));
-  retry.emplace("denied", u64_to_hex(retry_.denied()));
-  root.emplace("retry", std::move(retry));
-
-  util::JsonObject counters;
-  counters.emplace("ticks", u64_to_hex(status_.ticks));
-  counters.emplace("events_total", u64_to_hex(status_.events_total));
-  counters.emplace("repairs_total", u64_to_hex(status_.repairs_total));
-  counters.emplace("repair_rounds_total",
-                   u64_to_hex(status_.repair_rounds_total));
-  counters.emplace("repair_moves_total",
-                   u64_to_hex(status_.repair_moves_total));
-  counters.emplace("degraded_ticks", u64_to_hex(status_.degraded_ticks));
-  counters.emplace("backlog_peak", u64_to_hex(status_.backlog_peak));
-  counters.emplace("shed_total", u64_to_hex(status_.shed_total));
-  counters.emplace("potential_checks", u64_to_hex(status_.potential_checks));
-  counters.emplace("watchdog_strikes", u64_to_hex(status_.watchdog_strikes));
-  counters.emplace("breaker_trips", u64_to_hex(status_.breaker_trips));
-  counters.emplace("lkg_restores", u64_to_hex(status_.lkg_restores));
-  counters.emplace("recovery_ticks", u64_to_hex(status_.recovery_ticks));
-  root.emplace("counters", std::move(counters));
-
-  return seal_checkpoint(util::Json(std::move(root)), indent);
+  if constexpr (Io::kReads) self.events_.clear();
 }
 
-core::DeliveryProfile ServeController::sigma_from_json(
-    const util::Json& payload, std::string_view server_key,
-    std::string_view item_key) const {
-  const std::vector<std::size_t> servers =
-      indices_from_json(payload.at(server_key), instance_.server_count(),
-                        util::format("checkpoint {}", server_key));
-  const std::vector<std::size_t> items =
-      indices_from_json(payload.at(item_key), instance_.data_count(),
-                        util::format("checkpoint {}", item_key));
-  if (servers.size() != items.size()) {
-    throw util::JsonError("checkpoint: sigma server/item length mismatch");
-  }
-  core::DeliveryProfile sigma(instance_);
-  for (std::size_t idx = 0; idx < servers.size(); ++idx) {
-    const std::size_t server = servers[idx];
-    const std::size_t item = items[idx];
-    if (sigma.placed(server, item)) {
-      throw util::JsonError(util::format(
-          "checkpoint: duplicate sigma placement ({}, {})", server, item));
-    }
-    if (!sigma.can_place(server, item)) {
-      throw util::JsonError(util::format(
-          "checkpoint: sigma placement ({}, {}) exceeds server storage",
-          server, item));
-    }
-    sigma.place(server, item);
-  }
-  return sigma;
+std::string ServeController::checkpoint(int indent) const {
+  util::JsonObject root;
+  walk_state(*this, StateIo<false>(root, {}));
+  return seal_checkpoint(util::Json(std::move(root)), indent);
 }
 
 void ServeController::restore(std::string_view checkpoint_text) {
   const util::Json payload = open_checkpoint(checkpoint_text);
-  if (hex_to_u64(payload.at("guard").as_string(), "checkpoint guard") !=
-      guard_hash()) {
-    throw util::JsonError(
-        "checkpoint: config/seed mismatch (guard hash differs)");
-  }
-  const std::size_t user_count = instance_.user_count();
-  const std::size_t server_count = instance_.server_count();
-  const std::size_t channels = instance_.radio_env().channels_per_server;
-
-  tick_ = hex_to_u64(payload.at("tick").as_string(), "checkpoint tick");
-  trajectory_hash_ =
-      hex_to_u64(payload.at("hash").as_string(), "checkpoint hash");
-
-  const util::Json& rng = payload.at("rng");
-  rng_from_json(rng.at("walk"), "checkpoint rng.walk", walk_rng_);
-  rng_from_json(rng.at("churn"), "checkpoint rng.churn", churn_rng_);
-  rng_from_json(rng.at("solve"), "checkpoint rng.solve", solve_rng_);
-
-  const util::Json& mobility = payload.at("mobility");
-  const std::vector<double> flat_positions =
-      doubles_from_json(mobility.at("positions"), "checkpoint positions");
-  const std::vector<double> flat_walks =
-      doubles_from_json(mobility.at("walks"), "checkpoint walks");
-  if (flat_positions.size() != user_count * 2 ||
-      flat_walks.size() != user_count * 4) {
-    throw util::JsonError("checkpoint: mobility state size mismatch");
-  }
-  std::vector<geo::Point> positions(user_count);
-  std::vector<dynamic::RandomWaypointModel::WalkState> walks(user_count);
-  // A non-finite position would reach the coverage grid's cell index, and
-  // a zero or negative speed would stall the walk: reject both here.
-  const auto finite = [](const geo::Point& p) {
-    return std::isfinite(p.x) && std::isfinite(p.y);
-  };
-  for (std::size_t j = 0; j < user_count; ++j) {
-    positions[j] = geo::Point{flat_positions[j * 2], flat_positions[j * 2 + 1]};
-    walks[j].waypoint = geo::Point{flat_walks[j * 4], flat_walks[j * 4 + 1]};
-    walks[j].speed_mps = flat_walks[j * 4 + 2];
-    walks[j].pause_left_s = flat_walks[j * 4 + 3];
-    if (!finite(positions[j]) || !finite(walks[j].waypoint)) {
-      throw util::JsonError(util::format(
-          "checkpoint: non-finite position or waypoint for user {}", j));
-    }
-    if (!std::isfinite(walks[j].speed_mps) || !(walks[j].speed_mps > 0.0)) {
-      throw util::JsonError(util::format(
-          "checkpoint: walk speed must be finite and > 0 for user {}", j));
-    }
-    if (!std::isfinite(walks[j].pause_left_s) ||
-        !(walks[j].pause_left_s >= 0.0)) {
-      throw util::JsonError(util::format(
-          "checkpoint: walk pause must be finite and >= 0 for user {}", j));
-    }
-  }
-  const double distance =
-      bits_to_double(mobility.at("distance"), "checkpoint distance");
-  if (!(distance >= 0.0)) {
-    throw util::JsonError("checkpoint: negative walk distance");
-  }
-  mobility_.restore_state(std::move(positions), std::move(walks), distance);
-  instance_.set_user_positions(mobility_.positions(), pathloss_);
-
-  const std::string& mask_text = payload.at("churn_mask").as_string();
-  if (mask_text.size() != user_count) {
-    throw util::JsonError("checkpoint: churn mask size mismatch");
-  }
-  std::vector<bool> mask(user_count);
-  for (std::size_t j = 0; j < user_count; ++j) {
-    if (mask_text[j] != '0' && mask_text[j] != '1') {
-      throw util::JsonError("checkpoint: churn mask must be 0/1");
-    }
-    mask[j] = mask_text[j] == '1';
-  }
-  churn_.restore_mask(std::move(mask));
-
-  const util::Json& health = payload.at("health");
-  const std::vector<double> health_ewma =
-      doubles_from_json(health.at("ewma"), "checkpoint health ewma");
-  const std::vector<std::size_t> health_legs = indices_from_json(
-      health.at("legs"), kNoBound, "checkpoint health legs");
-  const std::vector<std::size_t> health_losses = indices_from_json(
-      health.at("losses"), kNoBound, "checkpoint health losses");
-  const std::string& demoted_text = health.at("demoted").as_string();
-  const std::string& gray_text = health.at("gray_mask").as_string();
-  if (health_ewma.size() != server_count ||
-      health_legs.size() != server_count ||
-      health_losses.size() != server_count ||
-      demoted_text.size() != server_count ||
-      gray_text.size() != server_count) {
-    throw util::JsonError("checkpoint: health state size mismatch");
-  }
-  std::vector<core::ServerHealth> health_state(server_count);
-  for (std::size_t i = 0; i < server_count; ++i) {
-    if (!std::isfinite(health_ewma[i]) || health_ewma[i] < 0.0) {
-      throw util::JsonError(util::format(
-          "checkpoint: health ewma out of range for server {}", i));
-    }
-    if ((demoted_text[i] != '0' && demoted_text[i] != '1') ||
-        (gray_text[i] != '0' && gray_text[i] != '1')) {
-      throw util::JsonError("checkpoint: health masks must be 0/1");
-    }
-    health_state[i].ewma_inflation = health_ewma[i];
-    health_state[i].legs = health_legs[i];
-    health_state[i].losses = health_losses[i];
-    health_state[i].demoted = demoted_text[i] == '1';
-  }
-  health_.restore_state(std::move(health_state));
-  gray_mask_.resize(server_count);
-  for (std::size_t i = 0; i < server_count; ++i) {
-    gray_mask_[i] = static_cast<std::uint8_t>(gray_text[i] == '1');
-  }
-
-  // Derived availability is regenerated, never stored: the plan is a pure
-  // function of (config, seed), so the mask at the restored tick matches.
-  plan_.server_up_mask(server_count,
-                       static_cast<double>(tick_) * config_.tick_seconds,
-                       up_mask_);
-  prev_up_mask_ = up_mask_;
-
-  const auto read_allocation =
-      [&](std::string_view server_key, std::string_view channel_key,
-          std::string_view what) {
-        const std::vector<std::size_t> servers = indices_from_json(
-            payload.at(server_key), kNoBound, what);
-        const std::vector<std::size_t> slots = indices_from_json(
-            payload.at(channel_key), kNoBound, what);
-        if (servers.size() != user_count || slots.size() != user_count) {
-          throw util::JsonError(
-              util::format("{}: expected {} users", what, user_count));
-        }
-        core::AllocationProfile profile(user_count, core::kUnallocated);
-        for (std::size_t j = 0; j < user_count; ++j) {
-          if (servers[j] == core::ChannelSlot::kNone) continue;
-          if (servers[j] >= server_count || slots[j] >= channels) {
-            throw util::JsonError(
-                util::format("{}: slot out of range for user {}", what, j));
-          }
-          profile[j] = core::ChannelSlot{servers[j], slots[j]};
-        }
-        return profile;
-      };
-  allocation_ = read_allocation("alloc_server", "alloc_channel",
-                                "checkpoint allocation");
-  lkg_allocation_ = read_allocation("lkg_alloc_server", "lkg_alloc_channel",
-                                    "checkpoint lkg allocation");
-
-  sigma_ = sigma_from_json(payload, "sigma_server", "sigma_item");
-  // The recorded headroom is derived state: it must be the replayed
-  // ledger's bits exactly, or the snapshot contradicts itself.
-  const std::vector<double> sigma_free_mb = doubles_from_json(
-      payload.at("sigma_free_mb"), "checkpoint sigma free_mb");
-  if (sigma_free_mb.size() != server_count) {
-    throw util::JsonError("checkpoint: sigma free_mb size mismatch");
-  }
-  for (std::size_t i = 0; i < server_count; ++i) {
-    if (std::bit_cast<std::uint64_t>(sigma_free_mb[i]) !=
-        std::bit_cast<std::uint64_t>(sigma_.free_mb(i))) {
-      throw util::JsonError(util::format(
-          "checkpoint: sigma free_mb of server {} contradicts its "
-          "placements",
-          i));
-    }
-  }
-  lkg_sigma_ = sigma_from_json(payload, "lkg_sigma_server", "lkg_sigma_item");
-
-  const util::JsonArray& backlog = payload.at("backlog").as_array();
-  if (backlog.size() % 3 != 0) {
-    throw util::JsonError("checkpoint: backlog must be (kind, deadline, "
-                          "attempts) triples");
-  }
-  backlog_.clear();
-  for (std::size_t idx = 0; idx < backlog.size(); idx += 3) {
-    const std::uint64_t kind =
-        hex_to_u64(backlog[idx].as_string(), "checkpoint backlog kind");
-    if (kind > static_cast<std::uint64_t>(RepairKind::kSigma)) {
-      throw util::JsonError("checkpoint: unknown backlog repair kind");
-    }
-    backlog_.push_back(RepairTask{
-        static_cast<RepairKind>(kind),
-        static_cast<std::size_t>(hex_to_u64(backlog[idx + 1].as_string(),
-                                            "checkpoint backlog deadline")),
-        static_cast<std::size_t>(hex_to_u64(backlog[idx + 2].as_string(),
-                                            "checkpoint backlog attempts"))});
-  }
-  if (backlog_.size() > config_.backlog_capacity) {
-    throw util::JsonError("checkpoint: backlog exceeds configured capacity");
-  }
-
-  const util::Json& watchdog = payload.at("watchdog");
-  strikes_ = hex_to_u64(watchdog.at("strikes").as_string(),
-                        "checkpoint strikes");
-  cooldown_left_ = hex_to_u64(watchdog.at("cooldown_left").as_string(),
-                              "checkpoint cooldown");
-  breaker_open_ = watchdog.at("breaker_open").as_bool();
-  half_open_ = watchdog.at("half_open").as_bool();
-  equilibrium_clean_ = watchdog.at("equilibrium_clean").as_bool();
-  sigma_clean_ = watchdog.at("sigma_clean").as_bool();
-
-  const util::Json& retry = payload.at("retry");
-  const double tokens = bits_to_double(retry.at("tokens"),
-                                       "checkpoint retry tokens");
-  if (!std::isfinite(tokens) || tokens < 0.0) {
-    throw util::JsonError("checkpoint: retry tokens out of range");
-  }
-  retry_.restore(tokens, hex_to_u64(retry.at("denied").as_string(),
-                                    "checkpoint retry denied"));
-
-  const util::Json& counters = payload.at("counters");
-  const auto counter = [&](std::string_view key) {
-    return static_cast<std::size_t>(
-        hex_to_u64(counters.at(key).as_string(), key));
-  };
-  status_.ticks = counter("ticks");
-  status_.events_total = counter("events_total");
-  status_.repairs_total = counter("repairs_total");
-  status_.repair_rounds_total = counter("repair_rounds_total");
-  status_.repair_moves_total = counter("repair_moves_total");
-  status_.degraded_ticks = counter("degraded_ticks");
-  status_.backlog_peak = counter("backlog_peak");
-  status_.shed_total = counter("shed_total");
-  status_.potential_checks = counter("potential_checks");
-  status_.watchdog_strikes = counter("watchdog_strikes");
-  status_.breaker_trips = counter("breaker_trips");
-  status_.lkg_restores = counter("lkg_restores");
-  status_.recovery_ticks = counter("recovery_ticks");
-
-  events_.clear();
+  walk_state(*this, StateIo<true>(payload, "checkpoint"));
 }
 
 }  // namespace idde::serve

@@ -116,8 +116,9 @@ class ServeController {
   /// controller with the same (config, seed) — enforced via a guard hash.
   /// Throws util::JsonError on malformed input, checksum mismatch,
   /// config/seed mismatch, or a semantically invalid snapshot (out-of-
-  /// range ids, infeasible sigma). On throw the controller must be
-  /// considered unusable (state may be partially overwritten).
+  /// range ids, an allocation outside its user's coverage (Eq. 1), an
+  /// infeasible sigma). On throw the controller must be considered
+  /// unusable (state may be partially overwritten).
   void restore(std::string_view checkpoint_text);
 
   /// FNV-1a fold of the full trajectory so far: events, allocation,
@@ -167,13 +168,12 @@ class ServeController {
   [[nodiscard]] bool user_online(std::size_t user) const;
   void fold_tick_hash();
   [[nodiscard]] std::uint64_t guard_hash() const;
-  /// Rebuilds a sigma from its checkpointed placement lists, refusing
-  /// out-of-range ids, duplicates and placements over capacity — hostile
-  /// checkpoints must fail structurally, not trip internal asserts.
-  /// Throws util::JsonError.
-  [[nodiscard]] core::DeliveryProfile sigma_from_json(
-      const util::Json& payload, std::string_view server_key,
-      std::string_view item_key) const;
+  /// The one walk over the checkpointed state: checkpoint() runs it on a
+  /// const controller with a writer, restore() with a reader that checks
+  /// each field's bound as it decodes (controller.cpp). Each field's key,
+  /// encoding and bound are named here once.
+  template <class Self, class Io>
+  static void walk_state(Self& self, const Io& io);
 
   ServeConfig config_;
   std::uint64_t seed_;

@@ -33,7 +33,8 @@ struct RunRecord {
 
 /// The paper's five approaches (Section 4.1) in presentation order:
 /// IDDE-IP, IDDE-G, SAA, CDP, DUP-G. `ip_budget_ms` caps the anytime
-/// solver (env IDDE_IP_BUDGET_MS still wins). `game_threads` is forwarded
+/// solver; a program that honours IDDE_IP_BUDGET_MS passes
+/// util::ip_budget_ms(<default>) here. `game_threads` is forwarded
 /// to GameOptions::threads of the game-based approaches (IDDE-G, DUP-G):
 /// 1 = serial, 0 = hardware concurrency. Leave at 1 when repetitions are
 /// already fanned out over a pool (see sim::run_sweep) to avoid

@@ -50,18 +50,32 @@ Json params_to_json(const model::InstanceParams& p) {
   return Json(std::move(document));
 }
 
+namespace {
+
+/// No instance comes near 2^32 of anything; the cap keeps a count's error
+/// message readable.
+constexpr std::size_t kMaxCount = std::size_t{1} << 32;
+
+/// A count read as a checked index: a negative or oversized value fails
+/// with its key's name instead of wrapping to a huge size_t.
+std::size_t count_or(const Json& object, std::string_view key,
+                     std::size_t fallback) {
+  const Json* found = object.find(key);
+  return found != nullptr && found->is_number()
+             ? util::as_index(*found, kMaxCount, key)
+             : fallback;
+}
+
+}  // namespace
+
 model::InstanceParams params_from_json(const Json& json) {
   model::InstanceParams p;
-  const auto size = [&](std::string_view key, std::size_t fallback) {
-    return static_cast<std::size_t>(
-        json.int_or(key, static_cast<std::int64_t>(fallback)));
-  };
-  p.server_count = size("server_count", p.server_count);
-  p.user_count = size("user_count", p.user_count);
-  p.data_count = size("data_count", p.data_count);
+  p.server_count = count_or(json, "server_count", p.server_count);
+  p.user_count = count_or(json, "user_count", p.user_count);
+  p.data_count = count_or(json, "data_count", p.data_count);
   p.density = json.number_or("density", p.density);
   p.channels_per_server =
-      size("channels_per_server", p.channels_per_server);
+      count_or(json, "channels_per_server", p.channels_per_server);
   p.channel_bandwidth_mbps =
       json.number_or("channel_bandwidth_mbps", p.channel_bandwidth_mbps);
   p.noise_dbm = json.number_or("noise_dbm", p.noise_dbm);
@@ -94,12 +108,10 @@ model::InstanceParams params_from_json(const Json& json) {
   p.extra_request_prob =
       json.number_or("extra_request_prob", p.extra_request_prob);
   p.max_requests_per_user =
-      size("max_requests_per_user", p.max_requests_per_user);
+      count_or(json, "max_requests_per_user", p.max_requests_per_user);
   if (const Json* eua = json.find("eua"); eua != nullptr && eua->is_object()) {
-    p.eua.server_count = static_cast<std::size_t>(eua->int_or(
-        "server_count", static_cast<std::int64_t>(p.eua.server_count)));
-    p.eua.user_count = static_cast<std::size_t>(eua->int_or(
-        "user_count", static_cast<std::int64_t>(p.eua.user_count)));
+    p.eua.server_count = count_or(*eua, "server_count", p.eua.server_count);
+    p.eua.user_count = count_or(*eua, "user_count", p.eua.user_count);
     p.eua.area_side_m = eua->number_or("area_side_m", p.eua.area_side_m);
     p.eua.min_coverage_radius_m =
         eua->number_or("min_coverage_radius_m", p.eua.min_coverage_radius_m);

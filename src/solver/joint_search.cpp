@@ -15,6 +15,10 @@ namespace {
 using core::AllocationProfile;
 using core::ChannelSlot;
 
+/// Fraction of the budget spent on the allocation objective; the rest
+/// goes to placement.
+constexpr double kAllocationShare = 0.5;
+
 /// One probe: a uniformly random feasible assignment — every covered user
 /// gets a random covering server and channel. This mirrors a CP search
 /// diving without a domain-specific value heuristic: incumbents are
@@ -40,12 +44,10 @@ JointSearchResult joint_search(const model::ProblemInstance& instance,
                                util::Rng& rng,
                                const JointSearchOptions& options) {
   IDDE_EXPECTS(options.budget_ms > 0.0);
-  IDDE_EXPECTS(options.allocation_share > 0.0 &&
-               options.allocation_share < 1.0);
 
   // --- Objective #1: allocation probes under the first budget share. ---
   const util::Deadline allocation_deadline(options.budget_ms *
-                                           options.allocation_share);
+                                           kAllocationShare);
   AllocationProfile best_allocation;
   double best_rate = -1.0;
   std::size_t probes = 0;
@@ -61,7 +63,7 @@ JointSearchResult joint_search(const model::ProblemInstance& instance,
 
   // --- Objective #2: placement branch-and-bound with the remainder. ---
   const util::Deadline placement_deadline(
-      options.budget_ms * (1.0 - options.allocation_share));
+      options.budget_ms * (1.0 - kAllocationShare));
   PlacementSearchResult placement =
       placement_branch_and_bound(instance, best_allocation,
                                  placement_deadline);

@@ -23,9 +23,8 @@
 namespace idde::solver {
 
 struct JointSearchOptions {
+  /// Wall-clock budget; half goes to each objective.
   double budget_ms = 200.0;
-  /// Fraction of the budget spent on the allocation objective.
-  double allocation_share = 0.5;
 };
 
 struct JointSearchResult {

@@ -31,7 +31,7 @@ core::GameResult full_scan_game(const model::ProblemInstance& instance,
   core::GameResult result;
   const std::size_t user_count = instance.user_count();
   const std::size_t channels = instance.radio_env().channels_per_server;
-  const double eps = options.improvement_epsilon;
+  const double eps = core::kImprovementEpsilon;
   std::vector<std::size_t> moves_of(user_count, 0);
   const auto movable = [&](std::size_t j) {
     return moves_of[j] < options.max_moves_per_user;

@@ -335,7 +335,7 @@ TEST(CodedProfile, RestoreIsReplayOrderIndependent) {
     std::swap(placements[i - 1], placements[rng.index(i)]);
   }
   const auto restored =
-      core::DeliveryProfile::restore(inst, config, placements);
+      core::delivery_from_placements(inst, config, placements);
   ASSERT_EQ(restored.placement_count(), live.placement_count());
   for (std::size_t k = 0; k < inst.data_count(); ++k) {
     const auto a = restored.hosts(k);

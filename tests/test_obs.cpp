@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -305,6 +306,39 @@ TEST_F(ObsTest, GameResultsBitIdenticalWithTelemetryOn) {
   EXPECT_EQ(on.rounds, off.rounds);
   EXPECT_EQ(on.benefit_evaluations, off.benefit_evaluations);
   EXPECT_TRUE(on.allocation == off.allocation);
+}
+
+// A coded plan records its distributions under coding.* names, as a
+// replication plan does under delivery.*: one Eq. 8 latency sample per
+// request and one Eq. 6 budget-utilisation sample per server.
+TEST_F(ObsTest, CodedPlanRecordsLatencyAndBudgetHistograms) {
+  const model::ProblemInstance instance =
+      model::make_instance(small_params(), 41);
+  util::Rng rng(41);
+  const core::Strategy strategy = core::IddeG().solve(instance, rng);
+
+  obs::set_enabled(true);
+  core::GreedyDeliveryPlanner planner(instance);
+  const core::GreedyDeliveryResult coded = planner.plan(
+      strategy.allocation, core::FragmentConfig{6, 2}, true);
+  obs::set_enabled(false);
+  EXPECT_GT(coded.placements, 0u);
+
+#if IDDE_OBS
+  const util::Json telemetry = obs::telemetry_json();
+  const auto samples = [&](const char* name) {
+    const util::Json* histogram = telemetry.at("histograms").find(name);
+    return histogram == nullptr ? std::int64_t{0}
+                                : histogram->at("count").as_int();
+  };
+  EXPECT_EQ(samples("coding.request_latency_ms"),
+            static_cast<std::int64_t>(instance.requests().total_requests()));
+  EXPECT_EQ(samples("coding.budget_utilization"),
+            static_cast<std::int64_t>(instance.server_count()));
+  // Nothing is counted twice: the replication names stay empty.
+  EXPECT_EQ(samples("delivery.request_latency_ms"), 0);
+  EXPECT_EQ(samples("delivery.budget_utilization"), 0);
+#endif
 }
 
 // Instance IO is observed by one span per direction and a byte counter

@@ -12,6 +12,7 @@
 #include "core/greedy_delivery.hpp"
 #include "core/idde_g.hpp"
 #include "core/metrics.hpp"
+#include "core/strategy_io.hpp"
 #include "model/instance_builder.hpp"
 #include "sim/paper.hpp"
 
@@ -172,8 +173,8 @@ TEST_P(SeededPropertyTest, CloudSpeedScalesCloudOnlyLatency) {
 // Satellite of the coded-placement PR: the integer-KB ledger makes
 // place/remove replay exact. Over 1000 random placement/removal
 // sequences, the live profile's headroom must equal a profile recomputed
-// from the surviving placements alone (restore(), shuffled order) — no
-// float drift, no order dependence.
+// from the surviving placements alone (delivery_from_placements, shuffled
+// order) — no float drift, no order dependence.
 TEST(DeliveryLedger, ReplayEqualsRecomputeOverRandomSequences) {
   const auto inst = model::make_instance(sized(8, 30, 5), 4242);
   util::Rng rng(0x1ed6e2ULL);
@@ -199,7 +200,7 @@ TEST(DeliveryLedger, ReplayEqualsRecomputeOverRandomSequences) {
       std::swap(placements[i - 1], placements[rng.index(i)]);
     }
     const auto recomputed =
-        core::DeliveryProfile::restore(inst, live.shape(), placements);
+        core::delivery_from_placements(inst, live.shape(), placements);
     ASSERT_EQ(recomputed.placement_count(), live.placement_count());
     for (std::size_t i = 0; i < inst.server_count(); ++i) {
       ASSERT_EQ(recomputed.free_kb(i), live.free_kb(i))

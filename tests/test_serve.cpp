@@ -266,6 +266,60 @@ TEST(Serve, RestoreRejectsHeadroomThatContradictsPlacements) {
   }
 }
 
+// Eq. 1: restore refuses an allocation slot on a server that does not
+// cover its user. A down server is the case that matters: derive_events
+// unallocates stranded users only on up servers, so such a slot would
+// reach the interference model's Eq. 1 assert at the next repair. The LKG
+// allocation is exempt, because restore_lkg sanitises it before use.
+TEST(Serve, RestoreRejectsAllocationOutsideCoverage) {
+  serve::ServeConfig config = small_config();
+  config.faults.server_mtbf_s = 0.0;
+  config.flash_failure_tick = 5;
+  config.flash_failure_fraction = 0.5;
+  config.flash_failure_duration_ticks = 20;
+  serve::ServeController a(config, 5);
+  for (int step = 0; step < 10; ++step) (void)a.tick();
+  const std::string snapshot = a.checkpoint();
+
+  // Server 0 is a flash victim, down from tick 5 to tick 25.
+  const model::ProblemInstance& instance = a.instance();
+  const auto covers = [&](std::size_t server, std::size_t user) {
+    const auto& covering = instance.covering_servers(user);
+    return std::binary_search(covering.begin(), covering.end(), server);
+  };
+  std::size_t user = 0;
+  while (user < instance.user_count() &&
+         (covers(0, user) || instance.covering_servers(user).empty())) {
+    ++user;
+  }
+  ASSERT_LT(user, instance.user_count());
+
+  const auto moved = [&](const char* server_key, const char* channel_key,
+                         std::size_t server) {
+    util::Json payload = serve::open_checkpoint(snapshot);
+    util::JsonObject& root = payload.as_object();
+    root.at(server_key).as_array().at(user) = serve::u64_to_hex(server);
+    root.at(channel_key).as_array().at(user) = serve::u64_to_hex(0);
+    return serve::seal_checkpoint(std::move(payload));
+  };
+  {
+    serve::ServeController b(config, 5);
+    EXPECT_THROW(b.restore(moved("alloc_server", "alloc_channel", 0)),
+                 util::JsonError);
+  }
+  {
+    serve::ServeController b(config, 5);
+    EXPECT_NO_THROW(
+        b.restore(moved("lkg_alloc_server", "lkg_alloc_channel", 0)));
+  }
+  // A covering server still restores, and the run goes on.
+  const std::size_t covering = instance.covering_servers(user).front();
+  serve::ServeController b(config, 5);
+  EXPECT_NO_THROW(
+      b.restore(moved("alloc_server", "alloc_channel", covering)));
+  for (int step = 0; step < 3; ++step) (void)b.tick();
+}
+
 // Inject the adversarial cycling rule as the repair rule. The controller
 // must complete the run (never hang), catch the non-descending repairs via
 // the potential watchdog, trip the breaker and fall back to the

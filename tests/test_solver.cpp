@@ -136,13 +136,4 @@ TEST(JointSearch, MoreProbesWithMoreBudget) {
   EXPECT_GT(large.allocation_probes, small.allocation_probes);
 }
 
-TEST(JointSearch, BudgetSplitValidation) {
-  const ProblemInstance inst = model::make_instance(micro_params(), 32);
-  util::Rng rng(32);
-  EXPECT_DEATH(
-      (void)solver::joint_search(inst, rng,
-                                 {.budget_ms = 10.0, .allocation_share = 0.0}),
-      "precondition");
-}
-
 }  // namespace

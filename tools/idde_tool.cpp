@@ -42,6 +42,7 @@
 #include "sim/runner.hpp"
 #include "sim/scenario.hpp"
 #include "util/cli.hpp"
+#include "util/env.hpp"
 #include "util/format.hpp"
 
 namespace {
@@ -100,7 +101,8 @@ int cmd_solve(int argc, const char* const* argv) {
   std::string approach_name = "IDDE-G";
   std::string out = "strategy.json";
   std::size_t seed = 1;
-  double ip_budget_ms = 200.0;
+  // IDDE_IP_BUDGET_MS sets the default; --ip-budget-ms overrides it.
+  double ip_budget_ms = util::ip_budget_ms(200.0);
   std::size_t threads = 1;
   util::CliParser cli("idde_tool solve: solve a stored instance");
   cli.add_string("instance", &instance_path, "instance JSON path");

@@ -64,6 +64,22 @@ run 1 eval --instance "$WORK/bad-shape.json" && expect_error_line
 
 run 1 replay --instance "$WORK/garbage.json" && expect_error_line
 
+# A negative count in generator params fails as invalid input naming its
+# key, instead of wrapping to a huge size_t.
+expect_count_rejected() {
+  local key=$1
+  printf '%s' "$2" >"$WORK/bad-params.json"
+  run 1 gen --scenario "$WORK/bad-params.json" --out "$WORK/bad-count.json" \
+    && expect_error_line
+  grep -q "invalid input: .*$key" "$WORK/stderr" || {
+    echo "FAIL: a bad $key was reported as:" >&2
+    cat "$WORK/stderr" >&2
+    FAILURES=$((FAILURES + 1))
+  }
+}
+expect_count_rejected server_count '{"server_count":-1,"eua":{"server_count":-1}}'
+expect_count_rejected max_requests_per_user '{"max_requests_per_user":-1}'
+
 # --- happy path ------------------------------------------------------------
 
 cd "$WORK" || exit 1
