@@ -3,6 +3,7 @@
 // baseline. Shows the sim::params_{to,from}_json API that external tooling
 // uses to drive the simulator.
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <sstream>
 
@@ -44,7 +45,8 @@ int main(int argc, char** argv) {
     buffer << in.rdbuf();
     try {
       params = sim::params_from_string(buffer.str());
-    } catch (const util::JsonError& error) {
+      (void)model::InstanceBuilder(params);  // the cross-field checks
+    } catch (const std::exception& error) {
       std::fprintf(stderr, "bad scenario file: %s\n", error.what());
       return 1;
     }

@@ -154,9 +154,14 @@ Strategy strategy_from_json(const model::ProblemInstance& instance,
 
   Strategy strategy{std::move(allocation),
                     delivery_from_placements(instance, shape, placements)};
-  strategy.approach_name = json.string_or("approach", "");
-  strategy.collaborative_delivery =
-      json.bool_or("collaborative_delivery", true);
+  if (const Json* name = json.find("approach")) {
+    if (!name->is_string()) {
+      throw util::JsonError("strategy.approach must be a string");
+    }
+    strategy.approach_name = name->as_string();
+  }
+  util::ConfigIo(json, "strategy")
+      .flag("collaborative_delivery", strategy.collaborative_delivery);
   strategy.placements = strategy.delivery.placement_count();
   return strategy;
 }

@@ -39,15 +39,23 @@ bool down_at(const std::vector<Interval>& intervals, double t) {
 
 }  // namespace
 
+void config_fields(util::ConfigIo& io, FaultProfile& profile) {
+  using enum util::Domain;
+  io.real("horizon_s", profile.horizon_s, kPositive);
+  io.real("server_mtbf_s", profile.server_mtbf_s, kNonNegative);
+  io.real("server_mttr_s", profile.server_mttr_s, kPositive);
+  io.real("link_mtbf_s", profile.link_mtbf_s, kNonNegative);
+  io.real("link_mttr_s", profile.link_mttr_s, kPositive);
+  io.real("cloud_mtbf_s", profile.cloud_mtbf_s, kNonNegative);
+  io.real("cloud_mttr_s", profile.cloud_mttr_s, kPositive);
+  io.real("replica_corruption_prob", profile.replica_corruption_prob,
+          kProbability);
+}
+
 FaultPlan FaultPlan::generate(const model::ProblemInstance& instance,
                               const FaultProfile& profile,
                               std::uint64_t seed) {
-  IDDE_EXPECTS(profile.horizon_s > 0.0);
-  IDDE_EXPECTS(profile.server_mtbf_s <= 0.0 || profile.server_mttr_s > 0.0);
-  IDDE_EXPECTS(profile.link_mtbf_s <= 0.0 || profile.link_mttr_s > 0.0);
-  IDDE_EXPECTS(profile.cloud_mtbf_s <= 0.0 || profile.cloud_mttr_s > 0.0);
-  IDDE_EXPECTS(profile.replica_corruption_prob >= 0.0 &&
-               profile.replica_corruption_prob <= 1.0);
+  util::check_config(profile);
 
   FaultPlan plan;
   plan.horizon_s_ = profile.horizon_s;

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "model/instance.hpp"
+#include "util/json.hpp"
 #include "util/random.hpp"
 
 namespace idde::fault {
@@ -56,6 +57,9 @@ struct FaultProfile {
   }
 };
 
+/// The FaultProfile field walk (util::ConfigIo).
+void config_fields(util::ConfigIo& io, FaultProfile& profile);
+
 /// Half-open downtime interval [start_s, end_s).
 struct Interval {
   double start_s = 0.0;
@@ -71,7 +75,8 @@ class FaultPlan {
   FaultPlan() = default;
 
   /// Draws a plan for `instance`'s topology from `profile`. Deterministic
-  /// in (topology, profile, seed); see the header comment.
+  /// in (topology, profile, seed); see the header comment. Throws
+  /// util::JsonError naming a profile key outside its domain.
   [[nodiscard]] static FaultPlan generate(
       const model::ProblemInstance& instance, const FaultProfile& profile,
       std::uint64_t seed);

@@ -10,18 +10,64 @@
 
 namespace idde::model {
 
+void config_fields(util::ConfigIo& io, InstanceParams& p) {
+  using enum util::Domain;
+  io.count("server_count", p.server_count, kPositive);
+  io.count("user_count", p.user_count);
+  io.count("data_count", p.data_count, kPositive);
+  io.real("density", p.density, kNonNegative);
+  io.count("channels_per_server", p.channels_per_server, kPositive);
+  io.real("channel_bandwidth_mbps", p.channel_bandwidth_mbps, kPositive);
+  io.real("noise_dbm", p.noise_dbm, kFinite);
+  io.real("min_power_watts", p.min_power_watts, kPositive);
+  io.real("max_power_watts", p.max_power_watts, kPositive);
+  io.real("pathloss_eta", p.pathloss_eta, kPositive);
+  io.real("pathloss_exponent", p.pathloss_exponent, kPositive);
+  io.real("shadowing_stddev_db", p.shadowing_stddev_db, kNonNegative);
+  io.real("min_max_rate_mbps", p.min_max_rate_mbps, kPositive);
+  io.real("max_max_rate_mbps", p.max_max_rate_mbps, kPositive);
+  io.reals("data_size_choices_mb", p.data_size_choices_mb, kPositive);
+  io.real("min_storage_mb", p.min_storage_mb, kNonNegative);
+  io.real("max_storage_mb", p.max_storage_mb, kNonNegative);
+  io.real("min_link_speed_mbps", p.min_link_speed_mbps, kPositive);
+  io.real("max_link_speed_mbps", p.max_link_speed_mbps, kPositive);
+  io.real("cloud_speed_mbps", p.cloud_speed_mbps, kPositive);
+  io.real("zipf_exponent", p.zipf_exponent, kNonNegative);
+  io.real("extra_request_prob", p.extra_request_prob, kProbability);
+  io.count("max_requests_per_user", p.max_requests_per_user);
+  io.object("eua", [&eua = p.eua](util::ConfigIo& sub) {
+    sub.count("server_count", eua.server_count, kPositive);
+    sub.count("user_count", eua.user_count);
+    sub.real("area_side_m", eua.area_side_m, kPositive);
+    sub.real("min_coverage_radius_m", eua.min_coverage_radius_m, kPositive);
+    sub.real("max_coverage_radius_m", eua.max_coverage_radius_m, kPositive);
+    sub.real("server_jitter_m", eua.server_jitter_m, kNonNegative);
+    sub.real("user_cluster_stddev_m", eua.user_cluster_stddev_m, kNonNegative);
+    sub.real("user_background_fraction", eua.user_background_fraction,
+             kProbability);
+  });
+}
+
 InstanceBuilder::InstanceBuilder(InstanceParams params)
     : params_(std::move(params)) {
   // Generator parameters arrive from CLI flags and scenario files, so bad
   // values throw (structured CLI error contract) instead of aborting.
-  util::validate(params_.server_count > 0, "params: server_count must be > 0");
-  util::validate(params_.data_count > 0, "params: data_count must be > 0");
-  util::validate(!params_.data_size_choices_mb.empty(),
-                 "params: data_size_choices_mb must be non-empty");
-  util::validate(params_.server_count <= params_.eua.server_count,
-                 "params: server_count exceeds the EUA scenario pool");
-  util::validate(params_.user_count <= params_.eua.user_count,
-                 "params: user_count exceeds the EUA scenario pool");
+  util::check_config(params_);
+  const InstanceParams& p = params_;
+  util::validate(p.server_count <= p.eua.server_count,
+                 "params: server_count exceeds eua.server_count");
+  util::validate(p.user_count <= p.eua.user_count,
+                 "params: user_count exceeds eua.user_count");
+  util::validate(p.min_power_watts <= p.max_power_watts,
+                 "params: min_power_watts > max_power_watts");
+  util::validate(p.min_max_rate_mbps <= p.max_max_rate_mbps,
+                 "params: min_max_rate_mbps > max_max_rate_mbps");
+  util::validate(p.min_storage_mb <= p.max_storage_mb,
+                 "params: min_storage_mb > max_storage_mb");
+  util::validate(p.min_link_speed_mbps <= p.max_link_speed_mbps,
+                 "params: min_link_speed_mbps > max_link_speed_mbps");
+  util::validate(p.eua.min_coverage_radius_m <= p.eua.max_coverage_radius_m,
+                 "params: eua.min_coverage_radius_m > max_coverage_radius_m");
 }
 
 ProblemInstance InstanceBuilder::build(std::uint64_t seed) const {

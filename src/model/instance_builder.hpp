@@ -17,6 +17,7 @@
 #include "model/instance.hpp"
 #include "net/graph_gen.hpp"
 #include "radio/pathloss.hpp"
+#include "util/json.hpp"
 #include "util/random.hpp"
 
 namespace idde::model {
@@ -64,6 +65,9 @@ struct InstanceParams {
   // Spatial layout.
   geo::EuaScenarioParams eua;
 };
+
+/// The InstanceParams field walk (util::ConfigIo).
+void config_fields(util::ConfigIo& io, InstanceParams& p);
 
 class InstanceBuilder {
  public:

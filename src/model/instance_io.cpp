@@ -319,13 +319,9 @@ ProblemInstance instance_from_string(const std::string& text) {
   const Json radio_json(std::move(radio_members));
   env.server_count = servers.size();
   env.user_count = users.size();
-  const std::int64_t channels = radio_json.at("channels_per_server").as_int();
-  if (channels < 1 || channels > 1024) {
-    throw util::JsonError(
-        util::format("channels_per_server {} out of range [1, 1024]",
-                     channels));
-  }
-  env.channels_per_server = static_cast<std::size_t>(channels);
+  // 0 channels fails RadioEnvironment::check() in the constructor below.
+  env.channels_per_server = util::as_index(
+      radio_json.at("channels_per_server"), 1025, "channels_per_server");
   env.noise_watts =
       util::as_finite(radio_json.at("noise_watts"), 0.0, "noise_watts");
   if (!has_bandwidth) {

@@ -141,14 +141,17 @@ struct QosConfig {
   }
 };
 
-/// JSON (de)serialisation, same conventions as sim::params_to_json: every
-/// field is written; reading applies present fields on top of defaults.
+/// The QosConfig field walk (util::ConfigIo).
+void config_fields(util::ConfigIo& io, QosConfig& config);
+
 [[nodiscard]] util::Json qos_to_json(const QosConfig& config);
 [[nodiscard]] QosConfig qos_from_json(const util::Json& json);
 
-[[nodiscard]] const char* to_string(ArrivalProcess process);
-[[nodiscard]] const char* to_string(SheddingPolicy policy);
-/// Parses the to_string names; throws util::JsonError on unknown names.
+/// qos_from_json's checks, then window_s > 0 for Poisson and flash-crowd
+/// arrivals; throws util::JsonError or util::ValidationError naming the key.
+void check_qos(const QosConfig& config);
+
+/// Parse the JSON form's names; throw util::JsonError on unknown names.
 [[nodiscard]] ArrivalProcess arrival_process_from_string(std::string_view s);
 [[nodiscard]] SheddingPolicy shedding_policy_from_string(std::string_view s);
 

@@ -56,9 +56,6 @@ fault::FaultPlan make_plan(const model::ProblemInstance& base,
   return plan;
 }
 
-/// Reader-side domain of a checkpointed double.
-enum class Domain { kAny, kFinite, kNonNegative, kPositive };
-
 /// Pass as a word's bound to skip the range check.
 constexpr std::size_t kNoBound = static_cast<std::size_t>(-1);
 
@@ -71,20 +68,6 @@ Int decode_word(const util::Json& value, std::size_t bound,
                                        what, word, bound));
   }
   return static_cast<Int>(word);
-}
-
-double decode_bits(const util::Json& value, Domain domain,
-                   std::string_view what) {
-  const double v = bits_to_double(value, what);
-  const bool finite = std::isfinite(v);
-  const bool ok = domain == Domain::kAny ||
-                  (domain == Domain::kFinite && finite) ||
-                  (domain == Domain::kNonNegative && finite && v >= 0.0) ||
-                  (domain == Domain::kPositive && finite && v > 0.0);
-  if (!ok) {
-    throw util::JsonError(util::format("{}: value {} out of range", what, v));
-  }
-  return v;
 }
 
 /// The cells of one flat hex array, written or read in order.
@@ -106,9 +89,9 @@ class Cells {
     }
   }
   template <class Double>
-  void bits(Double& value, Domain domain) {
+  void bits(Double& value, util::Domain domain) {
     if constexpr (Reads) {
-      value = decode_bits(take(), domain, what_);
+      value = util::check_domain(bits_to_double(take(), what_), domain, what_);
     } else {
       array_->push_back(double_to_bits(value));
     }
@@ -178,9 +161,10 @@ class StateIo {
     }
   }
   template <class Double>
-  void bits(std::string_view key, Double& value, Domain domain) const {
+  void bits(std::string_view key, Double& value, util::Domain domain) const {
     if constexpr (Reads) {
-      value = decode_bits(node_->at(key), domain, path(key));
+      value = util::check_domain(bits_to_double(node_->at(key), path(key)),
+                                 domain, path(key));
     } else {
       put(key, double_to_bits(value));
     }
@@ -253,7 +237,7 @@ void walk_rng(const Io& io, Rng& rng) {
   util::RngState state = rng.state();
   io.table("words", state.words, [](auto& word, auto& c) { c.word(word); });
   io.flag("spare", state.has_spare_normal);
-  io.bits("spare_value", state.spare_normal, Domain::kAny);
+  io.bits("spare_value", state.spare_normal, util::Domain::kAny);
   if constexpr (Io::kReads) rng.set_state(state);
 }
 
@@ -908,16 +892,16 @@ void ServeController::walk_state(Self& self, const Io& io) {
       self.mobility_.walks();
   double distance = self.mobility_.total_distance_m();
   mobility.table("positions", positions, [](auto& p, auto& c) {
-    c.bits(p.x, Domain::kFinite);
-    c.bits(p.y, Domain::kFinite);
+    c.bits(p.x, util::Domain::kFinite);
+    c.bits(p.y, util::Domain::kFinite);
   });
   mobility.table("walks", walks, [](auto& walk, auto& c) {
-    c.bits(walk.waypoint.x, Domain::kFinite);
-    c.bits(walk.waypoint.y, Domain::kFinite);
-    c.bits(walk.speed_mps, Domain::kPositive);
-    c.bits(walk.pause_left_s, Domain::kNonNegative);
+    c.bits(walk.waypoint.x, util::Domain::kFinite);
+    c.bits(walk.waypoint.y, util::Domain::kFinite);
+    c.bits(walk.speed_mps, util::Domain::kPositive);
+    c.bits(walk.pause_left_s, util::Domain::kNonNegative);
   });
-  mobility.bits("distance", distance, Domain::kNonNegative);
+  mobility.bits("distance", distance, util::Domain::kNonNegative);
   if constexpr (Io::kReads) {
     self.mobility_.restore_state(std::move(positions), std::move(walks),
                                  distance);
@@ -936,7 +920,7 @@ void ServeController::walk_state(Self& self, const Io& io) {
   const Io health = io.child("health");
   std::vector<core::ServerHealth> trackers = self.health_.state();
   health.table("ewma", trackers, [](auto& h, auto& c) {
-    c.bits(h.ewma_inflation, Domain::kNonNegative);
+    c.bits(h.ewma_inflation, util::Domain::kNonNegative);
   });
   health.table("legs", trackers, [](auto& h, auto& c) { c.word(h.legs); });
   health.table("losses", trackers,
@@ -990,7 +974,7 @@ void ServeController::walk_state(Self& self, const Io& io) {
   const Io retry = io.child("retry");
   double tokens = self.retry_.tokens();
   std::size_t denied = self.retry_.denied();
-  retry.bits("tokens", tokens, Domain::kNonNegative);
+  retry.bits("tokens", tokens, util::Domain::kNonNegative);
   retry.word("denied", denied);
   if constexpr (Io::kReads) self.retry_.restore(tokens, denied);
 

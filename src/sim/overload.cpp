@@ -5,6 +5,7 @@ namespace idde::sim {
 des::FlowSimResult run_overload_cell(const model::ProblemInstance& instance,
                                      const core::Strategy& strategy,
                                      const OverloadCell& cell) {
+  qos::check_qos(cell.qos);
   des::FlowSimOptions options = cell.des;
   options.qos = &cell.qos;
   fault::FaultPlan plan;  // inert by default

@@ -24,9 +24,9 @@ struct OverloadCell {
   std::uint64_t seed = 1;
 };
 
-/// Replays `strategy` through the overload-aware DES: draws the seeded
-/// fault plan when the profile is active, wires the QoS config through
-/// FlowSimOptions and runs. Deterministic in (instance, strategy, cell).
+/// Checks the QoS config (qos::check_qos), then replays `strategy` through
+/// the overload-aware DES with the seeded fault plan of an active profile.
+/// Deterministic in (instance, strategy, cell).
 [[nodiscard]] des::FlowSimResult run_overload_cell(
     const model::ProblemInstance& instance, const core::Strategy& strategy,
     const OverloadCell& cell);

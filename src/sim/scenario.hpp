@@ -16,7 +16,7 @@ namespace idde::sim {
 [[nodiscard]] util::Json params_to_json(const model::InstanceParams& params);
 
 /// Applies the fields present in `json` on top of defaults; unknown keys
-/// are ignored, wrong-typed known keys keep their defaults.
+/// are ignored, and a bad value throws util::JsonError naming its key.
 [[nodiscard]] model::InstanceParams params_from_json(const util::Json& json);
 
 /// Round-trips through a JSON string.
@@ -27,10 +27,6 @@ namespace idde::sim {
 /// Serialises a fault profile (same conventions as params_to_json).
 [[nodiscard]] util::Json fault_profile_to_json(
     const fault::FaultProfile& profile);
-
-/// Applies fields present in `json` on top of the (inert) defaults.
-[[nodiscard]] fault::FaultProfile fault_profile_from_json(
-    const util::Json& json);
 
 /// Serialises an erasure-coding config (same conventions as
 /// params_to_json).

@@ -2,6 +2,7 @@
 
 #include "util/format.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -431,16 +432,6 @@ double Json::number_or(std::string_view key, double fallback) const {
                                                   : fallback;
 }
 
-std::int64_t Json::int_or(std::string_view key, std::int64_t fallback) const {
-  const Json* found = find(key);
-  return (found != nullptr && found->is_number()) ? found->as_int() : fallback;
-}
-
-bool Json::bool_or(std::string_view key, bool fallback) const {
-  const Json* found = find(key);
-  return (found != nullptr && found->is_bool()) ? found->as_bool() : fallback;
-}
-
 std::string Json::string_or(std::string_view key, std::string fallback) const {
   const Json* found = find(key);
   return (found != nullptr && found->is_string()) ? found->as_string()
@@ -460,33 +451,116 @@ Json Json::parse(std::string_view text) {
   return value;
 }
 
+namespace {
+
+/// Throws "<what> must be <want> (got <value>)".
+[[noreturn]] void reject(std::string_view what, std::string_view want,
+                         const Json& value) {
+  throw JsonError(
+      util::format("{} must be {} (got {})", what, want, value.dump()));
+}
+
+/// A number inside `domain`.
+double as_real(const Json& value, Domain domain, std::string_view what) {
+  if (!value.is_number()) reject(what, "a number", value);
+  return check_domain(value.as_number(), domain, what);
+}
+
+}  // namespace
+
+double check_domain(double v, Domain domain, std::string_view what) {
+  static constexpr const char* kWant[] = {
+      "a number", "a finite number", "a finite number >= 0",
+      "a finite number > 0", "a probability in [0, 1]"};
+  const bool finite = std::isfinite(v);
+  if (!(domain == Domain::kAny || (finite && domain == Domain::kFinite) ||
+        (finite && domain == Domain::kNonNegative && v >= 0.0) ||
+        (finite && domain == Domain::kPositive && v > 0.0) ||
+        (domain == Domain::kProbability && v >= 0.0 && v <= 1.0))) {
+    reject(what, kWant[static_cast<std::size_t>(domain)], Json(v));
+  }
+  return v;
+}
+
 std::size_t as_index(const Json& value, std::size_t bound,
                      std::string_view what) {
-  const std::int64_t v = value.as_int();
-  if (v < 0 || static_cast<std::size_t>(v) >= bound) {
-    throw JsonError(
-        util::format("{} {} out of range [0, {})", what, v, bound));
+  // The comparisons run in double, so no cast sees a value out of range.
+  const double v = value.is_number() ? value.as_number() : -1.0;
+  if (!(v >= 0.0 && v < static_cast<double>(bound) && v == std::floor(v))) {
+    reject(what, util::format("an integer in [0, {})", bound), value);
   }
   return static_cast<std::size_t>(v);
 }
 
 double as_finite(const Json& value, double min_inclusive,
                  std::string_view what) {
-  const double v = value.as_number();
-  if (!std::isfinite(v) || v < min_inclusive) {
-    throw JsonError(util::format("{} must be a finite number >= {} (got {})",
-                                 what, min_inclusive, v));
+  const double v = as_real(value, Domain::kFinite, what);
+  if (v < min_inclusive) {
+    reject(what, util::format("a finite number >= {}", min_inclusive), value);
   }
   return v;
 }
 
 double as_positive(const Json& value, std::string_view what) {
-  const double v = value.as_number();
-  if (!std::isfinite(v) || v <= 0.0) {
-    throw JsonError(
-        util::format("{} must be a finite number > 0 (got {})", what, v));
+  return as_real(value, Domain::kPositive, what);
+}
+
+std::size_t name_index(std::span<const char* const> names,
+                       std::string_view name, std::string_view what) {
+  const auto it = std::find(names.begin(), names.end(), name);
+  if (it == names.end()) reject(what, "a known name", Json(std::string(name)));
+  return static_cast<std::size_t>(it - names.begin());
+}
+
+ConfigIo::ConfigIo(const Json& in, std::string path)
+    : in_(&in), path_(std::move(path)) {
+  if (!in.is_object()) {
+    reject(path_.empty() ? "a config" : path_, "an object", in);
   }
-  return v;
+}
+
+void ConfigIo::count(std::string_view key, std::size_t& value,
+                     Domain domain) {
+  if (const Json* found = field(key, Json(value))) {
+    value = as_index(*found, std::size_t{1} << 32, path(key));
+    check_domain(static_cast<double>(value), domain, path(key));
+  }
+}
+
+void ConfigIo::real(std::string_view key, double& value, Domain domain) {
+  if (const Json* found = field(key, Json(value))) {
+    value = as_real(*found, domain, path(key));
+  }
+}
+
+void ConfigIo::reals(std::string_view key, std::vector<double>& values,
+                     Domain domain) {
+  const Json* found = field(key, Json(JsonArray(values.begin(), values.end())));
+  if (found == nullptr) return;
+  if (!found->is_array() || found->as_array().empty()) {
+    reject(path(key), "a non-empty array", *found);
+  }
+  values.clear();
+  for (const Json& item : found->as_array()) {
+    values.push_back(as_real(item, domain, path(key)));
+  }
+}
+
+void ConfigIo::flag(std::string_view key, bool& value) {
+  if (const Json* found = field(key, Json(value))) {
+    if (!found->is_bool()) reject(path(key), "true or false", *found);
+    value = found->as_bool();
+  }
+}
+
+const Json* ConfigIo::field(std::string_view key, Json written) {
+  if (in_ != nullptr) return in_->find(key);
+  out_->insert_or_assign(std::string(key), std::move(written));
+  return nullptr;
+}
+
+std::string ConfigIo::path(std::string_view key) const {
+  return path_.empty() ? std::string(key) : util::format("{}.{}", path_, key);
 }
 
 }  // namespace idde::util

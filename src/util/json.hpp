@@ -15,6 +15,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -87,9 +88,6 @@ class Json {
 
   /// Member access with default.
   [[nodiscard]] double number_or(std::string_view key, double fallback) const;
-  [[nodiscard]] std::int64_t int_or(std::string_view key,
-                                    std::int64_t fallback) const;
-  [[nodiscard]] bool bool_or(std::string_view key, bool fallback) const;
   [[nodiscard]] std::string string_or(std::string_view key,
                                       std::string fallback) const;
 
@@ -222,11 +220,17 @@ class JsonWriter {
   bool after_key_ = false;
 };
 
+/// Where a real value read from outside the program may lie.
+enum class Domain { kAny, kFinite, kNonNegative, kPositive, kProbability };
+
+/// Returns `v`; throws JsonError naming `what` when v is outside `domain`.
+double check_domain(double v, Domain domain, std::string_view what);
+
 /// Validated accessors for untrusted documents. Unlike raw as_int() +
-/// static_cast (which turns a negative or huge number into a wild index)
-/// these throw JsonError with a descriptive message, so loaders fail
-/// structurally instead of tripping internal asserts or UB downstream.
-/// `what` names the field in the error message.
+/// static_cast (which truncates a fraction and wraps a negative or huge
+/// number into a wild index) these throw JsonError with a descriptive
+/// message, so loaders fail structurally instead of tripping internal
+/// asserts or UB downstream. `what` names the field in the error message.
 [[nodiscard]] std::size_t as_index(const Json& value, std::size_t bound,
                                    std::string_view what);
 /// A finite number >= min_inclusive (rejects NaN / infinities).
@@ -234,5 +238,88 @@ class JsonWriter {
                                std::string_view what);
 /// A finite number > 0.
 [[nodiscard]] double as_positive(const Json& value, std::string_view what);
+
+/// The index of `name` in `names`; throws JsonError naming `what` if absent.
+[[nodiscard]] std::size_t name_index(std::span<const char* const> names,
+                                     std::string_view name,
+                                     std::string_view what);
+
+/// Config documents (DESIGN.md §3): a struct T names each key once, with
+/// its encoding and Domain, in `void config_fields(ConfigIo&, T&)`. A
+/// ConfigIo runs that walk as a writer (every field) or as a strict reader
+/// (present keys over the defaults, unknown keys ignored; a bad value
+/// throws JsonError naming the dotted key). check_config reads back what
+/// the writer writes, so a value set in code meets the reader's rules.
+class ConfigIo {
+ public:
+  /// The writer, into `out`.
+  explicit ConfigIo(JsonObject& out) : out_(&out) {}
+  /// The reader of `in`, which must be an object.
+  ConfigIo(const Json& in, std::string path);
+
+  /// A count inside `domain` (kNonNegative or kPositive) and below 2^32,
+  /// far above any config's count and far below size_t overflow.
+  void count(std::string_view key, std::size_t& value,
+             Domain domain = Domain::kNonNegative);
+  void real(std::string_view key, double& value, Domain domain);
+  /// A non-empty array of reals.
+  void reals(std::string_view key, std::vector<double>& values,
+             Domain domain);
+  void flag(std::string_view key, bool& value);
+  /// An enum stored as its name; `names[i]` names the enumerator i.
+  template <class Enum>
+  void name(std::string_view key, Enum& value,
+            std::span<const char* const> names) {
+    const auto index = static_cast<std::size_t>(value);
+    if (const Json* found = field(key, Json(names[index]))) {
+      value = static_cast<Enum>(name_index(
+          names, found->is_string() ? found->as_string() : found->dump(),
+          path(key)));
+    }
+  }
+  /// A nested object whose fields `walk(ConfigIo&)` names.
+  template <class Walk>
+  void object(std::string_view key, Walk walk) {
+    if (out_ != nullptr) {
+      JsonObject child;
+      ConfigIo io(child);
+      walk(io);
+      out_->insert_or_assign(std::string(key), Json(std::move(child)));
+    } else if (const Json* found = in_->find(key)) {
+      ConfigIo io(*found, path(key));
+      walk(io);
+    }
+  }
+
+ private:
+  /// The writer puts `written`; the reader returns the member, if present.
+  const Json* field(std::string_view key, Json written);
+  [[nodiscard]] std::string path(std::string_view key) const;
+
+  JsonObject* out_ = nullptr;
+  const Json* in_ = nullptr;
+  std::string path_;
+};
+
+template <class T>
+[[nodiscard]] Json config_to_json(T value) {
+  JsonObject out;
+  ConfigIo io(out);
+  config_fields(io, value);
+  return Json(std::move(out));
+}
+
+template <class T>
+[[nodiscard]] T config_from_json(const Json& json) {
+  T value{};
+  ConfigIo io(json, {});
+  config_fields(io, value);
+  return value;
+}
+
+template <class T>
+void check_config(const T& value) {
+  (void)config_from_json<T>(config_to_json(value));
+}
 
 }  // namespace idde::util

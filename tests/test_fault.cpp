@@ -99,6 +99,31 @@ TEST(FaultPlan, DefaultAndInertProfileAreInert) {
   EXPECT_FALSE(plan.replica_corrupted(3, 2));
 }
 
+// A profile outside its domains fails with a typed error naming the key,
+// not an assert inside the plan draw.
+TEST(FaultPlan, HostileProfileThrowsNamingTheKey) {
+  const auto inst = model::make_instance(small_params(), 1);
+  fault::FaultProfile no_repair;
+  no_repair.server_mtbf_s = 10.0;
+  no_repair.server_mttr_s = 0.0;
+  fault::FaultProfile bad_odds;
+  bad_odds.replica_corruption_prob = 1.5;
+  fault::FaultProfile no_window;
+  no_window.horizon_s = -1.0;
+  for (const auto& [profile, key] :
+       {std::pair{no_repair, "server_mttr_s"},
+        std::pair{bad_odds, "replica_corruption_prob"},
+        std::pair{no_window, "horizon_s"}}) {
+    try {
+      (void)fault::FaultPlan::generate(inst, profile, 1);
+      ADD_FAILURE() << key << " was accepted";
+    } catch (const util::JsonError& error) {
+      EXPECT_NE(std::string(error.what()).find(key), std::string::npos)
+          << error.what();
+    }
+  }
+}
+
 TEST(FaultPlan, GeneratedIntervalsAreWellFormed) {
   const auto inst = model::make_instance(small_params(), 2);
   const auto profile = lively_profile();

@@ -289,6 +289,32 @@ TEST(StrategyIo, NonCollaborativeFlagSurvives) {
   EXPECT_FALSE(copy.collaborative_delivery);
 }
 
+// The optional members keep their defaults when absent and are read
+// strictly when present: "no" is not silently `true`.
+TEST(StrategyIo, MistypedOptionalFieldsThrow) {
+  const auto inst = model::make_instance(small_params(), 6);
+  util::Rng rng(6);
+  const util::Json valid = util::Json::parse(
+      core::strategy_to_string(core::IddeG().solve(inst, rng)));
+  const auto with = [&](const char* key, util::Json value) {
+    util::Json doc = valid;
+    doc.as_object().insert_or_assign(key, std::move(value));
+    return doc.dump();
+  };
+  for (const std::string& text :
+       {with("collaborative_delivery", util::Json("no")),
+        with("approach", util::Json(7))}) {
+    EXPECT_THROW((void)core::strategy_from_string(inst, text),
+                 util::JsonError);
+  }
+  util::Json bare = valid;
+  bare.as_object().erase("collaborative_delivery");
+  bare.as_object().erase("approach");
+  const auto copy = core::strategy_from_string(inst, bare.dump());
+  EXPECT_TRUE(copy.collaborative_delivery);
+  EXPECT_EQ(copy.approach_name, "");
+}
+
 TEST(StrategyIo, UnallocatedUsersSerialiseAsNull) {
   const auto inst = model::make_instance(small_params(), 7);
   core::Strategy s{core::AllocationProfile(inst.user_count(),

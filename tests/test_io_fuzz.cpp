@@ -20,9 +20,13 @@
 #include "fault/degradation.hpp"
 #include "model/instance_builder.hpp"
 #include "model/instance_io.hpp"
+#include "qos/config.hpp"
 #include "serve/controller.hpp"
+#include "sim/overload.hpp"
 #include "sim/paper.hpp"
+#include "sim/scenario.hpp"
 #include "util/assert.hpp"
+#include "util/error.hpp"
 #include "util/json.hpp"
 #include "util/random.hpp"
 
@@ -177,6 +181,27 @@ TEST(IoFuzz, HostileDocumentsAreRejectedStructurally) {
     EXPECT_THROW((void)model::instance_from_string(text), util::JsonError);
     EXPECT_THROW((void)core::strategy_from_string(instance, text),
                  util::JsonError);
+  }
+  // A fractional id is not truncated to its integer part: server s + 0.5
+  // or channel c + 0.9 on an otherwise valid allocated slot.
+  util::Rng rng(10);
+  const util::Json valid = util::Json::parse(
+      core::strategy_to_string(core::IddeG().solve(instance, rng)));
+  const auto& slots = valid.at("allocation").as_array();
+  const auto slot =
+      std::find_if(slots.begin(), slots.end(),
+                   [](const util::Json& s) { return !s.is_null(); });
+  ASSERT_NE(slot, slots.end());
+  const auto j = static_cast<std::size_t>(slot - slots.begin());
+  for (const auto& [key, fraction] :
+       {std::pair{"server", 0.5}, std::pair{"channel", 0.9}}) {
+    util::Json doc = valid;
+    util::Json& id =
+        doc.as_object().at("allocation").as_array()[j].as_object().at(key);
+    id = util::Json(id.as_number() + fraction);
+    EXPECT_THROW((void)core::strategy_from_string(instance, doc.dump()),
+                 util::JsonError)
+        << key;
   }
 }
 
@@ -500,6 +525,75 @@ TEST(IoFuzz, TruncatedServeCheckpointIsRejectedAtEveryLength) {
     EXPECT_THROW(victim.restore(text.substr(0, len)), util::JsonError)
         << "prefix length " << len;
   }
+}
+
+/// One seed-deterministic field-level mutation of a config document: one
+/// to three members, each dropped, or its value (an array's: one element)
+/// swapped to another JSON type, sign-flipped, made fractional or made
+/// huge.
+util::Json mutate_fields(util::Json doc, util::Rng& rng) {
+  for (std::size_t edits = 1 + rng.index(3); edits > 0; --edits) {
+    util::JsonObject* object = &doc.as_object();
+    if (object->empty()) break;
+    auto member = std::next(object->begin(), rng.index(object->size()));
+    while (member->second.is_object() &&
+           !member->second.as_object().empty() && rng.bernoulli(0.8)) {
+      object = &member->second.as_object();
+      member = std::next(object->begin(), rng.index(object->size()));
+    }
+    util::Json* leaf = &member->second;
+    if (leaf->is_array() && !leaf->as_array().empty()) {
+      leaf = &leaf->as_array()[rng.index(leaf->as_array().size())];
+    }
+    const double x = leaf->is_number() ? leaf->as_number() : 1.0;
+    switch (rng.index(7)) {
+      case 0: object->erase(member); break;
+      case 1: *leaf = util::Json(std::to_string(x)); break;
+      case 2: *leaf = util::Json(nullptr); break;
+      case 3:  // a bool becomes a number, anything else a bool
+        *leaf = leaf->is_bool() ? util::Json(1.0) : util::Json(x == 0.0);
+        break;
+      case 4: *leaf = util::Json(-x); break;
+      case 5: *leaf = util::Json(x + 0.37); break;
+      default: *leaf = util::Json(x * 1e12); break;
+    }
+  }
+  return doc;
+}
+
+// Scenario and QoS documents mutated field by field: every mutant passes
+// the reader and the checker (model::InstanceBuilder, qos::check_qos) or
+// throws a typed error. Nothing is built from a mutant.
+TEST(IoFuzz, MutatedConfigDocumentsNeverCrash) {
+  qos::QosConfig qos = sim::chaos_qos_config(
+      4.0, qos::SheddingPolicy::kDeadlineAware, 0.1);
+  qos.arrivals.process = qos::ArrivalProcess::kFlashCrowd;
+  const util::Json params_doc =
+      sim::params_to_json(sim::paper_default_params());
+  const util::Json qos_doc = qos::qos_to_json(qos);
+
+  util::Rng rng(0xf030ULL);
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (int i = 0; i < 4000; ++i) {
+    const bool params = i % 2 == 0;
+    const std::string text =
+        mutate_fields(params ? params_doc : qos_doc, rng).dump();
+    try {
+      if (params) {
+        const model::InstanceBuilder builder(sim::params_from_string(text));
+      } else {
+        qos::check_qos(qos::qos_from_json(util::Json::parse(text)));
+      }
+      ++accepted;
+    } catch (const util::JsonError&) {
+      ++rejected;
+    } catch (const util::ValidationError&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 }  // namespace

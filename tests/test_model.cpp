@@ -12,6 +12,7 @@
 #include "radio/shadowing.hpp"
 #include "sim/paper.hpp"
 #include "sim/scenario.hpp"
+#include "util/error.hpp"
 #include "util/random.hpp"
 
 namespace {
@@ -284,6 +285,53 @@ TEST(Scenario, UnknownKeysIgnored) {
   const InstanceParams q =
       sim::params_from_string(R"({"bogus": 1, "user_count": 33})");
   EXPECT_EQ(q.user_count, 33u);
+}
+
+// Each hostile scenario fails in the reader (wrong type, negative,
+// fractional or oversized count, real outside its domain) or in the
+// InstanceBuilder check (cross-field rules) with a typed error naming the
+// key; none is silently rewritten to a default or truncated.
+TEST(Scenario, HostileFieldsThrowNamingTheKey) {
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"server_count":"7"})", "server_count"},
+      {R"({"user_count":12.9})", "user_count"},
+      {R"({"server_count":-1})", "server_count"},
+      {R"({"data_count":0})", "data_count"},
+      {R"({"channels_per_server":1e12})", "channels_per_server"},
+      {R"({"density":-1})", "density"},
+      {R"({"cloud_speed_mbps":0})", "cloud_speed_mbps"},
+      {R"({"zipf_exponent":-3})", "zipf_exponent"},
+      {R"({"noise_dbm":null})", "noise_dbm"},
+      {R"({"extra_request_prob":1.5})", "extra_request_prob"},
+      {R"({"data_size_choices_mb":30})", "data_size_choices_mb"},
+      {R"({"data_size_choices_mb":[30,"60"]})", "data_size_choices_mb"},
+      {R"({"data_size_choices_mb":[]})", "data_size_choices_mb"},
+      {R"({"min_power_watts":10,"max_power_watts":1})", "min_power_watts"},
+      {R"({"max_storage_mb":10})", "max_storage_mb"},
+      {R"({"server_count":126})", "eua.server_count"},
+      {R"({"eua":[]})", "eua"},
+      {R"({"eua":{"area_side_m":-10}})", "eua.area_side_m"},
+      {R"({"eua":{"user_count":-2}})", "eua.user_count"},
+      {R"({"eua":{"user_background_fraction":2}})",
+       "eua.user_background_fraction"},
+      {R"({"eua":{"min_coverage_radius_m":300}})", "eua.min_coverage_radius_m"},
+  };
+  for (const auto& [text, key] : cases) {
+    SCOPED_TRACE(text);
+    std::string message;
+    try {
+      const model::InstanceBuilder builder(sim::params_from_string(text));
+    } catch (const util::JsonError& error) {
+      message = error.what();
+    } catch (const util::ValidationError& error) {
+      message = error.what();
+    }
+    EXPECT_NE(message.find(key), std::string::npos) << message;
+  }
+  // A value set in code meets the same check as one read from a file.
+  InstanceParams p = small_params();
+  p.eua.server_jitter_m = -1.0;
+  EXPECT_THROW(model::InstanceBuilder{p}, util::JsonError);
 }
 
 TEST(Scenario, RoundTrippedParamsBuildIdenticalInstances) {

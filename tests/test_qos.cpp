@@ -19,6 +19,7 @@
 #include "qos/retry_budget.hpp"
 #include "sim/overload.hpp"
 #include "sim/paper.hpp"
+#include "util/error.hpp"
 
 namespace {
 
@@ -136,6 +137,52 @@ TEST(QosConfig, EmptyJsonYieldsDefaultsAndUnknownNamesThrow) {
       R"({"breaker":{"enabled":true,"half_open_probes":3,"half_open_probe_cap":4}})"));
   EXPECT_TRUE(old.breaker.enabled);
   EXPECT_EQ(old.breaker.half_open_probes, 3u);
+}
+
+// Each hostile QoS document fails in qos_from_json or check_qos with a
+// typed error naming the dotted key; a negative retry ratio ("unlimited")
+// still loads.
+TEST(QosConfig, HostileFieldsThrowNamingTheKey) {
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"admission":{"service_slots":-1}})", "admission.service_slots"},
+      {R"({"admission":{"service_slots":1.7}})", "admission.service_slots"},
+      {R"({"admission":{"queue_capacity":"16"}})", "admission.queue_capacity"},
+      {R"({"admission":{"policy":"drop-everything"}})", "admission.policy"},
+      {R"({"admission":{"policy":2}})", "admission.policy"},
+      {R"({"admission":{"deadline_s":-1}})", "admission.deadline_s"},
+      {R"({"arrivals":"poisson"})", "arrivals"},
+      {R"({"arrivals":{"process":"poisson","window_s":0}})",
+       "arrivals.window_s"},
+      {R"({"arrivals":{"load_multiplier":-1}})", "arrivals.load_multiplier"},
+      {R"({"arrivals":{"flash_fraction":1.5}})", "arrivals.flash_fraction"},
+      {R"({"retry_budget":{"ratio":"x"}})", "retry_budget.ratio"},
+      {R"({"retry_budget":{"burst":-1}})", "retry_budget.burst"},
+      {R"({"breaker":{"enabled":"yes"}})", "breaker.enabled"},
+      {R"({"breaker":{"window":-3}})", "breaker.window"},
+      {R"({"breaker":{"half_open_probes":0.5}})", "breaker.half_open_probes"},
+      {R"({"breaker":{"failure_threshold":2}})", "breaker.failure_threshold"},
+      {R"({"breaker":{"slow_ratio":-1}})", "breaker.slow_ratio"},
+  };
+  for (const auto& [text, key] : cases) {
+    SCOPED_TRACE(text);
+    std::string message;
+    try {
+      qos::check_qos(qos::qos_from_json(util::Json::parse(text)));
+    } catch (const util::JsonError& error) {
+      message = error.what();
+    } catch (const util::ValidationError& error) {
+      message = error.what();
+    }
+    EXPECT_NE(message.find(key), std::string::npos) << message;
+  }
+  const qos::QosConfig unlimited = qos::qos_from_json(
+      util::Json::parse(R"({"retry_budget":{"ratio":-1}})"));
+  EXPECT_NO_THROW(qos::check_qos(unlimited));
+  EXPECT_TRUE(unlimited.retry_budget.inert());
+  // A value set by a CLI flag meets the same check (replay --load -1).
+  EXPECT_THROW(qos::check_qos(sim::overload_qos_config(
+                   -1.0, qos::SheddingPolicy::kDeadlineAware, 0.1)),
+               util::JsonError);
 }
 
 // ------------------------------------------------------- admission queue

@@ -5,6 +5,7 @@
 
 #include "core/idde_g.hpp"
 #include "fault/fault_plan.hpp"
+#include "sim/overload.hpp"
 #include "sim/paper.hpp"
 #include "sim/report.hpp"
 #include "sim/runner.hpp"
@@ -98,28 +99,49 @@ TEST(Sweep, FaultProfilePopulatesResilienceEstimates) {
   EXPECT_DOUBLE_EQ(cell.latency_ms.mean, plain[0].cells[0].latency_ms.mean);
 }
 
-TEST(Scenario, FaultProfileJsonRoundTrip) {
-  fault::FaultProfile profile;
-  profile.horizon_s = 42.0;
-  profile.server_mtbf_s = 7.0;
-  profile.server_mttr_s = 2.5;
-  profile.link_mtbf_s = 9.0;
-  profile.cloud_mtbf_s = 13.0;
-  profile.replica_corruption_prob = 0.125;
-  const auto round =
-      sim::fault_profile_from_json(sim::fault_profile_to_json(profile));
-  EXPECT_DOUBLE_EQ(round.horizon_s, profile.horizon_s);
-  EXPECT_DOUBLE_EQ(round.server_mtbf_s, profile.server_mtbf_s);
-  EXPECT_DOUBLE_EQ(round.server_mttr_s, profile.server_mttr_s);
-  EXPECT_DOUBLE_EQ(round.link_mtbf_s, profile.link_mtbf_s);
-  EXPECT_DOUBLE_EQ(round.link_mttr_s, profile.link_mttr_s);
-  EXPECT_DOUBLE_EQ(round.cloud_mtbf_s, profile.cloud_mtbf_s);
-  EXPECT_DOUBLE_EQ(round.cloud_mttr_s, profile.cloud_mttr_s);
-  EXPECT_DOUBLE_EQ(round.replica_corruption_prob,
-                   profile.replica_corruption_prob);
-  // An empty object yields the inert defaults.
-  EXPECT_TRUE(sim::fault_profile_from_json(util::Json(util::JsonObject{}))
-                  .inert());
+// Every config the repo ships passes the checkers: the paper's defaults
+// and Table-2 points, perfbench's city and metro scenarios, the overload
+// and chaos QoS configs over ext_overload's load x policy x retry grid
+// (chaos also with the soak's flash-crowd arrivals), and the chaos fault
+// profile.
+TEST(Scenario, ShippedConfigsPassTheCheckers) {
+  std::vector<model::InstanceParams> params = {sim::paper_default_params()};
+  for (const sim::PaperSet& set : sim::paper_sets()) {
+    for (const sim::SweepPoint& point : set.points) {
+      params.push_back(point.params);
+    }
+  }
+  model::InstanceParams city = sim::paper_default_params();
+  city.server_count = 125;
+  city.user_count = 816;
+  city.data_count = 12;
+  params.push_back(city);
+  for (const char* metro :
+       {R"({"server_count":500,"user_count":8000,)"
+        R"("eua":{"area_side_m":4000,"server_count":500,"user_count":8000}})",
+        R"({"server_count":60,"user_count":960,)"
+        R"("eua":{"area_side_m":1386,"server_count":60,"user_count":960}})"}) {
+    params.push_back(sim::params_from_string(metro));
+  }
+  for (const model::InstanceParams& p : params) {
+    EXPECT_NO_THROW(model::InstanceBuilder{p});
+  }
+
+  for (const double load : {1.0, 2.0, 3.0, 4.0, 6.0, 10.0}) {
+    for (const auto policy :
+         {qos::SheddingPolicy::kNone, qos::SheddingPolicy::kRejectNewest,
+          qos::SheddingPolicy::kDeadlineAware}) {
+      for (const double ratio : {-1.0, 0.0, 0.1}) {
+        EXPECT_NO_THROW(
+            qos::check_qos(sim::overload_qos_config(load, policy, ratio)));
+        qos::QosConfig chaos = sim::chaos_qos_config(load, policy, ratio);
+        EXPECT_NO_THROW(qos::check_qos(chaos));
+        chaos.arrivals.process = qos::ArrivalProcess::kFlashCrowd;
+        EXPECT_NO_THROW(qos::check_qos(chaos));
+      }
+    }
+  }
+  EXPECT_NO_THROW(util::check_config(sim::chaos_fault_profile()));
 }
 
 TEST(Sweep, ProgressCallbackFiresPerPoint) {

@@ -107,14 +107,11 @@ TEST(JsonAccess, AtAndFind) {
 }
 
 TEST(JsonAccess, DefaultingAccessors) {
-  const Json v = Json::parse(R"({"n":3,"s":"str","b":true})");
+  const Json v = Json::parse(R"({"n":3,"s":"str"})");
   EXPECT_DOUBLE_EQ(v.number_or("n", -1.0), 3.0);
   EXPECT_DOUBLE_EQ(v.number_or("missing", -1.0), -1.0);
-  EXPECT_EQ(v.int_or("n", -1), 3);
   EXPECT_EQ(v.string_or("s", "d"), "str");
   EXPECT_EQ(v.string_or("n", "d"), "d");  // wrong type -> default
-  EXPECT_TRUE(v.bool_or("b", false));
-  EXPECT_FALSE(v.bool_or("n", false));
 }
 
 TEST(JsonEquality, DeepCompare) {
@@ -186,6 +183,8 @@ TEST(JsonHardening, ValidatedAccessors) {
   EXPECT_THROW((void)as_index(Json(5), 5, "idx"), JsonError);
   EXPECT_THROW((void)as_index(Json(-1), 5, "idx"), JsonError);
   EXPECT_THROW((void)as_index(Json(1e30), 5, "idx"), JsonError);
+  EXPECT_THROW((void)as_index(Json(2.5), 5, "idx"), JsonError);
+  EXPECT_THROW((void)as_index(Json("2"), 5, "idx"), JsonError);
   EXPECT_DOUBLE_EQ(as_finite(Json(0.0), 0.0, "v"), 0.0);
   EXPECT_THROW((void)as_finite(Json(-0.5), 0.0, "v"), JsonError);
   EXPECT_THROW(

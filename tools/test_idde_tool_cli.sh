@@ -80,6 +80,34 @@ expect_count_rejected() {
 expect_count_rejected server_count '{"server_count":-1,"eua":{"server_count":-1}}'
 expect_count_rejected max_requests_per_user '{"max_requests_per_user":-1}'
 
+# expect_rejected <key> <args...>: exits 1 with one error line naming <key>.
+expect_rejected() {
+  local key=$1
+  shift
+  run 1 "$@" && expect_error_line
+  grep -q "^idde_tool: error: .*$key" "$WORK/stderr" || {
+    echo "FAIL: '$*' did not name $key:" >&2
+    cat "$WORK/stderr" >&2
+    FAILURES=$((FAILURES + 1))
+  }
+}
+
+# A wrong type, a fractional count or a value outside its domain is never
+# rewritten to a default or truncated, and never reaches an assert.
+expect_scenario_rejected() {
+  printf '%s' "$2" >"$WORK/bad-scenario.json"
+  expect_rejected "$1" gen --scenario "$WORK/bad-scenario.json" \
+    --out "$WORK/bad-scenario-instance.json"
+}
+expect_scenario_rejected server_count '{"server_count":"7"}'
+expect_scenario_rejected user_count '{"user_count":12.9}'
+expect_scenario_rejected density '{"density":-1}'
+expect_scenario_rejected eua.area_side_m '{"eua":{"area_side_m":-10}}'
+expect_scenario_rejected cloud_speed_mbps '{"cloud_speed_mbps":0}'
+expect_scenario_rejected zipf_exponent '{"zipf_exponent":-3}'
+expect_scenario_rejected min_power_watts \
+  '{"min_power_watts":10,"max_power_watts":1}'
+
 # --- happy path ------------------------------------------------------------
 
 cd "$WORK" || exit 1
@@ -166,6 +194,21 @@ grep -q '"goodput_flows"' "$WORK/report.json" || {
   echo "FAIL: report.json is missing SLO stats" >&2
   FAILURES=$((FAILURES + 1))
 }
+
+# Hostile QoS documents and flag values fail naming the key.
+expect_qos_rejected() {
+  printf '%s' "$2" >"$WORK/bad-qos.json"
+  expect_rejected "$1" replay --instance "$WORK/instance.json" \
+    --strategy "$WORK/strategy.json" --qos "$WORK/bad-qos.json"
+}
+expect_qos_rejected admission.service_slots \
+  '{"admission":{"service_slots":-1}}'
+expect_qos_rejected admission.service_slots \
+  '{"admission":{"service_slots":1.7}}'
+expect_qos_rejected arrivals.window_s \
+  '{"arrivals":{"process":"poisson","window_s":0}}'
+expect_rejected arrivals.load_multiplier replay \
+  --instance "$WORK/instance.json" --strategy "$WORK/strategy.json" --load -1
 
 # A bad policy name through the same top-level handler.
 run 1 replay --instance "$WORK/instance.json" \
